@@ -34,6 +34,23 @@ class InputError(ValueError):
     """Bad config or data file; maps to exit code 2."""
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _radial_sizes(text: str) -> list[int]:
+    """'16,32,64' -> [16, 32, 64]; a refinement ladder needs at least two
+    strictly increasing sizes for an observed order."""
+    sizes = [int(t) for t in text.split(",")]
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(f"need at least two strictly increasing sizes, got {text!r}")
+    return sizes
+
+
 def _parse_range(text: str):
     """'4..8' -> [4, 6, 8] (even only when span > 1), '4' -> [4]."""
     if ".." in text:
@@ -93,7 +110,7 @@ def _tensor_from_params(cfg: SuiteConfig, n: int):
         try:
             with open(path) as fh:
                 return curvature.load_curvature_json(json.load(fh))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load curvature tensor from {path}: {exc}") from exc
     h = np.zeros((n, n))
     h[: n - 1, : n - 1] = np.eye(n - 1)
@@ -220,7 +237,7 @@ def suite_bandwidth(cfg: SuiteConfig):
         L=cfg.params.get("L", 8.0),
     )
     reports = [potentials.verify_bandwidth_margin(p), potentials.check_L_chain(p.n, p.sigma, p.delta)]
-    chi = potentials.make_chi()
+    chi = potentials.ChiCutoff()
     xs = np.linspace(0.0, 2.0, 10_001)
     chi_ok = (
         float(np.max(np.abs(chi.chi(xs[xs <= 0.5]) + xs[xs <= 0.5]))) < 1e-12
@@ -269,7 +286,7 @@ def suite_identities(cfg: SuiteConfig):
         try:
             with open(grid_path) as fh:
                 grid, fields = gridcalc.load_grid_config(json.load(fh))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load grid config from {grid_path}: {exc}") from exc
         if len(fields) < 2:
             raise InputError("grid config needs at least two fields for the pairings")
@@ -330,7 +347,7 @@ def suite_hodge(cfg: SuiteConfig):
         try:
             with open(path) as fh:
                 K = hodge.load_complex(json.load(fh))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load complex from {path}: {exc}") from exc
         jobs = [(K, "absolute", k) for k in range(K.dim + 1)]
     for name, cond, k in jobs:
@@ -362,7 +379,7 @@ def suite_band(cfg: SuiteConfig):
         try:
             with open(doc) as fh:
                 band = bands.load_band_json(json.load(fh))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load band spec from {doc}: {exc}") from exc
     else:
         band = bands.WarpedBand(4, 0.0, 3.0, bands.WarpProfile("const"))
@@ -420,7 +437,7 @@ def _sibling(out_path: str, name: str) -> str:
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--out", type=str, default=None, help="write JSON report here")
 
 
@@ -439,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("curvature", "weitzenboeck"):
         sp = vsub.add_parser(name)
         sp.add_argument("--n", type=int, default=4)
-        sp.add_argument("--sigma", type=float, default=1.0)
+        sp.add_argument("--sigma", type=_finite_float, default=1.0)
         sp.add_argument("--tensor", type=str, default=None, help="curvature tensor JSON file")
         _add_common(sp)
 
@@ -450,21 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vsub.add_parser("bandwidth")
     for flag, default in (("--n", 4), ("--sigma", 1.0), ("--delta", 0.1), ("--Lambda", 0.2),
                           ("--rf", 8.0), ("--L", 8.0)):
-        sp.add_argument(flag, type=float if "." in str(default) else int, default=default)
+        sp.add_argument(flag, type=_finite_float if "." in str(default) else int, default=default)
     _add_common(sp)
 
     sp = vsub.add_parser("focal")
     sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=5.0)
-    sp.add_argument("--lambda-bar", dest="lam_bar", type=float, default=100.0)
-    sp.add_argument("--rf", type=float, default=18.01)
+    sp.add_argument("--sigma", type=_finite_float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=5.0)
+    sp.add_argument("--lambda-bar", dest="lam_bar", type=_finite_float, default=100.0)
+    sp.add_argument("--rf", type=_finite_float, default=18.01)
     _add_common(sp)
 
     sp = vsub.add_parser("identities")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--N-t", dest="N_t", type=int, default=6)
-    sp.add_argument("--N-r", dest="N_r", type=str, default="16,32,64")
+    sp.add_argument("--N-r", dest="N_r", type=_radial_sizes, default="16,32,64")
     sp.add_argument("--grid", type=str, default=None, help="grid config JSON with explicit fields")
     _add_common(sp)
 
@@ -475,15 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = vsub.add_parser("band")
     sp.add_argument("--band", type=str, default=None, help="band spec JSON file")
-    sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--sigma", type=_finite_float, default=1.0)
     sp.add_argument("--restarts", type=int, default=64)
     _add_common(sp)
 
     sp = vsub.add_parser("counterexample")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=3.0)
+    sp.add_argument("--sigma", type=_finite_float, default=1.0)
+    sp.add_argument("--L", type=_finite_float, default=3.0)
     _add_common(sp)
 
     em = sub.add_parser("emit", help="emit CSV curves or a config template")
@@ -491,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = esub.add_parser("csv")
     sp.add_argument("--curve", choices=("barrier", "focal"), required=True)
     sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--K", type=float, default=1.0)
-    sp.add_argument("--Lambda", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=5.0)
-    sp.add_argument("--lambda-bar", dest="lam_bar", type=float, default=100.0)
-    sp.add_argument("--rf", type=float, default=18.01)
-    sp.add_argument("--rho-max", type=float, default=2.0)
+    sp.add_argument("--K", type=_finite_float, default=1.0)
+    sp.add_argument("--Lambda", type=_finite_float, default=1.0)
+    sp.add_argument("--sigma", type=_finite_float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=5.0)
+    sp.add_argument("--lambda-bar", dest="lam_bar", type=_finite_float, default=100.0)
+    sp.add_argument("--rf", type=_finite_float, default=18.01)
+    sp.add_argument("--rho-max", type=_finite_float, default=2.0)
     sp.add_argument("--points", type=int, default=256)
     sp.add_argument("--out", type=str, required=True)
     sp = esub.add_parser("json")
@@ -522,7 +539,7 @@ def _config_from_args(args) -> SuiteConfig:
         params = {"n": args.n, "sigma": args.sigma, "lam": args.lam,
                   "lam_bar": args.lam_bar, "rf": args.rf}
     elif args.suite == "identities":
-        params = {"n": args.n, "N_t": args.N_t, "N_r": [int(t) for t in args.N_r.split(",")],
+        params = {"n": args.n, "N_t": args.N_t, "N_r": args.N_r,
                   "grid": args.grid}
     elif args.suite == "hodge":
         params = {"complex": args.complex, "twists": args.twists}

@@ -6,11 +6,27 @@ coefficients, the fiber metric is the one making that basis orthonormal.
 The two Clifford multiplications are wedge-minus-contraction and
 wedge-plus-contraction; the boundary involution is their composition with
 the unit normal plugged into both slots.
+
+The sign rule.  For a strictly increasing multi-index K and a frame index j,
+
+    theta^j ^ theta^K = (-1)^s theta^(K with j inserted)   if j is not in K,
+    i_{e_j} theta^K   = (-1)^s theta^(K with j removed)    if j is in K,
+
+with s = #{t in K : t < j}; both vanish otherwise.  :func:`wedge_key` and
+:func:`interior_key` are the only code that applies it.  Key normalisation
+in :class:`FormElement`, :func:`wedge`, the vector actions and the cached
+degree-block matrices :func:`wedge_stack` and :func:`interior_stack` are
+built from them, and so are the grid operators of ``gridcalc``, the
+Clifford-trace route of ``curvature`` and the form bounds of
+``potentials``.  The index formula ``curvature.weitzenboeck_on_two_forms``
+keeps its own signs on purpose: it is the independent path the trace route
+is checked against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
@@ -26,7 +42,6 @@ __all__ = [
     "boundary_split",
     "inner",
     "basis_form",
-    "flat",
     "two_form_basis",
     "form_to_vec",
     "vec_to_form",
@@ -34,29 +49,43 @@ __all__ = [
     "full_operator_matrix",
     "full_basis",
     "random_form",
+    "wedge_key",
+    "wedge_keys",
+    "interior_key",
+    "wedge_stack",
+    "interior_stack",
 ]
 
 _ZERO_TOL = 1e-15
 
 
-def _sort_with_sign(indices):
-    """Sort a multi-index, counting transpositions; return (tuple, sign).
+def wedge_key(j: int, key: tuple):
+    """theta^j ^ theta^key as (key, sign), or None when j is in key."""
+    if j in key:
+        return None
+    pos = bisect_left(key, j)
+    return key[:pos] + (j,) + key[pos:], (-1) ** pos
 
-    sign = 0 when an index repeats.
-    """
-    idx = list(indices)
+
+def interior_key(j: int, key: tuple):
+    """i_{e_j} theta^key as (key, sign), or None when j is not in key."""
+    if j not in key:
+        return None
+    pos = key.index(j)
+    return key[:pos] + key[pos + 1:], (-1) ** pos
+
+
+def wedge_keys(indices, key: tuple = ()):
+    """theta^{i_1} ^ ... ^ theta^{i_k} ^ theta^key as (key, sign), or None
+    when an index repeats: wedge_key folded from the right."""
     sign = 1
-    # insertion sort; n is tiny so quadratic cost is irrelevant
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    for j in reversed(indices):
+        hit = wedge_key(j, key)
+        if hit is None:
+            return None
+        key, s = hit
+        sign *= s
+    return key, sign
 
 
 class FormElement:
@@ -79,9 +108,10 @@ class FormElement:
                 key = tuple(key)
                 if any(i < 1 or i > n for i in key):
                     raise ValueError(f"index out of range 1..{n}: {key}")
-                skey, sign = _sort_with_sign(key)
-                if sign == 0:
+                hit = wedge_keys(key)
+                if hit is None:
                     continue
+                skey, sign = hit
                 val = complex(val) * sign
                 if val != 0:
                     table[skey] = table.get(skey, 0.0) + val
@@ -152,11 +182,6 @@ def basis_form(n: int, *indices) -> FormElement:
     return FormElement(n, {tuple(indices): 1.0})
 
 
-def flat(v) -> np.ndarray:
-    """Musical isomorphism; the frame is orthonormal so this is a cast."""
-    return np.asarray(v)
-
-
 def inner(a: FormElement, b: FormElement) -> complex:
     """Hermitian inner product, linear in the first slot."""
     a._check(b)
@@ -181,39 +206,13 @@ def wedge(a: FormElement, b: FormElement) -> FormElement:
     out = FormElement(a.n)
     acc = out.coeffs
     for ka, va in a.coeffs.items():
-        sa = set(ka)
         for kb, vb in b.coeffs.items():
-            if sa & set(kb):
+            hit = wedge_keys(ka, kb)
+            if hit is None:
                 continue
-            key, sign = _sort_with_sign(ka + kb)
-            val = va * vb * sign
-            acc[key] = acc.get(key, 0.0) + val
+            key, sign = hit
+            acc[key] = acc.get(key, 0.0) + va * vb * sign
     out.coeffs = {k: v for k, v in acc.items() if v != 0}
-    return out
-
-
-def _wedge_basis_vector(j: int, a: FormElement) -> FormElement:
-    """theta^j ^ a for a single frame index j."""
-    out = FormElement(a.n)
-    acc = out.coeffs
-    for k, v in a.coeffs.items():
-        if j in k:
-            continue
-        key, sign = _sort_with_sign((j,) + k)
-        acc[key] = acc.get(key, 0.0) + v * sign
-    return out
-
-
-def _interior_basis_vector(j: int, a: FormElement) -> FormElement:
-    """i_{e_j} a for a single frame index j."""
-    out = FormElement(a.n)
-    acc = out.coeffs
-    for k, v in a.coeffs.items():
-        if j not in k:
-            continue
-        pos = k.index(j)
-        key = k[:pos] + k[pos + 1:]
-        acc[key] = acc.get(key, 0.0) + v * ((-1) ** pos)
     return out
 
 
@@ -224,34 +223,32 @@ def _vector_components(v, n: int):
     return v
 
 
-def interior(v, a: FormElement) -> FormElement:
-    """Contraction i_v a; antiderivation of degree -1, adjoint to wedge by v-flat."""
+def _vector_action(key_op, v, a: FormElement) -> FormElement:
+    """sum_j v_j op_j a, with op_j given on basis keys by key_op(j, key)."""
     v = _vector_components(v, a.n)
-    out = FormElement(a.n)
+    acc = {}
     for j in range(a.n):
         c = v[j]
         if c == 0:
             continue
-        term = _interior_basis_vector(j + 1, a)
-        for k, val in term.coeffs.items():
-            out.coeffs[k] = out.coeffs.get(k, 0.0) + c * val
-    out.coeffs = {k: v2 for k, v2 in out.coeffs.items() if v2 != 0}
+        for k, val in a.coeffs.items():
+            hit = key_op(j + 1, k)
+            if hit is not None:
+                key, sign = hit
+                acc[key] = acc.get(key, 0.0) + c * (val * sign)
+    out = FormElement(a.n)
+    out.coeffs = {k: v2 for k, v2 in acc.items() if v2 != 0}
     return out
+
+
+def interior(v, a: FormElement) -> FormElement:
+    """Contraction i_v a; antiderivation of degree -1, adjoint to wedge by v-flat."""
+    return _vector_action(interior_key, v, a)
 
 
 def wedge_vector(v, a: FormElement) -> FormElement:
     """v-flat ^ a for a frame-component vector v."""
-    v = _vector_components(v, a.n)
-    out = FormElement(a.n)
-    for j in range(a.n):
-        c = v[j]
-        if c == 0:
-            continue
-        term = _wedge_basis_vector(j + 1, a)
-        for k, val in term.coeffs.items():
-            out.coeffs[k] = out.coeffs.get(k, 0.0) + c * val
-    out.coeffs = {k: v2 for k, v2 in out.coeffs.items() if v2 != 0}
-    return out
+    return _vector_action(wedge_key, v, a)
 
 
 def clifford_c(v, a: FormElement) -> FormElement:
@@ -292,8 +289,8 @@ def boundary_split(nu, a: FormElement):
 
 @lru_cache(maxsize=None)
 def degree_basis(n: int, k: int):
-    """Ordered basis of degree-k multi-indices (lexicographic)."""
-    return tuple(combinations(range(1, n + 1), k))
+    """Ordered basis of degree-k multi-indices (lexicographic); empty for k < 0."""
+    return tuple(combinations(range(1, n + 1), k)) if k >= 0 else ()
 
 
 def two_form_basis(n: int):
@@ -355,6 +352,33 @@ def operator_matrix(op, n: int, k_in: int, k_out: int) -> np.ndarray:
         image = op(FormElement(n, {key: 1.0}))
         mat[:, col] = form_to_vec(image, k_out)
     return mat
+
+
+def _key_stack(key_op, n: int, k_in: int, k_out: int) -> np.ndarray:
+    """Read-only stack over j = 1..n of the matrices of key_op(j, .) from
+    the degree-k_in basis to the degree-k_out basis."""
+    basis = degree_basis(n, k_in)
+    row = {key: r for r, key in enumerate(degree_basis(n, k_out))}
+    out = np.zeros((n, len(row), len(basis)))
+    for j in range(1, n + 1):
+        for col, key in enumerate(basis):
+            hit = key_op(j, key)
+            if hit is not None:
+                out[j - 1, row[hit[0]], col] = hit[1]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def wedge_stack(n: int, k: int) -> np.ndarray:
+    """W[j-1] = matrix of theta^j ^ (.) : Lambda^k -> Lambda^{k+1}."""
+    return _key_stack(wedge_key, n, k, k + 1)
+
+
+@lru_cache(maxsize=None)
+def interior_stack(n: int, k: int) -> np.ndarray:
+    """I[j-1] = matrix of i_{e_j} : Lambda^k -> Lambda^{k-1}."""
+    return _key_stack(interior_key, n, k, k - 1)
 
 
 def random_form(n: int, k: int, rng, complex_coeffs: bool = True) -> FormElement:

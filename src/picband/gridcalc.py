@@ -106,7 +106,8 @@ class FlatBandGrid:
 
 
 class FormField:
-    """A form-valued field: one complex array per multi-index."""
+    """A form-valued field: one complex array per multi-index.  Keys given
+    out of order are normalised like :class:`FormElement` keys."""
 
     __slots__ = ("grid", "data")
 
@@ -118,7 +119,9 @@ class FormField:
                 arr = np.asarray(arr, dtype=complex)
                 if arr.shape != grid.shape:
                     raise ValueError(f"component {key} has shape {arr.shape}, expected {grid.shape}")
-                self.data[tuple(key)] = arr
+                hit = exterior.wedge_keys(tuple(key))
+                if hit is not None:
+                    self._acc(hit[0], hit[1] * arr)
 
     def copy(self) -> "FormField":
         out = FormField(self.grid)
@@ -171,48 +174,28 @@ class FormField:
         return max(float(np.max(np.abs(v))) for v in self.data.values())
 
 
-def _wedge_key(j: int, key: tuple):
-    """(sorted key, sign) of theta^j ^ theta^key, or None."""
-    if j in key:
-        return None
-    merged, sign = exterior._sort_with_sign((j,) + key)
-    return merged, sign
-
-
-def _interior_key(j: int, key: tuple):
-    """(reduced key, sign) of i_{e_j} theta^key, or None."""
-    if j not in key:
-        return None
-    pos = key.index(j)
-    return key[:pos] + key[pos + 1:], (-1) ** pos
+def _derivative_sum(key_op, F: FormField, scale: int) -> FormField:
+    """scale * sum_j op_j (d_j F), with op_j given on basis keys by key_op(j, key)."""
+    g = F.grid
+    out = FormField(g)
+    for key, arr in F.data.items():
+        for j in range(1, g.n + 1):
+            hit = key_op(j, key)
+            if hit is None:
+                continue
+            moved, sign = hit
+            out._acc(moved, scale * sign * g.deriv(arr, j - 1))
+    return out
 
 
 def d_grid(F: FormField) -> FormField:
     """Exterior derivative: sum_j theta^j ^ d_j F."""
-    g = F.grid
-    out = FormField(g)
-    for key, arr in F.data.items():
-        for j in range(1, g.n + 1):
-            hit = _wedge_key(j, key)
-            if hit is None:
-                continue
-            merged, sign = hit
-            out._acc(merged, sign * g.deriv(arr, j - 1))
-    return out
+    return _derivative_sum(exterior.wedge_key, F, 1)
 
 
 def dstar_grid(F: FormField) -> FormField:
     """Codifferential on the flat band: -sum_j i_{e_j} d_j F."""
-    g = F.grid
-    out = FormField(g)
-    for key, arr in F.data.items():
-        for j in range(1, g.n + 1):
-            hit = _interior_key(j, key)
-            if hit is None:
-                continue
-            reduced, sign = hit
-            out._acc(reduced, -sign * g.deriv(arr, j - 1))
-    return out
+    return _derivative_sum(exterior.interior_key, F, -1)
 
 
 def laplacian_grid(F: FormField) -> FormField:
@@ -243,11 +226,11 @@ def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
             comp = vec_components[j - 1]
             if comp is None:
                 continue
-            hit = _wedge_key(j, key)
+            hit = exterior.wedge_key(j, key)
             if hit is not None:
                 merged, s = hit
                 out._acc(merged, s * comp * arr)
-            hit = _interior_key(j, key)
+            hit = exterior.interior_key(j, key)
             if hit is not None:
                 reduced, s = hit
                 out._acc(reduced, sign * s * comp * arr)
@@ -332,7 +315,7 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray, margin: int =
     for i in range(1, g.n + 1):
         Fi = FormField(g)
         for key, arr in omega.data.items():
-            hit = _interior_key(i, key)
+            hit = exterior.interior_key(i, key)
             if hit is not None:
                 reduced, s = hit
                 Fi._acc(reduced, s * arr)
@@ -410,7 +393,9 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     spec: list of terms {"index": [..], "coef": [re, im], "factors":
     [{"axis": a, "kind": "sin"|"cos"|"const", "freq": k, "phase": p}, ...]}.
     Radial factors (axis 0) use frequency k as sin/cos(pi k x / L + phase);
-    transverse axes use sin/cos(2 pi k y + phase) with integer k.
+    transverse axes use sin/cos(2 pi k y + phase) with integer k.  An index
+    list in any order means theta^{i_1} ^ ... ^ theta^{i_k}, stored under
+    its increasing key with the permutation's sign (zero if one repeats).
     """
     coords = grid.axes()
     out = FormField(grid)
@@ -434,7 +419,10 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
                 pass
             else:
                 raise ValueError(f"unknown factor kind {kind!r}")
-        out._acc(tuple(term["index"]), val)
+        hit = exterior.wedge_keys(tuple(term["index"]))
+        if hit is not None:
+            key, sign = hit
+            out._acc(key, sign * val)
     return out
 
 

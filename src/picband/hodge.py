@@ -11,10 +11,8 @@ what the floating-point kernel computation is tested against.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations
 
 import numpy as np
@@ -436,6 +434,4 @@ def bundled_names():
 def load_bundled(name: str) -> SimplicialComplex:
     if name not in BUNDLED:
         raise ValueError(f"unknown bundled complex {name!r}; have {BUNDLED}")
-    ref = resources.files("picband").joinpath(f"data/complexes/{name}.json")
-    with ref.open() as fh:
-        return load_complex(json.load(fh))
+    return build_bundled(name)

@@ -33,13 +33,11 @@ __all__ = [
     "GridSpec",
     "ChiCutoff",
     "BandwidthParams",
-    "make_focal_potential",
     "check_focal_regularity",
     "check_focal_boundary",
     "boundary_slope_ratio",
     "verify_focal_inequality",
     "focal_margin_rows",
-    "make_chi",
     "bandwidth_potential",
     "verify_bandwidth_margin",
     "bandwidth_bound",
@@ -215,10 +213,6 @@ class PiecewisePotential:
             raise ValueError("slope fails to be monotone increasing")
 
 
-def make_focal_potential(params: FocalParams, orientation: str = "N") -> PiecewisePotential:
-    return PiecewisePotential(params, orientation)
-
-
 def check_focal_regularity(params: FocalParams, r_f: float) -> Report:
     """Support and smoothness check: the potential must vanish past r_f / 2,
     which needs rho_sigma + pi/(2 beta) < (9/2) sqrt(n/sigma) <= r_f / 2,
@@ -227,7 +221,7 @@ def check_focal_regularity(params: FocalParams, r_f: float) -> Report:
     anchor = 4.5 * math.sqrt(p.n / p.sigma)
     chain1 = anchor - (p.rho_sigma + 0.5 * math.pi / p.beta)  # strict
     chain2 = 0.5 * r_f - anchor  # r_f strictly above 9 sqrt(n/sigma)
-    pot = make_focal_potential(p, "N")
+    pot = PiecewisePotential(p, "N")
     value_jump, slope_jump = pot.continuity_defects()
     passed = chain1 > 0 and chain2 > 0 and value_jump <= CONTINUITY_TOL and slope_jump <= CONTINUITY_TOL
     return Report(
@@ -353,7 +347,7 @@ def verify_focal_inequality(
     p = params
     if r_f <= 9.0 * math.sqrt(p.n / p.sigma):
         raise ValueError("focal radius must exceed 9 sqrt(n/sigma)")
-    pot = make_focal_potential(p, orientation)
+    pot = PiecewisePotential(p, orientation)
     x1, x2 = pot.breakpoints
     eps = grid.breakpoint_eps
     rhos = np.unique(
@@ -397,7 +391,7 @@ def verify_focal_inequality(
 
 def focal_margin_rows(params: FocalParams, r_f: float, orientation: str = "N", points: int = 512):
     """(rho, lhs, rhs, margin) rows for CSV emission."""
-    pot = make_focal_potential(params, orientation)
+    pot = PiecewisePotential(params, orientation)
     rhos = np.linspace(0.0, r_f, points)
     lhs, rhs, margin = _focal_margin(pot, r_f, rhos)
     return [(float(r), float(l), float(rhs), float(m)) for r, l, m in zip(rhos, lhs, margin)]
@@ -472,10 +466,6 @@ class ChiCutoff:
             [np.zeros_like(x), h * (x - 0.5) / e, np.full_like(x, h), h * (p - x) / e],
             default=0.0,
         )
-
-
-def make_chi(plateau_end: float = 0.9) -> ChiCutoff:
-    return ChiCutoff(plateau_end)
 
 
 def bandwidth_potential(chi: ChiCutoff, r: float, delta: float):
@@ -602,31 +592,11 @@ def check_L_chain(n: int, sigma: float, delta: float, grid: int = 10_001) -> Rep
 # -- pointwise form inequalities ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _wedge_stack(n: int) -> np.ndarray:
-    """Matrices of theta^i ^ (.) : Lambda^2 -> Lambda^3, stacked over i."""
-    mats = [
-        exterior.operator_matrix(
-            lambda a, j=i: exterior.wedge(exterior.basis_form(n, j), a), n, 2, 3
-        )
-        for i in range(1, n + 1)
-    ]
-    return np.stack(mats)
-
-
-@lru_cache(maxsize=None)
-def _interior_stack(n: int) -> np.ndarray:
-    """Matrices of i_{e_i} : Lambda^2 -> Lambda^1, stacked over i."""
-    eye = np.eye(n)
-    mats = [exterior.operator_matrix(lambda a, j=i: exterior.interior(eye[j], a), n, 2, 1) for i in range(n)]
-    return np.stack(mats)
-
-
 def _pairings(n: int, w: np.ndarray):
     """Gram matrices G1_ij = <theta^i ^ w, theta^j ^ w> and
     G2_ij = <i_i w, i_j w> for a two-form coefficient vector w."""
-    U = _wedge_stack(n) @ w
-    V = _interior_stack(n) @ w
+    U = exterior.wedge_stack(n, 2) @ w
+    V = exterior.interior_stack(n, 2) @ w
     return U @ U.conj().T, V @ V.conj().T
 
 
@@ -685,39 +655,15 @@ def hessian_form_bounds(H, omega, r_f: float, lam: float, rho: float) -> Report:
 @lru_cache(maxsize=None)
 def _two_convex_ops(n: int) -> np.ndarray:
     """P[i, j] = matrix of theta^i ^ i_{e_j}(.) on Lambda^2, i, j < n-1."""
-    eye = np.eye(n)
-    dim = len(exterior.degree_basis(n, 2))
-    P = np.zeros((n - 1, n - 1, dim, dim), dtype=complex)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            P[i, j] = exterior.operator_matrix(
-                lambda a, ii=i, jj=j: exterior.wedge(
-                    exterior.basis_form(n, ii + 1), exterior.interior(eye[jj], a)
-                ),
-                n,
-                2,
-                2,
-            )
-    return P
+    m = n - 1
+    return np.einsum("iab,jbc->ijac", exterior.wedge_stack(n, 1)[:m], exterior.interior_stack(n, 2)[:m])
 
 
 @lru_cache(maxsize=None)
 def _n_minus_two_ops(n: int) -> np.ndarray:
     """Q[i, j] = matrix of i_{e_i}(theta^j ^ (.)) on Lambda^2, i, j < n-1."""
-    eye = np.eye(n)
-    dim = len(exterior.degree_basis(n, 2))
-    Q = np.zeros((n - 1, n - 1, dim, dim), dtype=complex)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            Q[i, j] = exterior.operator_matrix(
-                lambda a, ii=i, jj=j: exterior.interior(
-                    eye[ii], exterior.wedge(exterior.basis_form(n, jj + 1), a)
-                ),
-                n,
-                2,
-                2,
-            )
-    return Q
+    m = n - 1
+    return np.einsum("iab,jbc->ijac", exterior.interior_stack(n, 3)[:m], exterior.wedge_stack(n, 2)[:m])
 
 
 def convexity_lambda(A, mode: str) -> float:

@@ -213,7 +213,7 @@ def test_criterion_07_bandwidth_suite():
         worst_mu = min(worst_mu, rep.regions[0].min_margin)
         margin_ok &= rep.passed
 
-    chi = P.make_chi()
+    chi = P.ChiCutoff()
     xs = np.linspace(0.0, 2.0, 10_001)
     low = xs[xs <= 0.5]
     chi_ok = (

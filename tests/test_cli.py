@@ -158,3 +158,24 @@ def test_run_suite_in_process(tmp_path):
 def test_parse_range():
     assert cli._parse_range("4..6") == [4, 5, 6]
     assert cli._parse_range("5") == [5]
+
+
+def test_non_finite_float_flag_is_usage_error(tmp_path):
+    path = tmp_path / "r.json"
+    out = run_cli(["verify", "bandwidth", "--sigma", "nan", "--out", str(path)])
+    assert out.returncode == 2
+    assert not path.exists()
+
+
+def test_radial_sizes_must_increase():
+    out = run_cli(["verify", "identities", "--N-r", "16,16"])
+    assert out.returncode == 2
+
+
+def test_band_spec_null_field_is_input_error(tmp_path):
+    spec = {"n": 4, "phi": {"kind": "const"}, "r0": None, "r1": 2.0}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(spec))
+    out = run_cli(["verify", "band", "--band", str(path)])
+    assert out.returncode == 2
+    assert "input error" in out.stderr

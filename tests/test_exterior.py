@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,37 @@ def test_dimension_mismatch_raises():
         E.wedge(E.basis_form(3, 1), E.basis_form(4, 1))
     with pytest.raises(ValueError):
         E.interior(np.ones(3), E.basis_form(4, 1))
+
+
+def _parity(perm) -> int:
+    inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_key_sign_is_permutation_parity(n):
+    for k in range(n + 1):
+        for key in combinations(range(1, n + 1), k):
+            for perm in permutations(key):
+                assert E.FormElement(n, {perm: 1.0}).coeffs == {key: complex(_parity(perm))}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacks_anticommute(n):
+    # i_{e_j} (theta^i ^ w) + theta^i ^ (i_{e_j} w) = delta_ij w in every degree
+    for k in range(n + 1):
+        lhs = (np.einsum("jab,ibc->ijac", E.interior_stack(n, k + 1), E.wedge_stack(n, k))
+               + np.einsum("iab,jbc->ijac", E.wedge_stack(n, k - 1), E.interior_stack(n, k)))
+        dim = len(E.degree_basis(n, k))
+        assert np.array_equal(lhs, np.einsum("ij,ac->ijac", np.eye(n), np.eye(dim)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacks_match_form_operators(n):
+    eye = np.eye(n)
+    for k in range(n + 1):
+        for j in range(1, n + 1):
+            W = E.operator_matrix(lambda a: E.wedge(E.basis_form(n, j), a), n, k, k + 1)
+            I = E.operator_matrix(lambda a: E.interior(eye[j - 1], a), n, k, k - 1)
+            assert np.array_equal(E.wedge_stack(n, k)[j - 1], W)
+            assert np.array_equal(E.interior_stack(n, k)[j - 1], I)

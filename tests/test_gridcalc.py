@@ -219,3 +219,16 @@ def test_grid_config_loader():
     g, fields = G.load_grid_config(doc)
     assert g.shape == (16, 6, 6, 6)
     assert len(fields) == 1 and (1, 2) in fields[0].data
+
+
+def test_trig_field_index_order_sets_sign():
+    def field(index, coef):
+        return G.trig_field(grid(), [{"index": index, "coef": [coef, 0.0],
+                                      "factors": [{"axis": 0, "kind": "sin", "freq": 1}]}])
+
+    swapped, direct = field([2, 1], 1.0), field([1, 2], -1.0)
+    assert list(swapped.data) == [(1, 2)]
+    assert np.array_equal(swapped.data[(1, 2)], direct.data[(1, 2)])
+    assert not field([1, 1], 1.0).data
+    F = G.FormField(grid(), {(2, 1): direct.data[(1, 2)]})
+    assert list(F.data) == [(1, 2)] and np.array_equal(F.data[(1, 2)], -direct.data[(1, 2)])

@@ -170,8 +170,3 @@ def test_json_dim_mismatch():
 def test_prism_product_needs_layers():
     with pytest.raises(ValueError):
         H.prism_product(H.circle_complex(3), 2, cyclic=True)
-
-
-def test_bundled_matches_builders():
-    for name in H.bundled_names():
-        assert H.load_bundled(name).simplices == H.build_bundled(name).simplices

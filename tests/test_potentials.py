@@ -18,7 +18,7 @@ def test_derived_quantities(params):
     assert abs(params.rho_sigma - 3.0 * math.sqrt(15.0) / 2.0) < 1e-14
     assert abs(params.rho_lambda - 2.0 * math.atan(1.0 / 21.0)) < 1e-14
     # cot(arctan(x)) = 1/x chain: slope at rho_sigma is -2 (beta + 2 lambda)
-    pot = P.make_focal_potential(params)
+    pot = P.PiecewisePotential(params)
     assert abs(float(pot.deriv(params.rho_sigma)) + 2.0 * (params.beta + 2.0 * params.lam)) < 1e-10
     assert abs(float(pot.deriv(params.rho_sigma)) + 21.0) < 1e-10
 
@@ -35,7 +35,7 @@ def test_params_validation():
 
 
 def test_potential_breakpoints_and_support(params):
-    pot = P.make_focal_potential(params)
+    pot = P.PiecewisePotential(params)
     x1, x2 = pot.breakpoints
     assert abs(x1 - (params.rho_sigma - params.rho_lambda + 1.0 / params.lam_bar)) < 1e-14
     assert abs(x2 - (params.rho_sigma - params.rho_lambda + 0.5 * math.pi / params.beta)) < 1e-14
@@ -44,7 +44,7 @@ def test_potential_breakpoints_and_support(params):
 
 
 def test_potential_continuity(params):
-    pot = P.make_focal_potential(params)
+    pot = P.PiecewisePotential(params)
     value_jump, slope_jump = pot.continuity_defects()
     assert value_jump <= 1e-10
     assert slope_jump <= 1e-10
@@ -53,8 +53,8 @@ def test_potential_continuity(params):
 
 
 def test_potential_orientations(params):
-    potN = P.make_focal_potential(params, "N")
-    potD = P.make_focal_potential(params, "D")
+    potN = P.PiecewisePotential(params, "N")
+    potD = P.PiecewisePotential(params, "D")
     rhos = np.linspace(0.0, 10.0, 999)
     assert np.max(np.abs(potD.value(rhos) + potN.value(rhos))) < 1e-12
     fp = potN.deriv(rhos)
@@ -99,7 +99,7 @@ def test_focal_inequality_regions(params):
 
 
 def test_focal_inequality_middle_identity(params):
-    pot = P.make_focal_potential(params)
+    pot = P.PiecewisePotential(params)
     x1, x2 = pot.breakpoints
     rhos = np.linspace(x1 + 1e-6, x2 - 1e-6, 1000)
     res = -pot.second(rhos) + 0.5 * pot.deriv(rhos) ** 2 + 0.25 * (params.n - 2) * params.sigma
@@ -119,7 +119,7 @@ def test_focal_inequality_precondition(params):
 
 
 def test_chi_cutoff_properties():
-    chi = P.make_chi(0.9)
+    chi = P.ChiCutoff(0.9)
     xs = np.linspace(0.0, 2.0, 10_001)
     low = xs[xs <= 0.5]
     assert np.max(np.abs(chi.chi(low) + low)) < 1e-14
@@ -132,7 +132,7 @@ def test_chi_cutoff_properties():
 
 
 def test_chi_cutoff_is_c2():
-    chi = P.make_chi(0.9)
+    chi = P.ChiCutoff(0.9)
     for b in chi.breakpoints:
         for fn in (chi.chi, chi.chip, chi.chipp):
             assert abs(float(fn(b - 1e-9)) - float(fn(b + 1e-9))) < 1e-7
@@ -140,16 +140,16 @@ def test_chi_cutoff_is_c2():
 
 def test_chi_feasibility_window():
     with pytest.raises(ValueError):
-        P.make_chi(0.75)
+        P.ChiCutoff(0.75)
     with pytest.raises(ValueError):
-        P.make_chi(1.05)
-    tight = P.make_chi(0.76)
+        P.ChiCutoff(1.05)
+    tight = P.ChiCutoff(0.76)
     xs = np.linspace(0.0, 1.5, 40_001)
     assert tight.chipp(xs).max() <= 4.0
 
 
 def test_bandwidth_potential_scaling():
-    chi = P.make_chi(0.9)
+    chi = P.ChiCutoff(0.9)
     r, delta = 3.0, 0.2
     f, fp, fpp = P.bandwidth_potential(chi, r, delta)
     rhos = np.linspace(0.0, 4.0 * r, 20_001)

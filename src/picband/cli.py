@@ -51,6 +51,22 @@ def _radial_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite constant {name} in JSON input")
+
+
+def _load_json(fh):
+    """json.load that rejects the NaN and Infinity constants Python's
+    parser accepts by default; the loaders map the error to exit 2."""
+    return json.load(fh, parse_constant=_reject_constant)
+
+
+def _worst(*values: float) -> float:
+    """Running max of defects that keeps a NaN, which max() would drop
+    (max(0.0, nan) == 0.0) and so read as a pass."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _parse_range(text: str):
     """'4..8' -> [4, 6, 8] (even only when span > 1), '4' -> [4]."""
     if ".." in text:
@@ -81,7 +97,7 @@ def suite_clifford(cfg: SuiteConfig):
                         t2 = ti_tj + tj_ti - (2.0 if i == j else 0.0) * a
                         mixed = exterior.clifford_c(eye[i], exterior.clifford_ct(eye[j], a)) + \
                             exterior.clifford_ct(eye[j], exterior.clifford_c(eye[i], a))
-                        worst = max(worst, t1.norm(), t2.norm(), mixed.norm())
+                        worst = _worst(worst, t1.norm(), t2.norm(), mixed.norm())
         samples = cfg.params.get("samples", 100)
         for _ in range(samples):
             u = rng.standard_normal(n)
@@ -90,7 +106,7 @@ def suite_clifford(cfg: SuiteConfig):
             lhs = exterior.clifford_c(u, exterior.clifford_c(v, w)) + exterior.clifford_c(
                 v, exterior.clifford_c(u, w)
             )
-            worst = max(worst, (lhs + 2.0 * float(u @ v) * w).norm() / max(1.0, w.norm()))
+            worst = _worst(worst, (lhs + 2.0 * float(u @ v) * w).norm() / max(1.0, w.norm()))
         reports.append(
             Report(
                 check=f"clifford.relations.n{n}",
@@ -109,7 +125,7 @@ def _tensor_from_params(cfg: SuiteConfig, n: int):
     if path:
         try:
             with open(path) as fh:
-                return curvature.load_curvature_json(json.load(fh))
+                return curvature.load_curvature_json(_load_json(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load curvature tensor from {path}: {exc}") from exc
     h = np.zeros((n, n))
@@ -186,7 +202,7 @@ def suite_comparison(cfg: SuiteConfig):
         barrier = comparison.laplace_upper_negative_boundary(
             comparison.ComparisonParams(n, K, Lam, rho)
         )
-        worst = max(worst, abs(res.trace - barrier))
+        worst = _worst(worst, abs(res.trace - barrier))
     pole_err = 0.0
     for _ in range(5):
         K = float(rng.uniform(0.3, 2.0))
@@ -195,9 +211,9 @@ def suite_comparison(cfg: SuiteConfig):
             comparison.ComparisonParams(4, K, Lam, 50.0)
         )
         expected = math.atanh(math.sqrt(K) / Lam) / math.sqrt(K)
-        pole_err = max(pole_err, abs(out.rho_pole - expected))
+        pole_err = _worst(pole_err, abs(out.rho_pole - expected))
     flat = comparison.ComparisonParams(4, 0.0, 0.0, 0.0, r_f=3.0)
-    limit_err = max(
+    limit_err = _worst(
         abs(comparison.hessian_lower_focal(flat) + 2.0 / 3.0),
         abs(comparison.laplace_lower_focal(flat) + 2.0),
     )
@@ -285,7 +301,7 @@ def suite_identities(cfg: SuiteConfig):
     if grid_path:
         try:
             with open(grid_path) as fh:
-                grid, fields = gridcalc.load_grid_config(json.load(fh))
+                grid, fields = gridcalc.load_grid_config(_load_json(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load grid config from {grid_path}: {exc}") from exc
         if len(fields) < 2:
@@ -346,7 +362,7 @@ def suite_hodge(cfg: SuiteConfig):
     if path:
         try:
             with open(path) as fh:
-                K = hodge.load_complex(json.load(fh))
+                K = hodge.load_complex(_load_json(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load complex from {path}: {exc}") from exc
         jobs = [(K, "absolute", k) for k in range(K.dim + 1)]
@@ -378,7 +394,7 @@ def suite_band(cfg: SuiteConfig):
     if doc:
         try:
             with open(doc) as fh:
-                band = bands.load_band_json(json.load(fh))
+                band = bands.load_band_json(_load_json(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load band spec from {doc}: {exc}") from exc
     else:

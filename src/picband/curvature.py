@@ -11,6 +11,15 @@ Sign conventions, fixed once for the whole package:
   ``(h o^ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il``,
   normalised so that (1/8) sigma g o^ g has isotropic curvature exactly
   sigma on every orthonormal four-frame.
+
+The frame search evaluates the isotropic curvature of frames (x_0..x_3)
+through the six pair slices H_ab = R(x_a, x_b, ., .), one n x n matrix per
+slot pair, all from one (6B x n^2) by (n^2 x n^2) matrix product.  The value
+is x_0'H_02 x_2 + x_0'H_03 x_3 + x_1'H_12 x_2 + x_1'H_13 x_3 - 2 x_2'H_01 x_3,
+and each frame row's gradient is a sum of slices applied to frame vectors,
+e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.  Only the pair
+antisymmetries and the pair interchange are used, which the storage holds
+exactly; the first Bianchi identity is not.
 """
 
 from __future__ import annotations
@@ -158,54 +167,41 @@ def iso_curvature_batch(R: CurvTensor, frames: np.ndarray) -> np.ndarray:
     return _iso_batch(R.R, np.asarray(frames, dtype=float))
 
 
-_ISO_TERMS = (  # (slot indices into the frame, weight)
-    ((0, 2, 0, 2), 1.0),
-    ((0, 3, 0, 3), 1.0),
-    ((1, 2, 1, 2), 1.0),
-    ((1, 3, 1, 3), 1.0),
-    ((0, 1, 2, 3), -2.0),
-)
+# The six slot pairs (a, b) of a frame, in the order 01, 02, 03, 12, 13, 23.
+_PAIR_A = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_B = np.array([1, 2, 3, 2, 3, 3])
+# The two frame rows each pair slice is applied to in the gradient.
+_GRAD_ROWS = np.array([[2, 3], [0, 2], [0, 3], [1, 2], [1, 3], [0, 1]])
 
 
-def _pullback_chain(R: np.ndarray, X: np.ndarray):
-    """Progressive frame pullbacks of R; two-operand contractions only.
-
-    A1[B,a,jkl] = R(x_a, ., ., .), A2[B,a,b,kl] = R(x_a, x_b, ., .),
-    A3[B,a,b,c,l] = R(x_a, x_b, x_c, .), T[B,a,b,c,d] fully contracted.
-    """
-    A1 = np.einsum("Bai,ijkl->Bajkl", X, R, optimize=False)
-    A2 = np.einsum("Bbj,Bajkl->Babkl", X, A1, optimize=False)
-    A3 = np.einsum("Bck,Babkl->Babcl", X, A2, optimize=False)
-    T = np.einsum("Bdl,Babcl->Babcd", X, A3, optimize=False)
-    return A1, A2, A3, T
+def _pair_slices(R: np.ndarray, X: np.ndarray):
+    """Outer products P[B,p] = x_a (x) x_b and pair slices
+    H[B,p] = R(x_a, x_b, ., .) of every slot pair, in one matrix product."""
+    B, _, n = X.shape
+    P = X[:, _PAIR_A, :, None] * X[:, _PAIR_B, None, :]
+    H = (P.reshape(6 * B, n * n) @ R.reshape(n * n, n * n)).reshape(B, 6, n, n)
+    return P, H
 
 
 def _iso_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    T = _pullback_chain(R, X)[3]
-    out = np.zeros(X.shape[0])
-    for (a, b, c, d), w in _ISO_TERMS:
-        out += w * T[:, a, b, c, d]
-    return out
+    P, H = _pair_slices(R, X)
+    B = X.shape[0]
+    # <H_ab, x_c (x) x_d> = R(x_a, x_b, x_c, x_d): slices 02, 03, 12, 13
+    # against their own outer products, slice 01 against 23
+    T = np.einsum("Bpm,Bpm->Bp", H.reshape(B, 6, -1)[:, :5], P.reshape(B, 6, -1)[:, [5, 1, 2, 3, 4]])
+    return T[:, 1] + T[:, 2] + T[:, 3] + T[:, 4] - 2.0 * T[:, 0]
 
 
 def _iso_grad_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the isotropic curvature with respect to the
-    frame rows, assembled from one-slot-open pullbacks."""
-    A1, A2, A3, _ = _pullback_chain(R, X)
-    # S1[B,b,c,d,i] = R(., x_b, x_c, x_d) etc.
-    C1 = np.einsum("Bbj,ijkl->Bbikl", X, R, optimize=False)
-    C2 = np.einsum("Bck,Bbikl->Bbcil", X, C1, optimize=False)
-    S1 = np.einsum("Bdl,Bbcil->Bbcdi", X, C2, optimize=False)
-    B1 = np.einsum("Bck,Bajkl->Bacjl", X, A1, optimize=False)
-    S2 = np.einsum("Bdl,Bacjl->Bacdj", X, B1, optimize=False)
-    S3 = np.einsum("Bdl,Babkl->Babdk", X, A2, optimize=False)
-    G = np.zeros_like(X)
-    for (a, b, c, d), w in _ISO_TERMS:
-        G[:, a] += w * S1[:, b, c, d]
-        G[:, b] += w * S2[:, a, c, d]
-        G[:, c] += w * S3[:, a, b, d]
-        G[:, d] += w * A3[:, a, b, c]
-    return G
+    frame rows, as pair slices applied to frame vectors (x'H_ab = -H_ab x)."""
+    _, H = _pair_slices(R, X)
+    HX = H @ np.swapaxes(X[:, _GRAD_ROWS], 2, 3)  # HX[B,p,:,c] = H_p x_{_GRAD_ROWS[p,c]}
+    (h01x2, h01x3), (h02x0, h02x2), (h03x0, h03x3), (h12x1, h12x2), (h13x1, h13x3), (h23x0, h23x1) = (
+        np.moveaxis(HX, (1, 3), (0, 1))
+    )
+    return 2.0 * np.stack([h02x2 + h03x3 - h23x1, h12x2 + h13x3 + h23x0,
+                           -(h02x0 + h12x1 + h01x3), h01x2 - h03x0 - h13x1], axis=1)
 
 
 def _retract(Y: np.ndarray) -> np.ndarray:

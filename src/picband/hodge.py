@@ -289,9 +289,10 @@ def harmonic_dimension(T: TwistedComplex, k: int, gap_ratio: float = 1e3, mass: 
 
     Floating eigendecomposition with a relative threshold; when the spectral
     gap between the largest discarded and smallest kept eigenvalue is thinner
-    than ``gap_ratio`` the exact integer-rank route decides instead (the
-    twisted rank equals the untwisted one: conjugation by positive
-    diagonals).
+    than ``gap_ratio``, or the largest discarded one lies within
+    ``gap_ratio`` under the threshold, the exact integer-rank route decides
+    instead (the twisted rank equals the untwisted one: conjugation by
+    positive diagonals).
     """
     L = twisted_laplacian(T, k, mass=mass)
     if L.shape[0] == 0:
@@ -304,7 +305,9 @@ def harmonic_dimension(T: TwistedComplex, k: int, gap_ratio: float = 1e3, mass: 
     scale = max(float(evals[-1]), 1e-300)
     cut = 1e-10 * scale
     m = int(np.sum(evals < cut))
-    ambiguous = 0 < m < len(evals) and evals[m] < gap_ratio * max(float(evals[m - 1]), scale * 1e-16)
+    ambiguous = 0 < m < len(evals) and (
+        evals[m - 1] * gap_ratio > cut or evals[m] < gap_ratio * max(float(evals[m - 1]), scale * 1e-16)
+    )
     if ambiguous:
         return _exact_harmonic_dimension(T, k)
     return m

@@ -5,13 +5,15 @@ The JSON schema is fixed:
 "pass": bool, "tolerance": float}`` plus an optional ``details`` map.
 Serialisation is canonical (sorted keys, fixed separators) so re-running a
 suite with the same config produces byte-identical report bodies; wall
-clock data lives in a separate metadata object.
+clock data lives in a separate metadata object.  The files are strict JSON:
+a non-finite float is written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,9 +42,9 @@ class Report:
         out = {
             "check": self.check,
             "params": _plain(self.params),
-            "regions": [r.to_dict() if isinstance(r, Region) else _plain(r) for r in self.regions],
+            "regions": [_plain(r.to_dict() if isinstance(r, Region) else r) for r in self.regions],
             "pass": bool(self.passed),
-            "tolerance": self.tolerance,
+            "tolerance": _plain(self.tolerance),
         }
         if self.details:
             out["details"] = _plain(self.details)
@@ -58,7 +60,8 @@ class Report:
 
 
 def _plain(obj):
-    """Coerce numpy scalars and sequences into JSON-stable builtins."""
+    """Coerce numpy scalars and sequences into JSON-stable builtins; a
+    non-finite float becomes the string "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -66,9 +69,9 @@ def _plain(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        return obj
+        return obj if math.isfinite(obj) else str(float(obj))
     if hasattr(obj, "item"):
-        return obj.item()
+        return _plain(obj.item())
     return str(obj)
 
 
@@ -83,7 +86,7 @@ def report_bundle(reports, seed=None) -> dict:
 def dump_reports(path, reports, seed=None):
     bundle = report_bundle(reports, seed=seed)
     with open(path, "w") as fh:
-        json.dump(bundle, fh, sort_keys=True, indent=1, separators=(",", ": "))
+        json.dump(bundle, fh, sort_keys=True, indent=1, separators=(",", ": "), allow_nan=False)
         fh.write("\n")
     return bundle
 

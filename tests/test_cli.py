@@ -179,3 +179,63 @@ def test_band_spec_null_field_is_input_error(tmp_path):
     out = run_cli(["verify", "band", "--band", str(path)])
     assert out.returncode == 2
     assert "input error" in out.stderr
+
+
+# Triangles of a 6 x 4 annulus with shuffled vertex labels on which one
+# twist puts a twisted 1-form Laplacian eigenvalue of 1.8e-6 just under the
+# relative harmonic cut 2.6e-6; edges and vertices are its faces.
+NEAR_CUT_ANNULUS = [
+    [0, 4, 6], [0, 6, 18], [0, 18, 19], [1, 7, 8], [1, 7, 17], [1, 8, 9], [1, 9, 20], [1, 17, 22],
+    [1, 20, 22], [2, 7, 17], [2, 7, 19], [2, 17, 21], [3, 6, 11], [3, 6, 15], [3, 10, 12],
+    [3, 10, 15], [3, 11, 14], [3, 12, 14], [4, 6, 11], [4, 11, 13], [5, 8, 9], [5, 8, 15],
+    [5, 10, 15], [6, 15, 18], [7, 8, 18], [7, 18, 19], [8, 15, 18], [11, 13, 16], [11, 14, 16],
+    [12, 14, 23], [13, 16, 21], [14, 16, 22], [14, 22, 23], [16, 17, 21], [16, 17, 22], [20, 22, 23],
+]
+
+
+def test_hodge_near_cut_eigenvalue_takes_exact_rank(tmp_path):
+    import itertools
+
+    edges = sorted({e for t in NEAR_CUT_ANNULUS for e in itertools.combinations(t, 2)})
+    doc = {"dim": 2, "simplices": {"0": [[v] for v in range(24)], "1": [list(e) for e in edges],
+                                   "2": NEAR_CUT_ANNULUS}}
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(["verify", "hodge", "--complex", str(path), "--twists", "60", "--seed", "704801911"])
+    assert out.returncode == 0, out.stdout
+    assert "PASS hodge.custom.absolute.k1" in out.stdout
+
+
+def test_non_finite_json_constant_is_input_error(tmp_path):
+    doc = {
+        "n": 4, "L": 2.0, "N_r": 24, "N_t": 6,
+        "fields": [
+            [{"index": [1, 2], "coef": [float("nan"), 0.0],
+              "factors": [{"axis": 0, "kind": "sin", "freq": 1.3, "phase": 0.4}]}],
+            [{"index": [2], "coef": [0.7, 0.2],
+              "factors": [{"axis": 0, "kind": "cos", "freq": 0.9, "phase": 0.1}]}],
+        ],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))  # Python's json writes the NaN literal
+    report = tmp_path / "r.json"
+    out = run_cli(["verify", "identities", "--grid", str(path), "--out", str(report)])
+    assert out.returncode == 2
+    assert "input error" in out.stderr
+    assert not report.exists()
+
+
+def test_nan_defect_fails_and_report_stays_strict_json(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(cli.comparison, "riccati_oracle", lambda model, rho: SimpleNamespace(trace=float("nan")))
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "comparison", "--draws", "3", "--out", str(path)]) == 1
+
+    def reject(name):
+        raise ValueError(name)
+
+    bundle = json.loads(path.read_text(), parse_constant=reject)
+    umbilic = next(r for r in bundle["report"]["reports"] if r["check"] == "comparison.umbilic_equality")
+    assert umbilic["pass"] is False
+    assert umbilic["regions"][0]["min_margin"] == "nan"

@@ -79,6 +79,47 @@ def test_iso_symmetry_group(rng):
     assert abs(C.iso_curvature(R, C.Frame4(single)) - base - 4.0 * cross) < scale
 
 
+def kernel_tensors(rng, n):
+    """A random curvature tensor and one with the exact pair symmetries but a
+    first Bianchi defect of 1e-3 (a Lambda^4 part the kernel must not drop)."""
+    R = C.random_curvature(n, rng)
+    U = rng.standard_normal((n,) * 4)
+    U = U - np.swapaxes(U, 2, 3)
+    S = U - np.swapaxes(U, 0, 1)
+    S = C.CurvTensor(0.5 * (S + np.transpose(S, (2, 3, 0, 1))), validate=False)
+    broken = R + S * (1e-3 / S.bianchi_defect())
+    assert 0.5e-3 < broken.bianchi_defect() < 2e-3
+    with pytest.raises(ValueError, match="Bianchi"):
+        broken.validate()
+    return R, broken
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_iso_kernel_matches_full_contraction(rng, n):
+    for R in kernel_tensors(rng, n):
+        X = np.linalg.qr(rng.standard_normal((16, n, 4)))[0].swapaxes(1, 2)
+        T = np.einsum("Bai,Bbj,Bck,Bdl,ijkl->Babcd", X, X, X, X, R.R, optimize=True)
+        ref = T[:, 0, 2, 0, 2] + T[:, 0, 3, 0, 3] + T[:, 1, 2, 1, 2] + T[:, 1, 3, 1, 3] - 2.0 * T[:, 0, 1, 2, 3]
+        assert np.max(np.abs(C.iso_curvature_batch(R, X) - ref)) <= 1e-13 * np.max(np.abs(R.R))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_iso_gradient_matches_central_differences(rng, n):
+    """The isotropic curvature is at most quadratic in each coordinate of the
+    frame, so central differences are exact up to rounding."""
+    h = 1e-3
+    for R in kernel_tensors(rng, n):
+        X = rng.standard_normal((3, 4, n))
+        G = C._iso_grad_batch(R.R, X)
+        fd = np.empty_like(X)
+        for a in range(4):
+            for i in range(n):
+                E = np.zeros_like(X)
+                E[:, a, i] = h
+                fd[:, a, i] = (C.iso_curvature_batch(R, X + E) - C.iso_curvature_batch(R, X - E)) / (2 * h)
+        assert np.max(np.abs(G - fd)) <= 1e-9 * max(1.0, np.max(np.abs(G)))
+
+
 def test_min_isotropic_constant(rng):
     R = C.kulkarni_nomizu(np.eye(4), np.eye(4)) * (3.0 / 8.0)
     value, frame = C.min_isotropic(R, C.SearchConfig(restarts=16, seed=1))

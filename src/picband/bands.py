@@ -223,7 +223,7 @@ def width(B: WarpedBand) -> float:
     return B.r1 - B.r0
 
 
-def focal_radius_model(B: WarpedBand, end: str, step: float | None = None):
+def focal_radius_model(B: WarpedBand, end: str):
     """Distance along the inward normal to the first focal point, computed
     by the Riccati oracle seeded with the boundary shape operator.
 
@@ -250,7 +250,7 @@ def focal_radius_model(B: WarpedBand, end: str, step: float | None = None):
 
     A0 = boundary_shape(B, end)
     model = comparison.RotSymModel(n=B.n, A0=A0, radial_curvature=radial_curvature)
-    res = comparison.riccati_oracle(model, horizon, step=step)
+    res = comparison.riccati_oracle(model, horizon)
     if res.crossed:
         return res.crossing, False
     return horizon, True

@@ -1,9 +1,10 @@
 """Command-line front end: named verification suites with JSON/CSV reports.
 
 One process, subcommand dispatch.  Exit codes: 0 all checks pass, 1 at
-least one verification failed, 2 usage or input error.  Reports are
-deterministic for a fixed seed; PIC_TOOLKIT_SEED overrides any configured
-seed.
+least one verification failed, 2 usage or input error, 3 internal error.
+Reports are deterministic for a fixed seed; PIC_TOOLKIT_SEED overrides any
+configured seed.  Each suite parameter is declared once, as its argparse
+flag; ``run_suite`` fills missing parameters from those flag defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +45,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of every count flag: a count of zero checks nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a count of at least 1, got {text!r}")
+    return value
+
+
 def _radial_sizes(text: str) -> list[int]:
     """'16,32,64' -> [16, 32, 64]; a refinement ladder needs at least two
     strictly increasing sizes for an observed order."""
@@ -55,10 +66,15 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite constant {name} in JSON input")
 
 
-def _load_json(fh):
-    """json.load that rejects the NaN and Infinity constants Python's
-    parser accepts by default; the loaders map the error to exit 2."""
-    return json.load(fh, parse_constant=_reject_constant)
+def _load(path: str, parse, what: str):
+    """parse(JSON document at path).  The NaN and Infinity constants Python's
+    parser accepts by default are rejected, and every failure to read or
+    parse the file is an InputError (exit 2)."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh, parse_constant=_reject_constant))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 
 def _worst(*values: float) -> float:
@@ -67,10 +83,13 @@ def _worst(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _parse_range(text: str):
-    """'4..8' -> [4, 6, 8] (even only when span > 1), '4' -> [4]."""
+def _parse_range(text: str) -> list[int]:
+    """'4..8' -> [4, 5, 6, 7, 8], '4' -> [4]; an empty range like '8..4'
+    is a usage error."""
     if ".." in text:
         lo, hi = (int(t) for t in text.split("..", 1))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -81,7 +100,8 @@ def _parse_range(text: str):
 def suite_clifford(cfg: SuiteConfig):
     rng = np.random.default_rng(cfg.seed)
     reports = []
-    for n in cfg.params.get("dims", [4, 5, 6, 7, 8]):
+    samples = cfg.params["samples"]
+    for n in cfg.params["n"]:
         worst = 0.0
         eye = np.eye(n)
         for k in range(n + 1):
@@ -98,7 +118,6 @@ def suite_clifford(cfg: SuiteConfig):
                         mixed = exterior.clifford_c(eye[i], exterior.clifford_ct(eye[j], a)) + \
                             exterior.clifford_ct(eye[j], exterior.clifford_c(eye[i], a))
                         worst = _worst(worst, t1.norm(), t2.norm(), mixed.norm())
-        samples = cfg.params.get("samples", 100)
         for _ in range(samples):
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
@@ -121,22 +140,17 @@ def suite_clifford(cfg: SuiteConfig):
 
 
 def _tensor_from_params(cfg: SuiteConfig, n: int):
-    path = cfg.params.get("tensor")
+    path = cfg.params["tensor"]
     if path:
-        try:
-            with open(path) as fh:
-                return curvature.load_curvature_json(_load_json(fh))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cannot load curvature tensor from {path}: {exc}") from exc
+        return _load(path, curvature.load_curvature_json, "curvature tensor")
     h = np.zeros((n, n))
     h[: n - 1, : n - 1] = np.eye(n - 1)
     return curvature.kulkarni_nomizu(h, h) * 0.5  # product model default
 
 
 def suite_curvature(cfg: SuiteConfig):
-    n = cfg.params.get("n", 4)
-    sigma = cfg.params.get("sigma", 1.0)
-    R = _tensor_from_params(cfg, n)
+    sigma = cfg.params["sigma"]
+    R = _tensor_from_params(cfg, cfg.params["n"])
     scfg = curvature.SearchConfig(seed=cfg.seed, tolerance=cfg.tol)
     verdict = curvature.is_sigma_pic(R, sigma, scfg)
     report = Report(
@@ -151,9 +165,8 @@ def suite_curvature(cfg: SuiteConfig):
 
 
 def suite_weitzenboeck(cfg: SuiteConfig):
-    n = cfg.params.get("n", 4)
-    sigma = cfg.params.get("sigma", 1.0)
-    R = _tensor_from_params(cfg, n)
+    sigma = cfg.params["sigma"]
+    R = _tensor_from_params(cfg, cfg.params["n"])
     scfg = curvature.SearchConfig(seed=cfg.seed, tolerance=cfg.tol)
     rep = curvature.weitzenboeck_lower_bound_check(R, sigma, scfg)
     double_path = float(
@@ -190,7 +203,7 @@ def suite_weitzenboeck(cfg: SuiteConfig):
 
 def suite_comparison(cfg: SuiteConfig):
     rng = np.random.default_rng(cfg.seed)
-    draws = cfg.params.get("draws", 20)
+    draws = cfg.params["draws"]
     worst = 0.0
     for _ in range(draws):
         n = int(rng.integers(3, 8))
@@ -244,13 +257,9 @@ def suite_comparison(cfg: SuiteConfig):
 
 
 def suite_bandwidth(cfg: SuiteConfig):
+    q = cfg.params
     p = potentials.BandwidthParams(
-        n=cfg.params.get("n", 4),
-        sigma=cfg.params.get("sigma", 1.0),
-        delta=cfg.params.get("delta", 0.1),
-        Lambda=cfg.params.get("Lambda", 0.2),
-        r_f=cfg.params.get("rf", 8.0),
-        L=cfg.params.get("L", 8.0),
+        n=q["n"], sigma=q["sigma"], delta=q["delta"], Lambda=q["Lambda"], r_f=q["rf"], L=q["L"]
     )
     reports = [potentials.verify_bandwidth_margin(p), potentials.check_L_chain(p.n, p.sigma, p.delta)]
     chi = potentials.ChiCutoff()
@@ -276,13 +285,8 @@ def suite_bandwidth(cfg: SuiteConfig):
 
 
 def suite_focal(cfg: SuiteConfig):
-    p = potentials.FocalParams(
-        n=cfg.params.get("n", 4),
-        sigma=cfg.params.get("sigma", 1.0),
-        lam=cfg.params.get("lam", 5.0),
-        lam_bar=cfg.params.get("lam_bar", 100.0),
-    )
-    r_f = cfg.params.get("rf", 18.01)
+    q = cfg.params
+    p, r_f = potentials.FocalParams(q["n"], q["sigma"], q["lam"], q["lam_bar"]), q["rf"]
     reports = [
         potentials.check_focal_regularity(p, r_f),
         potentials.check_focal_boundary(p),
@@ -297,19 +301,15 @@ def suite_focal(cfg: SuiteConfig):
 
 def suite_identities(cfg: SuiteConfig):
     reports = []
-    grid_path = cfg.params.get("grid")
+    grid_path = cfg.params["grid"]
     if grid_path:
-        try:
-            with open(grid_path) as fh:
-                grid, fields = gridcalc.load_grid_config(_load_json(fh))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cannot load grid config from {grid_path}: {exc}") from exc
-        if len(fields) < 2:
-            raise InputError("grid config needs at least two fields for the pairings")
+        grid, fields = _load(grid_path, gridcalc.load_grid_config, "grid config")
+        if len(fields) < 2 or not (fields[0].sup_norm() > 0 and fields[1].sup_norm() > 0):
+            raise InputError("grid config needs two nonzero fields for the pairings")
         alpha, beta = fields[0], fields[1]
         res_dirac = gridcalc.green_residual_dirac(alpha, beta)
         res_lap = gridcalc.green_residual_laplace(alpha, beta)
-        bound = cfg.params.get("residual_bound", 10.0 * grid.h**2)
+        bound = 10.0 * grid.h**2
         checks = [("green_dirac", res_dirac), ("green_laplace", res_lap)]
         return [
             Report(
@@ -322,9 +322,7 @@ def suite_identities(cfg: SuiteConfig):
             )
             for name, res in checks
         ]
-    Ns = cfg.params.get("N_r", [16, 32, 64])
-    n = cfg.params.get("n", 4)
-    N_t = cfg.params.get("N_t", 6)
+    Ns, n, N_t = cfg.params["N_r"], cfg.params["n"], cfg.params["N_t"]
     csv_rows = []
     for kind in ("dirac", "laplace", "weitzenboeck"):
         residuals, hs, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=cfg.seed)
@@ -357,14 +355,10 @@ def suite_hodge(cfg: SuiteConfig):
         ("solid_torus", "absolute", 1),
         ("solid_torus", "relative", 2),
     ]
-    twists = cfg.params.get("twists", 10)
-    path = cfg.params.get("complex")
+    twists = cfg.params["twists"]
+    path = cfg.params["complex"]
     if path:
-        try:
-            with open(path) as fh:
-                K = hodge.load_complex(_load_json(fh))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cannot load complex from {path}: {exc}") from exc
+        K = _load(path, hodge.load_complex, "complex")
         jobs = [(K, "absolute", k) for k in range(K.dim + 1)]
     for name, cond, k in jobs:
         K = name if isinstance(name, hodge.SimplicialComplex) else hodge.load_bundled(name)
@@ -390,27 +384,18 @@ def suite_hodge(cfg: SuiteConfig):
 
 
 def suite_band(cfg: SuiteConfig):
-    doc = cfg.params.get("band")
-    if doc:
-        try:
-            with open(doc) as fh:
-                band = bands.load_band_json(_load_json(fh))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cannot load band spec from {doc}: {exc}") from exc
+    path = cfg.params["band"]
+    if path:
+        band = _load(path, bands.load_band_json, "band spec")
     else:
         band = bands.WarpedBand(4, 0.0, 3.0, bands.WarpProfile("const"))
-    sigma = cfg.params.get("sigma", 1.0)
-    scfg = curvature.SearchConfig(seed=cfg.seed, restarts=cfg.params.get("restarts", 64))
-    return [bands.sigma_pic_profile(band, sigma, cfg=scfg)]
+    scfg = curvature.SearchConfig(seed=cfg.seed, restarts=cfg.params["restarts"])
+    return [bands.sigma_pic_profile(band, cfg.params["sigma"], cfg=scfg)]
 
 
 def suite_counterexample(cfg: SuiteConfig):
-    spec = bands.CounterexampleSpec(
-        n=cfg.params.get("n", 4),
-        k=cfg.params.get("k", 2),
-        sigma=cfg.params.get("sigma", 1.0),
-        L=cfg.params.get("L", 3.0),
-    )
+    q = cfg.params
+    spec = bands.CounterexampleSpec(n=q["n"], k=q["k"], sigma=q["sigma"], L=q["L"])
     return [bands.counterexample_report(spec, curvature.SearchConfig(seed=cfg.seed))]
 
 
@@ -429,12 +414,18 @@ SUITES = {
 
 
 def run_suite(cfg: SuiteConfig) -> int:
-    """Run a named suite; returns the process exit code."""
+    """Run a named suite; returns the process exit code.  Parameters missing
+    from ``cfg.params`` take their flag defaults; unknown ones are an
+    InputError."""
     if cfg.suite not in SUITES:
         raise InputError(f"unknown suite {cfg.suite!r}; have {sorted(SUITES)}")
+    defaults = _suite_defaults(cfg.suite)
+    unknown = sorted(set(cfg.params) - set(defaults))
+    if unknown:
+        raise InputError(f"unknown parameters {unknown} for suite {cfg.suite!r}; have {sorted(defaults)}")
     env_seed = os.environ.get("PIC_TOOLKIT_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
+    cfg = replace(cfg, params={**defaults, **cfg.params},
+                  seed=cfg.seed if env_seed is None else int(env_seed))
     reports = SUITES[cfg.suite](cfg)
     for rep in reports:
         print(rep.summary_line())
@@ -450,11 +441,22 @@ def _sibling(out_path: str, name: str) -> str:
 
 # -- argument parsing ------------------------------------------------------
 
+# Namespace entries of ``verify`` that are not suite parameters.
+_NOT_PARAMS = ("command", "suite", "seed", "tol", "out")
+
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=_finite_float, default=1e-9)
+    sp.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    sp.add_argument("--tol", type=_finite_float, default=SuiteConfig.tol)
     sp.add_argument("--out", type=str, default=None, help="write JSON report here")
+
+
+def _add_focal_flags(sp):
+    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--sigma", type=_finite_float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=5.0)
+    sp.add_argument("--lambda-bar", dest="lam_bar", type=_finite_float, default=100.0)
+    sp.add_argument("--rf", type=_finite_float, default=18.01)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = vf.add_subparsers(dest="suite", required=True)
 
     sp = vsub.add_parser("clifford")
-    sp.add_argument("--n", type=str, default="4..8", help="dimension or range like 4..8")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--n", type=_parse_range, default="4..8", help="dimension or range like 4..8")
+    sp.add_argument("--samples", type=_count, default=100)
     _add_common(sp)
 
     for name in ("curvature", "weitzenboeck"):
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sp)
 
     sp = vsub.add_parser("comparison")
-    sp.add_argument("--draws", type=int, default=20)
+    sp.add_argument("--draws", type=_count, default=20)
     _add_common(sp)
 
     sp = vsub.add_parser("bandwidth")
@@ -487,11 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = vsub.add_parser("focal")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--sigma", type=_finite_float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=5.0)
-    sp.add_argument("--lambda-bar", dest="lam_bar", type=_finite_float, default=100.0)
-    sp.add_argument("--rf", type=_finite_float, default=18.01)
+    _add_focal_flags(sp)
     _add_common(sp)
 
     sp = vsub.add_parser("identities")
@@ -503,13 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = vsub.add_parser("hodge")
     sp.add_argument("--complex", type=str, default=None, help="complex JSON file")
-    sp.add_argument("--twists", type=int, default=10)
+    sp.add_argument("--twists", type=_count, default=10)
     _add_common(sp)
 
     sp = vsub.add_parser("band")
     sp.add_argument("--band", type=str, default=None, help="band spec JSON file")
     sp.add_argument("--sigma", type=_finite_float, default=1.0)
-    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--restarts", type=_count, default=64)
     _add_common(sp)
 
     sp = vsub.add_parser("counterexample")
@@ -523,15 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     esub = em.add_subparsers(dest="what", required=True)
     sp = esub.add_parser("csv")
     sp.add_argument("--curve", choices=("barrier", "focal"), required=True)
-    sp.add_argument("--n", type=int, default=4)
+    _add_focal_flags(sp)
     sp.add_argument("--K", type=_finite_float, default=1.0)
     sp.add_argument("--Lambda", type=_finite_float, default=1.0)
-    sp.add_argument("--sigma", type=_finite_float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=5.0)
-    sp.add_argument("--lambda-bar", dest="lam_bar", type=_finite_float, default=100.0)
-    sp.add_argument("--rf", type=_finite_float, default=18.01)
     sp.add_argument("--rho-max", type=_finite_float, default=2.0)
-    sp.add_argument("--points", type=int, default=256)
+    sp.add_argument("--points", type=_count, default=256)
     sp.add_argument("--out", type=str, required=True)
     sp = esub.add_parser("json")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -540,39 +534,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _params(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+
+
+@lru_cache(maxsize=None)
+def _suite_defaults(suite: str) -> dict:
+    """Every parameter of a suite with its default, as ``verify SUITE``
+    parses them with no flags given.  Cached and shared: read, never mutate."""
+    return _params(build_parser().parse_args(["verify", suite]))
+
+
 def _config_from_args(args) -> SuiteConfig:
-    params = {}
-    if args.suite == "clifford":
-        params = {"dims": _parse_range(args.n), "samples": args.samples}
-    elif args.suite in ("curvature", "weitzenboeck"):
-        params = {"n": int(args.n), "sigma": args.sigma, "tensor": args.tensor}
-    elif args.suite == "comparison":
-        params = {"draws": args.draws}
-    elif args.suite == "bandwidth":
-        params = {"n": int(args.n), "sigma": args.sigma, "delta": args.delta,
-                  "Lambda": args.Lambda, "rf": args.rf, "L": args.L}
-    elif args.suite == "focal":
-        params = {"n": args.n, "sigma": args.sigma, "lam": args.lam,
-                  "lam_bar": args.lam_bar, "rf": args.rf}
-    elif args.suite == "identities":
-        params = {"n": args.n, "N_t": args.N_t, "N_r": args.N_r,
-                  "grid": args.grid}
-    elif args.suite == "hodge":
-        params = {"complex": args.complex, "twists": args.twists}
-    elif args.suite == "band":
-        params = {"band": args.band, "sigma": args.sigma, "restarts": args.restarts}
-    elif args.suite == "counterexample":
-        params = {"n": args.n, "k": args.k, "sigma": args.sigma, "L": args.L}
-    return SuiteConfig(suite=args.suite, params=params, seed=args.seed, tol=args.tol, out=args.out)
+    return SuiteConfig(args.suite, _params(args), args.seed, args.tol, args.out)
 
 
 def _emit(args) -> int:
     if args.what == "json":
-        template = SuiteConfig(suite=args.suite)
         with open(args.out, "w") as fh:
             json.dump(
-                {"suite": template.suite, "params": template.params, "seed": template.seed,
-                 "tol": template.tol, "out": None},
+                {"suite": args.suite, "params": _suite_defaults(args.suite), "seed": SuiteConfig.seed,
+                 "tol": SuiteConfig.tol, "out": None},
                 fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
@@ -600,6 +582,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect of the program, not a failed verification (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ __all__ = [
 
 K_FLAT_EPS = 1e-10  # below this the explicit K -> 0 limit formulas are used
 BLOWUP_THRESHOLD = 1e8
+RICCATI_STEP = 1e-4  # RK4 step of the Riccati oracle per unit of max(1, rho)
+SIMPSON_PANELS = 10_000  # even: composite Simpson panels of the index form
 
 
 @dataclass(frozen=True)
@@ -238,18 +240,18 @@ def _integrate_scalar(w0: float, kfn, rho: float, step: float):
     return w, None
 
 
-def riccati_oracle(model: RotSymModel, rho: float, step: float | None = None) -> RiccatiResult:
+def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
     """Integrate the level-set Hessian Riccati flow up to distance rho.
 
     The state diagonalises in the eigenbasis of A0 and is integrated per
-    eigenvalue with fixed-step RK4 (default step 1e-4 max(1, rho)).
+    eigenvalue with fixed-step RK4, the step at most RICCATI_STEP max(1, rho).
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0:
         eigs = model.initial_hessian_eigs()
         return RiccatiResult(0.0, float(np.sum(eigs)), None)
-    h = step if step is not None else 1e-4 * max(1.0, rho)
+    h = RICCATI_STEP * max(1.0, rho)
     kfn = model.curvature_fn()
     eigs = model.initial_hessian_eigs()
     total = 0.0
@@ -268,8 +270,8 @@ def riccati_oracle(model: RotSymModel, rho: float, step: float | None = None) ->
 # -- reduced index form -------------------------------------------------
 
 
-def index_form(profile, p: ComparisonParams, derivative=None, panels: int = 10_000) -> float:
-    """Composite-Simpson value of the reduced second-variation functional
+def index_form(profile, p: ComparisonParams, derivative=None) -> float:
+    """Composite-Simpson value (SIMPSON_PANELS panels) of the reduced second-variation functional
 
         int_0^1 ((n-1) f'^2 + (n-1) K rho^2 f^2) dt + f(0)^2 Lambda rho
 
@@ -286,17 +288,15 @@ def index_form(profile, p: ComparisonParams, derivative=None, panels: int = 10_0
             a, b = max(0.0, t - eps), min(1.0, t + eps)
             return (f(b) - f(a)) / (b - a)
 
-    if panels % 2:
-        panels += 1
     m = p.n - 1
-    ts = np.linspace(0.0, 1.0, panels + 1)
+    ts = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
     fv = np.array([f(t) for t in ts])
     dv = np.array([derivative(t) for t in ts])
     integrand = m * dv**2 + m * p.K * p.rho**2 * fv**2
-    wts = np.ones(panels + 1)
+    wts = np.ones(SIMPSON_PANELS + 1)
     wts[1:-1:2] = 4.0
     wts[2:-1:2] = 2.0
-    integral = (1.0 / panels) / 3.0 * float(wts @ integrand)
+    integral = (1.0 / SIMPSON_PANELS) / 3.0 * float(wts @ integrand)
     return integral + fv[0] ** 2 * p.Lambda * p.rho
 
 

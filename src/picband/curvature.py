@@ -58,6 +58,11 @@ __all__ = [
 ]
 
 BIANCHI_TOL = 1e-10
+FRAME_TOL = 1e-10  # Gram defect accepted by Frame4
+HERMITIAN_TOL = 1e-12  # relative Hermitian defect accepted by WeitzOperator
+SEARCH_MAX_ITER = 400  # frame-search descent iterations, at most
+SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
+SEARCH_STEP0 = 0.1  # first step of every restart
 
 
 class CurvTensor:
@@ -133,7 +138,7 @@ class Frame4:
 
     __slots__ = ("n", "vectors")
 
-    def __init__(self, vectors, tol: float = 1e-10):
+    def __init__(self, vectors):
         X = np.asarray(vectors, dtype=float)
         if X.ndim != 2 or X.shape[0] != 4:
             raise ValueError(f"frame must be 4 x n, got {X.shape}")
@@ -141,7 +146,7 @@ class Frame4:
         if self.n < 4:
             raise ValueError("ambient dimension must be at least 4")
         defect = float(np.max(np.abs(X @ X.T - np.eye(4))))
-        if defect > tol:
+        if defect > FRAME_TOL:
             raise ValueError(f"frame is not orthonormal, Gram defect {defect:.3e}")
         self.vectors = X
 
@@ -214,13 +219,11 @@ def _retract(Y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the stochastic frame search over orthonormal 4-frames."""
+    """Settings for the stochastic frame search over orthonormal 4-frames
+    (the descent runs on the SEARCH_* constants)."""
 
     restarts: int = 512
     seed: int = 0
-    max_iter: int = 400
-    grad_tol: float = 1e-10
-    step0: float = 0.1
     tolerance: float = 1e-9
 
 
@@ -241,10 +244,10 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     vals = _iso_batch(R.R, X)
     best_vals = vals.copy()
     best_X = X.copy()
-    step = np.full(B, cfg.step0)
+    step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
 
-    for _ in range(cfg.max_iter):
+    for _ in range(SEARCH_MAX_ITER):
         if not active.any():
             break
         G = _iso_grad_batch(R.R, X)
@@ -253,7 +256,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         sym = 0.5 * (M + np.swapaxes(M, 1, 2))
         Gt = G - np.einsum("Bik,Bkj->Bij", sym, X)
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
-        active &= gnorm2 > cfg.grad_tol**2
+        active &= gnorm2 > SEARCH_GRAD_TOL**2
         if not active.any():
             break
         Y = _retract(X - step[:, None, None] * Gt)
@@ -336,13 +339,13 @@ class WeitzOperator:
 
     __slots__ = ("n", "matrix")
 
-    def __init__(self, n: int, matrix, tol: float = 1e-12):
+    def __init__(self, n: int, matrix):
         M = np.asarray(matrix)
         dim = len(degree_basis(n, 2))
         if M.shape != (dim, dim):
             raise ValueError(f"operator must be {dim} x {dim} for n = {n}")
         scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(M - M.conj().T))) > tol * scale:
+        if float(np.max(np.abs(M - M.conj().T))) > HERMITIAN_TOL * scale:
             raise ValueError("curvature operator is not Hermitian within tolerance")
         self.n = n
         self.matrix = M
@@ -441,27 +444,26 @@ def weitzenboeck_lower_bound_check(
 # -- generators and serialisation -------------------------------------
 
 
-def random_curvature(n: int, rng, terms: int = 6, scale: float = 1.0) -> CurvTensor:
-    """Random algebraic curvature tensor as a signed sum of Kulkarni-Nomizu
+def random_curvature(n: int, rng) -> CurvTensor:
+    """Random algebraic curvature tensor as the mean of six signed Kulkarni-Nomizu
     squares of random symmetric matrices (these span the curvature space)."""
     total = np.zeros((n, n, n, n))
-    for _ in range(terms):
+    for _ in range(6):
         A = rng.standard_normal((n, n))
         h = 0.5 * (A + A.T)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         total += sign * kulkarni_nomizu(h, h).R
-    out = CurvTensor(total * (scale / terms))
-    return out
+    return CurvTensor(total * (1.0 / 6))
 
 
-def random_pic_combination(n: int, rng, terms: int = 4) -> CurvTensor:
-    """Nonnegative combination of KN squares of positive definite matrices."""
+def random_pic_combination(n: int, rng) -> CurvTensor:
+    """Nonnegative combination of four KN squares of positive definite matrices."""
     total = np.zeros((n, n, n, n))
-    for _ in range(terms):
+    for _ in range(4):
         A = rng.standard_normal((n, n))
         h = A @ A.T + 0.1 * np.eye(n)
         total += rng.random() * kulkarni_nomizu(h, h).R
-    return CurvTensor(total / terms)
+    return CurvTensor(total / 4)
 
 
 _SLOT_PERMS = (  # index permutations generating the full symmetry orbit

@@ -56,9 +56,6 @@ __all__ = [
     "interior_stack",
 ]
 
-_ZERO_TOL = 1e-15
-
-
 def wedge_key(j: int, key: tuple):
     """theta^j ^ theta^key as (key, sign), or None when j is in key."""
     if j in key:
@@ -73,6 +70,13 @@ def interior_key(j: int, key: tuple):
         return None
     pos = key.index(j)
     return key[:pos] + key[pos + 1:], (-1) ** pos
+
+
+def _checked_key(n: int, key: tuple) -> tuple:
+    """Return key; raise ValueError if an index lies outside 1..n."""
+    if key and (min(key) < 1 or max(key) > n):
+        raise ValueError(f"index out of range 1..{n}: {key}")
+    return key
 
 
 def wedge_keys(indices, key: tuple = ()):
@@ -105,9 +109,7 @@ class FormElement:
         table = {}
         if coeffs:
             for key, val in coeffs.items():
-                key = tuple(key)
-                if any(i < 1 or i > n for i in key):
-                    raise ValueError(f"index out of range 1..{n}: {key}")
+                key = _checked_key(n, tuple(key))
                 hit = wedge_keys(key)
                 if hit is None:
                     continue
@@ -164,9 +166,6 @@ class FormElement:
 
     def norm(self) -> float:
         return math.sqrt(self.norm2())
-
-    def is_zero(self, tol: float = _ZERO_TOL) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
 
     def _check(self, other: "FormElement"):
         if self.n != other.n:
@@ -261,10 +260,13 @@ def clifford_ct(v, a: FormElement) -> FormElement:
     return wedge_vector(v, a) + interior(v, a)
 
 
-def _check_unit(nu, n: int, tol: float = 1e-12):
+UNIT_TOL = 1e-12  # accepted | |nu| - 1 | of a boundary normal
+
+
+def _check_unit(nu, n: int):
     nu = _vector_components(nu, n)
     nrm = float(np.linalg.norm(nu))
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"normal vector must be unit length, |nu| = {nrm}")
     return nu
 
@@ -296,11 +298,6 @@ def degree_basis(n: int, k: int):
 def two_form_basis(n: int):
     """Ordered basis {theta^i ^ theta^j : i < j} used for operator matrices."""
     return degree_basis(n, 2)
-
-
-def degree_part(a: FormElement, k: int) -> FormElement:
-    """Projection onto the degree-k summand."""
-    return FormElement(a.n, {key: v for key, v in a.coeffs.items() if len(key) == k})
 
 
 def form_to_vec(a: FormElement, k: int) -> np.ndarray:
@@ -381,9 +378,8 @@ def interior_stack(n: int, k: int) -> np.ndarray:
     return _key_stack(interior_key, n, k, k - 1)
 
 
-def random_form(n: int, k: int, rng, complex_coeffs: bool = True) -> FormElement:
+def random_form(n: int, k: int, rng) -> FormElement:
+    """Degree-k form with standard complex normal coefficients."""
     basis = degree_basis(n, k)
-    vec = rng.standard_normal(len(basis))
-    if complex_coeffs:
-        vec = vec + 1j * rng.standard_normal(len(basis))
+    vec = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     return vec_to_form(vec, n, k)

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import exterior
-from .exterior import FormElement
+from .exterior import FormElement, _checked_key
 
 __all__ = [
     "FlatBandGrid",
@@ -43,6 +43,10 @@ __all__ = [
     "paired_test_fields",
     "load_grid_config",
 ]
+
+WEITZ_EDGE_NODES = 2  # radial nodes left out at each end (one-sided stencils)
+STUDY_L = 2.0  # band width of the convergence studies
+STUDY_DRAWS = 6  # field draws averaged per refinement
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ class FlatBandGrid:
 
 class FormField:
     """A form-valued field: one complex array per multi-index.  Keys given
-    out of order are normalised like :class:`FormElement` keys."""
+    out of order are normalised like :class:`FormElement` keys, and like
+    them must hold indices in 1..n."""
 
     __slots__ = ("grid", "data")
 
@@ -119,7 +124,7 @@ class FormField:
                 arr = np.asarray(arr, dtype=complex)
                 if arr.shape != grid.shape:
                     raise ValueError(f"component {key} has shape {arr.shape}, expected {grid.shape}")
-                hit = exterior.wedge_keys(tuple(key))
+                hit = exterior.wedge_keys(_checked_key(grid.n, tuple(key)))
                 if hit is not None:
                     self._acc(hit[0], hit[1] * arr)
 
@@ -164,9 +169,6 @@ class FormField:
             if w is not None:
                 out += v * np.conj(w)
         return out
-
-    def at_node(self, idx) -> FormElement:
-        return FormElement(self.grid.n, {k: v[idx] for k, v in self.data.items()})
 
     def sup_norm(self) -> float:
         if not self.data:
@@ -294,8 +296,9 @@ def hessian_components(g: FlatBandGrid, f: np.ndarray):
     return [[g.deriv(grads[i], j) for j in range(g.n)] for i in range(g.n)]
 
 
-def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray, margin: int = 2) -> float:
-    """Sup-norm over interior nodes of the pointwise defect of
+def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float:
+    """Sup-norm over interior nodes (all but WEITZ_EDGE_NODES at each radial
+    end) of the pointwise defect of
 
         <D_f^2 w, w> = -<Lap w, w> + (|grad f|^2 - Lap f) |w|^2
                        + 2 sum_ij (Hess f)_ij <i_i w, i_j w>
@@ -324,7 +327,7 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray, margin: int =
         for j in range(g.n):
             rhs = rhs + 2.0 * hess[i][j] * contr[i].pointwise_inner(contr[j])
     defect = np.abs(lhs - rhs)
-    return float(np.max(defect[margin:-margin]))
+    return float(np.max(defect[WEITZ_EDGE_NODES:-WEITZ_EDGE_NODES]))
 
 
 def conjugation_residual(omega: FormField, f: np.ndarray) -> float:
@@ -396,14 +399,20 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     transverse axes use sin/cos(2 pi k y + phase) with integer k.  An index
     list in any order means theta^{i_1} ^ ... ^ theta^{i_k}, stored under
     its increasing key with the permutation's sign (zero if one repeats).
+    An index outside 1..n, an axis outside 0..n-1 or a coef that is not
+    [re] or [re, im] is a ValueError.
     """
     coords = grid.axes()
     out = FormField(grid)
     for term in spec:
         coef = term.get("coef", [1.0, 0.0])
+        if len(coef) not in (1, 2):
+            raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
         val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones(grid.shape, dtype=complex)
         for fac in term.get("factors", []):
             axis = int(fac["axis"])
+            if not 0 <= axis < grid.n:
+                raise ValueError(f"factor axis {axis} out of range 0..{grid.n - 1}")
             kind = fac.get("kind", "sin")
             freq = float(fac.get("freq", 1))
             phase = float(fac.get("phase", 0.0))
@@ -419,18 +428,18 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
                 pass
             else:
                 raise ValueError(f"unknown factor kind {kind!r}")
-        hit = exterior.wedge_keys(tuple(term["index"]))
+        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(term["index"])))
         if hit is not None:
             key, sign = hit
             out._acc(key, sign * val)
     return out
 
 
-def random_field(grid: FlatBandGrid, degree: int, rng, radial: bool = True, terms: int = 2) -> FormField:
-    """Random smooth trig field of the given degree."""
+def random_field(grid: FlatBandGrid, degree: int, rng, radial: bool = True) -> FormField:
+    """Random smooth trig field of the given degree, two terms per component."""
     spec = []
     for key in combinations(range(1, grid.n + 1), degree):
-        for _ in range(terms):
+        for _ in range(2):
             factors = []
             if radial:
                 factors.append(
@@ -507,16 +516,15 @@ def convergence_order(residuals, hs) -> list[float]:
     return out
 
 
-def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, L: float = 2.0,
-                      seed: int = 0, draws: int = 6):
+def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
     """Residuals of one identity across radial refinements, aggregated over
-    several field draws (a single draw's h^2 coefficient can be small enough
-    to bias the measured order).  Returns (residuals, hs, orders)."""
+    STUDY_DRAWS field draws (a single draw's h^2 coefficient can be small
+    enough to bias the measured order).  Returns (residuals, hs, orders)."""
     residuals, hs = [], []
     for N in N_rs:
-        grid = FlatBandGrid(n, L, int(N), N_t)
+        grid = FlatBandGrid(n, STUDY_L, int(N), N_t)
         total = 0.0
-        for s in range(draws):
+        for s in range(STUDY_DRAWS):
             rng = np.random.default_rng(seed + 101 * s)
             if kind == "weitzenboeck":
                 omega, f = paired_test_fields(grid, rng, kind)
@@ -529,7 +537,7 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, L: float = 2.0,
                 total += green_residual_laplace(alpha, beta)
             else:
                 raise ValueError(f"unknown study kind {kind!r}")
-        residuals.append(total / draws)
+        residuals.append(total / STUDY_DRAWS)
         hs.append(grid.h)
     return residuals, hs, convergence_order(residuals, hs)
 
@@ -537,5 +545,7 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, L: float = 2.0,
 def load_grid_config(doc) -> tuple[FlatBandGrid, list[FormField]]:
     """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]}."""
     grid = FlatBandGrid(int(doc["n"]), float(doc["L"]), int(doc["N_r"]), int(doc["N_t"]))
-    fields = [trig_field(grid, spec) for spec in doc.get("fields", [])]
-    return grid, fields
+    specs = doc.get("fields", [])
+    if not isinstance(specs, list) or not all(isinstance(term, dict) for spec in specs for term in spec):
+        raise ValueError("fields must be a list of fields, each a list of term objects")
+    return grid, [trig_field(grid, spec) for spec in specs]

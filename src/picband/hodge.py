@@ -28,7 +28,6 @@ __all__ = [
     "exact_rank",
     "load_complex",
     "load_bundled",
-    "bundled_names",
     "interval_complex",
     "circle_complex",
     "disk_complex",
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 BUNDLED = ("interval", "circle", "disk", "annulus", "moebius", "torus", "solid_torus", "s2xs1")
+GAP_RATIO = 1e3  # spectral room harmonic_dimension needs to trust the float kernel
 
 
 class SimplicialComplex:
@@ -121,9 +121,6 @@ class SimplicialComplex:
         """Indices of k-simplices not contained in the boundary subcomplex."""
         bnd = set(self.boundary_subcomplex().get(k, []))
         return [i for i, s in enumerate(self.simplices.get(k, [])) if s not in bnd]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.n_simplices(d) for d in self.simplices)
 
 
 def exact_rank(M: np.ndarray) -> int:
@@ -220,10 +217,9 @@ class TwistedComplex:
             return list(range(self.base.n_simplices(k)))
         return self.base.interior_indices(k)
 
-    def weight_vector(self, k: int, keep=None) -> np.ndarray:
+    def weight_vector(self, k: int) -> np.ndarray:
         w = self.weights.get(k, np.zeros(0))
-        keep = self._keep(k) if keep is None else keep
-        return w[keep] if len(w) else w
+        return w[self._keep(k)] if len(w) else w
 
     def integer_coboundary(self, k: int) -> np.ndarray:
         D = self.base.coboundary_matrix(k)
@@ -284,15 +280,15 @@ def twisted_laplacian(T: TwistedComplex, k: int, mass: str = "identity") -> np.n
     return out
 
 
-def harmonic_dimension(T: TwistedComplex, k: int, gap_ratio: float = 1e3, mass: str = "identity") -> int:
+def harmonic_dimension(T: TwistedComplex, k: int, mass: str = "identity") -> int:
     """Kernel dimension of the twisted Laplacian.
 
-    Floating eigendecomposition with a relative threshold; when the spectral
-    gap between the largest discarded and smallest kept eigenvalue is thinner
-    than ``gap_ratio``, or the largest discarded one lies within
-    ``gap_ratio`` under the threshold, the exact integer-rank route decides
-    instead (the twisted rank equals the untwisted one: conjugation by
-    positive diagonals).
+    Floating eigendecomposition with the relative threshold 1e-10 of the
+    largest eigenvalue; when the ratio of the smallest kept to the largest
+    discarded eigenvalue is below the fixed GAP_RATIO = 1e3, or the largest
+    discarded one lies within a factor GAP_RATIO under the threshold, the
+    exact integer-rank route decides instead (the twisted rank equals the
+    untwisted one: conjugation by positive diagonals).
     """
     L = twisted_laplacian(T, k, mass=mass)
     if L.shape[0] == 0:
@@ -306,7 +302,7 @@ def harmonic_dimension(T: TwistedComplex, k: int, gap_ratio: float = 1e3, mass: 
     cut = 1e-10 * scale
     m = int(np.sum(evals < cut))
     ambiguous = 0 < m < len(evals) and (
-        evals[m - 1] * gap_ratio > cut or evals[m] < gap_ratio * max(float(evals[m - 1]), scale * 1e-16)
+        evals[m - 1] * GAP_RATIO > cut or evals[m] < GAP_RATIO * max(float(evals[m - 1]), scale * 1e-16)
     )
     if ambiguous:
         return _exact_harmonic_dimension(T, k)
@@ -427,10 +423,6 @@ def load_complex(doc) -> SimplicialComplex:
     if K.dim != int(doc.get("dim", K.dim)):
         raise ValueError("declared dimension does not match the simplex lists")
     return K
-
-
-def bundled_names():
-    return BUNDLED
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 CONTINUITY_TOL = 1e-10
+L_CHAIN_POINTS = 10_001  # arctan samples of check_L_chain
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,6 @@ def check_focal_boundary(params: FocalParams) -> Report:
 @dataclass(frozen=True)
 class GridSpec:
     points: int = 10_001
-    breakpoint_eps: float = 1e-9
 
     def __post_init__(self):
         if self.points < 10_000:
@@ -285,10 +285,12 @@ class GridSpec:
 
 
 IDENTITY_TOL = 1e-9
+IDENTITY_SAMPLES = 256
+BREAKPOINT_EPS = 1e-9  # the focal sweep also samples each breakpoint this far to either side
 
 
-def _middle_identity_residual(p: FocalParams, interval, samples: int = 256) -> float:
-    """max | -f'' + f'^2 / 2 + (n-2) sigma / 4 | over the middle piece.
+def _middle_identity_residual(p: FocalParams, interval) -> float:
+    """max | -f'' + f'^2 / 2 + (n-2) sigma / 4 | at IDENTITY_SAMPLES points of the middle piece.
 
     cot^2 - csc^2 cancels catastrophically in double precision when
     lambda_bar is large (absolute error ~ 4 lambda_bar^2 eps), so the
@@ -307,8 +309,8 @@ def _middle_identity_residual(p: FocalParams, interval, samples: int = 256) -> f
         a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
         target = (mp.mpf(p.n) - 2) * mp.mpf(p.sigma) / 4
         worst = mp.mpf(0)
-        for i in range(samples):
-            rho = a + (b - a) * i / (samples - 1)
+        for i in range(IDENTITY_SAMPLES):
+            rho = a + (b - a) * i / (IDENTITY_SAMPLES - 1)
             u = beta * (rho - shift)
             fp = -2 * beta * mp.cot(u)
             fpp = 2 * beta**2 * mp.csc(u) ** 2
@@ -349,7 +351,7 @@ def verify_focal_inequality(
         raise ValueError("focal radius must exceed 9 sqrt(n/sigma)")
     pot = PiecewisePotential(p, orientation)
     x1, x2 = pot.breakpoints
-    eps = grid.breakpoint_eps
+    eps = BREAKPOINT_EPS
     rhos = np.unique(
         np.concatenate(
             [
@@ -389,9 +391,9 @@ def verify_focal_inequality(
     )
 
 
-def focal_margin_rows(params: FocalParams, r_f: float, orientation: str = "N", points: int = 512):
-    """(rho, lhs, rhs, margin) rows for CSV emission."""
-    pot = PiecewisePotential(params, orientation)
+def focal_margin_rows(params: FocalParams, r_f: float, points: int = 512):
+    """(rho, lhs, rhs, margin) rows of the N-orientation focal inequality, for CSV."""
+    pot = PiecewisePotential(params, "N")
     rhos = np.linspace(0.0, r_f, points)
     lhs, rhs, margin = _focal_margin(pot, r_f, rhos)
     return [(float(r), float(l), float(rhs), float(m)) for r, l, m in zip(rhos, lhs, margin)]
@@ -564,14 +566,14 @@ def verify_bandwidth_margin(p: BandwidthParams) -> Report:
     )
 
 
-def check_L_chain(n: int, sigma: float, delta: float, grid: int = 10_001) -> Report:
+def check_L_chain(n: int, sigma: float, delta: float) -> Report:
     """Constant chain behind the width bound: 32(n+1)/(pi(n-3)) peaks at
-    160/pi < 51 over n >= 4, and arctan(y) >= (pi/4) y on [0, 1]."""
+    160/pi < 51 over n >= 4, and arctan(y) >= (pi/4) y on [0, 1] (L_CHAIN_POINTS samples)."""
     if n < 4:
         raise ValueError("n must be at least 4")
     consts = [32.0 * (m + 1) / (math.pi * (m - 3)) for m in range(4, max(n, 40) + 1)]
     const_margin = 51.0 - max(consts)
-    ys = np.linspace(0.0, 1.0, grid)
+    ys = np.linspace(0.0, 1.0, L_CHAIN_POINTS)
     arctan_margin = float(np.min(np.arctan(ys) - 0.25 * math.pi * ys))
     ratio_flag = delta >= math.sqrt(sigma)
     passed = const_margin > 0 and arctan_margin >= -1e-12 and not ratio_flag

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -158,6 +159,8 @@ def test_run_suite_in_process(tmp_path):
 def test_parse_range():
     assert cli._parse_range("4..6") == [4, 5, 6]
     assert cli._parse_range("5") == [5]
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._parse_range("8..4")
 
 
 def test_non_finite_float_flag_is_usage_error(tmp_path):
@@ -239,3 +242,74 @@ def test_nan_defect_fails_and_report_stays_strict_json(tmp_path, monkeypatch):
     umbilic = next(r for r in bundle["report"]["reports"] if r["check"] == "comparison.umbilic_equality")
     assert umbilic["pass"] is False
     assert umbilic["regions"][0]["min_margin"] == "nan"
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser_defaults(suite: str) -> dict:
+    args = vars(cli.build_parser().parse_args(["verify", suite]))
+    return {k: v for k, v in args.items() if k not in ("command", "suite", "seed", "tol", "out")}
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_emit_json_lists_every_parameter_default(tmp_path, suite):
+    path = tmp_path / "cfg.json"
+    assert cli.main(["emit", "json", "--suite", suite, "--out", str(path)]) == 0
+    params = json.loads(path.read_text())["params"]
+    assert params and params == _parser_defaults(suite)
+
+
+def test_unknown_suite_parameter_is_input_error():
+    with pytest.raises(cli.InputError, match="draw"):
+        cli.run_suite(cli.SuiteConfig("comparison", params={"draw": 5}))
+
+
+def test_non_finite_float_and_zero_count_flags_are_usage_errors(tmp_path):
+    commands = _subparsers(cli.build_parser())
+    parsers = {("verify", suite): sp for suite, sp in _subparsers(commands["verify"]).items()}
+    csv_args = ("emit", "csv", "--curve", "barrier", "--out", str(tmp_path / "c.csv"))
+    parsers[csv_args] = _subparsers(commands["emit"])["csv"]
+    bad = {cli._finite_float: ("nan", "inf", "-inf"), cli._count: ("0",)}
+    cases = [[*base, action.option_strings[0], value]
+             for base, sp in parsers.items() for action in sp._actions if action.type in bad
+             for value in bad[action.type]]
+    counts = {argv[-2] for argv in cases if argv[-1] == "0"}
+    assert counts == {"--samples", "--draws", "--twists", "--restarts", "--points"}
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "c.csv").exists()
+
+
+GRID_TERM = {"index": [1, 2], "coef": [1.0, 0.0],
+             "factors": [{"axis": 0, "kind": "sin", "freq": 1.3, "phase": 0.4}]}
+
+
+@pytest.mark.parametrize("fields", [
+    [[dict(GRID_TERM, index=[9])], [GRID_TERM]],
+    [[dict(GRID_TERM, coef=[])], [GRID_TERM]],
+    [[dict(GRID_TERM, factors=[{"axis": 7, "kind": "sin"}])], [GRID_TERM]],
+    "ab",
+    [[], [GRID_TERM]],
+], ids=["index", "coef", "axis", "fields", "zero"])
+def test_malformed_grid_config_is_input_error(tmp_path, capsys, fields):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": 4, "L": 2.0, "N_r": 24, "N_t": 6, "fields": fields}))
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "identities", "--grid", str(path), "--out", str(report)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli.SUITES, "comparison", broken)
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "comparison", "--out", str(path)]) == 3
+    assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
+    assert not path.exists()

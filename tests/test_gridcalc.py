@@ -232,3 +232,9 @@ def test_trig_field_index_order_sets_sign():
     assert not field([1, 1], 1.0).data
     F = G.FormField(grid(), {(2, 1): direct.data[(1, 2)]})
     assert list(F.data) == [(1, 2)] and np.array_equal(F.data[(1, 2)], -direct.data[(1, 2)])
+
+
+def test_form_field_rejects_out_of_range_index():
+    g = grid()
+    with pytest.raises(ValueError, match="out of range"):
+        G.FormField(g, {(g.n + 1,): np.ones(g.shape)})

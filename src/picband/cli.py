@@ -4,7 +4,8 @@ One process, subcommand dispatch.  Exit codes: 0 all checks pass, 1 at
 least one verification failed, 2 usage or input error, 3 internal error.
 Reports are deterministic for a fixed seed; PIC_TOOLKIT_SEED overrides any
 configured seed.  Each suite parameter is declared once, as its argparse
-flag; ``run_suite`` fills missing parameters from those flag defaults.
+flag, and every suite run, in process too, goes through the parser:
+``run_suite`` takes the parsed ``verify`` namespace.
 """
 
 from __future__ import annotations
@@ -15,22 +16,11 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import bands, comparison, curvature, exterior, gridcalc, hodge, potentials
 from .reporting import Region, Report, dump_reports, write_csv
-
-
-@dataclass
-class SuiteConfig:
-    suite: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    tol: float = 1e-9
-    out: str | None = None
 
 
 class InputError(ValueError):
@@ -97,11 +87,11 @@ def _parse_range(text: str) -> list[int]:
 # -- suites --------------------------------------------------------------
 
 
-def suite_clifford(cfg: SuiteConfig):
-    rng = np.random.default_rng(cfg.seed)
+def suite_clifford(args):
+    rng = np.random.default_rng(args.seed)
     reports = []
-    samples = cfg.params["samples"]
-    for n in cfg.params["n"]:
+    samples = args.samples
+    for n in args.n:
         worst = 0.0
         eye = np.eye(n)
         for k in range(n + 1):
@@ -139,19 +129,19 @@ def suite_clifford(cfg: SuiteConfig):
     return reports
 
 
-def _tensor_from_params(cfg: SuiteConfig, n: int):
-    path = cfg.params["tensor"]
-    if path:
-        return _load(path, curvature.load_curvature_json, "curvature tensor")
+def _tensor(args):
+    if args.tensor:
+        return _load(args.tensor, curvature.load_curvature_json, "curvature tensor")
+    n = args.n
     h = np.zeros((n, n))
     h[: n - 1, : n - 1] = np.eye(n - 1)
     return curvature.kulkarni_nomizu(h, h) * 0.5  # product model default
 
 
-def suite_curvature(cfg: SuiteConfig):
-    sigma = cfg.params["sigma"]
-    R = _tensor_from_params(cfg, cfg.params["n"])
-    scfg = curvature.SearchConfig(seed=cfg.seed, tolerance=cfg.tol)
+def suite_curvature(args):
+    sigma = args.sigma
+    R = _tensor(args)
+    scfg = curvature.SearchConfig(seed=args.seed, tolerance=args.tol)
     verdict = curvature.is_sigma_pic(R, sigma, scfg)
     report = Report(
         check="curvature.sigma_pic",
@@ -164,10 +154,10 @@ def suite_curvature(cfg: SuiteConfig):
     return [report]
 
 
-def suite_weitzenboeck(cfg: SuiteConfig):
-    sigma = cfg.params["sigma"]
-    R = _tensor_from_params(cfg, cfg.params["n"])
-    scfg = curvature.SearchConfig(seed=cfg.seed, tolerance=cfg.tol)
+def suite_weitzenboeck(args):
+    sigma = args.sigma
+    R = _tensor(args)
+    scfg = curvature.SearchConfig(seed=args.seed, tolerance=args.tol)
     rep = curvature.weitzenboeck_lower_bound_check(R, sigma, scfg)
     double_path = float(
         np.max(
@@ -201,9 +191,9 @@ def suite_weitzenboeck(cfg: SuiteConfig):
     ]
 
 
-def suite_comparison(cfg: SuiteConfig):
-    rng = np.random.default_rng(cfg.seed)
-    draws = cfg.params["draws"]
+def suite_comparison(args):
+    rng = np.random.default_rng(args.seed)
+    draws = args.draws
     worst = 0.0
     for _ in range(draws):
         n = int(rng.integers(3, 8))
@@ -237,7 +227,7 @@ def suite_comparison(cfg: SuiteConfig):
             passed=worst < 1e-6,
             tolerance=1e-6,
             regions=[Region("oracle_vs_barrier", 1e-6 - worst)],
-            details={"seed": cfg.seed},
+            details={"seed": args.seed},
         ),
         Report(
             check="comparison.pole_location",
@@ -256,10 +246,9 @@ def suite_comparison(cfg: SuiteConfig):
     ]
 
 
-def suite_bandwidth(cfg: SuiteConfig):
-    q = cfg.params
+def suite_bandwidth(args):
     p = potentials.BandwidthParams(
-        n=q["n"], sigma=q["sigma"], delta=q["delta"], Lambda=q["Lambda"], r_f=q["rf"], L=q["L"]
+        n=args.n, sigma=args.sigma, delta=args.delta, Lambda=args.Lambda, r_f=args.rf, L=args.L
     )
     reports = [potentials.verify_bandwidth_margin(p), potentials.check_L_chain(p.n, p.sigma, p.delta)]
     chi = potentials.ChiCutoff()
@@ -284,24 +273,23 @@ def suite_bandwidth(cfg: SuiteConfig):
     return reports
 
 
-def suite_focal(cfg: SuiteConfig):
-    q = cfg.params
-    p, r_f = potentials.FocalParams(q["n"], q["sigma"], q["lam"], q["lam_bar"]), q["rf"]
+def suite_focal(args):
+    p, r_f = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar), args.rf
     reports = [
         potentials.check_focal_regularity(p, r_f),
         potentials.check_focal_boundary(p),
         potentials.verify_focal_inequality(p, r_f, orientation="N"),
         potentials.verify_focal_inequality(p, r_f, orientation="D"),
     ]
-    if cfg.out:
+    if args.out:
         rows = potentials.focal_margin_rows(p, r_f)
-        write_csv(_sibling(cfg.out, "focal_margins.csv"), ["rho", "lhs", "rhs", "margin"], rows)
+        write_csv(_sibling(args.out, "focal_margins.csv"), ["rho", "lhs", "rhs", "margin"], rows)
     return reports
 
 
-def suite_identities(cfg: SuiteConfig):
+def suite_identities(args):
     reports = []
-    grid_path = cfg.params["grid"]
+    grid_path = args.grid
     if grid_path:
         grid, fields = _load(grid_path, gridcalc.load_grid_config, "grid config")
         if len(fields) < 2 or not (fields[0].sup_norm() > 0 and fields[1].sup_norm() > 0):
@@ -322,10 +310,10 @@ def suite_identities(cfg: SuiteConfig):
             )
             for name, res in checks
         ]
-    Ns, n, N_t = cfg.params["N_r"], cfg.params["n"], cfg.params["N_t"]
+    Ns, n, N_t = args.N_r, args.n, args.N_t
     csv_rows = []
     for kind in ("dirac", "laplace", "weitzenboeck"):
-        residuals, hs, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=cfg.seed)
+        residuals, hs, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=args.seed)
         ok = all(abs(o - 2.0) <= 0.3 for o in orders)
         label = f"green_{kind}" if kind != "weitzenboeck" else "twisted_weitzenboeck"
         reports.append(
@@ -335,18 +323,18 @@ def suite_identities(cfg: SuiteConfig):
                 passed=ok,
                 tolerance=0.3,
                 regions=[Region("order_window", 0.3 - max(abs(o - 2.0) for o in orders))],
-                details={"residuals": residuals, "orders": orders, "seed": cfg.seed},
+                details={"residuals": residuals, "orders": orders, "seed": args.seed},
             )
         )
         csv_rows.append((label, [(h, r, o) for h, r, o in zip(hs, residuals, orders + [float("nan")])]))
-    if cfg.out:
+    if args.out:
         for label, rows in csv_rows:
-            write_csv(_sibling(cfg.out, f"convergence_{label}.csv"), ["h", "residual", "order"], rows)
+            write_csv(_sibling(args.out, f"convergence_{label}.csv"), ["h", "residual", "order"], rows)
     return reports
 
 
-def suite_hodge(cfg: SuiteConfig):
-    rng = np.random.default_rng(cfg.seed)
+def suite_hodge(args):
+    rng = np.random.default_rng(args.seed)
     reports = []
     jobs = [
         ("annulus", "absolute", 1),
@@ -355,8 +343,8 @@ def suite_hodge(cfg: SuiteConfig):
         ("solid_torus", "absolute", 1),
         ("solid_torus", "relative", 2),
     ]
-    twists = cfg.params["twists"]
-    path = cfg.params["complex"]
+    twists = args.twists
+    path = args.complex
     if path:
         K = _load(path, hodge.load_complex, "complex")
         jobs = [(K, "absolute", k) for k in range(K.dim + 1)]
@@ -377,26 +365,25 @@ def suite_hodge(cfg: SuiteConfig):
                 passed=ok,
                 tolerance=0.0,
                 regions=[Region("dimension_match", 0.0 if ok else -1.0)],
-                details={"betti_target": target, "seed": cfg.seed},
+                details={"betti_target": target, "seed": args.seed},
             )
         )
     return reports
 
 
-def suite_band(cfg: SuiteConfig):
-    path = cfg.params["band"]
+def suite_band(args):
+    path = args.band
     if path:
         band = _load(path, bands.load_band_json, "band spec")
     else:
         band = bands.WarpedBand(4, 0.0, 3.0, bands.WarpProfile("const"))
-    scfg = curvature.SearchConfig(seed=cfg.seed, restarts=cfg.params["restarts"])
-    return [bands.sigma_pic_profile(band, cfg.params["sigma"], cfg=scfg)]
+    scfg = curvature.SearchConfig(seed=args.seed, restarts=args.restarts)
+    return [bands.sigma_pic_profile(band, args.sigma, cfg=scfg)]
 
 
-def suite_counterexample(cfg: SuiteConfig):
-    q = cfg.params
-    spec = bands.CounterexampleSpec(n=q["n"], k=q["k"], sigma=q["sigma"], L=q["L"])
-    return [bands.counterexample_report(spec, curvature.SearchConfig(seed=cfg.seed))]
+def suite_counterexample(args):
+    spec = bands.CounterexampleSpec(n=args.n, k=args.k, sigma=args.sigma, L=args.L)
+    return [bands.counterexample_report(spec, curvature.SearchConfig(seed=args.seed))]
 
 
 SUITES = {
@@ -413,24 +400,18 @@ SUITES = {
 }
 
 
-def run_suite(cfg: SuiteConfig) -> int:
-    """Run a named suite; returns the process exit code.  Parameters missing
-    from ``cfg.params`` take their flag defaults; unknown ones are an
-    InputError."""
-    if cfg.suite not in SUITES:
-        raise InputError(f"unknown suite {cfg.suite!r}; have {sorted(SUITES)}")
-    defaults = _suite_defaults(cfg.suite)
-    unknown = sorted(set(cfg.params) - set(defaults))
-    if unknown:
-        raise InputError(f"unknown parameters {unknown} for suite {cfg.suite!r}; have {sorted(defaults)}")
+def run_suite(args: argparse.Namespace) -> int:
+    """Run the suite of a parsed ``verify`` command line; returns the process
+    exit code.  The suites read their parameters from ``args``, so every
+    value has passed its flag's type check."""
     env_seed = os.environ.get("PIC_TOOLKIT_SEED")
-    cfg = replace(cfg, params={**defaults, **cfg.params},
-                  seed=cfg.seed if env_seed is None else int(env_seed))
-    reports = SUITES[cfg.suite](cfg)
+    if env_seed is not None:
+        args = argparse.Namespace(**{**vars(args), "seed": int(env_seed)})
+    reports = SUITES[args.suite](args)
     for rep in reports:
         print(rep.summary_line())
-    if cfg.out:
-        dump_reports(cfg.out, reports, seed=cfg.seed)
+    if args.out:
+        dump_reports(args.out, reports, seed=args.seed)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -441,13 +422,10 @@ def _sibling(out_path: str, name: str) -> str:
 
 # -- argument parsing ------------------------------------------------------
 
-# Namespace entries of ``verify`` that are not suite parameters.
-_NOT_PARAMS = ("command", "suite", "seed", "tol", "out")
-
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    sp.add_argument("--tol", type=_finite_float, default=SuiteConfig.tol)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--out", type=str, default=None, help="write JSON report here")
 
 
@@ -534,28 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-
-
-@lru_cache(maxsize=None)
-def _suite_defaults(suite: str) -> dict:
-    """Every parameter of a suite with its default, as ``verify SUITE``
-    parses them with no flags given.  Cached and shared: read, never mutate."""
-    return _params(build_parser().parse_args(["verify", suite]))
-
-
-def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(args.suite, _params(args), args.seed, args.tol, args.out)
-
-
 def _emit(args) -> int:
     if args.what == "json":
+        # what ``verify SUITE`` parses with no flags: every parameter with its default
+        defaults = vars(build_parser().parse_args(["verify", args.suite]))
+        del defaults["command"]
+        doc = {k: defaults.pop(k) for k in ("suite", "seed", "tol", "out")}
+        doc["params"] = defaults
         with open(args.out, "w") as fh:
-            json.dump(
-                {"suite": args.suite, "params": _suite_defaults(args.suite), "seed": SuiteConfig.seed,
-                 "tol": SuiteConfig.tol, "out": None},
-                fh, indent=1, sort_keys=True)
+            json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
     if args.curve == "barrier":
@@ -574,7 +539,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "verify":
-            return run_suite(_config_from_args(args))
+            return run_suite(args)
         return _emit(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ curvature (``-K`` in the constant-curvature model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,13 +79,9 @@ def laplace_upper_negative_boundary(p: ComparisonParams) -> float:
 
 def hessian_upper_negative_boundary(p: ComparisonParams) -> float:
     """Upper barrier for the Hessian of the boundary distance under
-    Sec >= -K and second fundamental form >= -Lambda."""
-    L, rho = p.Lambda, p.rho
-    if p.K < K_FLAT_EPS:
-        return L / (1.0 + L * rho)
-    s = math.sqrt(p.K)
-    t = math.tanh(s * rho)
-    return s * (L + s * t) / (s + L * t)
+    Sec >= -K and second fundamental form >= -Lambda: the Laplacian
+    barrier of dimension 2, whose one normal direction carries it."""
+    return laplace_upper_negative_boundary(replace(p, n=2))
 
 
 @dataclass(frozen=True)

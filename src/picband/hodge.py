@@ -7,7 +7,13 @@ differential conjugates the coboundary by positive per-simplex weights
 w(s) = exp(mean of a vertex function over s), so its rank, and hence the
 twisted harmonic dimension, never depends on the twist: that invariance is
 what the floating-point kernel computation is tested against.
-"""
+
+The cochain space and the integer data are defined once per complex: a
+``SimplicialComplex`` builds its read-only boundary matrices and the
+indices of the simplices off its boundary subcomplex at construction, and
+one restriction (``_coboundary``) gives the absolute or relative
+coboundary to the Betti numbers, the twisted complexes and the exact
+fallback of ``harmonic_dimension`` alike.  A twist only adds its weights."""
 
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ __all__ = [
     "prism_product",
 ]
 
-BUNDLED = ("interval", "circle", "disk", "annulus", "moebius", "torus", "solid_torus", "s2xs1")
 GAP_RATIO = 1e3  # spectral room harmonic_dimension needs to trust the float kernel
 
 
@@ -44,7 +49,9 @@ class SimplicialComplex:
 
     Every face of every simplex must be present (closure); the integer
     boundary matrices then satisfy del o del = 0 exactly, which is checked
-    at construction.
+    at construction.  They are built once, stored read-only, and shared by
+    every twist, together with the vertex arrays of each degree and the
+    indices of the simplices off the boundary subcomplex.
     """
 
     def __init__(self, simplices_by_dim: dict):
@@ -67,11 +74,19 @@ class SimplicialComplex:
             d: {s: i for i, s in enumerate(self.simplices[d])} for d in self.simplices
         }
         self._validate_closure()
+        self._boundary = {k: self._build_boundary(k) for k in range(self.dim + 2)}
         for k in range(2, self.dim + 1):
-            B1 = self.boundary_matrix(k)
-            B2 = self.boundary_matrix(k - 1)
-            if np.any(B2 @ B1):
+            if np.any(self._boundary[k - 1] @ self._boundary[k]):
                 raise ValueError(f"boundary of boundary is nonzero in dimension {k}")
+        self._vertices = {
+            d: np.array(self.simplices.get(d, []), dtype=np.intp).reshape(-1, d + 1)
+            for d in range(self.dim + 1)
+        }
+        bnd = {d: set(v) for d, v in self.boundary_subcomplex().items()}
+        self._interior = {
+            d: [i for i, s in enumerate(self.simplices.get(d, [])) if s not in bnd.get(d, ())]
+            for d in range(self.dim + 1)
+        }
 
     def _validate_closure(self):
         for d in range(1, self.dim + 1):
@@ -81,23 +96,24 @@ class SimplicialComplex:
                     if face not in lower:
                         raise ValueError(f"face {face} of {s} missing: complex not closed")
 
+    def _build_boundary(self, k: int) -> np.ndarray:
+        B = np.zeros((self.n_simplices(k - 1), self.n_simplices(k)), dtype=np.int64)
+        idx = self._index.get(k - 1, {})
+        for j, s in enumerate(self.simplices.get(k, []) if k >= 1 else []):
+            for t in range(k + 1):
+                B[idx[s[:t] + s[t + 1:]], j] = (-1) ** t
+        B.flags.writeable = False
+        return B
+
     def n_simplices(self, k: int) -> int:
         return len(self.simplices.get(k, []))
 
     def boundary_matrix(self, k: int) -> np.ndarray:
-        """Integer matrix of del_k : C_k -> C_{k-1} (columns = k-simplices)."""
-        rows = self.n_simplices(k - 1)
-        cols = self.n_simplices(k)
-        B = np.zeros((rows, cols), dtype=np.int64)
-        idx = self._index.get(k - 1, {})
-        for j, s in enumerate(self.simplices.get(k, [])):
-            for t, v in enumerate(s):
-                face = s[:t] + s[t + 1:]
-                B[idx[face], j] = (-1) ** t
-        return B
+        """Integer matrix of del_k : C_k -> C_{k-1} (columns = k-simplices); read-only."""
+        return self._boundary.get(k, _NO_CHAINS)
 
     def coboundary_matrix(self, k: int) -> np.ndarray:
-        """Integer matrix of d_k : C^k -> C^{k+1}."""
+        """Integer matrix of d_k : C^k -> C^{k+1}; read-only."""
         return self.boundary_matrix(k + 1).T
 
     def boundary_subcomplex(self):
@@ -105,22 +121,19 @@ class SimplicialComplex:
         closed under faces; assumes a pure complex."""
         top = self.dim
         counts = {}
-        for s in self.simplices.get(top, []):
+        for s in self.simplices.get(top, []) if top else []:
             for face in combinations(s, top):
                 counts[face] = counts.get(face, 0) + 1
         boundary = {d: set() for d in range(top)}
         for face, c in counts.items():
             if c == 1:
-                boundary[top - 1].add(face)
-                for d in range(top - 1):
-                    for sub in combinations(face, d + 1):
-                        boundary[d].add(sub)
+                for d in range(top):
+                    boundary[d].update(combinations(face, d + 1))
         return {d: sorted(v) for d, v in boundary.items() if v}
 
-    def interior_indices(self, k: int):
-        """Indices of k-simplices not contained in the boundary subcomplex."""
-        bnd = set(self.boundary_subcomplex().get(k, []))
-        return [i for i, s in enumerate(self.simplices.get(k, [])) if s not in bnd]
+
+_NO_CHAINS = np.zeros((0, 0), dtype=np.int64)  # del_k outside k = 0..dim+1
+_NO_CHAINS.flags.writeable = False
 
 
 def exact_rank(M: np.ndarray) -> int:
@@ -150,45 +163,39 @@ def exact_rank(M: np.ndarray) -> int:
     return rank
 
 
-def _restricted(M: np.ndarray, row_keep, col_keep) -> np.ndarray:
-    return M[np.ix_(row_keep, col_keep)] if M.size else M.reshape(len(row_keep), len(col_keep))
+def _coboundary(K: SimplicialComplex, k: int, relative: bool) -> np.ndarray:
+    """Integer d_k on the absolute cochains, or, when relative, on the
+    cochains vanishing on the boundary subcomplex (rows and columns of the
+    simplices off it)."""
+    D = K.coboundary_matrix(k)
+    return D[np.ix_(K._interior.get(k + 1, []), K._interior.get(k, []))] if relative else D
 
 
-def _cochain_matrices(K: SimplicialComplex, k: int, relative: bool):
-    """(d_k, d_{k-1}, dim C^k) on the absolute or relative cochain space."""
-    Dk = K.coboundary_matrix(k)
-    Dkm1 = K.coboundary_matrix(k - 1) if k >= 1 else np.zeros((K.n_simplices(0), 0), dtype=np.int64)
-    if not relative:
-        return Dk, Dkm1, K.n_simplices(k)
-    keep_k = K.interior_indices(k)
-    keep_kp1 = K.interior_indices(k + 1)
-    keep_km1 = K.interior_indices(k - 1) if k >= 1 else []
-    Dk = _restricted(Dk, keep_kp1, keep_k)
-    Dkm1 = _restricted(Dkm1, keep_k, keep_km1)
-    return Dk, Dkm1, len(keep_k)
+def _betti(K: SimplicialComplex, k: int, relative: bool) -> int:
+    Dk = _coboundary(K, k, relative)
+    return Dk.shape[1] - exact_rank(Dk) - exact_rank(_coboundary(K, k - 1, relative))
 
 
 def betti(K: SimplicialComplex, k: int) -> int:
     """dim H^k(K; Q) by exact ranks."""
     if not (0 <= k <= K.dim):
         raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
-    Dk, Dkm1, nk = _cochain_matrices(K, k, relative=False)
-    return nk - exact_rank(Dk) - exact_rank(Dkm1)
+    return _betti(K, k, relative=False)
 
 
 def betti_relative(K: SimplicialComplex, k: int) -> int:
     """dim H^k(K, boundary; Q): cochains vanishing on the boundary subcomplex."""
     if not (0 <= k <= K.dim):
         raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
-    Dk, Dkm1, nk = _cochain_matrices(K, k, relative=True)
-    return nk - exact_rank(Dk) - exact_rank(Dkm1)
+    return _betti(K, k, relative=True)
 
 
 class TwistedComplex:
     """Cochain complex twisted by positive weights exp(mean f over vertices).
 
     boundary_condition "absolute" keeps all cochains, "relative" restricts
-    to cochains supported off the boundary subcomplex.
+    to cochains supported off the boundary subcomplex; ``weights[d]`` holds
+    the weights of the simplices spanning the chosen d-cochains.
     """
 
     def __init__(self, base: SimplicialComplex, f, boundary_condition: str = "absolute"):
@@ -201,41 +208,28 @@ class TwistedComplex:
         if f.shape != (nverts,):
             raise ValueError(f"vertex function must have {nverts} entries")
         self.f = f
-        self.weights = {
-            d: np.exp(np.array([np.mean([f[v] for v in s]) for s in base.simplices[d]]))
-            for d in base.simplices
-        }
-        if any(np.any(w <= 0) for w in self.weights.values()):
-            raise ValueError("twisting weights must be positive")
-
-    @property
-    def relative(self) -> bool:
-        return self.boundary_condition == "relative"
-
-    def _keep(self, k: int):
-        if not self.relative:
-            return list(range(self.base.n_simplices(k)))
-        return self.base.interior_indices(k)
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            weights = {d: np.exp(f[v].mean(axis=1)) for d, v in base._vertices.items()}
+        # a NaN or infinite f, or one whose exponential over- or underflows
+        if not all(np.all(np.isfinite(w) & (w > 0)) for w in weights.values()):
+            raise ValueError("twisting weights must be finite and positive")
+        self._relative = boundary_condition == "relative"
+        self.weights = {d: w[base._interior[d]] if self._relative else w for d, w in weights.items()}
 
     def weight_vector(self, k: int) -> np.ndarray:
-        w = self.weights.get(k, np.zeros(0))
-        return w[self._keep(k)] if len(w) else w
+        """Weights of the k-cochain basis; empty outside degrees 0..dim."""
+        return self.weights.get(k, _NO_WEIGHTS)
 
-    def integer_coboundary(self, k: int) -> np.ndarray:
-        D = self.base.coboundary_matrix(k)
-        if self.relative:
-            D = _restricted(D, self.base.interior_indices(k + 1), self.base.interior_indices(k))
-        return D
+
+_NO_WEIGHTS = np.zeros(0)
 
 
 def twisted_coboundary(T: TwistedComplex, k: int) -> np.ndarray:
     """Float matrix of d_f = W_{k+1}^{-1} D_k W_k on the chosen cochain space."""
     if not (0 <= k <= T.base.dim):
         raise ValueError(f"k = {k} out of range")
-    D = T.integer_coboundary(k)
-    wk = T.weight_vector(k)
-    wk1 = T.weight_vector(k + 1) if k + 1 <= T.base.dim else np.ones(D.shape[0])
-    return (D * wk[None, :]) / wk1[:, None]
+    D = _coboundary(T.base, k, T._relative)
+    return (D * T.weight_vector(k)[None, :]) / T.weight_vector(k + 1)[:, None]
 
 
 def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
@@ -245,12 +239,8 @@ def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
     the zero matrix whenever the integer product D_{k+1} D_k is zero; it is
     the exact value of the float composition's underlying linear map.
     """
-    D1 = T.integer_coboundary(k + 1)
-    D0 = T.integer_coboundary(k)
-    P = D1 @ D0  # integer arithmetic
-    wk = T.weight_vector(k)
-    wk2 = T.weight_vector(k + 2) if k + 2 <= T.base.dim else np.ones(D1.shape[0])
-    return (P * wk[None, :]) / wk2[:, None]
+    P = _coboundary(T.base, k + 1, T._relative) @ _coboundary(T.base, k, T._relative)  # integer arithmetic
+    return (P * T.weight_vector(k)[None, :]) / T.weight_vector(k + 2)[:, None]
 
 
 def twisted_laplacian(T: TwistedComplex, k: int, mass: str = "identity") -> np.ndarray:
@@ -271,12 +261,10 @@ def twisted_laplacian(T: TwistedComplex, k: int, mass: str = "identity") -> np.n
             out = out + B @ B.T
         return out
     wk2 = T.weight_vector(k) ** 2
-    wk1 = (T.weight_vector(k + 1) ** 2) if k + 1 <= T.base.dim else np.ones(A.shape[0])
-    out = (A.T * wk1[None, :]) @ A / wk2[:, None]
+    out = (A.T * T.weight_vector(k + 1)[None, :] ** 2) @ A / wk2[:, None]
     if k >= 1:
         B = twisted_coboundary(T, k - 1)
-        wkm1 = T.weight_vector(k - 1) ** 2
-        out = out + B @ ((B.T * wk2[None, :]) / wkm1[:, None])
+        out = out + B @ ((B.T * wk2[None, :]) / T.weight_vector(k - 1)[:, None] ** 2)
     return out
 
 
@@ -305,16 +293,8 @@ def harmonic_dimension(T: TwistedComplex, k: int, mass: str = "identity") -> int
         evals[m - 1] * GAP_RATIO > cut or evals[m] < GAP_RATIO * max(float(evals[m - 1]), scale * 1e-16)
     )
     if ambiguous:
-        return _exact_harmonic_dimension(T, k)
+        return _betti(T.base, k, T._relative)
     return m
-
-
-def _exact_harmonic_dimension(T: TwistedComplex, k: int) -> int:
-    Dk = T.integer_coboundary(k)
-    nk = Dk.shape[1]
-    rk = exact_rank(Dk)
-    rkm1 = exact_rank(T.integer_coboundary(k - 1)) if k >= 1 else 0
-    return nk - rk - rkm1
 
 
 # -- complex constructors ------------------------------------------------
@@ -385,24 +365,16 @@ def sphere_complex(dim: int) -> SimplicialComplex:
     return SimplicialComplex(_close_down(list(combinations(verts, dim + 1)), dim))
 
 
-def build_bundled(name: str) -> SimplicialComplex:
-    if name == "interval":
-        return interval_complex()
-    if name == "circle":
-        return circle_complex(3)
-    if name == "disk":
-        return disk_complex()
-    if name == "annulus":
-        return prism_product(circle_complex(3), 1, cyclic=False)
-    if name == "moebius":
-        return moebius_complex()
-    if name == "torus":
-        return prism_product(circle_complex(3), 3, cyclic=True)
-    if name == "solid_torus":
-        return prism_product(disk_complex(), 3, cyclic=True)
-    if name == "s2xs1":
-        return prism_product(sphere_complex(2), 3, cyclic=True)
-    raise ValueError(f"unknown complex {name!r}")
+BUNDLED = {  # name -> constructor of the complexes shipped by name
+    "interval": interval_complex,
+    "circle": circle_complex,
+    "disk": disk_complex,
+    "annulus": lambda: prism_product(circle_complex(), 1, cyclic=False),
+    "moebius": moebius_complex,
+    "torus": lambda: prism_product(circle_complex(), 3, cyclic=True),
+    "solid_torus": lambda: prism_product(disk_complex(), 3, cyclic=True),
+    "s2xs1": lambda: prism_product(sphere_complex(2), 3, cyclic=True),
+}
 
 
 # -- serialisation -------------------------------------------------------
@@ -428,5 +400,5 @@ def load_complex(doc) -> SimplicialComplex:
 @lru_cache(maxsize=None)
 def load_bundled(name: str) -> SimplicialComplex:
     if name not in BUNDLED:
-        raise ValueError(f"unknown bundled complex {name!r}; have {BUNDLED}")
-    return build_bundled(name)
+        raise ValueError(f"unknown bundled complex {name!r}; have {tuple(BUNDLED)}")
+    return BUNDLED[name]()

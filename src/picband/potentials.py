@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import exterior
+from . import bands, exterior
 from .reporting import Region, Report
 
 __all__ = [
@@ -668,19 +668,6 @@ def _n_minus_two_ops(n: int) -> np.ndarray:
     return np.einsum("iab,jbc->ijac", exterior.interior_stack(n, 3)[:m], exterior.wedge_stack(n, 2)[:m])
 
 
-def convexity_lambda(A, mode: str) -> float:
-    """Least lambda >= 0 with all k-sums of eigenvalues of A >= -lambda,
-    k = 2 for two_convex and k = dim(A) - 1 for n_minus_two_convex."""
-    eigs = np.sort(np.linalg.eigvalsh(np.asarray(A, dtype=float)))
-    if mode == "two_convex":
-        worst = eigs[0] + eigs[1]
-    elif mode == "n_minus_two_convex":
-        worst = float(np.sum(eigs) - eigs[-1])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return max(0.0, -float(worst))
-
-
 def boundary_form_bounds(A, omega, mode: str) -> Report:
     """Check the boundary contraction inequality value >= -lambda |omega|^2
     for a tangential (two_convex) or normal (n_minus_two_convex) two-form,
@@ -694,11 +681,14 @@ def boundary_form_bounds(A, omega, mode: str) -> Report:
         raise ValueError(f"omega must live on R^{n} with e_{n} the normal direction")
     tangential = all(n not in key for key in omega.coeffs)
     normal = all(n in key for key in omega.coeffs)
+    if mode not in ("two_convex", "n_minus_two_convex"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "two_convex" and not tangential:
         raise ValueError("two_convex mode needs a purely tangential form")
     if mode == "n_minus_two_convex" and not normal:
         raise ValueError("n_minus_two_convex mode needs a purely normal form")
-    lam = convexity_lambda(A, mode)
+    # least lambda >= 0 with every k-sum of eigenvalues of A >= -lambda
+    lam = bands.k_convexity_defect(A, 2 if mode == "two_convex" else m - 1)
     ops = _two_convex_ops(n) if mode == "two_convex" else _n_minus_two_ops(n)
     w = exterior.form_to_vec(omega, 2)
     op = np.einsum("ij,ijab->ab", A, ops)

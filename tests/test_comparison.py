@@ -30,6 +30,16 @@ def test_hessian_barrier_reductions():
         assert abs(lap - (n - 1) * hess) < 1e-12
 
 
+def test_hessian_barrier_matches_riccati_oracle():
+    # one normal direction: the n = 2 Riccati flow seeded with A0 = -Lambda
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        K, lam, rho = rng.uniform(0.05, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.05, 2.0)
+        res = B.riccati_oracle(B.RotSymModel(n=2, K=K, A0=-lam), rho)
+        hess = B.hessian_upper_negative_boundary(B.ComparisonParams(int(rng.integers(2, 8)), K, lam, rho))
+        assert abs(res.trace - hess) < 1e-6
+
+
 def test_laplace_barrier_totally_geodesic_hyperbolic():
     p = B.ComparisonParams(3, 1.0, 0.0, 1.0)
     assert abs(B.laplace_upper_negative_boundary(p) - 2.0 * math.tanh(1.0)) < 1e-14

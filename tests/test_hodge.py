@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picband import hodge as H
 
@@ -148,7 +150,7 @@ def test_exact_fallback_matches_float(rng):
     K = H.load_bundled("annulus")
     f = rng.uniform(-5.0, 5.0, K.n_simplices(0))
     T = H.TwistedComplex(K, f)
-    assert H._exact_harmonic_dimension(T, 1) == H.harmonic_dimension(T, 1)
+    assert H._betti(K, 1, relative=False) == H.harmonic_dimension(T, 1)
 
 
 def test_json_roundtrip(tmp_path):
@@ -170,3 +172,66 @@ def test_json_dim_mismatch():
 def test_prism_product_needs_layers():
     with pytest.raises(ValueError):
         H.prism_product(H.circle_complex(3), 2, cyclic=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 800.0], ids=["nan", "inf", "overflow"])
+def test_twisted_complex_rejects_bad_vertex_function(bad):
+    K = H.load_bundled("annulus")
+    f = np.zeros(K.n_simplices(0))
+    f[0] = bad  # exp(800) overflows at the vertex itself
+    with pytest.raises(ValueError, match="finite and positive"):
+        H.TwistedComplex(K, f)
+
+
+def grid_complex(m: int, w: int, torus: bool, label) -> H.SimplicialComplex:
+    """Triangulated annulus (cyclic in i) or torus (cyclic in i and j) on an
+    m x w vertex grid, vertex (i, j) relabelled label[i * w + j]."""
+    v = lambda i, j: int(label[(i % m) * w + (j % w)])
+    tris = set()
+    for i in range(m):
+        for j in range(w if torus else w - 1):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            tris |= {tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))}
+    edges = {e for t in tris for e in itertools.combinations(t, 2)}
+    return H.SimplicialComplex({0: [(x,) for x in range(m * w)], 1: sorted(edges), 2: sorted(tris)})
+
+
+PRISM_BASES = [H.interval_complex(), H.disk_complex()] + [H.circle_complex(m) for m in (3, 4, 5)]
+
+
+@st.composite
+def complexes(draw):
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(PRISM_BASES))
+        cyclic = draw(st.booleans())
+        return H.prism_product(base, draw(st.integers(3 if cyclic else 1, 4)), cyclic)
+    torus = draw(st.booleans())
+    m, w = draw(st.integers(3, 5)), draw(st.integers(3 if torus else 2, 4))
+    return grid_complex(m, w, torus, draw(st.permutations(range(m * w))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(), st.integers(0, 2**32 - 1))
+def test_twisted_hodge_properties(K, seed):
+    """Under the suite's twist law the twisted harmonic dimension is the
+    Betti number in every degree, under both boundary conditions and both
+    masses; d_f d_f is exactly zero; the weights are exactly the per-simplex
+    means' exponentials; the integer data is read-only."""
+    f = np.random.default_rng(seed).uniform(-5.0, 5.0, K.n_simplices(0))
+    T = H.TwistedComplex(K, f)
+    for d in range(K.dim + 1):  # the per-simplex loop the vectorised weights replace
+        loop = np.exp(np.array([np.mean([f[v] for v in s]) for s in K.simplices[d]]))
+        assert np.array_equal(T.weight_vector(d), loop)
+    for cond, target in (("absolute", H.betti), ("relative", H.betti_relative)):
+        T = H.TwistedComplex(K, f, cond)
+        for k in range(K.dim + 1):
+            expect = target(K, k)
+            assert H.harmonic_dimension(T, k) == expect, (cond, k)
+            assert H.harmonic_dimension(T, k, mass="weights") == expect, (cond, k)
+            assert np.all(H.twisted_composition_exact(T, k) == 0.0)
+    for k in range(K.dim + 2):
+        B = K.boundary_matrix(k)
+        assert not B.flags.writeable and not K.coboundary_matrix(k - 1).flags.writeable
+        if B.size:
+            with pytest.raises(ValueError):
+                B[0, 0] = 0

@@ -273,6 +273,8 @@ def test_boundary_form_bounds_wrong_type():
     om_tan = E.FormElement(4, {(1, 2): 1.0})
     with pytest.raises(ValueError):
         P.boundary_form_bounds(A, om_tan, "n_minus_two_convex")
+    with pytest.raises(ValueError, match="unknown mode"):
+        P.boundary_form_bounds(A, om_tan, "three_convex")
 
 
 def test_boundary_form_bounds_random_certification(rng):

@@ -3,8 +3,8 @@
 A band is [r0, r1] x S^{n-1} with metric dr^2 + phi(r)^2 g_round.  In the
 adapted orthonormal frame its curvature tensor has sphere-sphere sectional
 (1 - phi'^2) / phi^2 and radial-sphere sectional -phi'' / phi, everything
-else zero, which is assembled from two Kulkarni-Nomizu products so the
-algebraic symmetries hold exactly.  The outward-normal convention is fixed
+else zero, which is one Kulkarni-Nomizu product, so the algebraic
+symmetries hold exactly.  The outward-normal convention is fixed
 globally: boundary_shape is positive on the boundary of a convex cap.
 """
 
@@ -166,21 +166,22 @@ def band_curvature_at(B: WarpedBand, r: float) -> CurvTensor:
     h[: B.n - 1, : B.n - 1] = np.eye(B.n - 1)
     q = np.zeros((B.n, B.n))
     q[B.n - 1, B.n - 1] = 1.0
-    R = curvature.kulkarni_nomizu(h, h) * (0.5 * ks) + curvature.kulkarni_nomizu(h, q) * kr
-    return R
+    # (ks/2) h o^ h + kr h o^ q, as one product: o^ is bilinear
+    return curvature.kulkarni_nomizu(h, 0.5 * ks * h + kr * q)
 
 
 def sigma_pic_profile(
     B: WarpedBand, sigma: float, samples: int = 9, cfg: SearchConfig = SearchConfig(restarts=64)
 ) -> Report:
-    """min_isotropic at sampled radii; PASS iff it stays >= sigma - tol."""
+    """Minimum isotropic curvature at sampled radii; PASS iff it stays
+    >= sigma - tol.  Exact for n = 4, the frame search above."""
     if B.n < 4:
         raise ValueError("isotropic curvature needs n >= 4")
     rs = np.linspace(B.r0, B.r1, samples)
     margins = []
     worst = (math.inf, None)
     for r in rs:
-        value, frame = curvature.min_isotropic(band_curvature_at(B, float(r)), cfg)
+        value, _ = curvature._verdict_minimum(band_curvature_at(B, float(r)), cfg)
         margins.append(value - sigma)
         if value < worst[0]:
             worst = (value, float(r))
@@ -295,7 +296,7 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
     h = np.zeros((n, n))
     h[: n - 1, : n - 1] = np.eye(n - 1)
     R = curvature.kulkarni_nomizu(h, h) * (0.5 * S.sigma)
-    min_iso, _ = curvature.min_isotropic(R, cfg)
+    min_iso, _ = curvature._verdict_minimum(R, cfg)
     curvature_margin = min_iso - S.sigma
 
     width_bound = 2.0 * S.L - 2.0 / math.sqrt(S.sigma)

@@ -56,14 +56,23 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite constant {name} in JSON input")
 
 
+def _finite_literal(text: str) -> float:
+    """A JSON number literal; one that overflows to infinity, like 1e309, is rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} in JSON input is not finite")
+    return value
+
+
 def _load(path: str, parse, what: str):
-    """parse(JSON document at path).  The NaN and Infinity constants Python's
-    parser accepts by default are rejected, and every failure to read or
-    parse the file is an InputError (exit 2)."""
+    """parse(JSON document at path).  Non-finite numbers are rejected: the
+    NaN and Infinity constants Python's parser accepts by default and
+    literals that overflow a float.  Every failure to read or parse the
+    file is an InputError (exit 2)."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh, parse_constant=_reject_constant))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+            return parse(json.load(fh, parse_constant=_reject_constant, parse_float=_finite_literal))
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 

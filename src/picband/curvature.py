@@ -20,12 +20,18 @@ and each frame row's gradient is a sum of slices applied to frame vectors,
 e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.  Only the pair
 antisymmetries and the pair interchange are used, which the storage holds
 exactly; the first Bianchi identity is not.
+
+Every sigma-PIC verdict (``is_sigma_pic``, the Weitzenboeck bound check and
+the band checks) is exact in dimension 4, where the minimum has a closed
+form (``exact_min_isotropic``), and rests on the stochastic search
+``min_isotropic`` in dimension 5 and up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +49,7 @@ __all__ = [
     "iso_curvature",
     "iso_curvature_batch",
     "min_isotropic",
+    "exact_min_isotropic",
     "is_sigma_pic",
     "weitzenboeck_on_two_forms",
     "weitzenboeck_clifford_trace",
@@ -86,6 +93,8 @@ class CurvTensor:
 
     def validate(self):
         R = self.R
+        if not np.all(np.isfinite(R)):
+            raise ValueError("curvature components must be finite")
         if not np.array_equal(R, -np.swapaxes(R, 0, 1)):
             raise ValueError("antisymmetry in the first index pair fails")
         if not np.array_equal(R, -np.swapaxes(R, 2, 3)):
@@ -234,6 +243,12 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     Returns ``(value, argmin_frame)``.  Deterministic given ``cfg.seed``;
     the reported value is the minimum over every frame evaluated during
     the search, reduced in (value, restart index) order.
+
+    Each iteration works on the live restarts only.  A restart retires
+    when its tangent gradient drops below SEARCH_GRAD_TOL (after that
+    iteration's trial) or when its step falls below 1e-14; the latter
+    still takes one trial at its halved step.  A retired restart's frame
+    and step no longer change, so it would only repeat its last trial.
     """
     n = R.n
     if n < 4:
@@ -246,40 +261,107 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     best_X = X.copy()
     step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
+    last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
 
     for _ in range(SEARCH_MAX_ITER):
         if not active.any():
             break
-        G = _iso_grad_batch(R.R, X)
+        live = np.flatnonzero(active | last_trial)
+        Xl, stepl, act = X[live], step[live], active[live]
+        G = _iso_grad_batch(R.R, Xl)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
-        M = np.einsum("Bij,Bkj->Bik", G, X)
+        M = np.einsum("Bij,Bkj->Bik", G, Xl)
         sym = 0.5 * (M + np.swapaxes(M, 1, 2))
-        Gt = G - np.einsum("Bik,Bkj->Bij", sym, X)
+        Gt = G - np.einsum("Bik,Bkj->Bij", sym, Xl)
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
-        active &= gnorm2 > SEARCH_GRAD_TOL**2
-        if not active.any():
+        act &= gnorm2 > SEARCH_GRAD_TOL**2
+        if not act.any():
             break
-        Y = _retract(X - step[:, None, None] * Gt)
+        Y = _retract(Xl - stepl[:, None, None] * Gt)
         vY = _iso_batch(R.R, Y)
-        accept = active & (vY <= vals - 1e-4 * step * gnorm2)
-        X[accept] = Y[accept]
-        vals[accept] = vY[accept]
-        step[accept] = np.minimum(step[accept] * 1.5, 1.0)
-        reject = active & ~accept
-        step[reject] *= 0.5
-        active &= step > 1e-14
-        upd = vY < best_vals  # track every evaluated frame, accepted or not
-        best_vals[upd] = vY[upd]
-        best_X[upd] = Y[upd]
+        accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
+        acc = live[accept]
+        X[acc] = Y[accept]
+        vals[acc] = vY[accept]
+        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        rej = live[act & ~accept]
+        step[rej] *= 0.5
+        active[live] = act
+        floored = rej[step[rej] <= 1e-14]
+        active[floored] = False
+        last_trial[:] = False
+        last_trial[floored] = True
+        upd = vY < best_vals[live]  # track every evaluated frame, accepted or not
+        best_vals[live[upd]] = vY[upd]
+        best_X[live[upd]] = Y[upd]
 
     order = np.lexsort((np.arange(B), best_vals))
     k = order[0]
     return float(best_vals[k]), Frame4(_retract(best_X[k][None])[0])
 
 
+@lru_cache(maxsize=None)
+def _hodge_eigenbases():
+    """Orthonormal bases (as columns over e_i ^ e_j, i < j) of the self-dual
+    and the anti-self-dual two-forms on R^4: the +1 and -1 eigenspaces of the
+    Hodge star, read off alpha ^ beta = <*alpha, beta> e_1 ^ e_2 ^ e_3 ^ e_4.
+    For alpha = e_i ^ e_j, alpha ^ beta = e_i ^ (e_j ^ beta)."""
+    wedge = np.einsum("iab,jbc->ijc", exterior.wedge_stack(4, 3), exterior.wedge_stack(4, 2))
+    star = np.array([wedge[i - 1, j - 1] for i, j in degree_basis(4, 2)])
+    _, vecs = np.linalg.eigh(star)  # eigenvalues -1, -1, -1, 1, 1, 1
+    return vecs[:, 3:], vecs[:, :3]
+
+
+def exact_min_isotropic(R: CurvTensor):
+    """Exact minimum of the isotropic curvature in dimension 4, with a frame
+    attaining it.  Returns ``(value, frame)`` like :func:`min_isotropic`.
+
+    A positively (negatively) oriented frame's isotropic curvature is
+    2 <R u1, u1> + 2 <R u2, u2> for orthonormal self-dual (anti-self-dual)
+    two-forms u1, u2 spanning the complement of its Kaehler form, minus
+    (plus) 2 beta, where beta = R_0123 + R_0231 + R_0312 is the first
+    Bianchi defect, 0 for a valid tensor.  The minimum is therefore
+    2 min(a1 + a2 - beta, b1 + b2 + beta) over the two smallest eigenvalues
+    of R compressed to the self-dual (a) and anti-self-dual (b) two-forms
+    (Micallef and Wang, Duke Math. J. 72, 1993).  The witness is the frame
+    whose Kaehler form is the top eigenvector w of the chosen side: with
+    J = sqrt(2) W, W the matrix of w, J^2 = -I and the frame
+    (x_0, J'x_0, x_2, J'x_2) for x_0 = e_0 and a unit x_2 orthogonal to the
+    first two carries the orientation of that side.
+    """
+    if R.n != 4:
+        raise ValueError(f"the closed form holds in dimension 4 only, got n = {R.n}")
+    i, j = (np.array(degree_basis(4, 2)) - 1).T
+    op = R.R[i[:, None], j[:, None], i[None, :], j[None, :]]  # curvature operator on e_i ^ e_j
+    beta = R.R[0, 1, 2, 3] + R.R[0, 2, 3, 1] + R.R[0, 3, 1, 2]
+    sides = []
+    for E, shift in zip(_hodge_eigenbases(), (-beta, beta)):
+        evals, evecs = np.linalg.eigh(E.T @ op @ E)
+        sides.append((evals[0] + evals[1] + shift, E @ evecs[:, 2]))
+    half_min, w = min(sides, key=lambda side: side[0])  # the self-dual side on a tie
+    J = np.zeros((4, 4))
+    J[i, j] = w
+    J[j, i] = -w
+    J *= math.sqrt(2.0)
+    x0 = np.eye(4)[0]
+    x1 = J.T @ x0
+    rest = np.eye(4) - np.outer(x0, x0) - np.outer(x1, x1)
+    x2 = rest[:, np.argmax(np.einsum("ij,ij->j", rest, rest))]
+    x2 = x2 / np.linalg.norm(x2)
+    return float(2.0 * half_min), Frame4(np.array([x0, x1, x2, J.T @ x2]))
+
+
+def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
+    """The (value, frame) minimum a sigma-PIC verdict rests on: exact in
+    dimension 4, the frame search above it."""
+    return exact_min_isotropic(R) if R.n == 4 else min_isotropic(R, cfg)
+
+
 @dataclass
 class PicVerdict:
-    """Outcome of a sigma-PIC membership test (stochastic, non-certified)."""
+    """Outcome of a sigma-PIC membership test: exact in dimension 4,
+    stochastic and non-certified in dimension 5 and up.  ``restarts`` and
+    ``tolerance`` are the search settings; no search runs in dimension 4."""
 
     passed: bool
     sigma: float
@@ -295,13 +377,15 @@ class PicVerdict:
 def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()) -> PicVerdict:
     """Test whether the isotropic curvature stays >= sigma over all frames.
 
-    FAIL comes with a concrete counter-frame; PASS is stochastic evidence
-    (the search effort is recorded in the verdict).
+    FAIL comes with a concrete counter-frame.  In dimension 4 the verdict
+    is exact (closed-form minimum); above, PASS is stochastic evidence from
+    the frame search (its effort is recorded in the verdict).  A non-finite
+    minimum is a FAIL.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    value, frame = min_isotropic(R, cfg)
-    if value < sigma - cfg.tolerance:
+    value, frame = _verdict_minimum(R, cfg)
+    if not value >= sigma - cfg.tolerance:
         return PicVerdict(False, sigma, value, frame, cfg.restarts, cfg.tolerance)
     return PicVerdict(True, sigma, value, None, cfg.restarts, cfg.tolerance)
 
@@ -430,7 +514,7 @@ def weitzenboeck_lower_bound_check(
     if R.n % 2 != 0 or R.n < 4:
         raise ValueError("the eigenvalue bound is asserted for even n >= 4 only")
     verdict = is_sigma_pic(R, sigma, cfg) if sigma >= 0 else PicVerdict(
-        False, sigma, min_isotropic(R, cfg)[0], None, cfg.restarts, cfg.tolerance
+        False, sigma, _verdict_minimum(R, cfg)[0], None, cfg.restarts, cfg.tolerance
     )
     op = weitzenboeck_on_two_forms(R)
     lam = op.lambda_min()

@@ -47,11 +47,14 @@ GAP_RATIO = 1e3  # spectral room harmonic_dimension needs to trust the float ker
 class SimplicialComplex:
     """Oriented simplicial complex; simplices are sorted vertex tuples.
 
-    Every face of every simplex must be present (closure); the integer
-    boundary matrices then satisfy del o del = 0 exactly, which is checked
-    at construction.  They are built once, stored read-only, and shared by
-    every twist, together with the vertex arrays of each degree and the
-    indices of the simplices off the boundary subcomplex.
+    Vertex labels are any distinct integers; a vertex is addressed by its
+    position among the sorted labels, so a vertex function is a sequence
+    in that order.  Every face of every simplex must be present (closure);
+    the integer boundary matrices then satisfy del o del = 0 exactly, which
+    is checked at construction.  They are built once, stored read-only, and
+    shared by every twist, together with the vertex positions of the
+    simplices of each degree and the indices of the simplices off the
+    boundary subcomplex.
     """
 
     def __init__(self, simplices_by_dim: dict):
@@ -78,8 +81,9 @@ class SimplicialComplex:
         for k in range(2, self.dim + 1):
             if np.any(self._boundary[k - 1] @ self._boundary[k]):
                 raise ValueError(f"boundary of boundary is nonzero in dimension {k}")
-        self._vertices = {
-            d: np.array(self.simplices.get(d, []), dtype=np.intp).reshape(-1, d + 1)
+        labels = np.array([s[0] for s in self.simplices.get(0, [])], dtype=np.int64)
+        self._vertices = {  # positions in labels, which closure makes complete and sorting ordered
+            d: np.searchsorted(labels, np.array(self.simplices.get(d, []), dtype=np.int64).reshape(-1, d + 1))
             for d in range(self.dim + 1)
         }
         bnd = {d: set(v) for d, v in self.boundary_subcomplex().items()}
@@ -191,7 +195,8 @@ def betti_relative(K: SimplicialComplex, k: int) -> int:
 
 
 class TwistedComplex:
-    """Cochain complex twisted by positive weights exp(mean f over vertices).
+    """Cochain complex twisted by positive weights exp(mean f over vertices);
+    ``f`` lists the vertex values in increasing label order.
 
     boundary_condition "absolute" keeps all cochains, "relative" restricts
     to cochains supported off the boundary subcomplex; ``weights[d]`` holds
@@ -332,8 +337,9 @@ def moebius_complex() -> SimplicialComplex:
 def prism_product(base: SimplicialComplex, layers: int, cyclic: bool) -> SimplicialComplex:
     """Staircase triangulation of base x interval (or base x circle).
 
-    Vertices (v, layer) are numbered layer * V + v.  Over a base p-simplex
-    with ordered vertices v_0 < ... < v_p the prism between layers l, l+1
+    Vertices (v, layer) are numbered layer * V + v, v the position of a base
+    vertex among the sorted labels.  Over a base p-simplex with ordered
+    vertices v_0 < ... < v_p the prism between layers l, l+1
     is cut into the (p+1)-simplices {bottom v_0..v_j, top v_j..v_p}; the
     induced quad diagonals depend only on the global vertex order, so
     neighbouring prisms match.  Cyclic products need at least 3 layers.
@@ -351,7 +357,7 @@ def prism_product(base: SimplicialComplex, layers: int, cyclic: bool) -> Simplic
 
     tops = []
     for l in range(layers):
-        for s in base.simplices[p]:
+        for s in base._vertices[p].tolist():
             for j in range(p + 1):
                 bottom = [node(v, l) for v in s[: j + 1]]
                 top = [node(v, l + 1) for v in s[j:]]

@@ -316,3 +316,34 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "comparison", "--out", str(path)]) == 3
     assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
     assert not path.exists()
+
+
+# Number literals past the float range: json reads 1e309 as inf and a
+# 400-digit integer as an int that float() cannot convert.
+@pytest.mark.parametrize("literal", ["1e309", "-1e309", "1" + "0" * 400], ids=["inf", "-inf", "bigint"])
+def test_overflowing_tensor_literal_is_input_error(tmp_path, capsys, literal):
+    path = tmp_path / "tensor.json"
+    path.write_text('{"n": 4, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": %s}]}' % literal)
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "curvature", "--tensor", str(path), "--sigma", "0.5", "--out", str(report)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_overflowing_band_table_value_is_input_error(tmp_path, capsys):
+    path = tmp_path / "band.json"
+    path.write_text('{"n": 4, "phi": {"kind": "table", "x": [0.0, 1.0, 2.0, 3.0],'
+                    ' "values": [1.0, 1e309, 1.0, 1.0]}, "r0": 0.5, "r1": 2.5}')
+    assert cli.main(["verify", "band", "--band", str(path), "--sigma", "0.5"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [(0, 2, 5), (-1, 0, 1)], ids=["gaps", "negative"])
+def test_hodge_complex_with_any_vertex_labels(tmp_path, capsys, labels):
+    a, b, c = labels
+    doc = {"dim": 1, "simplices": {"0": [[a], [b], [c]], "1": [[a, b], [b, c], [a, c]]}}
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "hodge", "--complex", str(path), "--twists", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS hodge.custom.absolute.k0" in out and "PASS hodge.custom.absolute.k1" in out

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -167,6 +168,70 @@ def test_is_sigma_pic_verdicts():
     prod = product_tensor()
     assert C.is_sigma_pic(prod, 1.0, cfg).passed
     assert not C.is_sigma_pic(prod, 2.5, cfg).passed
+
+
+def test_exact_min_matches_search():
+    """The n = 4 closed form and the 512-restart search agree to 1e-6."""
+    rng = np.random.default_rng(20261018)
+    cfg = C.SearchConfig(seed=11)  # default 512 restarts
+    for generate in (C.random_curvature, C.random_pic_combination):
+        for _ in range(20):
+            R = generate(4, rng)
+            exact, _ = C.exact_min_isotropic(R)
+            searched, _ = C.min_isotropic(R, cfg)
+            assert abs(exact - searched) < 1e-6
+
+
+def test_exact_min_witness_attains_value(rng):
+    orientations = set()
+    for t in range(200):
+        R = (C.random_curvature if t % 2 else C.random_pic_combination)(4, rng)
+        value, frame = C.exact_min_isotropic(R)
+        assert abs(C.iso_curvature(R, frame) - value) <= 1e-12 * np.max(np.abs(R.R))
+        orientations.add(float(np.sign(np.linalg.det(frame.vectors))))
+    assert orientations == {-1.0, 1.0}  # minima on the self-dual and the anti-self-dual side
+
+
+def test_exact_min_with_bianchi_defect(rng):
+    """validate=False sums may break the first Bianchi identity; the closed
+    form still matches the frame functional and the search."""
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    R = C.random_curvature(4, rng) + C.CurvTensor(0.3 * eps, validate=False)
+    assert R.bianchi_defect() > 0.5
+    exact, frame = C.exact_min_isotropic(R)
+    searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=1))
+    assert abs(exact - searched) < 1e-6
+    assert abs(C.iso_curvature(R, frame) - exact) < 1e-12 * np.max(np.abs(R.R))
+
+
+def test_exact_min_needs_dimension_four():
+    with pytest.raises(ValueError):
+        C.exact_min_isotropic(C.constant_curvature(5))
+
+
+def test_n4_fail_verdict_carries_witness_below_sigma(rng):
+    R = C.random_pic_combination(4, rng)
+    exact, _ = C.exact_min_isotropic(R)
+    sigma = max(exact, 0.0) + 0.5
+    verdict = C.is_sigma_pic(R, sigma, C.SearchConfig(restarts=8))
+    assert not verdict.passed and verdict.min_found == exact
+    assert C.iso_curvature(R, verdict.witness) < sigma - verdict.tolerance
+
+
+def test_non_finite_minimum_is_a_fail():
+    R = C.CurvTensor(np.full((5,) * 4, np.nan), validate=False)
+    verdict = C.is_sigma_pic(R, 0.0, C.SearchConfig(restarts=4))
+    assert not verdict.passed and math.isnan(verdict.min_found)
+
+
+def test_non_finite_components_rejected():
+    R = C.constant_curvature(4).R.copy()
+    for i, j, k, l, sign in ((0, 1, 0, 1, 1), (1, 0, 0, 1, -1), (0, 1, 1, 0, -1), (1, 0, 1, 0, 1)):
+        R[i, j, k, l] = sign * np.inf
+    with pytest.raises(ValueError, match="finite"):
+        C.CurvTensor(R)
 
 
 def test_traces_constant_curvature():

@@ -169,6 +169,22 @@ def test_json_dim_mismatch():
         H.load_complex(doc)
 
 
+def test_vertex_function_follows_sorted_labels():
+    """A vertex is addressed by its position among the sorted labels, so a
+    relabelled circle twists exactly like the one labelled 0, 1, 2."""
+    f = np.array([0.3, -1.2, 2.0])
+    plain = H.TwistedComplex(H.circle_complex(3), f)
+    for labels in ((-1, 0, 1), (0, 2, 5), (10, 20, 30)):
+        a, b, c = labels
+        K = H.SimplicialComplex({0: [(a,), (b,), (c,)], 1: [(a, b), (b, c), (a, c)]})
+        T = H.TwistedComplex(K, f)
+        assert np.array_equal(T.weight_vector(0), np.exp(f))
+        assert np.array_equal(T.weight_vector(1), plain.weight_vector(1))
+        assert [H.harmonic_dimension(T, k) for k in (0, 1)] == [1, 1]
+        torus = H.prism_product(K, 3, cyclic=True)
+        assert [H.betti(torus, k) for k in range(3)] == [1, 2, 1]
+
+
 def test_prism_product_needs_layers():
     with pytest.raises(ValueError):
         H.prism_product(H.circle_complex(3), 2, cyclic=True)

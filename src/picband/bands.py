@@ -181,7 +181,7 @@ def sigma_pic_profile(
     margins = []
     worst = (math.inf, None)
     for r in rs:
-        value, _ = curvature._verdict_minimum(band_curvature_at(B, float(r)), cfg)
+        value = curvature._verdict_minimum(band_curvature_at(B, float(r)), cfg)[0]
         margins.append(value - sigma)
         if value < worst[0]:
             worst = (value, float(r))
@@ -296,7 +296,7 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
     h = np.zeros((n, n))
     h[: n - 1, : n - 1] = np.eye(n - 1)
     R = curvature.kulkarni_nomizu(h, h) * (0.5 * S.sigma)
-    min_iso, _ = curvature._verdict_minimum(R, cfg)
+    min_iso = curvature._verdict_minimum(R, cfg)[0]
     curvature_margin = min_iso - S.sigma
 
     width_bound = 2.0 * S.L - 2.0 / math.sqrt(S.sigma)

@@ -154,7 +154,7 @@ def suite_curvature(args):
     verdict = curvature.is_sigma_pic(R, sigma, scfg)
     report = Report(
         check="curvature.sigma_pic",
-        params={"n": R.n, "sigma": sigma, "restarts": scfg.restarts},
+        params={"n": R.n, "sigma": sigma, "restarts": verdict.restarts},
         passed=verdict.passed,
         tolerance=scfg.tolerance,
         regions=[Region("min_isotropic_margin", verdict.min_found - sigma)],
@@ -532,14 +532,24 @@ def _emit(args) -> int:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
-    if args.curve == "barrier":
-        p = comparison.ComparisonParams(args.n, args.K, args.Lambda, 0.0)
-        rows = comparison.barrier_curve_rows(p, np.linspace(0.0, args.rho_max, args.points))
-        write_csv(args.out, ["rho", "barrier", "oracle", "margin"], rows)
-        return 0
-    fp = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar)
-    rows = potentials.focal_margin_rows(fp, args.rf, points=args.points)
-    write_csv(args.out, ["rho", "lhs", "rhs", "margin"], rows)
+    # Finite flags can still overflow a curve, an input error: numpy raises under
+    # errstate, while the barrier's Python-float formulas reach inf silently
+    # (--Lambda 1e308), hence the finiteness check as well.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if args.curve == "barrier":
+                p = comparison.ComparisonParams(args.n, args.K, args.Lambda, 0.0)
+                rows = comparison.barrier_curve_rows(p, np.linspace(0.0, args.rho_max, args.points))
+                header = ["rho", "barrier", "oracle", "margin"]
+            else:
+                fp = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar)
+                rows = potentials.focal_margin_rows(fp, args.rf, points=args.points)
+                header = ["rho", "lhs", "rhs", "margin"]
+    except FloatingPointError as exc:
+        raise ValueError(f"the {args.curve} curve overflows at these inputs: {exc}") from exc
+    if not np.isfinite(rows).all():
+        raise ValueError(f"the {args.curve} curve is not finite at these inputs")
+    write_csv(args.out, header, rows)
     return 0
 
 

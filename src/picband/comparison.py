@@ -182,15 +182,33 @@ class RiccatiResult:
         return self.crossing is not None
 
 
-def _rk4(f, y, x, h):
-    k1 = f(x, y)
-    k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(x + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 _U_SWITCH = 0.1  # |w| >= 1/_U_SWITCH is integrated in the inverse variable
+
+
+# One classical RK4 step of each form of the Riccati equation; ka, kb, kc
+# are K_rad at x, x + h/2 and x + h.
+def _w_step(w, h, ka, kb, kc):
+    """w' = -w^2 - K_rad."""
+    k1 = -w * w - ka
+    w2 = w + (0.5 * h) * k1
+    k2 = -w2 * w2 - kb
+    w3 = w + (0.5 * h) * k2
+    k3 = -w3 * w3 - kb
+    w4 = w + h * k3
+    k4 = -w4 * w4 - kc
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _u_step(u, h, ka, kb, kc):
+    """u' = 1 + K_rad u^2 for u = 1/w."""
+    k1 = 1.0 + ka * u * u
+    u2 = u + (0.5 * h) * k1
+    k2 = 1.0 + kb * u2 * u2
+    u3 = u + (0.5 * h) * k2
+    k3 = 1.0 + kb * u3 * u3
+    u4 = u + h * k3
+    k4 = 1.0 + kc * u4 * u4
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate_scalar(w0: float, kfn, rho: float, step: float):
@@ -202,21 +220,21 @@ def _integrate_scalar(w0: float, kfn, rho: float, step: float):
     so the pole location is resolved by bisection to ~1e-9; w -> +infinity
     cannot occur forward in rho since w' < 0 for large positive w.
     """
-    f = lambda x, w: -w * w - kfn(x)
-    fu = lambda x, u: 1.0 + kfn(x) * u * u
     steps = max(1, int(math.ceil(rho / step)))
     h = rho / steps
     x = 0.0
     in_u = abs(w0) >= 1.0 / _U_SWITCH
     y = 1.0 / w0 if in_u else w0
     for _ in range(steps):
+        ka, kb, kc = kfn(x), kfn(x + 0.5 * h), kfn(x + h)
         if in_u:
-            y_new = _rk4(fu, y, x, h)
+            y_new = _u_step(y, h, ka, kb, kc)
             if y < 0.0 <= y_new:  # pole of w: u rises through zero
                 a, b, ua = x, x + h, y
                 while b - a > 1e-12:
                     mid = 0.5 * (a + b)
-                    um = _rk4(fu, ua, a, mid - a)
+                    g = mid - a
+                    um = _u_step(ua, g, kfn(a), kfn(a + 0.5 * g), kfn(a + g))
                     if um >= 0.0:
                         b = mid
                     else:
@@ -225,7 +243,7 @@ def _integrate_scalar(w0: float, kfn, rho: float, step: float):
             if abs(y_new) > _U_SWITCH:
                 y_new, in_u = 1.0 / y_new, False
         else:
-            y_new = _rk4(f, y, x, h)
+            y_new = _w_step(y, h, ka, kb, kc)
             if abs(y_new) >= 1.0 / _U_SWITCH:
                 y_new, in_u = 1.0 / y_new, True
         y, x = y_new, x + h
@@ -240,20 +258,36 @@ def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
     """Integrate the level-set Hessian Riccati flow up to distance rho.
 
     The state diagonalises in the eigenbasis of A0 and is integrated per
-    eigenvalue with fixed-step RK4, the step at most RICCATI_STEP max(1, rho).
+    eigenvalue with fixed-step RK4, the step h at most RICCATI_STEP
+    max(1, rho).  Each distinct eigenvalue is integrated once (an umbilic
+    A0 costs one integration, not n - 1, of about rho / h steps); the
+    trace still adds one value per eigenvalue in eigenvalue order, so it
+    is the sum a per-eigenvalue loop would give, to the last bit.
+
+    RK4 at a fixed step is stable and accurate only while h sqrt|K_rad|
+    stays small.  A constant-curvature model with h sqrt|K| > 1 (about
+    |K| > 1e8 for rho <= 1) raises ValueError instead of returning
+    numbers that are not a solution; a warped ``radial_curvature`` must
+    keep the same bound, which is not checked.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    if rho == 0:
-        eigs = model.initial_hessian_eigs()
-        return RiccatiResult(0.0, float(np.sum(eigs)), None)
     h = RICCATI_STEP * max(1.0, rho)
-    kfn = model.curvature_fn()
+    if model.radial_curvature is None and not h * math.sqrt(abs(model.K)) <= 1.0:
+        raise ValueError(
+            f"K = {model.K:g} is past the oracle's RK4 step limit h sqrt|K| <= 1 at step h = {h:g}"
+        )
     eigs = model.initial_hessian_eigs()
+    if rho == 0:
+        return RiccatiResult(0.0, float(np.sum(eigs)), None)
+    kfn = model.curvature_fn()
+    by_value = {}
     total = 0.0
     earliest = None
-    for w0 in eigs:
-        w, crossing = _integrate_scalar(float(w0), kfn, rho, h)
+    for w0 in eigs.tolist():
+        if w0 not in by_value:
+            by_value[w0] = _integrate_scalar(w0, kfn, rho, h)
+        w, crossing = by_value[w0]
         if crossing is not None:
             earliest = crossing if earliest is None else min(earliest, crossing)
         else:

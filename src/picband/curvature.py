@@ -352,16 +352,20 @@ def exact_min_isotropic(R: CurvTensor):
 
 
 def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
-    """The (value, frame) minimum a sigma-PIC verdict rests on: exact in
-    dimension 4, the frame search above it."""
-    return exact_min_isotropic(R) if R.n == 4 else min_isotropic(R, cfg)
+    """The (value, frame, restarts) minimum a sigma-PIC verdict rests on:
+    exact in dimension 4 (no search, 0 restarts), the frame search above it."""
+    if R.n == 4:
+        return (*exact_min_isotropic(R), 0)
+    return (*min_isotropic(R, cfg), cfg.restarts)
 
 
 @dataclass
 class PicVerdict:
     """Outcome of a sigma-PIC membership test: exact in dimension 4,
-    stochastic and non-certified in dimension 5 and up.  ``restarts`` and
-    ``tolerance`` are the search settings; no search runs in dimension 4."""
+    stochastic and non-certified in dimension 5 and up.  ``restarts`` is
+    the search effort spent: the restarts of the frame search, 0 in
+    dimension 4, where no search runs.  ``tolerance`` is the verdict's
+    tolerance."""
 
     passed: bool
     sigma: float
@@ -384,10 +388,10 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    value, frame = _verdict_minimum(R, cfg)
+    value, frame, restarts = _verdict_minimum(R, cfg)
     if not value >= sigma - cfg.tolerance:
-        return PicVerdict(False, sigma, value, frame, cfg.restarts, cfg.tolerance)
-    return PicVerdict(True, sigma, value, None, cfg.restarts, cfg.tolerance)
+        return PicVerdict(False, sigma, value, frame, restarts, cfg.tolerance)
+    return PicVerdict(True, sigma, value, None, restarts, cfg.tolerance)
 
 
 # -- traces -----------------------------------------------------------
@@ -513,9 +517,11 @@ def weitzenboeck_lower_bound_check(
     (n-2) sigma / 2, conditional on the sigma-PIC precondition."""
     if R.n % 2 != 0 or R.n < 4:
         raise ValueError("the eigenvalue bound is asserted for even n >= 4 only")
-    verdict = is_sigma_pic(R, sigma, cfg) if sigma >= 0 else PicVerdict(
-        False, sigma, _verdict_minimum(R, cfg)[0], None, cfg.restarts, cfg.tolerance
-    )
+    if sigma >= 0:
+        verdict = is_sigma_pic(R, sigma, cfg)
+    else:
+        value, _, restarts = _verdict_minimum(R, cfg)
+        verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance)
     op = weitzenboeck_on_two_forms(R)
     lam = op.lambda_min()
     bound = 0.5 * (R.n - 2) * sigma

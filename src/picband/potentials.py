@@ -65,6 +65,8 @@ class FocalParams:
             raise ValueError("n must be even and at least 4")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.beta == 0.0:
+            raise ValueError(f"sigma = {self.sigma:g} underflows beta = sqrt((n - 2) sigma / 8)")
         floor = self.n * math.sqrt(self.sigma)
         if self.lam <= floor:
             raise ValueError(f"lambda must exceed n sqrt(sigma) = {floor:.6g}")
@@ -72,6 +74,8 @@ class FocalParams:
             raise ValueError(f"lambda_bar must exceed n sqrt(sigma) = {floor:.6g}")
         if not (0.0 < self.rho_lambda < self.rho_sigma):
             raise ValueError("rho_lambda must lie in (0, rho_sigma)")
+        if not math.isfinite(self.break2):
+            raise ValueError(f"the potential's breakpoints overflow at sigma = {self.sigma:g}")
         if not (1.0 / self.lam_bar < 0.25 * math.pi / self.beta):
             raise ValueError("lambda_bar too small: 1/lambda_bar must be below pi/(4 beta)")
         if 1.0 / self.lam_bar > self.rho_lambda:
@@ -393,6 +397,8 @@ def verify_focal_inequality(
 
 def focal_margin_rows(params: FocalParams, r_f: float, points: int = 512):
     """(rho, lhs, rhs, margin) rows of the N-orientation focal inequality, for CSV."""
+    if not r_f > 0:
+        raise ValueError("focal radius must be positive")
     pot = PiecewisePotential(params, "N")
     rhos = np.linspace(0.0, r_f, points)
     lhs, rhs, margin = _focal_margin(pot, r_f, rhos)

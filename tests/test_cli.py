@@ -1,10 +1,13 @@
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picband import cli
 from picband.reporting import canonical_body
@@ -140,6 +143,77 @@ def test_emit_barrier_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rho,barrier,oracle,margin"
     assert len(lines) == 17
+
+
+def test_curvature_report_restarts_are_the_search_effort(tmp_path):
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "curvature", "--out", str(path)]) == 0
+    (report,) = json.loads(path.read_text())["report"]["reports"]
+    assert report["params"] == {"n": 4, "restarts": 0, "sigma": 1.0}  # closed form, no search
+
+
+@pytest.mark.parametrize("K, code", [("1e9", 2), ("1e308", 2), ("1e6", 0)])
+def test_barrier_curve_past_oracle_step_limit_is_input_error(tmp_path, capsys, K, code):
+    """The oracle's RK4 step of 1e-4 resolves K = 1e6, not K = 1e9, where it
+    used to write oracle -1.12e7 against barrier 9.49e4 and exit 0."""
+    path = tmp_path / "barrier.csv"
+    argv = ["emit", "csv", "--curve", "barrier", "--K", K, "--points", "3", "--out", str(path)]
+    assert cli.main(argv) == code
+    if code == 2:
+        assert "step limit" in capsys.readouterr().err
+        assert not path.exists()
+    else:
+        rows = list(csv.reader(path.open()))[1:]
+        assert len(rows) == 3 and all(abs(float(row[3])) < 1e-9 for row in rows)
+
+
+EXTREME_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "-0.5", "0", "1e-308", "5e-324"]
+COMPARISON_PATHS = {
+    ("verify", "comparison", "--draws", "3"): ("--draws", "--seed", "--tol"),
+    ("emit", "csv", "--curve", "barrier", "--points", "5"): ("--n", "--K", "--Lambda", "--rho-max"),
+    ("emit", "csv", "--curve", "focal", "--points", "5"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
+}
+
+
+def _exit_2_or_finite(argv, out):
+    """Run argv in process: a usage or input error (exit 2) writes nothing,
+    a run (exit 0) writes only finite numbers; anything else is a defect."""
+    try:
+        code = cli.main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2), argv
+    if code == 2:
+        assert not out.exists(), argv
+    elif argv[0] == "emit":
+        rows = list(csv.reader(out.open()))[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row), argv
+    else:
+        reports = json.loads(out.read_text())["report"]["reports"]
+        assert all(isinstance(r["min_margin"], float) for rep in reports for r in rep["regions"]), argv
+
+
+@pytest.mark.parametrize("base", sorted(COMPARISON_PATHS), ids=lambda base: base[-3])
+def test_comparison_paths_on_extreme_values(tmp_path, base):
+    """NaN, infinities, huge, tiny and negative values in every flag."""
+    for flag in COMPARISON_PATHS[base]:
+        for value in EXTREME_VALUES:
+            out = tmp_path / f"{flag}{value}"
+            _exit_2_or_finite([*base, flag, value], out)
+
+
+@st.composite
+def comparison_argv(draw):
+    base = draw(st.sampled_from(sorted(COMPARISON_PATHS)))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(COMPARISON_PATHS[base]), st.sampled_from(EXTREME_VALUES)),
+                          min_size=2, max_size=3))
+    return [*base, *(x for pair in pairs for x in pair)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(comparison_argv())
+def test_comparison_paths_on_extreme_value_combinations(tmp_path_factory, argv):
+    _exit_2_or_finite(argv, tmp_path_factory.mktemp("out") / "out")
 
 
 def test_emit_config_template(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from picband import comparison as B
 
@@ -134,6 +135,99 @@ def test_riccati_barrier_consistency_200_draws(rng):
         barrier = B.laplace_upper_negative_boundary(B.ComparisonParams(n, K, (n - 1) * lam, rho))
         assert res.trace <= barrier + 1e-6
         assert abs(res.trace - barrier) < 1e-6  # umbilic model attains it
+
+
+def _reference_rk4(f, y, x, h):
+    k1 = f(x, y)
+    k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(x + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate(w0, kfn, rho, step):
+    """The oracle's scalar integration written with a generic RK4 step and
+    one right-hand side per variable: the fused steps must give its bits."""
+    f = lambda x, w: -w * w - kfn(x)
+    fu = lambda x, u: 1.0 + kfn(x) * u * u
+    steps = max(1, int(math.ceil(rho / step)))
+    h = rho / steps
+    x = 0.0
+    in_u = abs(w0) >= 10.0
+    y = 1.0 / w0 if in_u else w0
+    for _ in range(steps):
+        if in_u:
+            y_new = _reference_rk4(fu, y, x, h)
+            if y < 0.0 <= y_new:
+                a, b, ua = x, x + h, y
+                while b - a > 1e-12:
+                    mid = 0.5 * (a + b)
+                    um = _reference_rk4(fu, ua, a, mid - a)
+                    if um >= 0.0:
+                        b = mid
+                    else:
+                        a, ua = mid, um
+                return None, 0.5 * (a + b)
+            if abs(y_new) > 0.1:
+                y_new, in_u = 1.0 / y_new, False
+        else:
+            y_new = _reference_rk4(f, y, x, h)
+            if abs(y_new) >= 10.0:
+                y_new, in_u = 1.0 / y_new, True
+        y, x = y_new, x + h
+    w = 1.0 / y if in_u else y
+    if abs(w) > B.BLOWUP_THRESHOLD:
+        return None, rho - (y if in_u else 1.0 / y)
+    return w, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    w0=st.one_of(st.floats(-9.9, 9.9), st.floats(10.0, 300.0), st.floats(-300.0, -10.0)),
+    K=st.floats(-4.0, 4.0),
+    bump=st.floats(0.0, 2.0),
+    rho=st.floats(0.01, 3.0),
+)
+@example(w0=-2.0, K=0.0, bump=0.0, rho=1.0)  # focal crossing at rho = 1/2, entered from w
+@example(w0=-40.0, K=1.0, bump=0.0, rho=0.5)  # crossing from the inverse variable
+@example(w0=40.0, K=-2.0, bump=1.0, rho=2.5)  # |w0| >= 10 falling back into w
+def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
+    kfn = lambda r: -K + bump * math.sin(r) ** 2
+    step = B.RICCATI_STEP * max(1.0, rho)
+    assert B._integrate_scalar(w0, kfn, rho, step) == _reference_integrate(w0, kfn, rho, step)
+
+
+def test_oracle_integrates_each_distinct_value_once_in_order(monkeypatch):
+    calls = []
+    integrate = B._integrate_scalar
+
+    def counted(w0, kfn, rho, step):
+        calls.append(w0)
+        return integrate(w0, kfn, rho, step)
+
+    monkeypatch.setattr(B, "_integrate_scalar", counted)
+    model = B.RotSymModel(n=4, K=0.7, A0=[0.3, -1.0, 0.3])
+    res = B.riccati_oracle(model, 1.2)
+    assert calls == [-0.3, 1.0]
+    step = B.RICCATI_STEP * 1.2
+    w = {w0: integrate(w0, model.curvature_fn(), 1.2, step)[0] for w0 in (-0.3, 1.0)}
+    assert res.trace == 0.0 + w[-0.3] + w[1.0] + w[-0.3]
+
+
+@pytest.mark.parametrize("K", [1e9, -1e9, 1e308, math.inf, math.nan])
+def test_oracle_rejects_curvature_past_step_limit(K):
+    for rho in (0.0, 1.0):
+        with pytest.raises(ValueError, match="step limit"):
+            B.riccati_oracle(B.RotSymModel(n=3, K=K, A0=0.5), rho)
+
+
+def test_oracle_step_limit_scales_with_rho():
+    # h = 1e-4 max(1, rho): K = 1e8 sits on the limit at rho = 1, past it at rho = 2
+    model = B.RotSymModel(n=3, K=1e8, A0=0.0)
+    res = B.riccati_oracle(model, 1.0)
+    assert abs(res.trace - 2e4 * math.tanh(1e4)) < 1e-9 * 2e4
+    with pytest.raises(ValueError, match="step limit"):
+        B.riccati_oracle(model, 2.0)
 
 
 def test_positive_boundary_barrier_monotone_to_pole():

@@ -220,6 +220,18 @@ def test_n4_fail_verdict_carries_witness_below_sigma(rng):
     assert C.iso_curvature(R, verdict.witness) < sigma - verdict.tolerance
 
 
+@pytest.mark.parametrize("n, spent", [(4, 0), (5, 8)])
+def test_verdict_restarts_are_the_search_effort(n, spent):
+    """Dimension 4 takes the closed form and runs no search: 0 restarts."""
+    cfg = C.SearchConfig(restarts=8)
+    R = product_tensor(n)
+    assert C.is_sigma_pic(R, 1.0, cfg).restarts == spent
+    assert C.is_sigma_pic(R, 2.5, cfg).restarts == spent
+    if n % 2 == 0:
+        for sigma in (1.0, -1.0):  # the sigma < 0 branch builds its verdict apart
+            assert C.weitzenboeck_lower_bound_check(R, sigma, cfg).pic_verdict.restarts == spent
+
+
 def test_non_finite_minimum_is_a_fail():
     R = C.CurvTensor(np.full((5,) * 4, np.nan), validate=False)
     verdict = C.is_sigma_pic(R, 0.0, C.SearchConfig(restarts=4))

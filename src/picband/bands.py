@@ -292,10 +292,8 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
     diffeomorphisms with |D phi| + |D^2 phi| < 100).
     """
     n, k = S.n, S.k
-    # unit S^{n-1} x S^1 product tensor, scaled so curvature ~ sigma
-    h = np.zeros((n, n))
-    h[: n - 1, : n - 1] = np.eye(n - 1)
-    R = curvature.kulkarni_nomizu(h, h) * (0.5 * S.sigma)
+    # S^{n-1} x S^1 product tensor, scaled so curvature ~ sigma
+    R = curvature.sphere_line_product(n, S.sigma)
     min_iso = curvature._verdict_minimum(R, cfg)[0]
     curvature_margin = min_iso - S.sigma
 

@@ -141,10 +141,7 @@ def suite_clifford(args):
 def _tensor(args):
     if args.tensor:
         return _load(args.tensor, curvature.load_curvature_json, "curvature tensor")
-    n = args.n
-    h = np.zeros((n, n))
-    h[: n - 1, : n - 1] = np.eye(n - 1)
-    return curvature.kulkarni_nomizu(h, h) * 0.5  # product model default
+    return curvature.sphere_line_product(args.n, 1.0)  # product model default
 
 
 def suite_curvature(args):
@@ -434,7 +431,6 @@ def _sibling(out_path: str, name: str) -> str:
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--out", type=str, default=None, help="write JSON report here")
 
 
@@ -463,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=4)
         sp.add_argument("--sigma", type=_finite_float, default=1.0)
         sp.add_argument("--tensor", type=str, default=None, help="curvature tensor JSON file")
+        sp.add_argument("--tol", type=_finite_float, default=1e-9)
         _add_common(sp)
 
     sp = vsub.add_parser("comparison")
@@ -526,27 +523,22 @@ def _emit(args) -> int:
         # what ``verify SUITE`` parses with no flags: every parameter with its default
         defaults = vars(build_parser().parse_args(["verify", args.suite]))
         del defaults["command"]
-        doc = {k: defaults.pop(k) for k in ("suite", "seed", "tol", "out")}
+        doc = {k: defaults.pop(k) for k in ("suite", "seed", "tol", "out") if k in defaults}
         doc["params"] = defaults
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
-    # Finite flags can still overflow a curve, an input error: numpy raises under
-    # errstate, while the barrier's Python-float formulas reach inf silently
-    # (--Lambda 1e308), hence the finiteness check as well.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if args.curve == "barrier":
-                p = comparison.ComparisonParams(args.n, args.K, args.Lambda, 0.0)
-                rows = comparison.barrier_curve_rows(p, np.linspace(0.0, args.rho_max, args.points))
-                header = ["rho", "barrier", "oracle", "margin"]
-            else:
-                fp = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar)
-                rows = potentials.focal_margin_rows(fp, args.rf, points=args.points)
-                header = ["rho", "lhs", "rhs", "margin"]
-    except FloatingPointError as exc:
-        raise ValueError(f"the {args.curve} curve overflows at these inputs: {exc}") from exc
+    if args.curve == "barrier":
+        p = comparison.ComparisonParams(args.n, args.K, args.Lambda, 0.0)
+        rows = comparison.barrier_curve_rows(p, np.linspace(0.0, args.rho_max, args.points))
+        header = ["rho", "barrier", "oracle", "margin"]
+    else:
+        fp = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar)
+        rows = potentials.focal_margin_rows(fp, args.rf, points=args.points)
+        header = ["rho", "lhs", "rhs", "margin"]
+    # numpy overflow raises in main; the barrier's Python-float formulas
+    # reach inf silently (--Lambda 1e308)
     if not np.isfinite(rows).all():
         raise ValueError(f"the {args.curve} curve is not finite at these inputs")
     write_csv(args.out, header, rows)
@@ -557,11 +549,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "verify":
-            return run_suite(args)
-        return _emit(args)
+        # one overflow policy for every command: finite flags that overflow
+        # or make a NaN inside numpy are an input error, not a result
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "verify":
+                return run_suite(args)
+            return _emit(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: the computation is not finite at these inputs: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ __all__ = [
     "WeitzOperator",
     "kulkarni_nomizu",
     "constant_curvature",
+    "sphere_line_product",
     "iso_curvature",
     "iso_curvature_batch",
     "min_isotropic",
@@ -101,8 +102,7 @@ class CurvTensor:
             raise ValueError("antisymmetry in the second index pair fails")
         if not np.array_equal(R, np.transpose(R, (2, 3, 0, 1))):
             raise ValueError("pair-interchange symmetry fails")
-        bianchi = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
-        defect = float(np.max(np.abs(bianchi)))
+        defect = self.bianchi_defect()
         if defect > BIANCHI_TOL:
             raise ValueError(f"first Bianchi identity violated by {defect:.3e}")
 
@@ -142,6 +142,18 @@ def constant_curvature(n: int, kappa: float = 1.0) -> CurvTensor:
     return kulkarni_nomizu(np.eye(n), np.eye(n)) * (0.5 * kappa)
 
 
+def sphere_line_product(n: int, kappa: float) -> CurvTensor:
+    """S^{n-1} x R with sectional curvature kappa on the sphere factor:
+    (kappa/2) h o^ h for h the metric of the first n-1 directions."""
+    h = np.zeros((n, n))
+    h[: n - 1, : n - 1] = np.eye(n - 1)
+    return kulkarni_nomizu(h, h) * (0.5 * kappa)
+
+
+def _gram_defect(X) -> float:
+    return float(np.max(np.abs(X @ X.T - np.eye(4))))
+
+
 class Frame4:
     """Four orthonormal vectors in R^n, stored as a 4 x n matrix of rows."""
 
@@ -154,7 +166,7 @@ class Frame4:
         self.n = X.shape[1]
         if self.n < 4:
             raise ValueError("ambient dimension must be at least 4")
-        defect = float(np.max(np.abs(X @ X.T - np.eye(4))))
+        defect = _gram_defect(X)
         if defect > FRAME_TOL:
             raise ValueError(f"frame is not orthonormal, Gram defect {defect:.3e}")
         self.vectors = X
@@ -162,10 +174,6 @@ class Frame4:
     @staticmethod
     def standard(n: int) -> "Frame4":
         return Frame4(np.eye(n)[:4])
-
-
-def _gram_defect(X) -> float:
-    return float(np.max(np.abs(X @ X.T - np.eye(4))))
 
 
 def iso_curvature(R: CurvTensor, frame) -> float:
@@ -485,13 +493,12 @@ def weitzenboeck_clifford_trace(R: CurvTensor) -> np.ndarray:
 
     On two-forms R(e_i, e_j) is the derivation sum_{p,q} R_ijpq theta^p ^ i_{e_q},
     and the Lambda^2 block of c(e_i) c(e_j) is
-    -(theta^i ^ i_{e_j} + i_{e_i} theta^j ^); both are assembled from the
-    exterior-algebra stacks.  Used to cross-check
+    -(theta^i ^ i_{e_j} + i_{e_i} theta^j ^); both are the cached
+    :func:`exterior.two_form_blocks`.  Used to cross-check
     :func:`weitzenboeck_on_two_forms`.
     """
     n = R.n
-    wedge_interior = np.einsum("iab,jbc->ijac", exterior.wedge_stack(n, 1), exterior.interior_stack(n, 2))
-    interior_wedge = np.einsum("iab,jbc->ijac", exterior.interior_stack(n, 3), exterior.wedge_stack(n, 2))
+    wedge_interior, interior_wedge = exterior.two_form_blocks(n)
     action = np.einsum("ijpq,pqac->ijac", R.R, wedge_interior)
     return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action).astype(complex)
 

@@ -15,10 +15,10 @@ The sign rule.  For a strictly increasing multi-index K and a frame index j,
 with s = #{t in K : t < j}; both vanish otherwise.  :func:`wedge_key` and
 :func:`interior_key` are the only code that applies it.  Key normalisation
 in :class:`FormElement`, :func:`wedge`, the vector actions and the cached
-degree-block matrices :func:`wedge_stack` and :func:`interior_stack` are
-built from them, and so are the grid operators of ``gridcalc``, the
-Clifford-trace route of ``curvature`` and the form bounds of
-``potentials``.  The index formula ``curvature.weitzenboeck_on_two_forms``
+matrices :func:`wedge_stack`, :func:`interior_stack` and
+:func:`two_form_blocks` are built from them, and so are the grid operators
+of ``gridcalc``, the Clifford-trace route of ``curvature`` and the form
+bounds of ``potentials``.  The index formula ``curvature.weitzenboeck_on_two_forms``
 keeps its own signs on purpose: it is the independent path the trace route
 is checked against.
 """
@@ -42,7 +42,6 @@ __all__ = [
     "boundary_split",
     "inner",
     "basis_form",
-    "two_form_basis",
     "form_to_vec",
     "vec_to_form",
     "operator_matrix",
@@ -54,6 +53,7 @@ __all__ = [
     "interior_key",
     "wedge_stack",
     "interior_stack",
+    "two_form_blocks",
 ]
 
 def wedge_key(j: int, key: tuple):
@@ -295,11 +295,6 @@ def degree_basis(n: int, k: int):
     return tuple(combinations(range(1, n + 1), k)) if k >= 0 else ()
 
 
-def two_form_basis(n: int):
-    """Ordered basis {theta^i ^ theta^j : i < j} used for operator matrices."""
-    return degree_basis(n, 2)
-
-
 def form_to_vec(a: FormElement, k: int) -> np.ndarray:
     basis = degree_basis(a.n, k)
     pos = {key: i for i, key in enumerate(basis)}
@@ -376,6 +371,16 @@ def wedge_stack(n: int, k: int) -> np.ndarray:
 def interior_stack(n: int, k: int) -> np.ndarray:
     """I[j-1] = matrix of i_{e_j} : Lambda^k -> Lambda^{k-1}."""
     return _key_stack(interior_key, n, k, k - 1)
+
+
+@lru_cache(maxsize=None)
+def two_form_blocks(n: int):
+    """(P, Q) on Lambda^2: P[i-1, j-1] is the matrix of theta^i ^ i_{e_j}(.)
+    and Q[i-1, j-1] that of i_{e_i}(theta^j ^ (.)); read-only."""
+    P = np.einsum("iab,jbc->ijac", wedge_stack(n, 1), interior_stack(n, 2))
+    Q = np.einsum("iab,jbc->ijac", interior_stack(n, 3), wedge_stack(n, 2))
+    P.flags.writeable = Q.flags.writeable = False
+    return P, Q
 
 
 def random_form(n: int, k: int, rng) -> FormElement:

@@ -6,6 +6,9 @@ centred stencil makes discrete summation by parts *exact*.  On the flat
 metric every operator acts componentwise on the coefficient functions, so
 d, d*, the Dirac operator and their twisted versions are short compositions
 of axis derivatives with the pointwise exterior/Clifford index operations.
+d, d*, the Clifford multiplications and the Weitzenboeck contractions all
+run through one key action, ``_key_action``.  Trig-field factors are
+evaluated on their own axis and broadcast against the others.
 
 The Laplacian is deliberately the square of the first-derivative stencil,
 not the compact 3-point one: this keeps the discrete Green identities exact
@@ -133,9 +136,6 @@ class FormField:
         out.data = {k: v.copy() for k, v in self.data.items()}
         return out
 
-    def degrees(self):
-        return sorted({len(k) for k in self.data})
-
     def _acc(self, key, arr):
         if key in self.data:
             self.data[key] = self.data[key] + arr
@@ -176,28 +176,33 @@ class FormField:
         return max(float(np.max(np.abs(v))) for v in self.data.values())
 
 
-def _derivative_sum(key_op, F: FormField, scale: int) -> FormField:
-    """scale * sum_j op_j (d_j F), with op_j given on basis keys by key_op(j, key)."""
+def _key_action(F: FormField, ops, coef) -> FormField:
+    """sum over (key_op, sign) in ops and j = 1..n of sign * key_op(j, .)
+    applied to coef(j, component), walking the components of F in order
+    and j inside each.  coef runs only on a hit; it returns None for an
+    absent term."""
     g = F.grid
     out = FormField(g)
     for key, arr in F.data.items():
         for j in range(1, g.n + 1):
-            hit = key_op(j, key)
-            if hit is None:
-                continue
-            moved, sign = hit
-            out._acc(moved, scale * sign * g.deriv(arr, j - 1))
+            for key_op, sign in ops:
+                hit = key_op(j, key)
+                if hit is None:
+                    continue
+                term = coef(j, arr)
+                if term is not None:
+                    out._acc(hit[0], sign * hit[1] * term)
     return out
 
 
 def d_grid(F: FormField) -> FormField:
     """Exterior derivative: sum_j theta^j ^ d_j F."""
-    return _derivative_sum(exterior.wedge_key, F, 1)
+    return _key_action(F, ((exterior.wedge_key, 1),), lambda j, arr: F.grid.deriv(arr, j - 1))
 
 
 def dstar_grid(F: FormField) -> FormField:
     """Codifferential on the flat band: -sum_j i_{e_j} d_j F."""
-    return _derivative_sum(exterior.interior_key, F, -1)
+    return _key_action(F, ((exterior.interior_key, -1),), lambda j, arr: F.grid.deriv(arr, j - 1))
 
 
 def laplacian_grid(F: FormField) -> FormField:
@@ -220,23 +225,13 @@ def dirac_grid(F: FormField) -> FormField:
 
 def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
     """Pointwise c (sign=-1) or ct (sign=+1) by a vector field given as a
-    list of n scalar arrays."""
-    g = F.grid
-    out = FormField(g)
-    for key, arr in F.data.items():
-        for j in range(1, g.n + 1):
-            comp = vec_components[j - 1]
-            if comp is None:
-                continue
-            hit = exterior.wedge_key(j, key)
-            if hit is not None:
-                merged, s = hit
-                out._acc(merged, s * comp * arr)
-            hit = exterior.interior_key(j, key)
-            if hit is not None:
-                reduced, s = hit
-                out._acc(reduced, sign * s * comp * arr)
-    return out
+    list of n scalars or arrays, None for a zero component."""
+
+    def coef(j, arr):
+        comp = vec_components[j - 1]
+        return None if comp is None else comp * arr
+
+    return _key_action(F, ((exterior.wedge_key, 1), (exterior.interior_key, sign)), coef)
 
 
 def gradient_components(g: FlatBandGrid, f: np.ndarray):
@@ -291,11 +286,6 @@ def green_residual_laplace(alpha: FormField, beta: FormField) -> float:
     return abs(lhs - mid + bdry)
 
 
-def hessian_components(g: FlatBandGrid, f: np.ndarray):
-    grads = gradient_components(g, f)
-    return [[g.deriv(grads[i], j) for j in range(g.n)] for i in range(g.n)]
-
-
 def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float:
     """Sup-norm over interior nodes (all but WEITZ_EDGE_NODES at each radial
     end) of the pointwise defect of
@@ -309,20 +299,16 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float:
     lhs = D_f_grid(D_f_grid(omega, f), f).pointwise_inner(omega)
     rhs = -laplacian_grid(omega).pointwise_inner(omega)
     grads = gradient_components(g, f)
-    hess = hessian_components(g, f)
+    hess = [[g.deriv(gr, j) for j in range(g.n)] for gr in grads]
     grad2 = sum(np.abs(gr) ** 2 for gr in grads)
     lapf = sum(hess[i][i] for i in range(g.n))
     norm2 = omega.pointwise_inner(omega).real
     rhs = rhs + (grad2 - lapf) * norm2
-    contr = []
-    for i in range(1, g.n + 1):
-        Fi = FormField(g)
-        for key, arr in omega.data.items():
-            hit = exterior.interior_key(i, key)
-            if hit is not None:
-                reduced, s = hit
-                Fi._acc(reduced, s * arr)
-        contr.append(Fi)
+    # contr[i - 1] = i_{e_i} omega: the key action keeps only j = i
+    contr = [
+        _key_action(omega, ((exterior.interior_key, 1),), lambda j, arr: arr if j == i else None)
+        for i in range(1, g.n + 1)
+    ]
     for i in range(g.n):
         for j in range(g.n):
             rhs = rhs + 2.0 * hess[i][j] * contr[i].pointwise_inner(contr[j])
@@ -395,7 +381,8 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     An index outside 1..n, an axis outside 0..n-1 or a coef that is not
     [re] or [re, im] is a ValueError.
     """
-    coords = grid.axes()
+    radial = np.linspace(0.0, grid.L, grid.N_r)
+    transverse = np.arange(grid.N_t) * grid.ht
     out = FormField(grid)
     for term in spec:
         coef = term.get("coef", [1.0, 0.0])
@@ -409,18 +396,18 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
             kind = fac.get("kind", "sin")
             freq = float(fac.get("freq", 1))
             phase = float(fac.get("phase", 0.0))
-            if axis == 0:
-                arg = math.pi * freq * coords[0] / grid.L + phase
-            else:
-                arg = 2.0 * math.pi * freq * coords[axis] + phase
-            if kind == "sin":
-                val = val * np.sin(arg)
-            elif kind == "cos":
-                val = val * np.cos(arg)
-            elif kind == "const":
-                pass
-            else:
+            if kind == "const":
+                continue
+            if kind not in ("sin", "cos"):
                 raise ValueError(f"unknown factor kind {kind!r}")
+            if axis == 0:
+                arg = math.pi * freq * radial / grid.L + phase
+            else:
+                arg = 2.0 * math.pi * freq * transverse + phase
+            # the factor on its own axis, broadcast against the others
+            val = val * (np.sin(arg) if kind == "sin" else np.cos(arg)).reshape(
+                [-1 if a == axis else 1 for a in range(grid.n)]
+            )
         hit = exterior.wedge_keys(_checked_key(grid.n, tuple(term["index"])))
         if hit is not None:
             key, sign = hit
@@ -453,25 +440,41 @@ def random_field(grid: FlatBandGrid, degree: int, rng, radial: bool = True) -> F
     return trig_field(grid, spec)
 
 
-def _paired_spec(g: FlatBandGrid, rng, degree: int, transverse: dict) -> list:
+def _paired_field(g: FlatBandGrid, rng, *degrees: int) -> FormField:
+    """One term per component of each degree: a random radial sine times
+    the transverse factor all study fields share."""
     spec = []
-    for key in combinations(range(1, g.n + 1), degree):
-        spec.append(
-            {
-                "index": list(key),
-                "coef": [float(rng.standard_normal()), float(rng.standard_normal())],
-                "factors": [
-                    {
-                        "axis": 0,
-                        "kind": "sin",
-                        "freq": float(rng.uniform(0.5, 2.0)),
-                        "phase": float(rng.uniform(0, 2 * math.pi)),
-                    },
-                    dict(transverse),
-                ],
-            }
-        )
-    return spec
+    for degree in degrees:
+        for key in combinations(range(1, g.n + 1), degree):
+            spec.append(
+                {"index": list(key),
+                 "coef": [float(rng.standard_normal()), float(rng.standard_normal())],
+                 "factors": [{"axis": 0, "kind": "sin", "freq": float(rng.uniform(0.5, 2.0)),
+                              "phase": float(rng.uniform(0, 2 * math.pi))},
+                             {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]}
+            )
+    return trig_field(g, spec)
+
+
+def _radial_twist(g: FlatBandGrid) -> np.ndarray:
+    X = g.axes()
+    return 0.4 * np.sin(math.pi * X[0] / g.L) + 0.2 * (X[0] / g.L) ** 2
+
+
+def _study(kind: str):
+    """(fields, residual) of a study kind.  The table is built per call, so
+    the residual is whatever the module binds under its name at that time."""
+    studies = {
+        "dirac": (lambda g, rng: (_paired_field(g, rng, 2), _paired_field(g, rng, 1, 3)),
+                  green_residual_dirac),
+        "laplace": (lambda g, rng: (_paired_field(g, rng, 2), _paired_field(g, rng, 2)),
+                    green_residual_laplace),
+        "weitzenboeck": (lambda g, rng: (_paired_field(g, rng, 2), _radial_twist(g)),
+                         twisted_weitzenboeck_residual),
+    }
+    if kind not in studies:
+        raise ValueError(f"unknown study kind {kind!r}")
+    return studies[kind]
 
 
 def paired_test_fields(grid: FlatBandGrid, rng, kind: str):
@@ -483,22 +486,7 @@ def paired_test_fields(grid: FlatBandGrid, rng, kind: str):
     a transversally varying twist would leave an O(h_t^2) floor under pure
     radial refinement.
     """
-    tf = {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}
-    if kind == "dirac":
-        alpha = trig_field(grid, _paired_spec(grid, rng, 2, tf))
-        beta = trig_field(grid, _paired_spec(grid, rng, 1, tf) + _paired_spec(grid, rng, 3, tf))
-        return alpha, beta
-    if kind == "laplace":
-        return (
-            trig_field(grid, _paired_spec(grid, rng, 2, tf)),
-            trig_field(grid, _paired_spec(grid, rng, 2, tf)),
-        )
-    if kind == "weitzenboeck":
-        omega = trig_field(grid, _paired_spec(grid, rng, 2, tf))
-        X = grid.axes()
-        f = 0.4 * np.sin(math.pi * X[0] / grid.L) + 0.2 * (X[0] / grid.L) ** 2
-        return omega, f
-    raise ValueError(f"unknown study kind {kind!r}")
+    return _study(kind)[0](grid, rng)
 
 
 def convergence_order(residuals, hs) -> list[float]:
@@ -513,23 +501,14 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
     """Residuals of one identity across radial refinements, aggregated over
     STUDY_DRAWS field draws (a single draw's h^2 coefficient can be small
     enough to bias the measured order).  Returns (residuals, hs, orders)."""
+    residual = _study(kind)[1]
     residuals, hs = [], []
     for N in N_rs:
         grid = FlatBandGrid(n, STUDY_L, int(N), N_t)
         total = 0.0
         for s in range(STUDY_DRAWS):
-            rng = np.random.default_rng(seed + 101 * s)
-            if kind == "weitzenboeck":
-                omega, f = paired_test_fields(grid, rng, kind)
-                total += twisted_weitzenboeck_residual(omega, f)
-            elif kind == "dirac":
-                alpha, beta = paired_test_fields(grid, rng, kind)
-                total += green_residual_dirac(alpha, beta)
-            elif kind == "laplace":
-                alpha, beta = paired_test_fields(grid, rng, kind)
-                total += green_residual_laplace(alpha, beta)
-            else:
-                raise ValueError(f"unknown study kind {kind!r}")
+            fields = paired_test_fields(grid, np.random.default_rng(seed + 101 * s), kind)
+            total += residual(*fields)
         residuals.append(total / STUDY_DRAWS)
         hs.append(grid.h)
     return residuals, hs, convergence_order(residuals, hs)

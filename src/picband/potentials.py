@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .reporting import Region, Report
 __all__ = [
     "FocalParams",
     "PiecewisePotential",
-    "GridSpec",
     "ChiCutoff",
     "BandwidthParams",
     "check_focal_regularity",
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 CONTINUITY_TOL = 1e-10
+FOCAL_GRID_POINTS = 10_001  # uniform samples of the focal sweep over [0, r_f]
 L_CHAIN_POINTS = 10_001  # arctan samples of check_L_chain
 
 
@@ -279,15 +278,6 @@ def check_focal_boundary(params: FocalParams) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    points: int = 10_001
-
-    def __post_init__(self):
-        if self.points < 10_000:
-            raise ValueError("grid must carry at least 10^4 points")
-
-
 IDENTITY_TOL = 1e-9
 IDENTITY_SAMPLES = 256
 BREAKPOINT_EPS = 1e-9  # the focal sweep also samples each breakpoint this far to either side
@@ -340,12 +330,7 @@ def _focal_margin(pot: PiecewisePotential, r_f: float, rho):
     return lhs, rhs, lhs - rhs
 
 
-def verify_focal_inequality(
-    params: FocalParams,
-    r_f: float,
-    grid: GridSpec = GridSpec(),
-    orientation: str = "N",
-) -> Report:
+def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = "N") -> Report:
     """Sweep the pointwise focal inequality over [0, r_f] and report the
     minimum margin in each of the three regions, plus the residual of the
     middle-piece identity -f'' + f'^2 / 2 = -(n-2) sigma / 4 (orientation D
@@ -359,7 +344,7 @@ def verify_focal_inequality(
     rhos = np.unique(
         np.concatenate(
             [
-                np.linspace(0.0, r_f, grid.points),
+                np.linspace(0.0, r_f, FOCAL_GRID_POINTS),
                 np.array([x1 - eps, x1 + eps, x2 - eps, x2 + eps]),
             ]
         )
@@ -386,7 +371,7 @@ def verify_focal_inequality(
             "lambda": p.lam,
             "lambda_bar": p.lam_bar,
             "r_f": r_f,
-            "grid_points": grid.points,
+            "grid_points": FOCAL_GRID_POINTS,
         },
         passed=bool(passed),
         tolerance=IDENTITY_TOL,
@@ -509,6 +494,8 @@ class BandwidthParams:
             raise ValueError("n must be even and at least 4")
         if self.sigma <= 0 or self.delta < 0 or self.Lambda < 0 or self.r_f <= 0 or self.L <= 0:
             raise ValueError("parameter out of range")
+        if self.r == 0.0:
+            raise ValueError(f"r = min(L, r_f) / 2 underflows to 0 (L = {self.L:g}, r_f = {self.r_f:g})")
 
     @property
     def r(self) -> float:
@@ -660,20 +647,6 @@ def hessian_form_bounds(H, omega, r_f: float, lam: float, rho: float) -> Report:
     )
 
 
-@lru_cache(maxsize=None)
-def _two_convex_ops(n: int) -> np.ndarray:
-    """P[i, j] = matrix of theta^i ^ i_{e_j}(.) on Lambda^2, i, j < n-1."""
-    m = n - 1
-    return np.einsum("iab,jbc->ijac", exterior.wedge_stack(n, 1)[:m], exterior.interior_stack(n, 2)[:m])
-
-
-@lru_cache(maxsize=None)
-def _n_minus_two_ops(n: int) -> np.ndarray:
-    """Q[i, j] = matrix of i_{e_i}(theta^j ^ (.)) on Lambda^2, i, j < n-1."""
-    m = n - 1
-    return np.einsum("iab,jbc->ijac", exterior.interior_stack(n, 3)[:m], exterior.wedge_stack(n, 2)[:m])
-
-
 def boundary_form_bounds(A, omega, mode: str) -> Report:
     """Check the boundary contraction inequality value >= -lambda |omega|^2
     for a tangential (two_convex) or normal (n_minus_two_convex) two-form,
@@ -695,7 +668,8 @@ def boundary_form_bounds(A, omega, mode: str) -> Report:
         raise ValueError("n_minus_two_convex mode needs a purely normal form")
     # least lambda >= 0 with every k-sum of eigenvalues of A >= -lambda
     lam = bands.k_convexity_defect(A, 2 if mode == "two_convex" else m - 1)
-    ops = _two_convex_ops(n) if mode == "two_convex" else _n_minus_two_ops(n)
+    # theta^i ^ i_{e_j} (two_convex) or i_{e_i} theta^j ^ on Lambda^2, i, j < n
+    ops = exterior.two_form_blocks(n)[mode != "two_convex"][:m, :m]
     w = exterior.form_to_vec(omega, 2)
     op = np.einsum("ij,ijab->ab", A, ops)
     value = float(np.real(np.conj(w) @ (op @ w)))

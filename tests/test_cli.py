@@ -163,13 +163,14 @@ def test_barrier_curve_past_oracle_step_limit_is_input_error(tmp_path, capsys, K
         assert "step limit" in capsys.readouterr().err
         assert not path.exists()
     else:
-        rows = list(csv.reader(path.open()))[1:]
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
         assert len(rows) == 3 and all(abs(float(row[3])) < 1e-9 for row in rows)
 
 
 EXTREME_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "-0.5", "0", "1e-308", "5e-324"]
 COMPARISON_PATHS = {
     ("verify", "comparison", "--draws", "3"): ("--draws", "--seed", "--tol"),
+    ("verify", "focal"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
     ("emit", "csv", "--curve", "barrier", "--points", "5"): ("--n", "--K", "--Lambda", "--rho-max"),
     ("emit", "csv", "--curve", "focal", "--points", "5"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
 }
@@ -186,14 +187,19 @@ def _exit_2_or_finite(argv, out):
     if code == 2:
         assert not out.exists(), argv
     elif argv[0] == "emit":
-        rows = list(csv.reader(out.open()))[1:]
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row), argv
     else:
         reports = json.loads(out.read_text())["report"]["reports"]
         assert all(isinstance(r["min_margin"], float) for rep in reports for r in rep["regions"]), argv
 
 
-@pytest.mark.parametrize("base", sorted(COMPARISON_PATHS), ids=lambda base: base[-3])
+def _path_id(base) -> str:
+    """comparison, barrier, focal (the emitted curve) and verify-focal."""
+    return base[-3] if len(base) > 2 else "-".join(base)
+
+
+@pytest.mark.parametrize("base", sorted(COMPARISON_PATHS), ids=_path_id)
 def test_comparison_paths_on_extreme_values(tmp_path, base):
     """NaN, infinities, huge, tiny and negative values in every flag."""
     for flag in COMPARISON_PATHS[base]:
@@ -214,6 +220,29 @@ def comparison_argv(draw):
 @given(comparison_argv())
 def test_comparison_paths_on_extreme_value_combinations(tmp_path_factory, argv):
     _exit_2_or_finite(argv, tmp_path_factory.mktemp("out") / "out")
+
+
+@pytest.mark.parametrize("flag", ["--rf", "--L"])
+def test_bandwidth_half_width_underflow_is_input_error(tmp_path, capsys, flag):
+    """r = min(L, r_f) / 2 is 0 at 5e-324; it used to divide by zero (exit 3)."""
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "bandwidth", flag, "5e-324", "--out", str(path)]) == 2
+    assert "underflows to 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_tol_only_on_the_suites_that_read_it(tmp_path):
+    for suite in sorted(cli.SUITES):
+        argv = ["verify", suite, "--tol", "1e-3"]
+        if suite in ("curvature", "weitzenboeck"):
+            assert cli.build_parser().parse_args(argv).tol == 1e-3
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2, suite
+        path = tmp_path / f"{suite}.json"
+        assert cli.main(["emit", "json", "--suite", suite, "--out", str(path)]) == 0
+        assert ("tol" in json.loads(path.read_text())) == (suite in ("curvature", "weitzenboeck"))
 
 
 def test_emit_config_template(tmp_path):

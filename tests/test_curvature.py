@@ -344,3 +344,11 @@ def test_loader_completes_symmetries():
     assert R.R[1, 0, 0, 1] == -1.0
     assert R.R[0, 1, 1, 0] == -1.0
     assert R.R[1, 0, 1, 0] == 1.0
+
+
+def test_sphere_line_product_is_the_product_tensor():
+    for n, kappa in ((4, 1.0), (5, 2.0), (6, 0.3)):
+        assert np.array_equal(C.sphere_line_product(n, kappa).R, product_tensor(n, kappa).R)
+    R = C.sphere_line_product(5, 2.0)
+    assert C.sectional(R, 1, 2) == C.sectional(R, 3, 4) == 2.0
+    assert C.sectional(R, 1, 5) == C.sectional(R, 4, 5) == 0.0

@@ -211,3 +211,15 @@ def test_stacks_match_form_operators(n):
             I = E.operator_matrix(lambda a: E.interior(eye[j - 1], a), n, k, k - 1)
             assert np.array_equal(E.wedge_stack(n, k)[j - 1], W)
             assert np.array_equal(E.interior_stack(n, k)[j - 1], I)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_two_form_blocks_are_the_composed_operators(n):
+    P, Q = E.two_form_blocks(n)
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            wi = E.operator_matrix(lambda a: E.wedge(E.basis_form(n, i + 1), E.interior(eye[j], a)), n, 2, 2)
+            iw = E.operator_matrix(lambda a: E.interior(eye[i], E.wedge(E.basis_form(n, j + 1), a)), n, 2, 2)
+            assert np.array_equal(P[i, j], wi) and np.array_equal(Q[i, j], iw)
+    assert not P.flags.writeable and not Q.flags.writeable

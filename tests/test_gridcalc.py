@@ -238,3 +238,116 @@ def test_form_field_rejects_out_of_range_index():
     g = grid()
     with pytest.raises(ValueError, match="out of range"):
         G.FormField(g, {(g.n + 1,): np.ones(g.shape)})
+
+
+# -- the key action against the loops it replaced --------------------------
+
+
+def _loop_derivative_sum(key_op, F, scale):
+    """Transcription of the per-operator loop d_grid and dstar_grid used."""
+    g = F.grid
+    out = G.FormField(g)
+    for key, arr in F.data.items():
+        for j in range(1, g.n + 1):
+            hit = key_op(j, key)
+            if hit is None:
+                continue
+            moved, sign = hit
+            out._acc(moved, scale * sign * g.deriv(arr, j - 1))
+    return out
+
+
+def _loop_clifford_field(vec_components, F, sign):
+    """Transcription of the per-operator loop of _clifford_field."""
+    g = F.grid
+    out = G.FormField(g)
+    for key, arr in F.data.items():
+        for j in range(1, g.n + 1):
+            comp = vec_components[j - 1]
+            if comp is None:
+                continue
+            hit = E.wedge_key(j, key)
+            if hit is not None:
+                merged, s = hit
+                out._acc(merged, s * comp * arr)
+            hit = E.interior_key(j, key)
+            if hit is not None:
+                reduced, s = hit
+                out._acc(reduced, sign * s * comp * arr)
+    return out
+
+
+def _loop_contractions(omega):
+    """Transcription of the contraction loop of twisted_weitzenboeck_residual."""
+    g = omega.grid
+    contr = []
+    for i in range(1, g.n + 1):
+        Fi = G.FormField(g)
+        for key, arr in omega.data.items():
+            hit = E.interior_key(i, key)
+            if hit is not None:
+                reduced, s = hit
+                Fi._acc(reduced, s * arr)
+        contr.append(Fi)
+    return contr
+
+
+def _assert_same_field(a, b):
+    assert list(a.data) == list(b.data)
+    for key in a.data:
+        assert np.array_equal(a.data[key], b.data[key]), key
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_key_action_matches_the_loops_it_replaced(n):
+    g = grid(N_r=8, N_t=4, n=n)
+    rng = np.random.default_rng(40 + n)
+    for k in range(n + 1):
+        F = G.random_field(g, k, rng) + G.random_field(g, min(k + 1, n), rng)
+        _assert_same_field(G.d_grid(F), _loop_derivative_sum(E.wedge_key, F, 1))
+        _assert_same_field(G.dstar_grid(F), _loop_derivative_sum(E.interior_key, F, -1))
+        zeros = np.where(rng.random(g.shape) < 0.5, 0.0, rng.standard_normal(g.shape))
+        scalars = [float(rng.standard_normal()) for _ in range(n)]
+        mixed = ([zeros, None, 0.0, -1.5] + scalars)[:n]
+        for vec in (scalars, [None] * n, mixed, [rng.standard_normal(g.shape) + 0j for _ in range(n)]):
+            for sign in (-1, 1):
+                _assert_same_field(G._clifford_field(vec, F, sign), _loop_clifford_field(vec, F, sign))
+        expected = _loop_contractions(F)
+        contr = [G._key_action(F, ((E.interior_key, 1),), lambda j, arr: arr if j == i else None)
+                 for i in range(1, n + 1)]
+        for a, b in zip(contr, expected):
+            _assert_same_field(a, b)
+
+
+def test_convergence_study_calls_the_module_residual(monkeypatch):
+    calls = []
+    original = G.green_residual_dirac
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(G, "green_residual_dirac", counting)
+    G.convergence_study("dirac", (12, 16))
+    assert len(calls) == 2 * G.STUDY_DRAWS
+    with pytest.raises(ValueError, match="unknown study kind"):
+        G.convergence_study("heat", (12, 16))
+    with pytest.raises(ValueError, match="unknown study kind"):
+        G.paired_test_fields(grid(), np.random.default_rng(0), "heat")
+
+
+def test_trig_field_factors_match_the_meshgrid():
+    g = grid(N_r=10, N_t=5)
+    X = g.axes()
+    spec = [{"index": [1, 3], "coef": [0.3, -1.2],
+             "factors": [{"axis": 0, "kind": "cos", "freq": 1.7, "phase": 0.2},
+                         {"axis": 2, "kind": "sin", "freq": 2, "phase": 0.4},
+                         {"axis": 3, "kind": "const"},
+                         {"axis": 1, "kind": "cos", "freq": 1, "phase": 1.1}]}]
+    expected = complex(0.3, -1.2) * np.ones(g.shape, dtype=complex)
+    expected = expected * np.cos(math.pi * 1.7 * X[0] / g.L + 0.2)
+    expected = expected * np.sin(2.0 * math.pi * 2.0 * X[2] + 0.4)
+    expected = expected * np.cos(2.0 * math.pi * 1.0 * X[1] + 1.1)
+    assert np.array_equal(G.trig_field(g, spec).data[(1, 3)], expected)
+    with pytest.raises(ValueError, match="unknown factor kind"):
+        G.trig_field(g, [{"index": [1], "factors": [{"axis": 1, "kind": "tan"}]}])

@@ -96,6 +96,7 @@ def test_focal_inequality_regions(params):
     assert abs(by_name["rho_above_half_rf"] - 0.5 * (params.n - 2) * params.sigma) < 1e-12
     assert all(m > 0 for m in by_name.values())
     assert rep.details["middle_identity_residual"] <= 1e-9
+    assert rep.params["grid_points"] == P.FOCAL_GRID_POINTS == 10_001
 
 
 def test_focal_inequality_middle_identity(params):
@@ -114,8 +115,6 @@ def test_focal_inequality_orientation_d(params):
 def test_focal_inequality_precondition(params):
     with pytest.raises(ValueError):
         P.verify_focal_inequality(params, 17.0)
-    with pytest.raises(ValueError):
-        P.verify_focal_inequality(params, 18.01, grid=P.GridSpec(points=100))
 
 
 def test_chi_cutoff_properties():

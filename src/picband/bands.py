@@ -36,7 +36,7 @@ __all__ = [
 
 
 class _NaturalCubic:
-    """Natural cubic spline through (xs, ys); evaluates value and two
+    """Natural cubic spline through (xs, ys) with its first two
     derivatives.  Plain tridiagonal solve, no external dependency."""
 
     def __init__(self, xs, ys):
@@ -62,76 +62,46 @@ class _NaturalCubic:
         self.M = np.linalg.solve(A, rhs)  # second derivatives at the knots
         self.xs, self.ys, self.h = xs, ys, h
 
-    def _segment(self, r: float) -> int:
-        return int(np.clip(np.searchsorted(self.xs, r) - 1, 0, len(self.xs) - 2))
-
-    def value(self, r: float) -> float:
-        i = self._segment(r)
+    def jet(self, r: float):
+        """(value, first, second derivative) at r; past the end knots the
+        end segment's cubic is extended."""
+        i = int(np.clip(np.searchsorted(self.xs, r) - 1, 0, len(self.xs) - 2))
         x0, x1, h = self.xs[i], self.xs[i + 1], self.h[i]
+        y0, y1, M0, M1 = self.ys[i], self.ys[i + 1], self.M[i], self.M[i + 1]
         a, b = (x1 - r) / h, (r - x0) / h
         return (
-            a * self.ys[i]
-            + b * self.ys[i + 1]
-            + ((a**3 - a) * self.M[i] + (b**3 - b) * self.M[i + 1]) * h * h / 6.0
+            a * y0 + b * y1 + ((a**3 - a) * M0 + (b**3 - b) * M1) * h * h / 6.0,
+            (y1 - y0) / h + (-(3.0 * a**2 - 1.0) * M0 + (3.0 * b**2 - 1.0) * M1) * h / 6.0,
+            a * M0 + b * M1,
         )
 
-    def deriv(self, r: float) -> float:
-        i = self._segment(r)
-        x0, x1, h = self.xs[i], self.xs[i + 1], self.h[i]
-        a, b = (x1 - r) / h, (r - x0) / h
-        return (self.ys[i + 1] - self.ys[i]) / h + (
-            -(3.0 * a**2 - 1.0) * self.M[i] + (3.0 * b**2 - 1.0) * self.M[i + 1]
-        ) * h / 6.0
 
-    def second(self, r: float) -> float:
-        i = self._segment(r)
-        x0, x1, h = self.xs[i], self.xs[i + 1], self.h[i]
-        a, b = (x1 - r) / h, (r - x0) / h
-        return a * self.M[i] + b * self.M[i + 1]
+# kind -> ((scale, r) -> (phi, phi', phi''), natural floor: the smallest
+# radius the profile extends to with phi > 0).  Exact-zero derivatives are
+# 0.0 literals, not scaled: a negative scale must not turn them into -0.0.
+_CLOSED_FORMS = {
+    "const": (lambda s, r: (s, 0.0, 0.0), -math.inf),
+    "sin": (lambda s, r: (s * math.sin(r), s * math.cos(r), -s * math.sin(r)), 0.0),
+    "linear": (lambda s, r: (s * r, s, 0.0), 0.0),
+}
 
 
 class WarpProfile:
-    """Closed-form (or tabulated) warping with phi, phi', phi''."""
+    """Closed-form (or tabulated) warping; jet(r) gives (phi, phi', phi'').
+    The scale multiplies the closed forms; a table is taken as given."""
 
     def __init__(self, kind: str, scale: float = 1.0, xs=None, values=None):
-        if kind not in ("const", "sin", "linear", "table"):
+        if kind not in _CLOSED_FORMS and kind != "table":
             raise ValueError(f"unknown warp kind {kind!r}")
         self.kind = kind
         self.scale = scale
         self._spline = _NaturalCubic(xs, values) if kind == "table" else None
+        self.natural_floor = float(self._spline.xs[0]) if kind == "table" else _CLOSED_FORMS[kind][1]
 
-    def __call__(self, r: float) -> float:
-        if self.kind == "const":
-            return self.scale
-        if self.kind == "sin":
-            return self.scale * math.sin(r)
-        if self.kind == "table":
-            return self._spline.value(r)
-        return self.scale * r
-
-    def d1(self, r: float) -> float:
-        if self.kind == "const":
-            return 0.0
-        if self.kind == "sin":
-            return self.scale * math.cos(r)
-        if self.kind == "table":
-            return self._spline.deriv(r)
-        return self.scale
-
-    def d2(self, r: float) -> float:
-        if self.kind == "sin":
-            return -self.scale * math.sin(r)
-        if self.kind == "table":
-            return self._spline.second(r)
-        return 0.0
-
-    def natural_floor(self) -> float:
-        """Smallest radius the profile extends to with phi > 0."""
-        if self.kind == "const":
-            return -math.inf
-        if self.kind == "table":
-            return float(self._spline.xs[0])
-        return 0.0
+    def jet(self, r: float):
+        if self._spline is not None:
+            return self._spline.jet(r)
+        return _CLOSED_FORMS[self.kind][0](self.scale, r)
 
 
 @dataclass(frozen=True)
@@ -147,12 +117,12 @@ class WarpedBand:
         if not (self.r0 < self.r1):
             raise ValueError("need r0 < r1")
         for r in np.linspace(self.r0, self.r1, 64):
-            if self.phi(float(r)) <= 0:
+            if self.phi.jet(float(r))[0] <= 0:
                 raise ValueError(f"warping must stay positive on the band, fails at r = {r}")
 
     def sectionals_at(self, r: float):
         """(sphere-sphere, radial-sphere) sectional curvatures."""
-        p, dp, ddp = self.phi(r), self.phi.d1(r), self.phi.d2(r)
+        p, dp, ddp = self.phi.jet(r)
         return (1.0 - dp * dp) / (p * p), -ddp / p
 
 
@@ -206,7 +176,8 @@ def boundary_shape(B: WarpedBand, end: str) -> np.ndarray:
         r, s = B.r0, -1.0
     else:
         raise ValueError("end must be 'lower' or 'upper'")
-    return s * (B.phi.d1(r) / B.phi(r)) * np.eye(B.n - 1)
+    p, dp, _ = B.phi.jet(r)
+    return s * (dp / p) * np.eye(B.n - 1)
 
 
 def k_convexity_defect(A, k: int) -> float:
@@ -229,25 +200,20 @@ def focal_radius_model(B: WarpedBand, end: str):
     by the Riccati oracle seeded with the boundary shape operator.
 
     Returns (focal_radius, capped): capped is True when no focal point was
-    found before the model geometry runs out (then the horizon distance is
-    returned, the band width for non-extendable warpings).
+    found before the model geometry runs out.  The horizon returned then is
+    the distance from the upper end down to the profile's natural floor, or
+    the band width at the lower end and for the constant profile.
     """
     r_end = B.r1 if end == "upper" else B.r0
     direction = -1.0 if end == "upper" else 1.0  # inward radial motion
-    floor = B.phi.natural_floor()
-    if end == "upper":
-        horizon = r_end - max(B.r0 if B.phi.kind == "const" else floor, floor)
-        if not math.isfinite(horizon):
-            horizon = width(B)
+    if end == "upper" and B.phi.kind != "const":
+        horizon = r_end - B.phi.natural_floor
     else:
         horizon = width(B)
 
     def radial_curvature(rho):
-        r = r_end + direction * rho
-        p = B.phi(r)
-        if p <= 0:
-            return 0.0
-        return -B.phi.d2(r) / p
+        p, _, ddp = B.phi.jet(r_end + direction * rho)
+        return 0.0 if p <= 0 else -ddp / p
 
     A0 = boundary_shape(B, end)
     model = comparison.RotSymModel(n=B.n, A0=A0, radial_curvature=radial_curvature)

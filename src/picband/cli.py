@@ -259,12 +259,14 @@ def suite_bandwidth(args):
     reports = [potentials.verify_bandwidth_margin(p), potentials.check_L_chain(p.n, p.sigma, p.delta)]
     chi = potentials.ChiCutoff()
     xs = np.linspace(0.0, 2.0, 10_001)
+    c, cp, cpp = chi.jet(xs)
+    low = xs <= 0.5
     chi_ok = (
-        float(np.max(np.abs(chi.chi(xs[xs <= 0.5]) + xs[xs <= 0.5]))) < 1e-12
-        and float(chi.chipp(xs).min()) >= 0.0
-        and float(chi.chipp(xs).max()) <= 4.0
-        and float(chi.chip(xs).min()) >= -1.0
-        and float(chi.chip(xs).max()) <= 0.0
+        float(np.max(np.abs(c[low] + xs[low]))) < 1e-12
+        and float(cpp.min()) >= 0.0
+        and float(cpp.max()) <= 4.0
+        and float(cp.min()) >= -1.0
+        and float(cp.max()) <= 0.0
     )
     reports.append(
         Report(
@@ -272,7 +274,7 @@ def suite_bandwidth(args):
             params={"plateau_end": chi.plateau_end},
             passed=chi_ok,
             tolerance=1e-12,
-            regions=[Region("chi_second_deriv_headroom", 4.0 - float(chi.chipp(xs).max()))],
+            regions=[Region("chi_second_deriv_headroom", 4.0 - float(cpp.max()))],
             details={"c_plateau": chi.c_plateau},
         )
     )
@@ -550,7 +552,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         # one overflow policy for every command: finite flags that overflow
-        # or make a NaN inside numpy are an input error, not a result
+        # or make a NaN inside numpy, and integer flags past the float range
+        # (OverflowError), are an input error, not a result
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "verify":
                 return run_suite(args)
@@ -558,7 +561,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"error: the computation is not finite at these inputs: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:

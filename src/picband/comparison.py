@@ -300,28 +300,19 @@ def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
 # -- reduced index form -------------------------------------------------
 
 
-def index_form(profile, p: ComparisonParams, derivative=None) -> float:
+def index_form(jet, p: ComparisonParams) -> float:
     """Composite-Simpson value (SIMPSON_PANELS panels) of the reduced second-variation functional
 
         int_0^1 ((n-1) f'^2 + (n-1) K rho^2 f^2) dt + f(0)^2 Lambda rho
 
-    over profiles with f(1) = 1.  ``derivative`` may be supplied; a central
-    difference is used otherwise.
+    over profiles with f(1) = 1, given as jet(t) = (f(t), f'(t)).
     """
-    f = profile
-    if abs(f(1.0) - 1.0) > 1e-9:
-        raise ValueError(f"profile must satisfy f(1) = 1, got {f(1.0)}")
-    if derivative is None:
-        eps = 1e-6
-
-        def derivative(t):
-            a, b = max(0.0, t - eps), min(1.0, t + eps)
-            return (f(b) - f(a)) / (b - a)
-
+    f1 = jet(1.0)[0]
+    if abs(f1 - 1.0) > 1e-9:
+        raise ValueError(f"profile must satisfy f(1) = 1, got {f1}")
     m = p.n - 1
     ts = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
-    fv = np.array([f(t) for t in ts])
-    dv = np.array([derivative(t) for t in ts])
+    fv, dv = np.array([jet(t) for t in ts]).T
     integrand = m * dv**2 + m * p.K * p.rho**2 * fv**2
     wts = np.ones(SIMPSON_PANELS + 1)
     wts[1:-1:2] = 4.0
@@ -331,39 +322,21 @@ def index_form(profile, p: ComparisonParams, derivative=None) -> float:
 
 
 def optimal_index_profile(p: ComparisonParams):
-    """The sinh/cosh minimiser of the reduced functional; returns (f, f')."""
+    """The sinh/cosh minimiser of the reduced functional; returns t -> (f(t), f'(t))."""
     lam = math.sqrt(p.K) * p.rho
     if p.K < K_FLAT_EPS:
         # flat limit: linear profile (Lambda rho t + (n-1)) / (Lambda rho + (n-1))
         m = p.n - 1
         den = p.Lambda * p.rho + m
-
-        def f(t):
-            return (p.Lambda * p.rho * t + m) / den
-
-        def fp(t):
-            return p.Lambda * p.rho / den
-
-        return f, fp
+        return lambda t: ((p.Lambda * p.rho * t + m) / den, p.Lambda * p.rho / den)
     if p.Lambda == 0:
-
-        def f(t):
-            return math.cosh(lam * t) / math.cosh(lam)
-
-        def fp(t):
-            return lam * math.sinh(lam * t) / math.cosh(lam)
-
-        return f, fp
+        return lambda t: (math.cosh(lam * t) / math.cosh(lam), lam * math.sinh(lam * t) / math.cosh(lam))
     mu = (p.n - 1) * math.sqrt(p.K) / p.Lambda
     den = math.sinh(lam) + mu * math.cosh(lam)
-
-    def f(t):
-        return (math.sinh(lam * t) + mu * math.cosh(lam * t)) / den
-
-    def fp(t):
-        return lam * (math.cosh(lam * t) + mu * math.sinh(lam * t)) / den
-
-    return f, fp
+    return lambda t: (
+        (math.sinh(lam * t) + mu * math.cosh(lam * t)) / den,
+        lam * (math.cosh(lam * t) + mu * math.sinh(lam * t)) / den,
+    )
 
 
 def barrier_curve_rows(p: ComparisonParams, rhos) -> list[tuple[float, float, float, float]]:

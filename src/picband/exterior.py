@@ -184,18 +184,12 @@ def basis_form(n: int, *indices) -> FormElement:
 def inner(a: FormElement, b: FormElement) -> complex:
     """Hermitian inner product, linear in the first slot."""
     a._check(b)
-    small, big = (a.coeffs, b.coeffs) if len(a.coeffs) < len(b.coeffs) else (b.coeffs, a.coeffs)
+    ca, cb = a.coeffs, b.coeffs
+    small, big = (ca, cb) if len(ca) < len(cb) else (cb, ca)
     total = 0.0
-    if small is a.coeffs:
-        for k, v in small.items():
-            w = big.get(k)
-            if w is not None:
-                total += v * w.conjugate()
-    else:
-        for k, w in small.items():
-            v = big.get(k)
-            if v is not None:
-                total += v * w.conjugate()
+    for k in small:
+        if k in big:
+            total += ca[k] * cb[k].conjugate()
     return complex(total)
 
 

@@ -141,7 +141,7 @@ _NO_CHAINS.flags.writeable = False
 
 
 def exact_rank(M: np.ndarray) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
+    """Rank over the rationals by Gaussian elimination in exact Fraction arithmetic."""
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
     rank = 0
     ncols = len(rows[0]) if rows else 0

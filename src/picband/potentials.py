@@ -134,43 +134,26 @@ class PiecewisePotential:
         self.breakpoints = (params.break1, params.break2)
         self._validate()
 
-    # vectorised closed forms; s = +1 gives the N orientation
-    def value(self, rho):
-        p, s = self.params, self.sign
-        rho = np.asarray(rho, dtype=float)
-        u = _safe_mid_arg(p.beta * (rho - p.rho_sigma + p.rho_lambda))
-        lin = -p.slope_a * (rho - p.rho_sigma + p.rho_lambda - 1.0 / p.lam_bar) + p.offset_b
-        mid = -2.0 * np.log(np.sin(u))
-        out = np.select(
-            [rho <= self.breakpoints[0], rho <= self.breakpoints[1]], [lin, mid], default=0.0
-        )
-        return s * out
+    def jet(self, rho):
+        """(f, f', f'') at rho, vectorised; s = +1 gives the N orientation.
 
-    def deriv(self, rho):
+        At a breakpoint each component is its left value; probe rho +- eps
+        for the one-sided limits.  The linear piece is evaluated no further
+        right than its breakpoint: np.select computes every piece at every
+        rho, and the unselected line must not overflow far out.
+        """
         p, s = self.params, self.sign
         rho = np.asarray(rho, dtype=float)
+        x1, x2 = self.breakpoints
         u = _safe_mid_arg(p.beta * (rho - p.rho_sigma + p.rho_lambda))
-        mid = -2.0 * p.beta / np.tan(u)
-        out = np.select(
-            [rho <= self.breakpoints[0], rho <= self.breakpoints[1]],
-            [np.full_like(rho, -p.slope_a), mid],
-            default=0.0,
+        lin = (
+            -p.slope_a * (np.minimum(rho, x1) - p.rho_sigma + p.rho_lambda - 1.0 / p.lam_bar) + p.offset_b,
+            np.full_like(rho, -p.slope_a),
+            np.zeros_like(rho),
         )
-        return s * out
-
-    def second(self, rho):
-        """f'' taken piecewise; at a breakpoint this is the left value, use
-        rho +- eps to probe the one-sided limits."""
-        p, s = self.params, self.sign
-        rho = np.asarray(rho, dtype=float)
-        u = _safe_mid_arg(p.beta * (rho - p.rho_sigma + p.rho_lambda))
-        mid = 2.0 * p.beta**2 / np.sin(u) ** 2
-        out = np.select(
-            [rho <= self.breakpoints[0], rho <= self.breakpoints[1]],
-            [np.zeros_like(rho), mid],
-            default=0.0,
-        )
-        return s * out
+        mid = (-2.0 * np.log(np.sin(u)), -2.0 * p.beta / np.tan(u), 2.0 * p.beta**2 / np.sin(u) ** 2)
+        conds = [rho <= x1, rho <= x2]
+        return tuple(s * np.select(conds, [a, b], default=0.0) for a, b in zip(lin, mid))
 
     def one_sided_limits(self):
         """Exact one-sided (value, slope) limits at both breakpoints.
@@ -209,7 +192,7 @@ class PiecewisePotential:
             )
         x2 = self.breakpoints[1]
         rhos = np.linspace(0.0, x2 * 1.05, 512)
-        fp = self.sign * self.deriv(rhos)  # N orientation view
+        fp = self.sign * self.jet(rhos)[1]  # N orientation view
         scale = max(1.0, self.params.slope_a)
         if fp.max() > 1e-12 or fp.min() < -self.params.slope_a - 1e-9 * scale:
             raise ValueError("slope leaves the interval [-a, 0]")
@@ -317,8 +300,7 @@ def _middle_identity_residual(p: FocalParams, interval) -> float:
 def _focal_margin(pot: PiecewisePotential, r_f: float, rho):
     p = pot.params
     rho = np.asarray(rho, dtype=float)
-    fp = pot.deriv(rho)
-    fpp = pot.second(rho)
+    _, fp, fpp = pot.jet(rho)
     drift = (p.n - 1) * p.lam / ((p.n - 1) + p.lam * rho)
     if pot.orientation == "N":
         c = drift + 4.0 * (p.n - 2) / r_f
@@ -422,60 +404,42 @@ class ChiCutoff:
         self.c_plateau = self._v_x1 - h * e * e / 6.0
         self.breakpoints = (0.5, x0, x1, plateau_end)
 
-    def chi(self, x):
+    def jet(self, x):
+        """(chi, chi', chi'') at x, vectorised."""
         x = np.asarray(x, dtype=float)
         h, e, p = self.height, self.ramp, self.plateau_end
         x0, x1 = self._x0, self._x1
-        ramp_up = -x + h * (x - 0.5) ** 3 / (6.0 * e)
-        mid = self._v_x0 + self._dp_x0 * (x - x0) + 0.5 * h * (x - x0) ** 2
-        down = self.c_plateau + (h / (6.0 * e)) * (p - x) ** 3
-        return np.select(
-            [x <= 0.5, x <= x0, x <= x1, x <= p],
-            [-x, ramp_up, mid, down],
-            default=self.c_plateau,
-        )
-
-    def chip(self, x):
-        x = np.asarray(x, dtype=float)
-        h, e, p = self.height, self.ramp, self.plateau_end
-        x0, x1 = self._x0, self._x1
-        return np.select(
-            [x <= 0.5, x <= x0, x <= x1, x <= p],
-            [
-                np.full_like(x, -1.0),
-                -1.0 + h * (x - 0.5) ** 2 / (2.0 * e),
-                self._dp_x0 + h * (x - x0),
-                -(h / (2.0 * e)) * (p - x) ** 2,
-            ],
-            default=0.0,
-        )
-
-    def chipp(self, x):
-        x = np.asarray(x, dtype=float)
-        h, e, p = self.height, self.ramp, self.plateau_end
-        x0, x1 = self._x0, self._x1
-        return np.select(
-            [x <= 0.5, x <= x0, x <= x1, x <= p],
-            [np.zeros_like(x), h * (x - 0.5) / e, np.full_like(x, h), h * (p - x) / e],
-            default=0.0,
+        conds = [x <= 0.5, x <= x0, x <= x1, x <= p]
+        value = [
+            -x,
+            -x + h * (x - 0.5) ** 3 / (6.0 * e),
+            self._v_x0 + self._dp_x0 * (x - x0) + 0.5 * h * (x - x0) ** 2,
+            self.c_plateau + (h / (6.0 * e)) * (p - x) ** 3,
+        ]
+        slope = [
+            np.full_like(x, -1.0),
+            -1.0 + h * (x - 0.5) ** 2 / (2.0 * e),
+            self._dp_x0 + h * (x - x0),
+            -(h / (2.0 * e)) * (p - x) ** 2,
+        ]
+        second = [np.zeros_like(x), h * (x - 0.5) / e, np.full_like(x, h), h * (p - x) / e]
+        return (
+            np.select(conds, value, default=self.c_plateau),
+            np.select(conds, slope, default=0.0),
+            np.select(conds, second, default=0.0),
         )
 
 
 def bandwidth_potential(chi: ChiCutoff, r: float, delta: float):
-    """f(rho) = r delta chi(rho / r); returns (f, f', f'') callables."""
+    """f(rho) = r delta chi(rho / r); returns rho -> (f, f', f'')."""
     if r <= 0 or delta < 0:
         raise ValueError("need r > 0 and delta >= 0")
 
-    def f(rho):
-        return r * delta * chi.chi(np.asarray(rho) / r)
+    def jet(rho):
+        c, cp, cpp = chi.jet(np.asarray(rho) / r)
+        return r * delta * c, delta * cp, (delta / r) * cpp
 
-    def fp(rho):
-        return delta * chi.chip(np.asarray(rho) / r)
-
-    def fpp(rho):
-        return (delta / r) * chi.chipp(np.asarray(rho) / r)
-
-    return f, fp, fpp
+    return jet
 
 
 @dataclass(frozen=True)
@@ -546,6 +510,8 @@ def verify_bandwidth_margin(p: BandwidthParams) -> Report:
         lower = 0.5 * (n - 2) * sig - 2.0 * (n + 1) * d / r - 2.0 * d * d
     else:
         lower = 0.5 * (n - 2) * sig - 2.0 * (n - 1) * d * Lam - 4.0 * d / r - 2.0 * d * d
+    if not (math.isfinite(mu) and math.isfinite(lower)):
+        raise ValueError(f"the bandwidth margin is not finite: mu = {mu}, case bound = {lower}")
     case_ok = mu >= lower - 1e-12
 
     passed = mu > 0 and all(hypotheses.values()) and case_ok

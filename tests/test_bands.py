@@ -175,7 +175,7 @@ def test_table_profile_tracks_closed_form():
         "r1": 1.4,
     }
     B2 = BD.load_band_json(doc)
-    assert abs(B2.phi(1.0) - math.sin(1.0)) < 1e-6
+    assert abs(B2.phi.jet(1.0)[0] - math.sin(1.0)) < 1e-6
 
 
 def test_table_profile_validation():

@@ -171,6 +171,7 @@ EXTREME_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "-0.5", "0", "1
 COMPARISON_PATHS = {
     ("verify", "comparison", "--draws", "3"): ("--draws", "--seed", "--tol"),
     ("verify", "focal"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
+    ("verify", "bandwidth"): ("--n", "--sigma", "--delta", "--Lambda", "--rf", "--L"),
     ("emit", "csv", "--curve", "barrier", "--points", "5"): ("--n", "--K", "--Lambda", "--rho-max"),
     ("emit", "csv", "--curve", "focal", "--points", "5"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
 }
@@ -178,12 +179,14 @@ COMPARISON_PATHS = {
 
 def _exit_2_or_finite(argv, out):
     """Run argv in process: a usage or input error (exit 2) writes nothing,
-    a run (exit 0) writes only finite numbers; anything else is a defect."""
+    a run (exit 0) writes only finite numbers; anything else is a defect.
+    verify bandwidth may also fail (exit 1): --Lambda 1e308 or --sigma
+    1e-308 give a finite negative margin, and the margins must be finite."""
     try:
         code = cli.main([*argv, "--out", str(out)])
     except SystemExit as exc:
         code = exc.code
-    assert code in (0, 2), argv
+    assert code in ((0, 1, 2) if argv[:2] == ["verify", "bandwidth"] else (0, 2)), argv
     if code == 2:
         assert not out.exists(), argv
     elif argv[0] == "emit":
@@ -195,7 +198,7 @@ def _exit_2_or_finite(argv, out):
 
 
 def _path_id(base) -> str:
-    """comparison, barrier, focal (the emitted curve) and verify-focal."""
+    """comparison, barrier, focal (the emitted curve), verify-focal and verify-bandwidth."""
     return base[-3] if len(base) > 2 else "-".join(base)
 
 
@@ -228,6 +231,25 @@ def test_bandwidth_half_width_underflow_is_input_error(tmp_path, capsys, flag):
     path = tmp_path / "r.json"
     assert cli.main(["verify", "bandwidth", flag, "5e-324", "--out", str(path)]) == 2
     assert "underflows to 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "bandwidth"],
+        ["verify", "focal"],
+        ["verify", "identities"],
+        ["emit", "csv", "--curve", "focal"],
+        ["emit", "csv", "--curve", "barrier"],
+    ],
+    ids=lambda c: f"{c[0]}-{c[-1]}",
+)
+def test_dimension_past_float_range_is_input_error(tmp_path, capsys, command):
+    """--n 10**400 raised OverflowError (int to float), an internal error (exit 3)."""
+    path = tmp_path / "out"
+    assert cli.main([*command, "--n", str(10**400), "--out", str(path)]) == 2
+    assert "not finite" in capsys.readouterr().err
     assert not path.exists()
 
 

@@ -256,14 +256,13 @@ def test_riccati_sphere_profile_conjugate_point():
 
 def test_index_form_constant_profile():
     p = B.ComparisonParams(3, 0.0, 0.8, 1.3)
-    assert abs(B.index_form(lambda t: 1.0, p, lambda t: 0.0) - 0.8 * 1.3) < 1e-12
+    assert abs(B.index_form(lambda t: (1.0, 0.0), p) - 0.8 * 1.3) < 1e-12
 
 
 def test_index_form_optimizer_matches_barrier():
     for n, K, lam, rho in ((3, 1.0, 1.0, 1.0), (5, 2.0, 0.5, 0.7), (4, 0.0, 1.5, 0.9)):
         p = B.ComparisonParams(n, K, lam, rho)
-        f, fp = B.optimal_index_profile(p)
-        value = B.index_form(f, p, fp)
+        value = B.index_form(B.optimal_index_profile(p), p)
         target = rho * B.laplace_upper_negative_boundary(p)
         assert abs(value - target) < 1e-6
 
@@ -275,26 +274,27 @@ def test_index_form_optimizer_beats_linear(rng):
         lam = float(rng.uniform(0.05, 3.0))
         rho = float(rng.uniform(0.1, 2.0))
         p = B.ComparisonParams(n, K, lam, rho)
-        f, fp = B.optimal_index_profile(p)
-        assert B.index_form(f, p, fp) <= B.index_form(lambda t: t, p, lambda t: 1.0) + 1e-9
+        assert B.index_form(B.optimal_index_profile(p), p) <= B.index_form(lambda t: (t, 1.0), p) + 1e-9
 
 
 def test_index_form_first_order_optimality(rng):
     p = B.ComparisonParams(4, 1.3, 0.9, 1.1)
-    f, fp = B.optimal_index_profile(p)
-    base = B.index_form(f, p, fp)
+    jet = B.optimal_index_profile(p)
+    base = B.index_form(jet, p)
     for _ in range(10):
         a = float(rng.uniform(-0.2, 0.2))
         k = int(rng.integers(1, 4))
-        pert = lambda t: f(t) + a * math.sin(math.pi * k * (1.0 - t))
-        pert_p = lambda t: fp(t) - a * math.pi * k * math.cos(math.pi * k * (1.0 - t))
-        assert B.index_form(pert, p, pert_p) >= base - 1e-9
+        pert = lambda t: (
+            jet(t)[0] + a * math.sin(math.pi * k * (1.0 - t)),
+            jet(t)[1] - a * math.pi * k * math.cos(math.pi * k * (1.0 - t)),
+        )
+        assert B.index_form(pert, p) >= base - 1e-9
 
 
 def test_index_form_endpoint_constraint():
     p = B.ComparisonParams(3, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        B.index_form(lambda t: 2.0 * t, p)
+        B.index_form(lambda t: (2.0 * t, 2.0), p)
 
 
 def test_barrier_curve_rows():

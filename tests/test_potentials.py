@@ -19,8 +19,9 @@ def test_derived_quantities(params):
     assert abs(params.rho_lambda - 2.0 * math.atan(1.0 / 21.0)) < 1e-14
     # cot(arctan(x)) = 1/x chain: slope at rho_sigma is -2 (beta + 2 lambda)
     pot = P.PiecewisePotential(params)
-    assert abs(float(pot.deriv(params.rho_sigma)) + 2.0 * (params.beta + 2.0 * params.lam)) < 1e-10
-    assert abs(float(pot.deriv(params.rho_sigma)) + 21.0) < 1e-10
+    fp = float(pot.jet(params.rho_sigma)[1])
+    assert abs(fp + 2.0 * (params.beta + 2.0 * params.lam)) < 1e-10
+    assert abs(fp + 21.0) < 1e-10
 
 
 def test_params_validation():
@@ -39,8 +40,20 @@ def test_potential_breakpoints_and_support(params):
     x1, x2 = pot.breakpoints
     assert abs(x1 - (params.rho_sigma - params.rho_lambda + 1.0 / params.lam_bar)) < 1e-14
     assert abs(x2 - (params.rho_sigma - params.rho_lambda + 0.5 * math.pi / params.beta)) < 1e-14
-    assert float(pot.value(x2 + 0.5)) == 0.0
-    assert float(pot.deriv(x2 + 0.5)) == 0.0
+    f, fp, _ = pot.jet(x2 + 0.5)
+    assert float(f) == 0.0
+    assert float(fp) == 0.0
+
+
+def test_focal_jet_far_past_the_support_does_not_overflow(params):
+    """np.select evaluates the linear piece at every rho; far right of its
+    breakpoint it must not overflow (verify focal --rf 1e306 exits 0)."""
+    pot = P.PiecewisePotential(params)
+    with np.errstate(over="raise"):
+        f, fp, fpp = pot.jet(np.array([0.0, 1e306]))
+    assert f[1] == fp[1] == fpp[1] == 0.0
+    shift = params.rho_lambda - params.rho_sigma - 1.0 / params.lam_bar
+    assert f[0] == pytest.approx(params.offset_b - params.slope_a * shift)
 
 
 def test_potential_continuity(params):
@@ -56,8 +69,8 @@ def test_potential_orientations(params):
     potN = P.PiecewisePotential(params, "N")
     potD = P.PiecewisePotential(params, "D")
     rhos = np.linspace(0.0, 10.0, 999)
-    assert np.max(np.abs(potD.value(rhos) + potN.value(rhos))) < 1e-12
-    fp = potN.deriv(rhos)
+    f, fp, _ = potN.jet(rhos)
+    assert np.max(np.abs(potD.jet(rhos)[0] + f)) < 1e-12
     assert fp.min() >= -params.slope_a - 1e-9 and fp.max() <= 1e-12
     assert np.all(np.diff(fp) >= -1e-9 * params.slope_a)
 
@@ -103,7 +116,8 @@ def test_focal_inequality_middle_identity(params):
     pot = P.PiecewisePotential(params)
     x1, x2 = pot.breakpoints
     rhos = np.linspace(x1 + 1e-6, x2 - 1e-6, 1000)
-    res = -pot.second(rhos) + 0.5 * pot.deriv(rhos) ** 2 + 0.25 * (params.n - 2) * params.sigma
+    _, fp, fpp = pot.jet(rhos)
+    res = -fpp + 0.5 * fp**2 + 0.25 * (params.n - 2) * params.sigma
     assert np.max(np.abs(res)) < 1e-9
 
 
@@ -120,21 +134,22 @@ def test_focal_inequality_precondition(params):
 def test_chi_cutoff_properties():
     chi = P.ChiCutoff(0.9)
     xs = np.linspace(0.0, 2.0, 10_001)
-    low = xs[xs <= 0.5]
-    assert np.max(np.abs(chi.chi(low) + low)) < 1e-14
-    assert chi.chipp(xs).min() >= 0.0 and chi.chipp(xs).max() <= 4.0
-    assert chi.chip(xs).min() >= -1.0 and chi.chip(xs).max() <= 0.0
-    tail = xs[xs >= 0.9]
-    assert np.max(np.abs(chi.chi(tail) - chi.c_plateau)) < 1e-14
-    assert np.max(np.abs(chi.chip(tail))) == 0.0
+    c, cp, cpp = chi.jet(xs)
+    low = xs <= 0.5
+    assert np.max(np.abs(c[low] + xs[low])) < 1e-14
+    assert cpp.min() >= 0.0 and cpp.max() <= 4.0
+    assert cp.min() >= -1.0 and cp.max() <= 0.0
+    tail = xs >= 0.9
+    assert np.max(np.abs(c[tail] - chi.c_plateau)) < 1e-14
+    assert np.max(np.abs(cp[tail])) == 0.0
     assert -0.9 <= chi.c_plateau <= -0.5
 
 
 def test_chi_cutoff_is_c2():
     chi = P.ChiCutoff(0.9)
     for b in chi.breakpoints:
-        for fn in (chi.chi, chi.chip, chi.chipp):
-            assert abs(float(fn(b - 1e-9)) - float(fn(b + 1e-9))) < 1e-7
+        for left, right in zip(chi.jet(b - 1e-9), chi.jet(b + 1e-9)):
+            assert abs(float(left) - float(right)) < 1e-7
 
 
 def test_chi_feasibility_window():
@@ -144,18 +159,19 @@ def test_chi_feasibility_window():
         P.ChiCutoff(1.05)
     tight = P.ChiCutoff(0.76)
     xs = np.linspace(0.0, 1.5, 40_001)
-    assert tight.chipp(xs).max() <= 4.0
+    assert tight.jet(xs)[2].max() <= 4.0
 
 
 def test_bandwidth_potential_scaling():
     chi = P.ChiCutoff(0.9)
     r, delta = 3.0, 0.2
-    f, fp, fpp = P.bandwidth_potential(chi, r, delta)
+    jet = P.bandwidth_potential(chi, r, delta)
     rhos = np.linspace(0.0, 4.0 * r, 20_001)
-    assert np.max(np.abs(fp(rhos))) <= delta + 1e-15
-    assert np.max(np.abs(fpp(rhos))) <= 4.0 * delta / r + 1e-15
-    assert np.max(np.abs(fp(rhos[rhos >= 0.9 * r]))) == 0.0
-    assert abs(float(f(0.1 * r)) + 0.1 * r * delta) < 1e-14  # f = -delta rho near the boundary
+    _, fp, fpp = jet(rhos)
+    assert np.max(np.abs(fp)) <= delta + 1e-15
+    assert np.max(np.abs(fpp)) <= 4.0 * delta / r + 1e-15
+    assert np.max(np.abs(fp[rhos >= 0.9 * r])) == 0.0
+    assert abs(float(jet(0.1 * r)[0]) + 0.1 * r * delta) < 1e-14  # f = -delta rho near the boundary
 
 
 def test_bandwidth_margin_example():

@@ -11,6 +11,7 @@ globally: boundary_shape is positive on the boundary of a convex cap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,11 @@ class WarpedBand:
         if not (self.r0 < self.r1):
             raise ValueError("need r0 < r1")
         for r in np.linspace(self.r0, self.r1, 64):
-            if self.phi.jet(float(r))[0] <= 0:
+            p = self.phi.jet(float(r))[0]
+            if p <= 0:
                 raise ValueError(f"warping must stay positive on the band, fails at r = {r}")
+            if p * p < sys.float_info.min:  # the sectionals divide by phi^2
+                raise ValueError(f"warping phi = {p:g} underflows phi^2 on the band, at r = {r}")
 
     def sectionals_at(self, r: float):
         """(sphere-sphere, radial-sphere) sectional curvatures."""

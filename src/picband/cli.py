@@ -322,15 +322,16 @@ def suite_identities(args):
     csv_rows = []
     for kind in ("dirac", "laplace", "weitzenboeck"):
         residuals, hs, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=args.seed)
-        ok = all(abs(o - 2.0) <= 0.3 for o in orders)
+        # judged on the finest pair: a coarse pair may still be pre-asymptotic
+        headroom = 0.3 - abs(orders[-1] - 2.0)
         label = f"green_{kind}" if kind != "weitzenboeck" else "twisted_weitzenboeck"
         reports.append(
             Report(
                 check=f"identities.{label}",
                 params={"n": n, "N_r": Ns, "N_t": N_t},
-                passed=ok,
+                passed=headroom >= 0,
                 tolerance=0.3,
-                regions=[Region("order_window", 0.3 - max(abs(o - 2.0) for o in orders))],
+                regions=[Region("order_window", headroom)],
                 details={"residuals": residuals, "orders": orders, "seed": args.seed},
             )
         )

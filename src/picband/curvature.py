@@ -71,6 +71,8 @@ HERMITIAN_TOL = 1e-12  # relative Hermitian defect accepted by WeitzOperator
 SEARCH_MAX_ITER = 400  # frame-search descent iterations, at most
 SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
 SEARCH_STEP0 = 0.1  # first step of every restart
+STALL_WINDOW = 25  # iterations between two stall checks of the frame search
+STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
 
 
 class CurvTensor:
@@ -252,11 +254,20 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     the reported value is the minimum over every frame evaluated during
     the search, reduced in (value, restart index) order.
 
-    Each iteration works on the live restarts only.  A restart retires
-    when its tangent gradient drops below SEARCH_GRAD_TOL (after that
-    iteration's trial) or when its step falls below 1e-14; the latter
-    still takes one trial at its halved step.  A retired restart's frame
-    and step no longer change, so it would only repeat its last trial.
+    Each iteration works on the live restarts only.  A restart retires in
+    one of three ways:
+
+    * its tangent gradient drops below SEARCH_GRAD_TOL;
+    * its step falls below 1e-14; it still takes one trial at its halved
+      step;
+    * it stalls: every STALL_WINDOW iterations, a restart whose accepted
+      value fell by at most STALL_TOL * (1 + |v|) since the previous check
+      retires.  This catches restarts whose gradient sits at the rounding
+      floor of the QR retraction, above SEARCH_GRAD_TOL, where they would
+      otherwise stay live until SEARCH_MAX_ITER.
+
+    A retired restart keeps its frame and step, which no longer change, so
+    it would only repeat its last trial.
     """
     n = R.n
     if n < 4:
@@ -270,8 +281,12 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
     last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
+    window_vals = vals.copy()  # accepted values at the last stall check
 
-    for _ in range(SEARCH_MAX_ITER):
+    for it in range(SEARCH_MAX_ITER):
+        if it and it % STALL_WINDOW == 0:
+            active &= window_vals - vals > STALL_TOL * (1.0 + np.abs(vals))  # stalled ones retire
+            window_vals = vals.copy()
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)

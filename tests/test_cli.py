@@ -472,3 +472,23 @@ def test_hodge_complex_with_any_vertex_labels(tmp_path, capsys, labels):
     assert cli.main(["verify", "hodge", "--complex", str(path), "--twists", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS hodge.custom.absolute.k0" in out and "PASS hodge.custom.absolute.k1" in out
+
+
+@pytest.mark.parametrize("kind", ["sin", "const", "linear"])
+def test_band_warp_underflowing_phi_squared_is_input_error(tmp_path, capsys, kind):
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"n": 4, "phi": {"kind": kind, "scale": 1e-308}, "r0": 0.1, "r1": 1.0}))
+    assert cli.main(["verify", "band", "--band", str(path)]) == 2
+    assert "underflows phi^2" in capsys.readouterr().err
+
+
+def test_identities_order_is_judged_on_the_finest_pair(tmp_path):
+    """At this seed green_laplace converges at order 2 (2.08 on the finest
+    pair) but its coarse pair is still pre-asymptotic (2.34)."""
+    path = tmp_path / "identities.json"
+    assert cli.main(["verify", "identities", "--seed", "1388677487", "--out", str(path)]) == 0
+    reports = {r["check"]: r for r in json.loads(path.read_text())["report"]["reports"]}
+    laplace = reports["identities.green_laplace"]
+    coarse, finest = laplace["details"]["orders"]
+    assert abs(coarse - 2.0) > 0.3 >= abs(finest - 2.0)
+    assert laplace["regions"][0]["min_margin"] == 0.3 - abs(finest - 2.0)

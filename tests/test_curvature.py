@@ -182,6 +182,39 @@ def test_exact_min_matches_search():
             assert abs(exact - searched) < 1e-6
 
 
+def test_stalled_restarts_retire_early(monkeypatch):
+    """Restarts whose gradient sits at the retraction's rounding floor, above
+    SEARCH_GRAD_TOL, retire by the stall check instead of running all
+    SEARCH_MAX_ITER iterations (this search used to run all 400)."""
+    iterations = 0
+    grad = C._iso_grad_batch
+
+    def counted(R, X):
+        nonlocal iterations
+        iterations += 1
+        return grad(R, X)
+
+    monkeypatch.setattr(C, "_iso_grad_batch", counted)
+    R = C.random_curvature(4, np.random.default_rng(5))
+    searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=11))
+    assert iterations <= 100
+    assert abs(searched - C.exact_min_isotropic(R)[0]) < 1e-6
+
+
+def test_search_minimum_is_exact_on_its_witness_plane():
+    """Above dimension 4, R restricted to the span of the searched witness
+    frame has the searched value as its exact (closed-form) minimum."""
+    rng = np.random.default_rng(20261018)
+    for n in range(5, 9):
+        for generate in (C.random_curvature, C.random_pic_combination):
+            R = generate(n, rng)
+            searched, frame = C.min_isotropic(R, C.SearchConfig(restarts=64, seed=n))
+            X = frame.vectors
+            restricted = np.einsum("ai,bj,ck,dl,ijkl->abcd", X, X, X, X, R.R, optimize=True)
+            exact, _ = C.exact_min_isotropic(C.CurvTensor(restricted, validate=False))
+            assert exact == pytest.approx(searched, rel=1e-6)
+
+
 def test_exact_min_witness_attains_value(rng):
     orientations = set()
     for t in range(200):

@@ -123,6 +123,8 @@ class WarpedBand:
                 raise ValueError(f"warping must stay positive on the band, fails at r = {r}")
             if p * p < sys.float_info.min:  # the sectionals divide by phi^2
                 raise ValueError(f"warping phi = {p:g} underflows phi^2 on the band, at r = {r}")
+            if not all(map(math.isfinite, self.sectionals_at(float(r)))):  # phi^2 past the float range
+                raise ValueError(f"warping phi = {p:g} overflows the sectionals on the band, at r = {r}")
 
     def sectionals_at(self, r: float):
         """(sphere-sphere, radial-sphere) sectional curvatures."""

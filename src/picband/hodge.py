@@ -6,7 +6,10 @@ coboundary matrices; they are the authoritative Betti numbers.  The twisted
 differential conjugates the coboundary by positive per-simplex weights
 w(s) = exp(mean of a vertex function over s), so its rank, and hence the
 twisted harmonic dimension, never depends on the twist: that invariance is
-what the floating-point kernel computation is tested against.
+what the floating-point kernel computation is tested against.  The
+conjugation also bounds the twisted differential's nonzero singular values
+below by the integer one's times a ratio of weights, which certifies the
+float count; where the bound is too small to, the exact ranks decide.
 
 The cochain space and the integer data are defined once per complex: a
 ``SimplicialComplex`` builds its read-only boundary matrices and the
@@ -41,8 +44,6 @@ __all__ = [
     "prism_product",
 ]
 
-GAP_RATIO = 1e3  # spectral room harmonic_dimension needs to trust the float kernel
-
 
 class SimplicialComplex:
     """Oriented simplicial complex; simplices are sorted vertex tuples.
@@ -61,8 +62,12 @@ class SimplicialComplex:
         self.simplices = {}
         for d, items in simplices_by_dim.items():
             d = int(d)
+            if d < 0:
+                raise ValueError(f"negative dimension {d}")
             seen = []
             for s in items:
+                if any(isinstance(v, bool) or int(v) != v for v in s):
+                    raise ValueError(f"vertex labels of {s} must be integers")
                 t = tuple(sorted(int(v) for v in s))
                 if len(set(t)) != len(t):
                     raise ValueError(f"degenerate simplex {s}")
@@ -72,7 +77,9 @@ class SimplicialComplex:
             if len(set(seen)) != len(seen):
                 raise ValueError(f"duplicate simplices in dimension {d}")
             self.simplices[d] = sorted(set(seen))
-        self.dim = max(self.simplices) if self.simplices else 0
+        if not self.simplices.get(0):
+            raise ValueError("complex has no vertices")
+        self.dim = max(self.simplices)
         self._index = {
             d: {s: i for i, s in enumerate(self.simplices[d])} for d in self.simplices
         }
@@ -86,6 +93,7 @@ class SimplicialComplex:
             d: np.searchsorted(labels, np.array(self.simplices.get(d, []), dtype=np.int64).reshape(-1, d + 1))
             for d in range(self.dim + 1)
         }
+        self._floors = {}  # (degree, relative) -> sigma+_min of d_j, see _twisted_floor
         bnd = {d: set(v) for d, v in self.boundary_subcomplex().items()}
         self._interior = {
             d: [i for i, s in enumerate(self.simplices.get(d, [])) if s not in bnd.get(d, ())]
@@ -145,13 +153,8 @@ def exact_rank(M: np.ndarray) -> int:
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
     rank = 0
     ncols = len(rows[0]) if rows else 0
-    col = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
@@ -176,21 +179,19 @@ def _coboundary(K: SimplicialComplex, k: int, relative: bool) -> np.ndarray:
 
 
 def _betti(K: SimplicialComplex, k: int, relative: bool) -> int:
+    if not (0 <= k <= K.dim):
+        raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
     Dk = _coboundary(K, k, relative)
     return Dk.shape[1] - exact_rank(Dk) - exact_rank(_coboundary(K, k - 1, relative))
 
 
 def betti(K: SimplicialComplex, k: int) -> int:
     """dim H^k(K; Q) by exact ranks."""
-    if not (0 <= k <= K.dim):
-        raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
     return _betti(K, k, relative=False)
 
 
 def betti_relative(K: SimplicialComplex, k: int) -> int:
     """dim H^k(K, boundary; Q): cochains vanishing on the boundary subcomplex."""
-    if not (0 <= k <= K.dim):
-        raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
     return _betti(K, k, relative=True)
 
 
@@ -227,6 +228,7 @@ class TwistedComplex:
 
 
 _NO_WEIGHTS = np.zeros(0)
+_EPS = float(np.finfo(float).eps)
 
 
 def twisted_coboundary(T: TwistedComplex, k: int) -> np.ndarray:
@@ -248,58 +250,55 @@ def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
     return (P * T.weight_vector(k)[None, :]) / T.weight_vector(k + 2)[:, None]
 
 
-def twisted_laplacian(T: TwistedComplex, k: int, mass: str = "identity") -> np.ndarray:
-    """Delta^f_k = d_f^* d_f + d_{f,k-1} d_{f,k-1}^* on k-cochains.
-
-    mass "identity" uses the plain transpose adjoint; "weights" takes the
-    adjoint in the inner products with diagonal mass diag(w_k^2).  The
-    kernel dimension is the same either way (positive diagonal congruence),
-    which is itself one of the tested invariances.
-    """
-    if mass not in ("identity", "weights"):
-        raise ValueError("mass must be 'identity' or 'weights'")
+def twisted_laplacian(T: TwistedComplex, k: int) -> np.ndarray:
+    """Delta^f_k = d_f^T d_f + d_{f,k-1} d_{f,k-1}^T on k-cochains."""
     A = twisted_coboundary(T, k)
-    if mass == "identity":
-        out = A.T @ A
-        if k >= 1:
-            B = twisted_coboundary(T, k - 1)
-            out = out + B @ B.T
-        return out
-    wk2 = T.weight_vector(k) ** 2
-    out = (A.T * T.weight_vector(k + 1)[None, :] ** 2) @ A / wk2[:, None]
+    out = A.T @ A
     if k >= 1:
         B = twisted_coboundary(T, k - 1)
-        out = out + B @ ((B.T * wk2[None, :]) / T.weight_vector(k - 1)[:, None] ** 2)
+        out = out + B @ B.T
     return out
 
 
-def harmonic_dimension(T: TwistedComplex, k: int, mass: str = "identity") -> int:
-    """Kernel dimension of the twisted Laplacian.
+def _svd_error(s: np.ndarray, shape) -> float:
+    """Backward error c dim eps ||M||, c = 10, of the float singular values
+    ``s`` (descending) of a matrix of this shape."""
+    return 10.0 * max(shape) * _EPS * (float(s[0]) if s.size else 0.0)
 
-    Floating eigendecomposition with the relative threshold 1e-10 of the
-    largest eigenvalue; when the ratio of the smallest kept to the largest
-    discarded eigenvalue is below the fixed GAP_RATIO = 1e3, or the largest
-    discarded one lies within a factor GAP_RATIO under the threshold, the
-    exact integer-rank route decides instead (the twisted rank equals the
-    untwisted one: conjugation by positive diagonals).
+
+def _twisted_floor(T: TwistedComplex, j: int) -> float:
+    """Lower bound sigma+_min(D_j) min w_j / max w_{j+1} on the nonzero
+    singular values of d_{f,j} = W_{j+1}^{-1} D_j W_j; inf when D_j = 0.
+    sigma+_min(D_j) is kept per degree and condition: the smallest float
+    singular value of the integer D_j above the backward error, where an
+    exact zero lands, less that error."""
+    K, key = T.base, (j, T._relative)
+    if key not in K._floors:
+        D = _coboundary(K, j, T._relative).astype(float)
+        s = np.linalg.svd(D, compute_uv=False)
+        nonzero = s[s > _svd_error(s, D.shape)]
+        K._floors[key] = float(nonzero[-1]) - _svd_error(s, D.shape) if nonzero.size else np.inf
+    floor = K._floors[key]
+    return floor if floor == np.inf else floor * T.weight_vector(j).min() / T.weight_vector(j + 1).max()
+
+
+def harmonic_dimension(T: TwistedComplex, k: int) -> int:
+    """Kernel dimension of the twisted Laplacian, certified or exact.
+
+    Delta_f is the Gram matrix of M = [d_f ; d_{f,k-1}^T], so the kernel is
+    read from M's singular values without squaring the condition number.
+    As d_f d_{f,k-1} = 0, each nonzero one is one of d_f or d_{f,k-1}, so at
+    least the smaller ``_twisted_floor``.  When that bound exceeds twice the
+    SVD's backward error, exactly the nonzero ones compute above half of
+    it: the count is proved.  Otherwise the exact ranks decide.
     """
-    L = twisted_laplacian(T, k, mass=mass)
-    if L.shape[0] == 0:
-        return 0
-    if mass == "weights":
-        # self-adjoint in the weighted product; conjugate to a symmetric form
-        w = T.weight_vector(k)
-        L = (L * w[:, None]) / w[None, :]
-    evals = np.linalg.eigvalsh(0.5 * (L + L.T))
-    scale = max(float(evals[-1]), 1e-300)
-    cut = 1e-10 * scale
-    m = int(np.sum(evals < cut))
-    ambiguous = 0 < m < len(evals) and (
-        evals[m - 1] * GAP_RATIO > cut or evals[m] < GAP_RATIO * max(float(evals[m - 1]), scale * 1e-16)
-    )
-    if ambiguous:
-        return _betti(T.base, k, T._relative)
-    return m
+    A = twisted_coboundary(T, k)
+    M = np.vstack([A, twisted_coboundary(T, k - 1).T]) if k >= 1 else A
+    s = np.linalg.svd(M, compute_uv=False)
+    bound = min(_twisted_floor(T, j) for j in range(max(k - 1, 0), k + 1))
+    if bound > 2.0 * _svd_error(s, M.shape):
+        return M.shape[1] - int(np.sum(s > 0.5 * bound))
+    return _betti(T.base, k, T._relative)
 
 
 # -- complex constructors ------------------------------------------------
@@ -394,8 +393,8 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 
 def load_complex(doc) -> SimplicialComplex:
-    """Complex file format: {"dim": d, "simplices": {"0": [...], ...}};
-    closure under faces is validated by the constructor."""
+    """Complex file format: {"dim": d, "simplices": {"0": [...], ...}}; the
+    constructor validates labels, dimensions, vertices and closure."""
     simplices = {int(d): [tuple(s) for s in items] for d, items in doc["simplices"].items()}
     K = SimplicialComplex(simplices)
     if K.dim != int(doc.get("dim", K.dim)):

@@ -482,6 +482,34 @@ def test_band_warp_underflowing_phi_squared_is_input_error(tmp_path, capsys, kin
     assert "underflows phi^2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["sin", "linear"])
+def test_band_warp_overflowing_sectionals_is_input_error(tmp_path, capsys, kind):
+    """phi^2 = inf made the sectionals NaN, reported as an asymmetric
+    Kulkarni-Nomizu factor."""
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"n": 4, "phi": {"kind": kind, "scale": 1e300}, "r0": 0.1, "r1": 1.0}))
+    assert cli.main(["verify", "band", "--band", str(path)]) == 2
+    assert "overflows the sectionals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ({"0": [[0.5], [1], [2]], "1": [[0.5, 1], [1, 2], [0.5, 2]]}, "must be integers"),  # was read as 0
+        ({"0": [[True], [1], [2]], "1": [[True, 1], [1, 2], [True, 2]]}, "must be integers"),
+        ({"0": [["0"], [1], [2]], "1": [["0", 1], [1, 2], ["0", 2]]}, "must be integers"),
+        ({"-1": [[]], "0": [[0], [1]], "1": [[0, 1]]}, "negative dimension"),
+        ({}, "no vertices"),  # passed k0 without a single cochain
+    ],
+    ids=["fraction", "boolean", "string", "negative-dimension", "empty"],
+)
+def test_hodge_malformed_complex_is_input_error(tmp_path, capsys, simplices, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dim": 1 if simplices else 0, "simplices": simplices}))
+    assert cli.main(["verify", "hodge", "--complex", str(path), "--twists", "3"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_identities_order_is_judged_on_the_finest_pair(tmp_path):
     """At this seed green_laplace converges at order 2 (2.08 on the finest
     pair) but its coarse pair is still pre-asymptotic (2.34)."""

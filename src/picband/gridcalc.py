@@ -7,8 +7,14 @@ metric every operator acts componentwise on the coefficient functions, so
 d, d*, the Dirac operator and their twisted versions are short compositions
 of axis derivatives with the pointwise exterior/Clifford index operations.
 d, d*, the Clifford multiplications and the Weitzenboeck contractions all
-run through one key action, ``_key_action``.  Trig-field factors are
-evaluated on their own axis and broadcast against the others.
+run through one key action, ``_key_action``.
+
+A field component is stored at the broadcast shape of the axes it varies
+on: a trig-field term has size 1 on every axis it has no factor on, and
+numpy broadcasting carries that through the operators.  The radial
+derivative materialises a size-1 radial axis (its one-sided stencil does
+not cancel exactly in floats); only the integrals materialise the full
+grid, so their summation order does not depend on the storage.
 
 The Laplacian is deliberately the square of the first-derivative stencil,
 not the compact 3-point one: this keeps the discrete Green identities exact
@@ -52,6 +58,12 @@ STUDY_L = 2.0  # band width of the convergence studies
 STUDY_DRAWS = 6  # field draws averaged per refinement
 
 
+def _full(data: np.ndarray, shape) -> np.ndarray:
+    """data broadcast to shape as a contiguous array: a reduction over it
+    sums in the same order whatever shape data is stored at."""
+    return np.ascontiguousarray(np.broadcast_to(data, shape))
+
+
 @dataclass(frozen=True)
 class FlatBandGrid:
     """Uniform grid on [0, L] x T^{n-1} (unit transverse circles)."""
@@ -90,10 +102,13 @@ class FlatBandGrid:
 
     def deriv(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Second-order first derivative along an axis; axis 0 is radial
-        (one-sided at the ends), the rest are periodic."""
+        (one-sided at the ends), the rest are periodic.  A size-1 periodic
+        axis stays size 1 (its difference is 0, or NaN for a non-finite
+        value); a size-1 radial axis is materialised first."""
         if axis == 0:
             h = self.h
-            out = np.empty_like(data)
+            data = np.broadcast_to(data, (self.N_r,) + data.shape[1:])
+            out = np.empty(data.shape, dtype=data.dtype)
             out[1:-1] = (data[2:] - data[:-2]) / (2 * h)
             out[0] = (-3 * data[0] + 4 * data[1] - data[2]) / (2 * h)
             out[-1] = (3 * data[-1] - 4 * data[-2] + data[-3]) / (2 * h)
@@ -104,18 +119,20 @@ class FlatBandGrid:
         """Trapezoid radially, exact periodic sums transversally."""
         w = np.ones(self.N_r)
         w[0] = w[-1] = 0.5
-        radial = np.tensordot(w, data, axes=(0, 0)) * self.h
+        radial = np.tensordot(w, _full(data, self.shape), axes=(0, 0)) * self.h
         return complex(radial.sum() * self.ht ** (self.n - 1))
 
     def integrate_boundary(self, data0: np.ndarray, data1: np.ndarray) -> complex:
         """Sum of both torus-leaf integrals (radial slices 0 and -1)."""
-        return complex((data0.sum() + data1.sum()) * self.ht ** (self.n - 1))
+        leaf = self.shape[1:]
+        return complex((_full(data0, leaf).sum() + _full(data1, leaf).sum()) * self.ht ** (self.n - 1))
 
 
 class FormField:
     """A form-valued field: one complex array per multi-index.  Keys given
     out of order are normalised like :class:`FormElement` keys, and like
-    them must hold indices in 1..n."""
+    them must hold indices in 1..n.  A component has n axes, each of the
+    grid's size or of size 1 (constant along that axis)."""
 
     __slots__ = ("grid", "data")
 
@@ -125,8 +142,8 @@ class FormField:
         if data:
             for key, arr in data.items():
                 arr = np.asarray(arr, dtype=complex)
-                if arr.shape != grid.shape:
-                    raise ValueError(f"component {key} has shape {arr.shape}, expected {grid.shape}")
+                if arr.ndim != grid.n or any(a not in (1, m) for a, m in zip(arr.shape, grid.shape)):
+                    raise ValueError(f"component {key} has shape {arr.shape}, expected {grid.shape} or 1 per axis")
                 hit = exterior.wedge_keys(_checked_key(grid.n, tuple(key)))
                 if hit is not None:
                     self._acc(hit[0], hit[1] * arr)
@@ -163,17 +180,22 @@ class FormField:
 
     def pointwise_inner(self, other: "FormField") -> np.ndarray:
         """<self, other> at every node (Hermitian, linear in self)."""
-        out = np.zeros(self.grid.shape, dtype=complex)
+        out = _zeros(self.grid)
         for k, v in self.data.items():
             w = other.data.get(k)
             if w is not None:
-                out += v * np.conj(w)
+                out = out + v * np.conj(w)
         return out
 
     def sup_norm(self) -> float:
         if not self.data:
             return 0.0
         return max(float(np.max(np.abs(v))) for v in self.data.values())
+
+
+def _zeros(g: FlatBandGrid) -> np.ndarray:
+    """A complex zero that broadcasts against every component."""
+    return np.zeros((1,) * g.n, dtype=complex)
 
 
 def _key_action(F: FormField, ops, coef) -> FormField:
@@ -211,9 +233,9 @@ def laplacian_grid(F: FormField) -> FormField:
     g = F.grid
     out = FormField(g)
     for key, arr in F.data.items():
-        total = np.zeros(g.shape, dtype=complex)
+        total = _zeros(g)
         for axis in range(g.n):
-            total += g.deriv(g.deriv(arr, axis), axis)
+            total = total + g.deriv(g.deriv(arr, axis), axis)
         out._acc(key, total)
     return out
 
@@ -259,7 +281,7 @@ def green_residual_dirac(alpha: FormField, beta: FormField, f: np.ndarray | None
     """| int <D_f a, b> - int <a, D_f b> - oint <c(nu) a, b> |."""
     g = alpha.grid
     if f is None:
-        f = np.zeros(g.shape)
+        f = _zeros(g)
     lhs = g.integrate(D_f_grid(alpha, f).pointwise_inner(beta))
     mid = g.integrate(alpha.pointwise_inner(D_f_grid(beta, f)))
     bdry = _boundary_term_dirac(alpha, beta)
@@ -270,18 +292,18 @@ def green_residual_laplace(alpha: FormField, beta: FormField) -> float:
     """| -int <Lap a, b> - int <grad a, grad b> + oint <d_nu a, b> |."""
     g = alpha.grid
     lhs = -g.integrate(laplacian_grid(alpha).pointwise_inner(beta))
-    grad_pair = np.zeros(g.shape, dtype=complex)
+    grad_pair = _zeros(g)
     for axis in range(g.n):
         for key, arr in alpha.data.items():
             w = beta.data.get(key)
             if w is not None:
-                grad_pair += g.deriv(arr, axis) * np.conj(g.deriv(w, axis))
+                grad_pair = grad_pair + g.deriv(arr, axis) * np.conj(g.deriv(w, axis))
     mid = g.integrate(grad_pair)
-    normal_inner = np.zeros(g.shape, dtype=complex)
+    normal_inner = _zeros(g)
     for key, arr in alpha.data.items():
         w = beta.data.get(key)
         if w is not None:
-            normal_inner += g.deriv(arr, 0) * np.conj(w)
+            normal_inner = normal_inner + g.deriv(arr, 0) * np.conj(w)
     bdry = g.integrate_boundary(-normal_inner[0], normal_inner[-1])
     return abs(lhs - mid + bdry)
 
@@ -378,6 +400,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     transverse axes use sin/cos(2 pi k y + phase) with integer k.  An index
     list in any order means theta^{i_1} ^ ... ^ theta^{i_k}, stored under
     its increasing key with the permutation's sign (zero if one repeats).
+    A term is stored with size 1 on every axis it has no sin/cos factor on.
     An index outside 1..n, an axis outside 0..n-1 or a coef that is not
     [re] or [re, im] is a ValueError.
     """
@@ -388,7 +411,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
         coef = term.get("coef", [1.0, 0.0])
         if len(coef) not in (1, 2):
             raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
-        val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones(grid.shape, dtype=complex)
+        val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones((1,) * grid.n, dtype=complex)
         for fac in term.get("factors", []):
             axis = int(fac["axis"])
             if not 0 <= axis < grid.n:
@@ -404,7 +427,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
                 arg = math.pi * freq * radial / grid.L + phase
             else:
                 arg = 2.0 * math.pi * freq * transverse + phase
-            # the factor on its own axis, broadcast against the others
+            # the factor on its own axis: the term keeps size 1 on the others
             val = val * (np.sin(arg) if kind == "sin" else np.cos(arg)).reshape(
                 [-1 if a == axis else 1 for a in range(grid.n)]
             )
@@ -457,8 +480,8 @@ def _paired_field(g: FlatBandGrid, rng, *degrees: int) -> FormField:
 
 
 def _radial_twist(g: FlatBandGrid) -> np.ndarray:
-    X = g.axes()
-    return 0.4 * np.sin(math.pi * X[0] / g.L) + 0.2 * (X[0] / g.L) ** 2
+    x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
+    return 0.4 * np.sin(math.pi * x / g.L) + 0.2 * (x / g.L) ** 2
 
 
 def _study(kind: str):

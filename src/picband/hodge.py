@@ -20,7 +20,6 @@ fallback of ``harmonic_dimension`` alike.  A twist only adds its weights."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -149,9 +148,14 @@ _NO_CHAINS.flags.writeable = False
 
 
 def exact_rank(M: np.ndarray) -> int:
-    """Rank over the rationals by Gaussian elimination in exact Fraction arithmetic."""
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
-    rank = 0
+    """Rank over the rationals by fraction-free (Bareiss) elimination on
+    Python ints.  Each step replaces a row below the pivot by
+    (p * row - a * pivot_row) / p_prev, p the pivot, a the row's entry in
+    the pivot column and p_prev the previous pivot (1 at the first step);
+    the entries are then minors of M, so the division is exact and no
+    fraction is ever formed."""
+    rows = [[int(x) for x in row] for row in np.asarray(M)]
+    rank, prev = 0, 1
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
@@ -159,11 +163,11 @@ def exact_rank(M: np.ndarray) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = Fraction(1, 1) / prow[col]
+        p = prow[col]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] * inv
-            if factor != 0:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+            a = rows[r][col]
+            rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], prow)]
+        prev = p
         rank += 1
         if rank == len(rows):
             break

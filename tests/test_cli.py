@@ -180,13 +180,15 @@ COMPARISON_PATHS = {
 def _exit_2_or_finite(argv, out):
     """Run argv in process: a usage or input error (exit 2) writes nothing,
     a run (exit 0) writes only finite numbers; anything else is a defect.
-    verify bandwidth may also fail (exit 1): --Lambda 1e308 or --sigma
-    1e-308 give a finite negative margin, and the margins must be finite."""
+    verify bandwidth and verify identities may also fail (exit 1): --Lambda
+    1e308 or --sigma 1e-308 give a finite negative margin, and a grid
+    file's residual may exceed its bound; the margins must be finite."""
     try:
         code = cli.main([*argv, "--out", str(out)])
     except SystemExit as exc:
         code = exc.code
-    assert code in ((0, 1, 2) if argv[:2] == ["verify", "bandwidth"] else (0, 2)), argv
+    may_fail = argv[:2] in (["verify", "bandwidth"], ["verify", "identities"])
+    assert code in ((0, 1, 2) if may_fail else (0, 2)), argv
     if code == 2:
         assert not out.exists(), argv
     elif argv[0] == "emit":
@@ -209,6 +211,53 @@ def test_comparison_paths_on_extreme_values(tmp_path, base):
         for value in EXTREME_VALUES:
             out = tmp_path / f"{flag}{value}"
             _exit_2_or_finite([*base, flag, value], out)
+
+
+GRID_DOC = {
+    "n": 3, "L": 2.0, "N_r": 12, "N_t": 4,
+    "fields": [
+        [{"index": [1, 2], "coef": [1.0, 0.0],
+          "factors": [{"axis": 0, "kind": "sin", "freq": 1.3, "phase": 0.4},
+                      {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]}],
+        [{"index": [2], "coef": [0.7, 0.2],
+          "factors": [{"axis": 0, "kind": "cos", "freq": 0.9, "phase": 0.1},
+                      {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]},
+         {"index": [1, 2, 3], "coef": [0.4, -0.1],
+          "factors": [{"axis": 0, "kind": "sin", "freq": 1.7, "phase": 0.9},
+                      {"axis": 2, "kind": "sin", "freq": 1, "phase": 0.2}]}],
+    ],
+}
+
+
+def _grid_number_paths(doc):
+    """Key paths of L, of each coef part and of each factor's freq and
+    phase.  N_r and N_t stay small: the integrals allocate all
+    N_r * N_t^(n-1) nodes."""
+    yield ("L",)
+    for i, spec in enumerate(doc["fields"]):
+        for j, term in enumerate(spec):
+            for part in range(len(term["coef"])):
+                yield ("fields", i, j, "coef", part)
+            for k in range(len(term["factors"])):
+                yield ("fields", i, j, "factors", k, "freq")
+                yield ("fields", i, j, "factors", k, "phase")
+
+
+def test_grid_config_numbers_on_extreme_values(tmp_path):
+    """Every number inside a verify identities --grid file at the extreme
+    values; a non-finite one is written as Python's NaN or Infinity literal."""
+    for where in _grid_number_paths(GRID_DOC):
+        for value in EXTREME_VALUES:
+            doc = json.loads(json.dumps(GRID_DOC))
+            *parents, last = where
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = float(value)
+            name = "-".join(map(str, where)) + value
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            _exit_2_or_finite(["verify", "identities", "--grid", str(path)], tmp_path / f"{name}.out")
 
 
 @st.composite

@@ -348,6 +348,80 @@ def test_trig_field_factors_match_the_meshgrid():
     expected = expected * np.cos(math.pi * 1.7 * X[0] / g.L + 0.2)
     expected = expected * np.sin(2.0 * math.pi * 2.0 * X[2] + 0.4)
     expected = expected * np.cos(2.0 * math.pi * 1.0 * X[1] + 1.1)
-    assert np.array_equal(G.trig_field(g, spec).data[(1, 3)], expected)
+    # the term is stored at the shape of its factor axes; its values are exact
+    assert np.array_equal(np.broadcast_to(G.trig_field(g, spec).data[(1, 3)], g.shape), expected)
     with pytest.raises(ValueError, match="unknown factor kind"):
         G.trig_field(g, [{"index": [1], "factors": [{"axis": 1, "kind": "tan"}]}])
+
+
+# -- storage at the shape of the factor axes ---------------------------------
+
+ELIDE_BYTES = 256 * 1024  # numpy reuses a temporary this large as an output
+
+
+def _materialised(g, obj):
+    if isinstance(obj, G.FormField):
+        return G.FormField(g, {k: np.broadcast_to(v, g.shape).copy() for k, v in obj.data.items()})
+    return np.broadcast_to(obj, g.shape).copy()
+
+
+@pytest.mark.parametrize("n,N_r,N_t", [(3, 16, 6), (4, 24, 6), (4, 96, 6), (5, 12, 4), (5, 16, 6)])
+@pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
+def test_compressed_fields_give_the_materialised_residuals(kind, n, N_r, N_t):
+    g = grid(N_r=N_r, N_t=N_t, n=n)
+    residual = G._study(kind)[1]
+    for seed in range(2):
+        fields = G.paired_test_fields(g, np.random.default_rng(seed), kind)
+        assert all(np.prod(v.shape) < np.prod(g.shape) for v in fields[0].data.values())
+        compressed = residual(*fields)
+        full = residual(*(_materialised(g, x) for x in fields))
+        if 16 * np.prod(g.shape) < ELIDE_BYTES:
+            assert compressed == full
+        else:
+            # a full-size complex product v * conj(w) runs in place in the
+            # conj temporary, which rounds differently from the plain loop
+            assert abs(compressed - full) <= 1e-12 * abs(full)
+
+
+def test_trig_field_stores_a_term_at_its_factor_axes():
+    g = grid(N_r=10, N_t=5)
+    F = G.trig_field(g, [
+        {"index": [1], "factors": [{"axis": 2, "kind": "sin"}, {"axis": 0, "kind": "cos"}]},
+        {"index": [2], "factors": [{"axis": 3, "kind": "const"}]},
+        {"index": [3], "factors": [{"axis": 1, "kind": "cos"}, {"axis": 3, "kind": "sin"}]},
+    ])
+    assert F.data[(1,)].shape == (10, 1, 5, 1)
+    assert F.data[(2,)].shape == (1, 1, 1, 1)
+    assert F.data[(3,)].shape == (1, 5, 1, 5)
+    # sums and operators broadcast to the union of the axes
+    assert (F + G.trig_field(g, [{"index": [2], "factors": [{"axis": 1, "kind": "sin"}]}])).data[(2,)].shape == (1, 5, 1, 1)
+    assert G.d_grid(F).data[(1, 2)].shape == (10, 1, 5, 1)
+    assert G.d_grid(F).data[(2, 3)].shape == (1, 5, 1, 5)
+
+
+def test_form_field_rejects_a_non_broadcastable_shape():
+    g = grid()
+    G.FormField(g, {(1,): np.ones((1, g.N_t, 1, 1))})
+    for shape in [(g.N_r, 2, 1, 1), (g.N_r,), (1, 1, 1, 1, 1), (g.N_r + 1, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="shape"):
+            G.FormField(g, {(1,): np.ones(shape)})
+
+
+def test_nan_on_a_size_one_axis_reaches_the_residuals():
+    g = grid(N_r=12)
+    twist = G._radial_twist(g)
+    for planted in ("alpha", "beta"):
+        alpha = G.trig_field(g, [{"index": [1, 2], "factors": [{"axis": 0, "kind": "sin"},
+                                                               {"axis": 1, "kind": "cos"}]}])
+        beta = G.trig_field(g, [{"index": [2], "factors": []},
+                                {"index": [1, 2, 3], "factors": [{"axis": 0, "kind": "cos"}]}])
+        if planted == "alpha":
+            field, arr, at = alpha, alpha.data[(1, 2)], (3, 2, 0, 0)  # axes 2 and 3 have size 1
+        else:
+            field, arr, at = beta, beta.data[(2,)], (0, 0, 0, 0)  # constant on every axis
+        arr[at] = np.nan
+        for axis in (2, 3):
+            assert np.isnan(g.deriv(arr, axis)[at])
+        assert math.isnan(G.green_residual_dirac(alpha, beta))
+        assert math.isnan(G.green_residual_laplace(field, field))
+        assert math.isnan(G.twisted_weitzenboeck_residual(field, twist))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,41 @@ def test_exact_rank_against_numpy(rng):
     for _ in range(20):
         M = rng.integers(-3, 4, size=(7, 9))
         assert H.exact_rank(M) == np.linalg.matrix_rank(M.astype(float))
+
+
+def _fraction_rank(M):
+    """Reference: Gaussian elimination in exact Fraction arithmetic."""
+    rows = [[Fraction(int(x)) for x in row] for row in M]
+    rank = 0
+    for col in range(M.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, 0 x k and k x 0 included: a product through
+    a narrow inner dimension (rank-deficient), with some columns zeroed."""
+    m, k, inner = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = st.integers(-4, 4)
+    A = np.array(draw(st.lists(entries, min_size=m * inner, max_size=m * inner)), dtype=np.int64)
+    B = np.array(draw(st.lists(entries, min_size=inner * k, max_size=inner * k)), dtype=np.int64)
+    M = A.reshape(m, inner) @ B.reshape(inner, k)
+    M[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_exact_rank_matches_fraction_elimination(M):
+    assert H.exact_rank(M) == _fraction_rank(M)
 
 
 def test_twisted_coboundary_rank_invariance(rng):

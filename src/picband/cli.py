@@ -11,6 +11,7 @@ flag, and every suite run, in process too, goes through the parser:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -445,7 +446,11 @@ def _add_focal_flags(sp):
     sp.add_argument("--rf", type=_finite_float, default=18.01)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pic-verify`` parser, built once per process: parsing leaves it
+    unchanged (no action keeps state), and PIC_TOOLKIT_SEED is read when a
+    suite runs, not here."""
     ap = argparse.ArgumentParser(prog="pic-verify", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

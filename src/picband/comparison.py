@@ -31,6 +31,7 @@ __all__ = [
     "laplace_upper_positive_boundary",
     "hessian_lower_focal",
     "laplace_lower_focal",
+    "riccati_curve",
     "riccati_oracle",
     "index_form",
     "optimal_index_profile",
@@ -211,90 +212,130 @@ def _u_step(u, h, ka, kb, kc):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_scalar(w0: float, kfn, rho: float, step: float):
-    """Integrate w' = -w^2 - K_rad(rho) from w(0) = w0.
+def _integrate_scalar(w0: float, kfn, rhos, step: float):
+    """Integrate w' = -w^2 - K_rad(rho) from w(0) = w0 out to each of the
+    non-decreasing radii rhos, in one pass.
 
-    Returns (w(rho), None), or (None, crossing) when w reaches -infinity
-    inside [0, rho].  Whenever |w| >= 10 the inverse variable u = 1/w is
-    integrated instead (u' = 1 + K_rad u^2, smooth through the pole u = 0),
-    so the pole location is resolved by bisection to ~1e-9; w -> +infinity
-    cannot occur forward in rho since w' < 0 for large positive w.
+    Returns one (w(rho), None) or (None, crossing) per radius; a radius
+    whose |w| exceeds BLOWUP_THRESHOLD reports the first-order location
+    of the pole just beyond it, and once a pole is found every later
+    radius reports it.  Each segment between consecutive radii (the first
+    from 0) takes the fewest equal steps of at most ``step``; a segment of
+    length 0 takes none.  Whenever |w| >= 10 the inverse variable u = 1/w
+    is integrated instead (u' = 1 + K_rad u^2, smooth through the pole
+    u = 0), so the pole location is resolved by bisection to ~1e-9;
+    w -> +infinity cannot occur forward in rho since w' < 0 for large
+    positive w.
     """
-    steps = max(1, int(math.ceil(rho / step)))
-    h = rho / steps
-    x = 0.0
+    out = []
+    start, pole = 0.0, None
     in_u = abs(w0) >= 1.0 / _U_SWITCH
     y = 1.0 / w0 if in_u else w0
-    for _ in range(steps):
-        ka, kb, kc = kfn(x), kfn(x + 0.5 * h), kfn(x + h)
-        if in_u:
-            y_new = _u_step(y, h, ka, kb, kc)
-            if y < 0.0 <= y_new:  # pole of w: u rises through zero
-                a, b, ua = x, x + h, y
-                while b - a > 1e-12:
-                    mid = 0.5 * (a + b)
-                    g = mid - a
-                    um = _u_step(ua, g, kfn(a), kfn(a + 0.5 * g), kfn(a + g))
-                    if um >= 0.0:
-                        b = mid
-                    else:
-                        a, ua = mid, um
-                return None, 0.5 * (a + b)
-            if abs(y_new) > _U_SWITCH:
-                y_new, in_u = 1.0 / y_new, False
+    for rho in rhos:
+        if pole is None and rho > start:
+            steps = int(math.ceil((rho - start) / step))
+            h = (rho - start) / steps
+            x = start
+            kc = kfn(x)
+            for _ in range(steps):
+                # x + h is the next step's x, so its K_rad is reused there
+                ka, kb, kc = kc, kfn(x + 0.5 * h), kfn(x + h)
+                if in_u:
+                    y_new = _u_step(y, h, ka, kb, kc)
+                    if y < 0.0 <= y_new:  # pole of w: u rises through zero
+                        a, b, ua = x, x + h, y
+                        while b - a > 1e-12:
+                            mid = 0.5 * (a + b)
+                            g = mid - a
+                            um = _u_step(ua, g, kfn(a), kfn(a + 0.5 * g), kfn(a + g))
+                            if um >= 0.0:
+                                b = mid
+                            else:
+                                a, ua = mid, um
+                        pole = 0.5 * (a + b)
+                        break
+                    if abs(y_new) > _U_SWITCH:
+                        y_new, in_u = 1.0 / y_new, False
+                else:
+                    y_new = _w_step(y, h, ka, kb, kc)
+                    if abs(y_new) >= 1.0 / _U_SWITCH:
+                        y_new, in_u = 1.0 / y_new, True
+                y, x = y_new, x + h
+            start = rho
+        if pole is not None:
+            out.append((None, pole))
+            continue
+        w = 1.0 / y if in_u else y
+        if abs(w) > BLOWUP_THRESHOLD:
+            # pole sits just beyond rho; u' ~ 1 gives its first-order location
+            out.append((None, rho - (y if in_u else 1.0 / y)))
         else:
-            y_new = _w_step(y, h, ka, kb, kc)
-            if abs(y_new) >= 1.0 / _U_SWITCH:
-                y_new, in_u = 1.0 / y_new, True
-        y, x = y_new, x + h
-    w = 1.0 / y if in_u else y
-    if abs(w) > BLOWUP_THRESHOLD:
-        # pole sits just beyond rho; u' ~ 1 gives its first-order location
-        return None, rho - (y if in_u else 1.0 / y)
-    return w, None
+            out.append((w, None))
+    return out
 
 
-def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
-    """Integrate the level-set Hessian Riccati flow up to distance rho.
+def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
+    """The level-set Hessian Riccati flow read off at each of the
+    non-decreasing distances rhos: one RiccatiResult per distance.
 
     The state diagonalises in the eigenbasis of A0 and is integrated per
     eigenvalue with fixed-step RK4, the step h at most RICCATI_STEP
-    max(1, rho).  Each distinct eigenvalue is integrated once (an umbilic
-    A0 costs one integration, not n - 1, of about rho / h steps); the
-    trace still adds one value per eigenvalue in eigenvalue order, so it
-    is the sum a per-eigenvalue loop would give, to the last bit.
+    max(1, max(rhos)).  Each distinct eigenvalue is integrated once, in a
+    single trajectory through every distance (an umbilic A0 costs one
+    integration of about max(rhos) / h steps, however many distances are
+    asked for); a distance's trace still adds one value per eigenvalue in
+    eigenvalue order, so it is the sum a per-eigenvalue loop would give,
+    to the last bit.  A distance of 0 gives trace(W(0)) = -trace(A0).
 
     RK4 at a fixed step is stable and accurate only while h sqrt|K_rad|
     stays small.  A constant-curvature model with h sqrt|K| > 1 (about
-    |K| > 1e8 for rho <= 1) raises ValueError instead of returning
-    numbers that are not a solution; a warped ``radial_curvature`` must
-    keep the same bound, which is not checked.
+    |K| > 1e8 for distances up to 1) raises ValueError instead of
+    returning numbers that are not a solution; a warped
+    ``radial_curvature`` must keep the same bound, which is not checked.
+    A negative or decreasing distance is a ValueError too.
     """
-    if rho < 0:
+    rhos = [float(rho) for rho in rhos]
+    if rhos and not rhos[0] >= 0:
         raise ValueError("rho must be nonnegative")
-    h = RICCATI_STEP * max(1.0, rho)
+    if not all(a <= b for a, b in zip(rhos, rhos[1:])):
+        raise ValueError("distances must be non-decreasing")
+    h = RICCATI_STEP * max(1.0, max(rhos, default=0.0))
     if model.radial_curvature is None and not h * math.sqrt(abs(model.K)) <= 1.0:
         raise ValueError(
             f"K = {model.K:g} is past the oracle's RK4 step limit h sqrt|K| <= 1 at step h = {h:g}"
         )
     eigs = model.initial_hessian_eigs()
-    if rho == 0:
-        return RiccatiResult(0.0, float(np.sum(eigs)), None)
     kfn = model.curvature_fn()
+    w0s = eigs.tolist()
     by_value = {}
-    total = 0.0
-    earliest = None
-    for w0 in eigs.tolist():
+    for w0 in w0s:
         if w0 not in by_value:
-            by_value[w0] = _integrate_scalar(w0, kfn, rho, h)
-        w, crossing = by_value[w0]
-        if crossing is not None:
-            earliest = crossing if earliest is None else min(earliest, crossing)
+            by_value[w0] = _integrate_scalar(w0, kfn, rhos, h)
+    results = []
+    for i, rho in enumerate(rhos):
+        if rho == 0:
+            results.append(RiccatiResult(0.0, float(np.sum(eigs)), None))
+            continue
+        total = 0.0
+        earliest = None
+        for w0 in w0s:
+            w, crossing = by_value[w0][i]
+            if crossing is not None:
+                earliest = crossing if earliest is None else min(earliest, crossing)
+            else:
+                total += w
+        if earliest is not None:
+            results.append(RiccatiResult(rho, None, earliest))
         else:
-            total += w
-    if earliest is not None:
-        return RiccatiResult(rho, None, earliest)
-    return RiccatiResult(rho, total, None)
+            results.append(RiccatiResult(rho, total, None))
+    return results
+
+
+def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
+    """Integrate the level-set Hessian Riccati flow up to distance rho:
+    the one-distance :func:`riccati_curve`, with its step h = RICCATI_STEP
+    max(1, rho), its step limit and its error for a negative rho."""
+    return riccati_curve(model, [rho])[0]
 
 
 # -- reduced index form -------------------------------------------------
@@ -340,17 +381,19 @@ def optimal_index_profile(p: ComparisonParams):
 
 
 def barrier_curve_rows(p: ComparisonParams, rhos) -> list[tuple[float, float, float, float]]:
-    """(rho, barrier, oracle, margin) rows for CSV emission.
+    """(rho, barrier, oracle, margin) rows for CSV emission, at
+    non-decreasing rhos.
 
     The oracle is run in the umbilic model with A0 = -Lambda/(n-1), whose
-    mean curvature matches the barrier hypothesis H >= -Lambda.
+    mean curvature matches the barrier hypothesis H >= -Lambda; it is one
+    :func:`riccati_curve` through every rho, so the whole curve costs one
+    trajectory at the step of its largest rho.
     """
     model = RotSymModel(n=p.n, K=p.K, A0=-p.Lambda / (p.n - 1))
+    rhos = [float(rho) for rho in rhos]
     rows = []
-    for rho in rhos:
-        q = ComparisonParams(p.n, p.K, p.Lambda, float(rho), p.r_f)
-        barrier = laplace_upper_negative_boundary(q)
-        res = riccati_oracle(model, float(rho))
+    for rho, res in zip(rhos, riccati_curve(model, rhos)):
+        barrier = laplace_upper_negative_boundary(ComparisonParams(p.n, p.K, p.Lambda, rho, p.r_f))
         oracle = res.trace if res.trace is not None else float("-inf")
-        rows.append((float(rho), barrier, oracle, barrier - oracle))
+        rows.append((rho, barrier, oracle, barrier - oracle))
     return rows

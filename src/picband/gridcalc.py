@@ -24,6 +24,7 @@ in the periodic directions, leaving pure O(h^2) radial residuals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -56,6 +57,9 @@ __all__ = [
 WEITZ_EDGE_NODES = 2  # radial nodes left out at each end (one-sided stencils)
 STUDY_L = 2.0  # band width of the convergence studies
 STUDY_DRAWS = 6  # field draws averaged per refinement
+# N_r N_t^(n-1) nodes at most: 17x the largest study in use (n = 5,
+# N_r = 96, N_t = 6 is 124,416 nodes); one full complex array is 32 MiB here
+MAX_GRID_NODES = 1 << 21
 
 
 def _full(data: np.ndarray, shape) -> np.ndarray:
@@ -82,6 +86,22 @@ class FlatBandGrid:
             raise ValueError("need at least 4 transverse points")
         if self.L <= 0:
             raise ValueError("band length must be positive")
+        if self.n > sys.float_info.max:
+            # the cell volume ht^(n-1) is a float power: the OverflowError
+            # ("not finite") that every command gives such a dimension
+            raise OverflowError("band dimension is past the float range")
+        # integer products, stopped at the first past the limit: a huge N_t
+        # or n costs a few multiplications, never an allocation
+        nodes = self.N_r
+        for _ in range(self.n - 1):
+            if nodes > MAX_GRID_NODES:
+                break
+            nodes *= self.N_t
+        if nodes > MAX_GRID_NODES:
+            raise ValueError(
+                f"a {self.N_r} x {self.N_t}^{self.n - 1} grid has more than "
+                f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes"
+            )
 
     @property
     def h(self) -> float:

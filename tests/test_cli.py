@@ -230,9 +230,10 @@ GRID_DOC = {
 
 
 def _grid_number_paths(doc):
-    """Key paths of L, of each coef part and of each factor's freq and
-    phase.  N_r and N_t stay small: the integrals allocate all
-    N_r * N_t^(n-1) nodes."""
+    """Key paths of the grid sizes, of L, of each coef part and of each
+    factor's freq and phase."""
+    yield ("N_r",)
+    yield ("N_t",)
     yield ("L",)
     for i, spec in enumerate(doc["fields"]):
         for j, term in enumerate(spec):
@@ -243,21 +244,35 @@ def _grid_number_paths(doc):
                 yield ("fields", i, j, "factors", k, "phase")
 
 
+# grid sizes past the node limit (the integrals would allocate all
+# N_r * N_t^(n-1) nodes) and one past the float range
+HUGE_SIZES = ["100000", "10000000000000", "1" + "0" * 400]
+
+
 def test_grid_config_numbers_on_extreme_values(tmp_path):
     """Every number inside a verify identities --grid file at the extreme
-    values; a non-finite one is written as Python's NaN or Infinity literal."""
+    values, the grid sizes also at huge integers; a non-finite one is
+    written as Python's NaN or Infinity literal."""
     for where in _grid_number_paths(GRID_DOC):
-        for value in EXTREME_VALUES:
+        for i, value in enumerate(EXTREME_VALUES + (HUGE_SIZES if where[0].startswith("N_") else [])):
             doc = json.loads(json.dumps(GRID_DOC))
             *parents, last = where
             target = doc
             for key in parents:
                 target = target[key]
-            target[last] = float(value)
-            name = "-".join(map(str, where)) + value
+            target[last] = int(value) if value in HUGE_SIZES else float(value)
+            name = "-".join(map(str, where)) + str(i)
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
             _exit_2_or_finite(["verify", "identities", "--grid", str(path)], tmp_path / f"{name}.out")
+
+
+@pytest.mark.parametrize("flag, ladder", [("--N-t", "{}"), ("--N-r", "16,32,{}")])
+def test_identities_size_flags_on_extreme_values(tmp_path, flag, ladder):
+    """--N-t, and the finest size of --N-r, at the extreme values and at
+    sizes past the grid node limit: a usage or input error, never exit 3."""
+    for i, value in enumerate(EXTREME_VALUES + HUGE_SIZES):
+        _exit_2_or_finite(["verify", "identities", flag, ladder.format(value)], tmp_path / f"{i}.json")
 
 
 @st.composite
@@ -314,6 +329,17 @@ def test_tol_only_on_the_suites_that_read_it(tmp_path):
         path = tmp_path / f"{suite}.json"
         assert cli.main(["emit", "json", "--suite", suite, "--out", str(path)]) == 0
         assert ("tol" in json.loads(path.read_text())) == (suite in ("curvature", "weitzenboeck"))
+
+
+def test_parser_built_once_keeps_no_state_between_runs(tmp_path, monkeypatch):
+    """main reuses one parser; flags given to one run never reach the next."""
+    monkeypatch.delenv("PIC_TOOLKIT_SEED", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["verify", "comparison", "--draws", "3", "--seed", "5", "--out", str(first)]) == 0
+    assert cli.main(["verify", "comparison", "--out", str(second)]) == 0
+    reports = [json.loads(path.read_text())["report"]["reports"][0] for path in (first, second)]
+    assert [(r["params"]["draws"], r["details"]["seed"]) for r in reports] == [(3, 5), (20, 0)]
 
 
 def test_emit_config_template(tmp_path):

@@ -194,7 +194,7 @@ def _reference_integrate(w0, kfn, rho, step):
 def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
     kfn = lambda r: -K + bump * math.sin(r) ** 2
     step = B.RICCATI_STEP * max(1.0, rho)
-    assert B._integrate_scalar(w0, kfn, rho, step) == _reference_integrate(w0, kfn, rho, step)
+    assert B._integrate_scalar(w0, kfn, [rho], step) == [_reference_integrate(w0, kfn, rho, step)]
 
 
 def test_oracle_integrates_each_distinct_value_once_in_order(monkeypatch):
@@ -210,7 +210,7 @@ def test_oracle_integrates_each_distinct_value_once_in_order(monkeypatch):
     res = B.riccati_oracle(model, 1.2)
     assert calls == [-0.3, 1.0]
     step = B.RICCATI_STEP * 1.2
-    w = {w0: integrate(w0, model.curvature_fn(), 1.2, step)[0] for w0 in (-0.3, 1.0)}
+    w = {w0: integrate(w0, model.curvature_fn(), [1.2], step)[0][0] for w0 in (-0.3, 1.0)}
     assert res.trace == 0.0 + w[-0.3] + w[1.0] + w[-0.3]
 
 
@@ -228,6 +228,63 @@ def test_oracle_step_limit_scales_with_rho():
     assert abs(res.trace - 2e4 * math.tanh(1e4)) < 1e-9 * 2e4
     with pytest.raises(ValueError, match="step limit"):
         B.riccati_oracle(model, 2.0)
+
+
+@st.composite
+def curve_models(draw):
+    """A model with constant K and principal values A0 (focal crossings
+    within reach when A0 > 0), and up to 8 sorted distances to rho_max."""
+    n = draw(st.integers(2, 6))
+    K = draw(st.floats(0.0, 4.0))
+    A0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=n - 1, max_size=n - 1))
+    rho_max = draw(st.floats(0.05, 3.0))
+    rhos = sorted(draw(st.lists(st.floats(0.0, rho_max), min_size=1, max_size=7)) + [rho_max])
+    return B.RotSymModel(n=n, K=K, A0=A0), rhos
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve_models())
+@example((B.RotSymModel(n=3, K=0.0, A0=[2.0, 0.5]), [0.0, 0.25, 0.5, 1.0, 2.5]))  # two poles
+@example((B.RotSymModel(n=4, K=1.0, A0=[0.3, 0.3, -1.0]), [0.4, 0.4, 1.2]))  # a repeated distance
+def test_curve_matches_oracle_per_distance(case):
+    """One trajectory through every distance gives each distance what its
+    own integration from 0 gives: the same crossed flag, traces and
+    crossings within 1e-9 (the two differ only by their RK4 step)."""
+    model, rhos = case
+    curve = B.riccati_curve(model, rhos)
+    assert [res.rho for res in curve] == rhos
+    for rho, res in zip(rhos, curve):
+        alone = B.riccati_oracle(model, rho)
+        assert res.crossed == alone.crossed, rho
+        if res.crossed:
+            assert abs(res.crossing - alone.crossing) <= 1e-9
+        else:
+            assert abs(res.trace - alone.trace) <= 1e-9 * max(1.0, abs(alone.trace))
+
+
+def test_curve_row_at_zero_is_the_start_trace():
+    model = B.RotSymModel(n=4, K=0.7, A0=[0.3, -1.0, 20.0])
+    first, second = B.riccati_curve(model, [0.0, 0.0, 0.5])[:2]
+    assert first == second == B.RiccatiResult(0.0, -0.3 + 1.0 - 20.0, None)
+    assert first == B.riccati_oracle(model, 0.0)
+
+
+def test_curve_rejects_decreasing_or_negative_distances():
+    model = B.RotSymModel(n=3, K=1.0, A0=0.5)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        B.riccati_curve(model, [0.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        B.riccati_curve(model, [-0.1, 1.0])
+
+
+def test_curve_step_limit_is_set_by_the_largest_distance():
+    # K = 1e8 is on the limit at rho = 1 and past it at rho = 2, so a curve to
+    # rho_max = 2 fails as a row at rho = 2 does, whatever its other rows
+    model = B.RotSymModel(n=3, K=1e8, A0=0.0)
+    with pytest.raises(ValueError, match="step limit"):
+        B.riccati_curve(model, [0.0, 0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="step limit"):
+        B.barrier_curve_rows(B.ComparisonParams(3, 1e8, 0.0), [0.0, 2.0])
 
 
 def test_positive_boundary_barrier_monotone_to_pole():

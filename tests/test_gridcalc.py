@@ -18,6 +18,18 @@ def test_grid_validation():
         G.FlatBandGrid(4, -1.0, 16, 6)
 
 
+def test_grid_node_limit():
+    """N_r N_t^(n-1) past MAX_GRID_NODES is refused before anything is
+    allocated, also where the count itself is astronomically large."""
+    G.FlatBandGrid(5, 2.0, 96, 6)  # the largest study in use
+    G.FlatBandGrid(3, 2.0, G.MAX_GRID_NODES // 16, 4)  # exactly at the limit
+    for n, N_r, N_t in ((3, G.MAX_GRID_NODES // 16 + 1, 4), (4, 12, 100_000), (4, 10**13, 6), (10**20, 8, 4)):
+        with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+            G.FlatBandGrid(n, 2.0, N_r, N_t)
+    with pytest.raises(OverflowError, match="float range"):
+        G.FlatBandGrid(10**400, 2.0, 8, 4)
+
+
 def test_d_of_constant_field_vanishes():
     g = grid()
     F = G.trig_field(g, [{"index": [1, 2], "coef": [1.0, 0.5], "factors": []}])

@@ -24,6 +24,7 @@ __all__ = [
     "WarpProfile",
     "WarpedBand",
     "CounterexampleSpec",
+    "band_curvatures",
     "band_curvature_at",
     "sigma_pic_profile",
     "boundary_shape",
@@ -115,6 +116,7 @@ class WarpedBand:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("band dimension must be at least 3")
+        curvature._check_dimension(self.n)  # the band's curvature tensors are dense
         if not (self.r0 < self.r1):
             raise ValueError("need r0 < r1")
         for r in np.linspace(self.r0, self.r1, 64):
@@ -132,33 +134,47 @@ class WarpedBand:
         return (1.0 - dp * dp) / (p * p), -ddp / p
 
 
-def band_curvature_at(B: WarpedBand, r: float) -> CurvTensor:
-    """Adapted-frame curvature tensor at radius r (frame: e_1..e_{n-1}
-    spherical, e_n radial)."""
-    if not (B.r0 <= r <= B.r1):
-        raise ValueError(f"r = {r} outside the band [{B.r0}, {B.r1}]")
-    ks, kr = B.sectionals_at(r)
+def band_curvatures(B: WarpedBand, rs) -> np.ndarray:
+    """Adapted-frame curvature components at every radius of rs (frame:
+    e_1..e_{n-1} spherical, e_n radial), as one validated stack
+    (len(rs), n, n, n, n)."""
+    rs = [float(r) for r in rs]
+    for r in rs:
+        if not (B.r0 <= r <= B.r1):
+            raise ValueError(f"r = {r} outside the band [{B.r0}, {B.r1}]")
+    ks, kr = np.array([B.sectionals_at(r) for r in rs]).T[:, :, None, None]
     h = np.zeros((B.n, B.n))
     h[: B.n - 1, : B.n - 1] = np.eye(B.n - 1)
     q = np.zeros((B.n, B.n))
     q[B.n - 1, B.n - 1] = 1.0
     # (ks/2) h o^ h + kr h o^ q, as one product: o^ is bilinear
-    return curvature.kulkarni_nomizu(h, 0.5 * ks * h + kr * q)
+    R = curvature._kn_components(h, 0.5 * ks * h + kr * q)
+    curvature._validate(R)
+    return R
+
+
+def band_curvature_at(B: WarpedBand, r: float) -> CurvTensor:
+    """The curvature tensor of :func:`band_curvatures` at one radius."""
+    return CurvTensor(band_curvatures(B, [r])[0], validate=False)
 
 
 def sigma_pic_profile(
     B: WarpedBand, sigma: float, samples: int = 9, cfg: SearchConfig = SearchConfig(restarts=64)
 ) -> Report:
     """Minimum isotropic curvature at sampled radii; PASS iff it stays
-    >= sigma - tol.  Exact for n = 4, the frame search above."""
+    >= sigma - tol.  Exact for n = 4, where every radius is built,
+    validated and reduced to its closed-form minimum in one batch; the
+    frame search, radius by radius, above."""
     if B.n < 4:
         raise ValueError("isotropic curvature needs n >= 4")
     rs = np.linspace(B.r0, B.r1, samples)
-    margins = []
+    if B.n == 4:
+        values = curvature._exact_min_core(band_curvatures(B, rs))[0].tolist()
+    else:
+        values = [curvature._verdict_minimum(band_curvature_at(B, float(r)), cfg)[0] for r in rs]
+    margins = [value - sigma for value in values]
     worst = (math.inf, None)
-    for r in rs:
-        value = curvature._verdict_minimum(band_curvature_at(B, float(r)), cfg)[0]
-        margins.append(value - sigma)
+    for r, value in zip(rs, values):
         if value < worst[0]:
             worst = (value, float(r))
     passed = min(margins) >= -cfg.tolerance
@@ -310,4 +326,4 @@ def load_band_json(doc) -> WarpedBand:
         xs=phi.get("x"),
         values=phi.get("values"),
     )
-    return WarpedBand(int(doc["n"]), float(doc["r0"]), float(doc["r1"]), profile)
+    return WarpedBand(curvature._json_int(doc["n"], "n"), float(doc["r0"]), float(doc["r1"]), profile)

@@ -30,6 +30,7 @@ form (``exact_min_isotropic``), and rests on the stochastic search
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +74,45 @@ SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
 SEARCH_STEP0 = 0.1  # first step of every restart
 STALL_WINDOW = 25  # iterations between two stall checks of the frame search
 STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
+# Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
+MAX_TENSOR_COMPONENTS = 1 << 21
+
+
+def _trailing(R: np.ndarray, axes) -> np.ndarray:
+    """R with its trailing four axes permuted by ``axes``, leading axes kept."""
+    lead = R.ndim - 4
+    return np.transpose(R, (*range(lead), *(lead + a for a in axes)))
+
+
+def _bianchi_defect(R: np.ndarray) -> float:
+    """Largest first Bianchi defect R_ijkl + R_jkil + R_kijl over a tensor or a stack."""
+    return float(np.max(np.abs(R + _trailing(R, (1, 2, 0, 3)) + _trailing(R, (2, 0, 1, 3)))))
+
+
+def _validate(R: np.ndarray) -> None:
+    """The CurvTensor checks over the trailing four axes of R, so that one
+    call validates a single tensor or a stack of them."""
+    if not np.all(np.isfinite(R)):
+        raise ValueError("curvature components must be finite")
+    if not np.array_equal(R, -_trailing(R, (1, 0, 2, 3))):
+        raise ValueError("antisymmetry in the first index pair fails")
+    if not np.array_equal(R, -_trailing(R, (0, 1, 3, 2))):
+        raise ValueError("antisymmetry in the second index pair fails")
+    if not np.array_equal(R, _trailing(R, (2, 3, 0, 1))):
+        raise ValueError("pair-interchange symmetry fails")
+    defect = _bianchi_defect(R)
+    if defect > BIANCHI_TOL:
+        raise ValueError(f"first Bianchi identity violated by {defect:.3e}")
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a dimension whose dense n^4 component array would exceed
+    MAX_TENSOR_COMPONENTS; counted in integers, before anything is allocated."""
+    if n**4 > MAX_TENSOR_COMPONENTS:
+        raise ValueError(
+            f"dimension n = {n} needs n^4 = {n**4} dense curvature components, "
+            f"more than MAX_TENSOR_COMPONENTS = {MAX_TENSOR_COMPONENTS}"
+        )
 
 
 class CurvTensor:
@@ -95,22 +135,10 @@ class CurvTensor:
             self.validate()
 
     def validate(self):
-        R = self.R
-        if not np.all(np.isfinite(R)):
-            raise ValueError("curvature components must be finite")
-        if not np.array_equal(R, -np.swapaxes(R, 0, 1)):
-            raise ValueError("antisymmetry in the first index pair fails")
-        if not np.array_equal(R, -np.swapaxes(R, 2, 3)):
-            raise ValueError("antisymmetry in the second index pair fails")
-        if not np.array_equal(R, np.transpose(R, (2, 3, 0, 1))):
-            raise ValueError("pair-interchange symmetry fails")
-        defect = self.bianchi_defect()
-        if defect > BIANCHI_TOL:
-            raise ValueError(f"first Bianchi identity violated by {defect:.3e}")
+        _validate(self.R)
 
     def bianchi_defect(self) -> float:
-        R = self.R
-        return float(np.max(np.abs(R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3)))))
+        return _bianchi_defect(self.R)
 
     def __add__(self, other: "CurvTensor") -> "CurvTensor":
         if self.n != other.n:
@@ -123,20 +151,28 @@ class CurvTensor:
     __rmul__ = __mul__
 
 
+def _kn_components(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu components of symmetric factors h, k, broadcast over
+    their leading axes: (..., n, n) x (..., n, n) -> (..., n, n, n, n)."""
+    if h.ndim < 2 or h.shape[-2:] != k.shape[-2:] or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"incompatible shapes {h.shape} and {k.shape}")
+    if not np.array_equal(h, np.swapaxes(h, -1, -2)) or not np.array_equal(k, np.swapaxes(k, -1, -2)):
+        raise ValueError("Kulkarni-Nomizu factors must be symmetric")
+    # Assemble as U - swap01(U), then pair-symmetrise: each required symmetry
+    # then holds bit-exactly, not just up to rounding.
+    U = np.einsum("...ik,...jl->...ijkl", h, k) - np.einsum("...il,...jk->...ijkl", h, k)
+    R = U - _trailing(U, (1, 0, 2, 3))
+    return 0.5 * (R + _trailing(R, (2, 3, 0, 1)))
+
+
 def kulkarni_nomizu(h, k) -> CurvTensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    if h.shape != k.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.shape != k.shape or h.ndim != 2:
         raise ValueError(f"incompatible shapes {h.shape} and {k.shape}")
-    if not np.array_equal(h, h.T) or not np.array_equal(k, k.T):
-        raise ValueError("Kulkarni-Nomizu factors must be symmetric")
-    # Assemble as U - swap01(U), then pair-symmetrise: each required symmetry
-    # then holds bit-exactly, not just up to rounding.
-    U = np.einsum("ik,jl->ijkl", h, k) - np.einsum("il,jk->ijkl", h, k)
-    R = U - np.swapaxes(U, 0, 1)
-    R = 0.5 * (R + np.transpose(R, (2, 3, 0, 1)))
-    return CurvTensor(R)
+    _check_dimension(h.shape[0])
+    return CurvTensor(_kn_components(h, k))
 
 
 def constant_curvature(n: int, kappa: float = 1.0) -> CurvTensor:
@@ -335,6 +371,28 @@ def _hodge_eigenbases():
     return vecs[:, 3:], vecs[:, :3]
 
 
+# e_i ^ e_j, i < j, on R^4 as 0-based index arrays (i, j)
+_TWO_FORMS4 = (np.array(degree_basis(4, 2)) - 1).T
+
+
+def _exact_min_core(Rs: np.ndarray):
+    """The closed-form minimum of :func:`exact_min_isotropic` over a stack
+    (S, 4, 4, 4, 4), with one batched eigh per side.  Returns
+    ``(values, side, tops)``: the S minima, whether each is attained on the
+    anti-self-dual side (the self-dual side on a tie), and per side the
+    (S, 3) top eigenvectors in that side's basis."""
+    i, j = _TWO_FORMS4
+    op = Rs[:, i[:, None], j[:, None], i[None, :], j[None, :]]  # curvature operator on e_i ^ e_j
+    beta = Rs[:, 0, 1, 2, 3] + Rs[:, 0, 2, 3, 1] + Rs[:, 0, 3, 1, 2]
+    halves, tops = [], []
+    for E, shift in zip(_hodge_eigenbases(), (-beta, beta)):
+        evals, evecs = np.linalg.eigh(E.T @ op @ E)
+        halves.append(evals[:, 0] + evals[:, 1] + shift)
+        tops.append(evecs[:, :, 2])
+    side = halves[1] < halves[0]
+    return 2.0 * np.where(side, halves[1], halves[0]), side, tops
+
+
 def exact_min_isotropic(R: CurvTensor):
     """Exact minimum of the isotropic curvature in dimension 4, with a frame
     attaining it.  Returns ``(value, frame)`` like :func:`min_isotropic`.
@@ -354,14 +412,10 @@ def exact_min_isotropic(R: CurvTensor):
     """
     if R.n != 4:
         raise ValueError(f"the closed form holds in dimension 4 only, got n = {R.n}")
-    i, j = (np.array(degree_basis(4, 2)) - 1).T
-    op = R.R[i[:, None], j[:, None], i[None, :], j[None, :]]  # curvature operator on e_i ^ e_j
-    beta = R.R[0, 1, 2, 3] + R.R[0, 2, 3, 1] + R.R[0, 3, 1, 2]
-    sides = []
-    for E, shift in zip(_hodge_eigenbases(), (-beta, beta)):
-        evals, evecs = np.linalg.eigh(E.T @ op @ E)
-        sides.append((evals[0] + evals[1] + shift, E @ evecs[:, 2]))
-    half_min, w = min(sides, key=lambda side: side[0])  # the self-dual side on a tie
+    values, side, tops = _exact_min_core(R.R[None])
+    s = int(side[0])
+    w = _hodge_eigenbases()[s] @ tops[s][0]
+    i, j = _TWO_FORMS4
     J = np.zeros((4, 4))
     J[i, j] = w
     J[j, i] = -w
@@ -371,7 +425,7 @@ def exact_min_isotropic(R: CurvTensor):
     rest = np.eye(4) - np.outer(x0, x0) - np.outer(x1, x1)
     x2 = rest[:, np.argmax(np.einsum("ij,ij->j", rest, rest))]
     x2 = x2 / np.linalg.norm(x2)
-    return float(2.0 * half_min), Frame4(np.array([x0, x1, x2, J.T @ x2]))
+    return float(values[0]), Frame4(np.array([x0, x1, x2, J.T @ x2]))
 
 
 def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
@@ -590,6 +644,15 @@ _SLOT_PERMS = (  # index permutations generating the full symmetry orbit
 )
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON input, which may be written as an
+    integral float (4.0); a fraction, a boolean or a string is rejected,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_curvature_json(doc) -> CurvTensor:
     """Build a tensor from ``{"n": n, "components": [{i,j,k,l,v}, ...]}``.
 
@@ -597,11 +660,12 @@ def load_curvature_json(doc) -> CurvTensor:
     completes the orbit under the pair (anti)symmetries and rejects entries
     that disagree by more than 1e-10.
     """
-    n = int(doc["n"])
+    n = _json_int(doc["n"], "n")
+    _check_dimension(n)
     R = np.zeros((n, n, n, n))
     seen = np.zeros((n, n, n, n), dtype=bool)
     for entry in doc["components"]:
-        i, j, k, l = (int(entry[key]) - 1 for key in ("i", "j", "k", "l"))
+        i, j, k, l = (_json_int(entry[key], key) - 1 for key in ("i", "j", "k", "l"))
         v = float(entry["v"])
         if not all(0 <= t < n for t in (i, j, k, l)):
             raise ValueError(f"component index out of range: {entry}")

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picband import bands as BD
 from picband import curvature as C
@@ -183,3 +185,77 @@ def test_table_profile_validation():
         BD.WarpProfile("table", xs=[0.0, 1.0], values=[1.0, 1.0])  # too few samples
     with pytest.raises(ValueError):
         BD.WarpProfile("table", xs=[0.0, 0.0, 1.0], values=[1.0, 1.0, 1.0])
+
+
+@st.composite
+def bands(draw):
+    """const, sin, linear and table bands on which the warping stays positive."""
+    kind = draw(st.sampled_from(["const", "sin", "linear", "table"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "table":
+        xs = np.linspace(0.0, 3.0, draw(st.integers(3, 12)))
+        a, b = draw(unit), draw(unit)
+        profile = BD.WarpProfile("table", xs=xs, values=1.0 + a + 0.5 * b * np.sin(3.0 * xs))
+        r0 = 2.0 * draw(unit)
+        return BD.WarpedBand(4, r0, r0 + 0.05 + 0.9 * draw(unit), profile)
+    scale = 0.3 + 2.0 * draw(unit)
+    if kind == "sin":
+        r0 = 0.05 + 1.5 * draw(unit)
+        return BD.WarpedBand(4, r0, r0 + 0.05 + (math.pi - 0.15 - r0) * draw(unit), BD.WarpProfile(kind, scale))
+    r0 = (0.05 if kind == "linear" else -1.0) + 2.0 * draw(unit)
+    return BD.WarpedBand(4, r0, r0 + 0.05 + 3.0 * draw(unit), BD.WarpProfile(kind, scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bands(), st.integers(2, 64), st.sampled_from([-1.0, -1e-9, 0.0, 1e-9, 1.0]))
+def test_batched_profile_matches_per_radius_closed_form(B, samples, offset):
+    """The n = 4 profile reads every radius off one stack; its report equals,
+    bit for bit, the loop of exact_min_isotropic over band_curvature_at, with
+    sigma below, at and above the minimum."""
+    rs = np.linspace(B.r0, B.r1, samples)
+    values = [C.exact_min_isotropic(BD.band_curvature_at(B, float(r)))[0] for r in rs]
+    sigma = min(values) + offset
+    k = values.index(min(values))
+    rep = BD.sigma_pic_profile(B, sigma, samples=samples)
+    margin = min(v - sigma for v in values)
+    expected = (margin >= -rep.tolerance, margin, float(rs[k]), values[k])
+    assert repr((rep.passed, rep.regions[0].min_margin, rep.details["worst_radius"],
+                 rep.details["min_isotropic"])) == repr(expected)
+
+    stack = BD.band_curvatures(B, rs)
+    h = np.diag([1.0, 1.0, 1.0, 0.0])
+    q = np.diag([0.0, 0.0, 0.0, 1.0])
+    for row, r in zip(stack, rs):
+        ks, kr = B.sectionals_at(float(r))
+        assert np.array_equal(row, BD.band_curvature_at(B, float(r)).R)
+        assert np.array_equal(row, C.kulkarni_nomizu(h, 0.5 * ks * h + kr * q).R)
+
+
+def _corruptions():
+    """One tensor per CurvTensor check that it fails: a non-finite orbit, each
+    broken symmetry, and a first Bianchi defect of 1e-3."""
+    base = C.constant_curvature(4).R
+    nan = base.copy()
+    for i, j, k, l, sign in ((0, 1, 0, 1, 1), (1, 0, 0, 1, -1), (0, 1, 1, 0, -1), (1, 0, 1, 0, 1)):
+        nan[i, j, k, l] = sign * np.nan
+    first = base.copy()
+    first[0, 1, 0, 2] = 0.5
+    second = base.copy()
+    second[0, 1, 2, 3], second[1, 0, 2, 3] = 0.5, -0.5
+    pair = base.copy()
+    for (i, j), sign in (((0, 1), 1.0), ((1, 0), -1.0)):
+        pair[i, j, 2, 3], pair[i, j, 3, 2] = sign * 0.5, -sign * 0.5
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    return [nan, first, second, pair, base + 1e-3 * eps]
+
+
+@pytest.mark.parametrize("bad", _corruptions(), ids=["finite", "first-pair", "second-pair", "interchange", "bianchi"])
+def test_stack_with_one_bad_member_fails_like_one_tensor(bad):
+    good = C.constant_curvature(4).R
+    with pytest.raises(ValueError) as single:
+        C.CurvTensor(bad)
+    with pytest.raises(ValueError) as stacked:
+        C._validate(np.stack([good, good, bad, good]))
+    assert str(stacked.value) == str(single.value)

@@ -180,14 +180,16 @@ COMPARISON_PATHS = {
 def _exit_2_or_finite(argv, out):
     """Run argv in process: a usage or input error (exit 2) writes nothing,
     a run (exit 0) writes only finite numbers; anything else is a defect.
-    verify bandwidth and verify identities may also fail (exit 1): --Lambda
-    1e308 or --sigma 1e-308 give a finite negative margin, and a grid
-    file's residual may exceed its bound; the margins must be finite."""
+    verify bandwidth, identities, band and curvature may also fail (exit 1):
+    --Lambda 1e308 or --sigma 1e-308 give a finite negative margin, a grid
+    file's residual may exceed its bound, and a band or a tensor file may
+    fall short of sigma; the margins must be finite."""
     try:
         code = cli.main([*argv, "--out", str(out)])
     except SystemExit as exc:
         code = exc.code
-    may_fail = argv[:2] in (["verify", "bandwidth"], ["verify", "identities"])
+    may_fail = argv[:2] in (["verify", "bandwidth"], ["verify", "identities"], ["verify", "band"],
+                            ["verify", "curvature"])
     assert code in ((0, 1, 2) if may_fail else (0, 2)), argv
     if code == 2:
         assert not out.exists(), argv
@@ -249,22 +251,104 @@ def _grid_number_paths(doc):
 HUGE_SIZES = ["100000", "10000000000000", "1" + "0" * 400]
 
 
+def _sweep_file_number(tmp_path, argv, base_doc, where, values, integers):
+    """Run argv + [file] once per value, the file being base_doc with the
+    number at key path ``where`` replaced; values listed in ``integers`` are
+    written as JSON integers, the others as floats (a non-finite one as
+    Python's NaN or Infinity literal)."""
+    for i, value in enumerate(values):
+        doc = json.loads(json.dumps(base_doc))
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = int(value) if value in integers else float(value)
+        name = "-".join(map(str, where)) + str(i)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        _exit_2_or_finite([*argv, str(path)], tmp_path / f"{name}.out")
+
+
 def test_grid_config_numbers_on_extreme_values(tmp_path):
     """Every number inside a verify identities --grid file at the extreme
-    values, the grid sizes also at huge integers; a non-finite one is
-    written as Python's NaN or Infinity literal."""
+    values, the grid sizes also at huge integers."""
     for where in _grid_number_paths(GRID_DOC):
-        for i, value in enumerate(EXTREME_VALUES + (HUGE_SIZES if where[0].startswith("N_") else [])):
-            doc = json.loads(json.dumps(GRID_DOC))
-            *parents, last = where
-            target = doc
-            for key in parents:
-                target = target[key]
-            target[last] = int(value) if value in HUGE_SIZES else float(value)
-            name = "-".join(map(str, where)) + str(i)
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
-            _exit_2_or_finite(["verify", "identities", "--grid", str(path)], tmp_path / f"{name}.out")
+        values = EXTREME_VALUES + (HUGE_SIZES if where[0].startswith("N_") else [])
+        _sweep_file_number(tmp_path, ["verify", "identities", "--grid"], GRID_DOC, where, values, HUGE_SIZES)
+
+
+# integer fields of band specs and tensor files: a dimension whose dense n^4
+# tensor is past MAX_TENSOR_COMPONENTS (191 GiB; was a MemoryError, exit 3),
+# a fraction (was truncated to 4 and run) and one past the float range
+BIG_INTEGERS = ["400", "1" + "0" * 400]
+INTEGER_EXTREMES = BIG_INTEGERS + ["4.5"]
+BAND_DOC = {"n": 4, "phi": {"kind": "sin", "scale": 1.0}, "r0": 0.5, "r1": 1.5}
+TENSOR_DOC = {"n": 4, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": 1.0},
+                                     {"i": 3, "j": 4, "k": 3, "l": 4, "v": 2.0}]}
+FILE_NUMBERS = {
+    "band": (["verify", "band", "--band"], BAND_DOC, {("n",): True, ("r0",): False, ("r1",): False,
+                                                      ("phi", "scale"): False}),
+    "tensor": (["verify", "curvature", "--tensor"], TENSOR_DOC,
+               {("n",): True, ("components", 0, "v"): False, ("components", 0, "i"): True}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_NUMBERS))
+def test_band_and_tensor_file_numbers_on_extreme_values(tmp_path, kind):
+    """Every listed number inside a band spec or a tensor file at the extreme
+    values, its integer fields also at INTEGER_EXTREMES: exit 0, 1 or 2 with
+    finite margins, never an internal error."""
+    argv, doc, fields = FILE_NUMBERS[kind]
+    for where, integer in fields.items():
+        values = EXTREME_VALUES + (INTEGER_EXTREMES if integer else [])
+        _sweep_file_number(tmp_path, argv, doc, where, values, BIG_INTEGERS)
+
+
+def test_band_sigma_on_extreme_values(tmp_path):
+    for i, value in enumerate(EXTREME_VALUES):
+        _exit_2_or_finite(["verify", "band", "--sigma", value], tmp_path / f"{i}.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "curvature", "--n", "400"],
+        ["verify", "weitzenboeck", "--n", "400"],
+        ["verify", "counterexample", "--n", "400"],
+        ["verify", "curvature", "--tensor", "{tensor}"],
+        ["verify", "band", "--band", "{band}"],
+    ],
+    ids=["curvature", "weitzenboeck", "counterexample", "tensor-file", "band-spec"],
+)
+def test_dimension_past_dense_tensor_limit_is_input_error(tmp_path, capsys, argv):
+    """n = 400 needs 400^4 components (191 GiB): refused before anything is
+    allocated, where it used to end in a MemoryError (exit 3)."""
+    files = {"tensor": tmp_path / "tensor.json", "band": tmp_path / "band.json"}
+    files["tensor"].write_text(json.dumps({"n": 400, "components": []}))
+    files["band"].write_text(json.dumps({**BAND_DOC, "phi": {"kind": "const"}, "n": 400}))
+    report = tmp_path / "r.json"
+    argv = [arg.format(**files) for arg in argv]
+    assert cli.main([*argv, "--out", str(report)]) == 2
+    assert "more than MAX_TENSOR_COMPONENTS" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", [4.5, True, "4"], ids=["fraction", "boolean", "string"])
+@pytest.mark.parametrize("field", ["band-n", "tensor-n", "tensor-index"])
+def test_non_integral_file_integer_is_input_error(tmp_path, capsys, field, value):
+    """A band spec's or tensor file's n and a component index must be
+    integers; 4.5 was truncated to 4 and the run passed (exit 0)."""
+    if field == "band-n":
+        argv, doc = ["verify", "band", "--band"], {**BAND_DOC, "n": value}
+    elif field == "tensor-n":
+        argv, doc = ["verify", "curvature", "--sigma", "0", "--tensor"], {**TENSOR_DOC, "n": value}
+    else:
+        entry = {**TENSOR_DOC["components"][0], "i": value}
+        argv, doc = ["verify", "curvature", "--sigma", "0", "--tensor"], {**TENSOR_DOC, "components": [entry]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, ladder", [("--N-t", "{}"), ("--N-r", "16,32,{}")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from picband import curvature as C
+from picband.exterior import degree_basis
 
 
 def product_tensor(n=4, kappa=1.0):
@@ -237,6 +238,49 @@ def test_exact_min_with_bianchi_defect(rng):
     searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=1))
     assert abs(exact - searched) < 1e-6
     assert abs(C.iso_curvature(R, frame) - exact) < 1e-12 * np.max(np.abs(R.R))
+
+
+def _exact_min_one_tensor(R):
+    """The closed form one tensor at a time, as exact_min_isotropic computed
+    it before its stacked core: a 3 x 3 eigh per side, the self-dual side on
+    a tie, the witness built from that side's top eigenvector."""
+    i, j = (np.array(degree_basis(4, 2)) - 1).T
+    op = R.R[i[:, None], j[:, None], i[None, :], j[None, :]]
+    beta = R.R[0, 1, 2, 3] + R.R[0, 2, 3, 1] + R.R[0, 3, 1, 2]
+    sides = []
+    for E, shift in zip(C._hodge_eigenbases(), (-beta, beta)):
+        evals, evecs = np.linalg.eigh(E.T @ op @ E)
+        sides.append((evals[0] + evals[1] + shift, E @ evecs[:, 2]))
+    half_min, w = min(sides, key=lambda side: side[0])
+    J = np.zeros((4, 4))
+    J[i, j] = w
+    J[j, i] = -w
+    J *= math.sqrt(2.0)
+    x0 = np.eye(4)[0]
+    x1 = J.T @ x0
+    rest = np.eye(4) - np.outer(x0, x0) - np.outer(x1, x1)
+    x2 = rest[:, np.argmax(np.einsum("ij,ij->j", rest, rest))]
+    x2 = x2 / np.linalg.norm(x2)
+    return float(2.0 * half_min), np.array([x0, x1, x2, J.T @ x2])
+
+
+def test_exact_min_matches_one_tensor_closed_form():
+    """Values and witness frames of the stacked core, bit for bit, on a
+    seeded panel of random, PIC and Bianchi-defect tensors."""
+    rng = np.random.default_rng(20261018)
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    orientations = set()
+    for t in range(120):
+        R = (C.random_curvature, C.random_pic_combination)[t % 2](4, rng)
+        if t % 3 == 0:
+            R = R + C.CurvTensor(rng.standard_normal() * eps, validate=False)
+        value, frame = C.exact_min_isotropic(R)
+        ref_value, ref_frame = _exact_min_one_tensor(R)
+        assert value == ref_value and np.array_equal(frame.vectors, ref_frame)
+        orientations.add(float(np.sign(np.linalg.det(frame.vectors))))
+    assert orientations == {-1.0, 1.0}
 
 
 def test_exact_min_needs_dimension_four():

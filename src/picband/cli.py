@@ -387,13 +387,12 @@ def suite_band(args):
         band = _load(path, bands.load_band_json, "band spec")
     else:
         band = bands.WarpedBand(4, 0.0, 3.0, bands.WarpProfile("const"))
-    scfg = curvature.SearchConfig(seed=args.seed, restarts=args.restarts)
-    return [bands.sigma_pic_profile(band, args.sigma, cfg=scfg)]
+    return [bands.sigma_pic_profile(band, args.sigma)]
 
 
 def suite_counterexample(args):
     spec = bands.CounterexampleSpec(n=args.n, k=args.k, sigma=args.sigma, L=args.L)
-    return [bands.counterexample_report(spec, curvature.SearchConfig(seed=args.seed))]
+    return [bands.counterexample_report(spec)]
 
 
 SUITES = {
@@ -418,6 +417,12 @@ def run_suite(args: argparse.Namespace) -> int:
     if env_seed is not None:
         args = argparse.Namespace(**{**vars(args), "seed": int(env_seed)})
     reports = SUITES[args.suite](args)
+    for rep in reports:
+        for region in rep.regions:
+            # an infinite margin comes from a formula that overflowed (2L at
+            # --L 1e308); a NaN one may only fail, as a NaN defect does
+            if math.isinf(region.min_margin) or (rep.passed and math.isnan(region.min_margin)):
+                raise InputError(f"{rep.check}: {region.name} = {region.min_margin} is not finite at these inputs")
     for rep in reports:
         print(rep.summary_line())
     if args.out:
@@ -499,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vsub.add_parser("band")
     sp.add_argument("--band", type=str, default=None, help="band spec JSON file")
     sp.add_argument("--sigma", type=_finite_float, default=1.0)
-    sp.add_argument("--restarts", type=_count, default=64)
     _add_common(sp)
 
     sp = vsub.add_parser("counterexample")

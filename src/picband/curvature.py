@@ -21,10 +21,12 @@ e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.  Only the pair
 antisymmetries and the pair interchange are used, which the storage holds
 exactly; the first Bianchi identity is not.
 
-Every sigma-PIC verdict (``is_sigma_pic``, the Weitzenboeck bound check and
-the band checks) is exact in dimension 4, where the minimum has a closed
-form (``exact_min_isotropic``), and rests on the stochastic search
-``min_isotropic`` in dimension 5 and up.
+The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
+Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
+closed form (``exact_min_isotropic``), and rest on the stochastic search
+``min_isotropic`` in dimension 5 and up.  The band checks are exact at every
+n: a warped band's minimum is a closed form in its two sectionals
+(``bands._isotropic_min``), and no tensor of theirs is searched.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ STALL_WINDOW = 25  # iterations between two stall checks of the frame search
 STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
 # Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
 MAX_TENSOR_COMPONENTS = 1 << 21
+# Two-form block entries d2^2 n^2, d2 = n(n-1)/2, accepted by the Weitzenboeck
+# operators (n <= 16): exterior.two_form_blocks and the Clifford-trace action
+# each hold that many floats, 175 MB peak in all at n = 16
+MAX_TWO_FORM_ENTRIES = 1 << 22
 
 
 def _trailing(R: np.ndarray, axes) -> np.ndarray:
@@ -113,6 +119,15 @@ def _check_dimension(n: int) -> None:
             f"dimension n = {n} needs n^4 = {n**4} dense curvature components, "
             f"more than MAX_TENSOR_COMPONENTS = {MAX_TENSOR_COMPONENTS}"
         )
+
+
+def _check_two_form_size(n: int) -> None:
+    """Refuse a dimension whose (n, n, d2, d2) two-form blocks would exceed
+    MAX_TWO_FORM_ENTRIES; counted in integers, before anything is allocated."""
+    entries = (n * (n - 1) // 2) ** 2 * n * n
+    if entries > MAX_TWO_FORM_ENTRIES:
+        raise ValueError(f"dimension n = {n} needs d2^2 n^2 = {entries} two-form block entries, "
+                         f"more than MAX_TWO_FORM_ENTRIES = {MAX_TWO_FORM_ENTRIES}")
 
 
 class CurvTensor:
@@ -531,6 +546,7 @@ def weitzenboeck_on_two_forms(R: CurvTensor) -> WeitzOperator:
     - 2 R_ikjl theta^k ^ theta^l, re-expanded in the ordered basis.
     """
     n = R.n
+    _check_two_form_size(n)
     basis = degree_basis(n, 2)
     pos = {key: t for t, key in enumerate(basis)}
     ric = ricci(R)
@@ -567,6 +583,7 @@ def weitzenboeck_clifford_trace(R: CurvTensor) -> np.ndarray:
     :func:`weitzenboeck_on_two_forms`.
     """
     n = R.n
+    _check_two_form_size(n)
     wedge_interior, interior_wedge = exterior.two_form_blocks(n)
     action = np.einsum("ijpq,pqac->ijac", R.R, wedge_interior)
     return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action).astype(complex)
@@ -593,13 +610,12 @@ def weitzenboeck_lower_bound_check(
     (n-2) sigma / 2, conditional on the sigma-PIC precondition."""
     if R.n % 2 != 0 or R.n < 4:
         raise ValueError("the eigenvalue bound is asserted for even n >= 4 only")
+    lam = weitzenboeck_on_two_forms(R).lambda_min()  # first: it refuses a size before the search runs
     if sigma >= 0:
         verdict = is_sigma_pic(R, sigma, cfg)
     else:
         value, _, restarts = _verdict_minimum(R, cfg)
         verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance)
-    op = weitzenboeck_on_two_forms(R)
-    lam = op.lambda_min()
     bound = 0.5 * (R.n - 2) * sigma
     margin = lam - bound
     if not verdict.passed:

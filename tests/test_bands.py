@@ -9,9 +9,14 @@ from picband import bands as BD
 from picband import curvature as C
 
 
+def tensor_at(B, r):
+    """The validated dense band tensor at one radius."""
+    return C.CurvTensor(BD.band_curvatures(B, [r])[0])
+
+
 def test_product_band_curvature():
     B = BD.WarpedBand(4, 0.0, 3.0, BD.WarpProfile("const"))
-    R = BD.band_curvature_at(B, 1.5)
+    R = tensor_at(B, 1.5)
     assert R.R[0, 1, 0, 1] == 1.0  # sphere-sphere
     assert R.R[0, 3, 0, 3] == 0.0  # radial-sphere
     R.validate()
@@ -20,19 +25,19 @@ def test_product_band_curvature():
 def test_sin_band_is_round_sphere():
     B = BD.WarpedBand(5, 0.3, math.pi / 2, BD.WarpProfile("sin"))
     for r in np.linspace(0.3, math.pi / 2, 7):
-        R = BD.band_curvature_at(B, float(r))
+        R = tensor_at(B, float(r))
         assert np.max(np.abs(R.R - C.constant_curvature(5, 1.0).R)) < 1e-12
 
 
 def test_linear_band_is_flat():
     B = BD.WarpedBand(4, 0.5, 2.0, BD.WarpProfile("linear"))
-    assert np.max(np.abs(BD.band_curvature_at(B, 1.0).R)) == 0.0
+    assert np.max(np.abs(tensor_at(B, 1.0).R)) == 0.0
 
 
 def test_curvature_outside_band_rejected():
     B = BD.WarpedBand(4, 0.0, 1.0, BD.WarpProfile("const"))
     with pytest.raises(ValueError):
-        BD.band_curvature_at(B, 2.0)
+        tensor_at(B, 2.0)
 
 
 def test_positive_warping_required():
@@ -167,7 +172,7 @@ def test_table_profile_tracks_closed_form():
     B = BD.WarpedBand(4, 0.4, 1.4, prof)
     worst = 0.0
     for r in np.linspace(0.45, 1.35, 9):
-        R = BD.band_curvature_at(B, float(r))
+        R = tensor_at(B, float(r))
         worst = max(worst, float(np.max(np.abs(R.R - C.constant_curvature(4).R))))
     assert worst < 1e-3
     doc = {
@@ -208,27 +213,92 @@ def bands(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(bands(), st.integers(2, 64), st.sampled_from([-1.0, -1e-9, 0.0, 1e-9, 1.0]))
-def test_batched_profile_matches_per_radius_closed_form(B, samples, offset):
-    """The n = 4 profile reads every radius off one stack; its report equals,
-    bit for bit, the loop of exact_min_isotropic over band_curvature_at, with
-    sigma below, at and above the minimum."""
+def test_profile_matches_dense_closed_form(B, samples, offset):
+    """At n = 4 the profile's closed form in (ks, kr) agrees with the
+    Micallef-Wang minimum of the dense band tensor at every sampled radius,
+    with sigma below, at and above the minimum: values to 1e-12 relative,
+    the verdict wherever the dense margin is not within 1e-12 of -tol, and
+    the worst radius is a minimiser of the dense values."""
     rs = np.linspace(B.r0, B.r1, samples)
-    values = [C.exact_min_isotropic(BD.band_curvature_at(B, float(r)))[0] for r in rs]
-    sigma = min(values) + offset
-    k = values.index(min(values))
-    rep = BD.sigma_pic_profile(B, sigma, samples=samples)
-    margin = min(v - sigma for v in values)
-    expected = (margin >= -rep.tolerance, margin, float(rs[k]), values[k])
-    assert repr((rep.passed, rep.regions[0].min_margin, rep.details["worst_radius"],
-                 rep.details["min_isotropic"])) == repr(expected)
-
     stack = BD.band_curvatures(B, rs)
+    dense = C._exact_min_core(stack)[0]
+    ks, kr = np.array([B.sectionals_at(float(r)) for r in rs]).T
+    values = BD._isotropic_min(4, ks, kr)
+    assert np.all(np.abs(values - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+    sigma = float(dense.min()) + offset
+    rep = BD.sigma_pic_profile(B, sigma, samples=samples)
+    margin = float(dense.min()) - sigma
+    if abs(margin + rep.tolerance) > 1e-12:
+        assert rep.passed == (margin >= -rep.tolerance)
+    k = list(rs).index(rep.details["worst_radius"])
+    assert dense[k] <= dense.min() + 1e-12 * max(1.0, abs(dense.min()))
+    assert rep.details["min_isotropic"] == values[k] == values.min()
+
     h = np.diag([1.0, 1.0, 1.0, 0.0])
     q = np.diag([0.0, 0.0, 0.0, 1.0])
-    for row, r in zip(stack, rs):
-        ks, kr = B.sectionals_at(float(r))
-        assert np.array_equal(row, BD.band_curvature_at(B, float(r)).R)
-        assert np.array_equal(row, C.kulkarni_nomizu(h, 0.5 * ks * h + kr * q).R)
+    for row, a, b in zip(stack, ks, kr):
+        assert np.array_equal(row, C.kulkarni_nomizu(h, 0.5 * a * h + b * q).R)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("kind, scale, r0, r1", [("sin", 0.8, 0.3, 2.5), ("linear", 0.6, 0.4, 2.0),
+                                                  ("const", 1.7, -1.0, 1.0)])
+def test_closed_form_matches_frame_search_above_dimension_4(n, kind, scale, r0, r1):
+    """min(2 (ks + kr), 4 ks) is the minimum the frame search finds on the
+    dense band tensor, at two seeded radii of each band."""
+    B = BD.WarpedBand(n, r0, r1, BD.WarpProfile(kind, scale))
+    rng = np.random.default_rng(n)
+    for r in rng.uniform(r0, r1, 2):
+        searched, _ = C.min_isotropic(tensor_at(B, float(r)), C.SearchConfig(restarts=64, seed=n))
+        assert abs(BD._isotropic_min(n, *B.sectionals_at(float(r))) - searched) < 1e-9
+
+
+def test_band_verdicts_build_no_tensor_and_search_nothing(monkeypatch):
+    """Neither the band profile nor the counterexample calls the frame
+    search, the dense closed form or the tensor builders, at any n."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a band verdict reached a dense tensor or a search")
+
+    for name in ("min_isotropic", "_exact_min_core", "_kn_components", "kulkarni_nomizu"):
+        monkeypatch.setattr(C, name, refuse)
+    for n in range(4, 8):
+        for kind in ("const", "sin", "linear"):
+            B = BD.WarpedBand(n, 0.5, 1.5, BD.WarpProfile(kind))
+            assert BD.sigma_pic_profile(B, 0.0, samples=25).passed
+    for n in range(4, 9):
+        rep = BD.counterexample_report(BD.CounterexampleSpec(n, 2, 1.7, 3.0))
+        assert rep.passed and rep.details["min_isotropic"] == 2.0 * 1.7
+        assert "seed" not in rep.details
+
+
+# The table of the undershoot spec: the spline reaches phi = -0.0746 near
+# r = 1.504, between two of the 64 radii that the positivity scan tests.
+UNDERSHOOT_X = np.linspace(0.0, 3.0, 301)
+UNDERSHOOT_VALUES = np.where(UNDERSHOOT_X < 1.5, 1.0, 0.03)
+
+
+def _least(spline, radii):
+    """(min phi, where) over the given radii."""
+    return min((spline.jet(float(r))[0], float(r)) for r in radii)
+
+
+def test_table_critical_radii_hold_the_minimum():
+    """The spline's minimum over an interval is attained at one of its
+    critical radii, also between the knots and on the end pieces extended
+    past them; a table that dips below zero there is refused at load."""
+    spline = BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES)._spline
+    low, at = _least(spline, spline.critical_radii(0.0, 3.0))
+    sampled, _ = _least(spline, np.linspace(1.49, 1.52, 30001))
+    assert low <= sampled and sampled - low < 1e-9
+    assert low < -0.07 and abs(at - 1.504) < 1e-3
+    ends = BD.WarpProfile("table", xs=[0.0, 1.0, 2.0, 3.0], values=[1.0, 0.2, 1.5, 0.3])._spline
+    for lo, hi in ((-2.0, 0.5), (2.5, 6.0)):  # the minimum on (2.5, 6.0) is near 3.91, past the knots
+        low, _ = _least(ends, ends.critical_radii(lo, hi))
+        sampled, _ = _least(ends, np.linspace(lo, hi, 20001))
+        assert low <= sampled and sampled - low < 1e-6
+    with pytest.raises(ValueError, match="warping must stay positive"):
+        BD.WarpedBand(4, 0.0, 3.0, BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES))
 
 
 def _corruptions():

@@ -174,6 +174,7 @@ COMPARISON_PATHS = {
     ("verify", "bandwidth"): ("--n", "--sigma", "--delta", "--Lambda", "--rf", "--L"),
     ("emit", "csv", "--curve", "barrier", "--points", "5"): ("--n", "--K", "--Lambda", "--rho-max"),
     ("emit", "csv", "--curve", "focal", "--points", "5"): ("--n", "--sigma", "--lambda", "--lambda-bar", "--rf"),
+    ("verify", "counterexample"): ("--n", "--k", "--sigma", "--L"),
 }
 
 
@@ -202,7 +203,8 @@ def _exit_2_or_finite(argv, out):
 
 
 def _path_id(base) -> str:
-    """comparison, barrier, focal (the emitted curve), verify-focal and verify-bandwidth."""
+    """comparison, barrier, focal (the emitted curve), verify-focal,
+    verify-bandwidth and verify-counterexample."""
     return base[-3] if len(base) > 2 else "-".join(base)
 
 
@@ -331,6 +333,52 @@ def test_dimension_past_dense_tensor_limit_is_input_error(tmp_path, capsys, argv
     assert cli.main([*argv, "--out", str(report)]) == 2
     assert "more than MAX_TENSOR_COMPONENTS" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [["--L", "1e308"], ["--sigma", "1e308"]], ids=["L", "sigma"])
+def test_counterexample_infinite_margin_is_input_error(tmp_path, capsys, argv):
+    """2L - 2 / sqrt(sigma) and 2 sigma overflow to inf in Python floats:
+    --L 1e308 passed with width_margin "inf" (exit 0)."""
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "counterexample", *argv, "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "is not finite at these inputs" in captured.err and captured.out == ""
+    assert not report.exists()
+
+
+def test_band_spec_dipping_below_zero_between_scan_radii_is_input_error(tmp_path, capsys):
+    """The spline of this table reaches phi = -0.0746 near r = 1.504, between
+    two of the 64 scan radii; it loaded and --sigma=-1e9 passed (exit 0)."""
+    xs = [3.0 * i / 300 for i in range(301)]
+    values = [1.0 if x < 1.5 else 0.03 for x in xs]
+    spec = {"n": 4, "r0": 0, "r1": 3, "phi": {"kind": "table", "x": xs, "values": values}}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["verify", "band", "--band", str(path), "--sigma=-1e9"]) == 2
+    assert "warping must stay positive on the band, phi = -0.0745" in capsys.readouterr().err
+
+
+def test_weitzenboeck_past_two_form_limit_is_input_error(monkeypatch, capsys):
+    """--n 38 passes the dense-tensor limit but its two-form blocks would
+    hold about 5.7 GB each: refused before they, or the search, are reached."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached an allocation past the limit")
+
+    monkeypatch.setattr(cli.exterior, "two_form_blocks", refuse)
+    monkeypatch.setattr(cli.curvature, "min_isotropic", refuse)
+    assert cli.main(["verify", "weitzenboeck", "--n", "38"]) == 2
+    assert "more than MAX_TWO_FORM_ENTRIES" in capsys.readouterr().err
+    assert cli.curvature.MAX_TWO_FORM_ENTRIES >= (16 * 15 // 2) ** 2 * 16**2  # n = 16 still runs
+
+
+def test_band_has_no_restarts_flag(tmp_path):
+    """The band profile searches nothing, so it takes no search effort."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "band", "--restarts", "8"])
+    assert exc.value.code == 2
+    path = tmp_path / "band.json"
+    assert cli.main(["emit", "json", "--suite", "band", "--out", str(path)]) == 0
+    assert "restarts" not in json.loads(path.read_text())["params"]
 
 
 @pytest.mark.parametrize("value", [4.5, True, "4"], ids=["fraction", "boolean", "string"])
@@ -563,7 +611,7 @@ def test_non_finite_float_and_zero_count_flags_are_usage_errors(tmp_path):
              for base, sp in parsers.items() for action in sp._actions if action.type in bad
              for value in bad[action.type]]
     counts = {argv[-2] for argv in cases if argv[-1] == "0"}
-    assert counts == {"--samples", "--draws", "--twists", "--restarts", "--points"}
+    assert counts == {"--samples", "--draws", "--twists", "--points"}
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

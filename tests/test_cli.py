@@ -560,20 +560,16 @@ def test_non_finite_json_constant_is_input_error(tmp_path):
     assert not report.exists()
 
 
-def test_nan_defect_fails_and_report_stays_strict_json(tmp_path, monkeypatch):
+def test_nan_defect_is_input_error_and_writes_no_report(tmp_path, monkeypatch, capsys):
+    """A NaN margin is no verdict: exit 2, as an infinite one is, also where
+    the report already failed, and no report file."""
     from types import SimpleNamespace
 
     monkeypatch.setattr(cli.comparison, "riccati_oracle", lambda model, rho: SimpleNamespace(trace=float("nan")))
     path = tmp_path / "r.json"
-    assert cli.main(["verify", "comparison", "--draws", "3", "--out", str(path)]) == 1
-
-    def reject(name):
-        raise ValueError(name)
-
-    bundle = json.loads(path.read_text(), parse_constant=reject)
-    umbilic = next(r for r in bundle["report"]["reports"] if r["check"] == "comparison.umbilic_equality")
-    assert umbilic["pass"] is False
-    assert umbilic["regions"][0]["min_margin"] == "nan"
+    assert cli.main(["verify", "comparison", "--draws", "3", "--out", str(path)]) == 2
+    assert "umbilic_equality" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def _subparsers(parser) -> dict:

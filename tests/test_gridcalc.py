@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,31 @@ from picband import gridcalc as G
 
 def grid(N_r=16, N_t=6, n=4, L=2.0):
     return G.FlatBandGrid(n, L, N_r, N_t)
+
+
+def random_field(grid, degree, rng, radial=True):
+    """Random smooth trig field of the given degree, two terms per component."""
+    spec = []
+    for key in combinations(range(1, grid.n + 1), degree):
+        for _ in range(2):
+            factors = []
+            if radial:
+                factors.append(
+                    {"axis": 0, "kind": rng.choice(["sin", "cos"]), "freq": int(rng.integers(1, 3)),
+                     "phase": float(rng.uniform(0, 2 * math.pi))}
+                )
+            for axis in range(1, grid.n):
+                if rng.random() < 0.5:
+                    factors.append(
+                        {"axis": axis, "kind": rng.choice(["sin", "cos"]),
+                         "freq": int(rng.integers(1, 3)), "phase": float(rng.uniform(0, 2 * math.pi))}
+                    )
+            spec.append(
+                {"index": list(key),
+                 "coef": [float(rng.standard_normal()), float(rng.standard_normal())],
+                 "factors": factors}
+            )
+    return G.trig_field(grid, spec)
 
 
 def test_grid_validation():
@@ -63,10 +89,10 @@ def test_laplacian_matches_analytic():
 
 def test_dd_vanishes(rng):
     g = grid()
-    F = G.random_field(g, 1, rng)
+    F = random_field(g, 1, rng)
     scale = max(F.sup_norm(), 1.0)
     assert G.d_grid(G.d_grid(F)).sup_norm() < 1e-12 * scale
-    F2 = G.random_field(g, 2, rng)
+    F2 = random_field(g, 2, rng)
     assert G.dstar_grid(G.dstar_grid(F2)).sup_norm() < 1e-12 * scale
 
 
@@ -80,7 +106,7 @@ def test_dd_exactly_zero_for_radial_polynomials():
 def test_dirac_two_code_paths(rng):
     # sum_j c(e_j) d_j equals d + d*
     g = grid()
-    F = G.random_field(g, 2, rng)
+    F = random_field(g, 2, rng)
     D1 = G.dirac_grid(F)
     D2 = G.FormField(g)
     for j in range(g.n):
@@ -114,7 +140,7 @@ def test_D_f_linear_radial_on_constant_field():
 
 def test_green_dirac_transverse_fields_exact(rng):
     g = grid()
-    a = G.random_field(g, 2, rng, radial=False)
+    a = random_field(g, 2, rng, radial=False)
     assert G.green_residual_dirac(a, a) < 1e-12
 
 
@@ -142,7 +168,7 @@ def test_green_laplace_convergence():
 
 def test_twisted_weitzenboeck_flat_bochner(rng):
     g = grid(N_r=24)
-    om = G.random_field(g, 2, rng)
+    om = random_field(g, 2, rng)
     # f = 0: <D^2 w, w> + <Lap w, w> cancels to rounding noise
     assert G.twisted_weitzenboeck_residual(om, np.zeros(g.shape)) < 1e-9
 
@@ -150,7 +176,7 @@ def test_twisted_weitzenboeck_flat_bochner(rng):
 def test_twisted_weitzenboeck_linear_f():
     g = grid(N_r=24)
     rng = np.random.default_rng(3)
-    om = G.random_field(g, 2, rng)
+    om = random_field(g, 2, rng)
     X = g.axes()
     f = 0.6 * X[0]
     # Hessian of a linear twist vanishes: identity reduces to the scalar term
@@ -169,7 +195,7 @@ def test_conjugation_identity_convergence():
     for N in (16, 32, 64):
         g = grid(N_r=N)
         rng = np.random.default_rng(8)
-        om = G.random_field(g, 2, rng)
+        om = random_field(g, 2, rng)
         X = g.axes()
         f = 0.5 * np.sin(math.pi * X[0] / g.L)
         residuals.append(G.conjugation_residual(om, f))
@@ -315,7 +341,7 @@ def test_key_action_matches_the_loops_it_replaced(n):
     g = grid(N_r=8, N_t=4, n=n)
     rng = np.random.default_rng(40 + n)
     for k in range(n + 1):
-        F = G.random_field(g, k, rng) + G.random_field(g, min(k + 1, n), rng)
+        F = random_field(g, k, rng) + random_field(g, min(k + 1, n), rng)
         _assert_same_field(G.d_grid(F), _loop_derivative_sum(E.wedge_key, F, 1))
         _assert_same_field(G.dstar_grid(F), _loop_derivative_sum(E.interior_key, F, -1))
         zeros = np.where(rng.random(g.shape) < 0.5, 0.0, rng.standard_normal(g.shape))
@@ -331,6 +357,25 @@ def test_key_action_matches_the_loops_it_replaced(n):
             _assert_same_field(a, b)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_summed_key_actions_are_the_field_sums(n):
+    """Several actions in one key action give their left-to-right field sum
+    bit for bit, keys in the same order, also where a coef is None."""
+    g = grid(N_r=8, N_t=4, n=n)
+    rng = np.random.default_rng(60 + n)
+    f = rng.standard_normal(g.shape)
+    grads = G.gradient_components(g, f + 0j)
+    mixed = ([None, rng.standard_normal(g.shape), 0.5, None] + [1.0] * n)[:n]
+    for k in range(n):
+        F = random_field(g, k, rng) + random_field(g, k + 1, rng)
+        _assert_same_field(G.dirac_grid(F), G.d_grid(F) + G.dstar_grid(F))
+        _assert_same_field(G.D_f_grid(F, f), G.d_grid(F) + G.dstar_grid(F) + G._clifford_field(grads, F, +1))
+        c, ct = G._clifford_action(mixed, -1), G._clifford_action(grads, +1)
+        _assert_same_field(G._key_action(F, *c, ct, c),
+                           G._clifford_field(mixed, F, -1) + G._clifford_field(grads, F, +1)
+                           + G._clifford_field(mixed, F, -1))
+
+
 def test_convergence_study_calls_the_module_residual(monkeypatch):
     calls = []
     original = G.green_residual_dirac
@@ -341,7 +386,7 @@ def test_convergence_study_calls_the_module_residual(monkeypatch):
 
     monkeypatch.setattr(G, "green_residual_dirac", counting)
     G.convergence_study("dirac", (12, 16))
-    assert len(calls) == 2 * G.STUDY_DRAWS
+    assert len(calls) == 2  # one call per refinement, every draw on its draw axis
     with pytest.raises(ValueError, match="unknown study kind"):
         G.convergence_study("heat", (12, 16))
     with pytest.raises(ValueError, match="unknown study kind"):
@@ -437,3 +482,91 @@ def test_nan_on_a_size_one_axis_reaches_the_residuals():
         assert math.isnan(G.green_residual_dirac(alpha, beta))
         assert math.isnan(G.green_residual_laplace(field, field))
         assert math.isnan(G.twisted_weitzenboeck_residual(field, twist))
+
+
+# -- the draw axis against the per-draw loop it replaced ---------------------
+
+ULPS = 4  # the draw axis may reorder an elementwise product, not a sum
+
+
+def _reference_paired_field(g, rng, *degrees):
+    """Transcription of the one-generator study field builder."""
+    spec = []
+    for degree in degrees:
+        for key in combinations(range(1, g.n + 1), degree):
+            spec.append(
+                {"index": list(key),
+                 "coef": [float(rng.standard_normal()), float(rng.standard_normal())],
+                 "factors": [{"axis": 0, "kind": "sin", "freq": float(rng.uniform(0.5, 2.0)),
+                              "phase": float(rng.uniform(0, 2 * math.pi))},
+                             {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]}
+            )
+    return G.trig_field(g, spec)
+
+
+REFERENCE_FIELDS = {
+    "dirac": lambda g, rng: (_reference_paired_field(g, rng, 2), _reference_paired_field(g, rng, 1, 3)),
+    "laplace": lambda g, rng: (_reference_paired_field(g, rng, 2), _reference_paired_field(g, rng, 2)),
+    "weitzenboeck": lambda g, rng: (_reference_paired_field(g, rng, 2), G._radial_twist(g)),
+}
+
+
+def _reference_study(kind, N_rs, n, N_t, seed):
+    """Transcription of the per-draw loop of convergence_study: one residual
+    call per draw, added into the total in draw order."""
+    residual = G._study(kind)[1]
+    residuals, hs = [], []
+    for N in N_rs:
+        g = G.FlatBandGrid(n, G.STUDY_L, int(N), N_t)
+        total = 0.0
+        for s in range(G.STUDY_DRAWS):
+            total += residual(*REFERENCE_FIELDS[kind](g, np.random.default_rng(seed + 101 * s)))
+        residuals.append(total / G.STUDY_DRAWS)
+        hs.append(g.h)
+    return residuals, hs, G.convergence_order(residuals, hs)
+
+
+@pytest.mark.parametrize("n,N_t,ladder", [(4, 6, (16, 32, 64)), (4, 6, (24, 48, 96)), (5, 5, (12, 16, 20))])
+@pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
+def test_study_on_the_draw_axis_matches_the_per_draw_loop(kind, n, N_t, ladder):
+    for seed in range(6):
+        residuals, hs, orders = G.convergence_study(kind, ladder, n=n, N_t=N_t, seed=seed)
+        ref_residuals, ref_hs, ref_orders = _reference_study(kind, ladder, n, N_t, seed)
+        assert hs == ref_hs
+        assert all(type(r) is float for r in residuals)
+        for r, q in zip(residuals, ref_residuals):
+            assert abs(r - q) <= ULPS * math.ulp(q), (seed, r, q)
+        for o, p in zip(orders, ref_orders):
+            assert abs(o - p) <= 1e-12
+
+
+def test_periodic_derivative_is_the_roll_formula_bit_for_bit():
+    g = grid(N_r=8, N_t=5)
+    rng = np.random.default_rng(23)
+    specials = [complex(np.nan, 0.0), complex(np.inf, 1.0), complex(0.5, -np.inf), complex(-np.inf, np.nan)]
+    for lead in ((), (3,), (2, 1)):
+        for trailing in ((8, 5, 1, 5), (1, 1, 5, 1), (8, 1, 1, 1), (1, 5, 5, 5)):
+            shape = lead + trailing
+            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            flat = data.reshape(-1)  # a view: data is contiguous
+            flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
+            for axis in range(1, g.n):
+                at = axis - g.n
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    expected = (np.roll(data, -1, axis=at) - np.roll(data, 1, axis=at)) / (2 * g.ht)
+                    got = g.deriv(data, axis)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (shape, axis)
+
+
+@pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
+def test_one_field_residual_is_a_float_and_one_draw_of_the_batch(kind):
+    g = grid(N_r=12)
+    residual = G._study(kind)[1]
+    seeds = (4, 9, 11)
+    batch = residual(*G.paired_test_fields(g, [np.random.default_rng(s) for s in seeds], kind))
+    assert batch.shape == (len(seeds),)
+    for s, r in zip(seeds, batch):
+        one = residual(*G.paired_test_fields(g, np.random.default_rng(s), kind))
+        assert type(one) is float
+        assert abs(one - r) <= ULPS * math.ulp(one)

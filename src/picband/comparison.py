@@ -17,7 +17,7 @@ curvature (``-K`` in the constant-curvature model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +27,17 @@ __all__ = [
     "RotSymModel",
     "RiccatiResult",
     "laplace_upper_negative_boundary",
-    "hessian_upper_negative_boundary",
     "laplace_upper_positive_boundary",
     "hessian_lower_focal",
     "laplace_lower_focal",
     "riccati_curve",
     "riccati_oracle",
-    "index_form",
-    "optimal_index_profile",
     "barrier_curve_rows",
 ]
 
 K_FLAT_EPS = 1e-10  # below this the explicit K -> 0 limit formulas are used
 BLOWUP_THRESHOLD = 1e8
 RICCATI_STEP = 1e-4  # RK4 step of the Riccati oracle per unit of max(1, rho)
-SIMPSON_PANELS = 10_000  # even: composite Simpson panels of the index form
 
 
 @dataclass(frozen=True)
@@ -76,13 +72,6 @@ def laplace_upper_negative_boundary(p: ComparisonParams) -> float:
     s = math.sqrt(p.K)
     t = math.tanh(s * rho)
     return m * s * (L + m * s * t) / (m * s + L * t)
-
-
-def hessian_upper_negative_boundary(p: ComparisonParams) -> float:
-    """Upper barrier for the Hessian of the boundary distance under
-    Sec >= -K and second fundamental form >= -Lambda: the Laplacian
-    barrier of dimension 2, whose one normal direction carries it."""
-    return laplace_upper_negative_boundary(replace(p, n=2))
 
 
 @dataclass(frozen=True)
@@ -336,48 +325,6 @@ def riccati_oracle(model: RotSymModel, rho: float) -> RiccatiResult:
     the one-distance :func:`riccati_curve`, with its step h = RICCATI_STEP
     max(1, rho), its step limit and its error for a negative rho."""
     return riccati_curve(model, [rho])[0]
-
-
-# -- reduced index form -------------------------------------------------
-
-
-def index_form(jet, p: ComparisonParams) -> float:
-    """Composite-Simpson value (SIMPSON_PANELS panels) of the reduced second-variation functional
-
-        int_0^1 ((n-1) f'^2 + (n-1) K rho^2 f^2) dt + f(0)^2 Lambda rho
-
-    over profiles with f(1) = 1, given as jet(t) = (f(t), f'(t)).
-    """
-    f1 = jet(1.0)[0]
-    if abs(f1 - 1.0) > 1e-9:
-        raise ValueError(f"profile must satisfy f(1) = 1, got {f1}")
-    m = p.n - 1
-    ts = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
-    fv, dv = np.array([jet(t) for t in ts]).T
-    integrand = m * dv**2 + m * p.K * p.rho**2 * fv**2
-    wts = np.ones(SIMPSON_PANELS + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    integral = (1.0 / SIMPSON_PANELS) / 3.0 * float(wts @ integrand)
-    return integral + fv[0] ** 2 * p.Lambda * p.rho
-
-
-def optimal_index_profile(p: ComparisonParams):
-    """The sinh/cosh minimiser of the reduced functional; returns t -> (f(t), f'(t))."""
-    lam = math.sqrt(p.K) * p.rho
-    if p.K < K_FLAT_EPS:
-        # flat limit: linear profile (Lambda rho t + (n-1)) / (Lambda rho + (n-1))
-        m = p.n - 1
-        den = p.Lambda * p.rho + m
-        return lambda t: ((p.Lambda * p.rho * t + m) / den, p.Lambda * p.rho / den)
-    if p.Lambda == 0:
-        return lambda t: (math.cosh(lam * t) / math.cosh(lam), lam * math.sinh(lam * t) / math.cosh(lam))
-    mu = (p.n - 1) * math.sqrt(p.K) / p.Lambda
-    den = math.sinh(lam) + mu * math.cosh(lam)
-    return lambda t: (
-        (math.sinh(lam * t) + mu * math.cosh(lam * t)) / den,
-        lam * (math.cosh(lam * t) + mu * math.sinh(lam * t)) / den,
-    )
 
 
 def barrier_curve_rows(p: ComparisonParams, rhos) -> list[tuple[float, float, float, float]]:

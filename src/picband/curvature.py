@@ -48,24 +48,17 @@ __all__ = [
     "PicVerdict",
     "WeitzOperator",
     "kulkarni_nomizu",
-    "constant_curvature",
     "sphere_line_product",
     "iso_curvature",
-    "iso_curvature_batch",
     "min_isotropic",
     "exact_min_isotropic",
     "is_sigma_pic",
     "weitzenboeck_on_two_forms",
     "weitzenboeck_clifford_trace",
+    "WeitzBoundReport",
     "weitzenboeck_lower_bound_check",
     "ricci",
-    "ricci_floor_lambda",
-    "scalar",
-    "sectional",
-    "random_curvature",
-    "random_pic_combination",
     "load_curvature_json",
-    "curvature_to_json",
 ]
 
 BIANCHI_TOL = 1e-10
@@ -190,11 +183,6 @@ def kulkarni_nomizu(h, k) -> CurvTensor:
     return CurvTensor(_kn_components(h, k))
 
 
-def constant_curvature(n: int, kappa: float = 1.0) -> CurvTensor:
-    """Sectional curvature kappa everywhere: (kappa/2) g o^ g."""
-    return kulkarni_nomizu(np.eye(n), np.eye(n)) * (0.5 * kappa)
-
-
 def sphere_line_product(n: int, kappa: float) -> CurvTensor:
     """S^{n-1} x R with sectional curvature kappa on the sphere factor:
     (kappa/2) h o^ h for h the metric of the first n-1 directions."""
@@ -235,11 +223,6 @@ def iso_curvature(R: CurvTensor, frame) -> float:
     if _gram_defect(X) > 1e-8:
         raise ValueError("frame is not orthonormal within 1e-8")
     return float(_iso_batch(R.R, X[None])[0])
-
-
-def iso_curvature_batch(R: CurvTensor, frames: np.ndarray) -> np.ndarray:
-    """Vectorised isotropic curvature over a batch of frames (B, 4, n)."""
-    return _iso_batch(R.R, np.asarray(frames, dtype=float))
 
 
 # The six slot pairs (a, b) of a frame, in the order 01, 02, 03, 12, 13, 23.
@@ -493,24 +476,6 @@ def ricci(R: CurvTensor) -> np.ndarray:
     return np.einsum("albl->ab", R.R)
 
 
-def scalar(R: CurvTensor) -> float:
-    return float(np.einsum("alal->", R.R))
-
-
-def sectional(R: CurvTensor, i: int, j: int) -> float:
-    """Sectional curvature of span(e_i, e_j), indices 1-based."""
-    if not (1 <= i <= R.n and 1 <= j <= R.n) or i == j:
-        raise ValueError(f"invalid index pair ({i}, {j}) for n = {R.n}")
-    return float(R.R[i - 1, j - 1, i - 1, j - 1])
-
-
-def ricci_floor_lambda(R: CurvTensor) -> float:
-    """sqrt(max(-lambda_min(Ric) / (n - 1), 0)): the Ricci-floor scale the
-    bandwidth margin check consumes as Lambda."""
-    lam_min = float(np.linalg.eigvalsh(0.5 * (ricci(R) + ricci(R).T))[0])
-    return math.sqrt(max(-lam_min / (R.n - 1), 0.0))
-
-
 # -- curvature operator on two-forms ----------------------------------
 
 
@@ -623,29 +588,7 @@ def weitzenboeck_lower_bound_check(
     return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, margin >= -1e-9, asserted=True)
 
 
-# -- generators and serialisation -------------------------------------
-
-
-def random_curvature(n: int, rng) -> CurvTensor:
-    """Random algebraic curvature tensor as the mean of six signed Kulkarni-Nomizu
-    squares of random symmetric matrices (these span the curvature space)."""
-    total = np.zeros((n, n, n, n))
-    for _ in range(6):
-        A = rng.standard_normal((n, n))
-        h = 0.5 * (A + A.T)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        total += sign * kulkarni_nomizu(h, h).R
-    return CurvTensor(total * (1.0 / 6))
-
-
-def random_pic_combination(n: int, rng) -> CurvTensor:
-    """Nonnegative combination of four KN squares of positive definite matrices."""
-    total = np.zeros((n, n, n, n))
-    for _ in range(4):
-        A = rng.standard_normal((n, n))
-        h = A @ A.T + 0.1 * np.eye(n)
-        total += rng.random() * kulkarni_nomizu(h, h).R
-    return CurvTensor(total / 4)
+# -- loading ----------------------------------------------------------
 
 
 _SLOT_PERMS = (  # index permutations generating the full symmetry orbit
@@ -693,19 +636,3 @@ def load_curvature_json(doc) -> CurvTensor:
             R[idx] = val
             seen[idx] = True
     return CurvTensor(R)
-
-
-def curvature_to_json(R: CurvTensor) -> dict:
-    """Serialise the generating set {i<j, k<l, (i,j) <= (k,l)} of a tensor."""
-    comps = []
-    n = R.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if (k, l) < (i, j):
-                        continue
-                    v = R.R[i, j, k, l]
-                    if v != 0:
-                        comps.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": float(v)})
-    return {"n": n, "components": comps}

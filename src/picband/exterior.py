@@ -4,8 +4,7 @@ Everything here is exact basis combinatorics on sparse coefficient tables:
 a form is a map from strictly increasing multi-indices (1-based) to complex
 coefficients, the fiber metric is the one making that basis orthonormal.
 The two Clifford multiplications are wedge-minus-contraction and
-wedge-plus-contraction; the boundary involution is their composition with
-the unit normal plugged into both slots.
+wedge-plus-contraction.
 
 The sign rule.  For a strictly increasing multi-index K and a frame index j,
 
@@ -36,15 +35,14 @@ __all__ = [
     "FormElement",
     "wedge",
     "interior",
+    "wedge_vector",
     "clifford_c",
     "clifford_ct",
-    "chi_involution",
-    "boundary_split",
     "inner",
     "basis_form",
+    "degree_basis",
     "form_to_vec",
     "vec_to_form",
-    "operator_matrix",
     "full_operator_matrix",
     "full_basis",
     "random_form",
@@ -254,32 +252,6 @@ def clifford_ct(v, a: FormElement) -> FormElement:
     return wedge_vector(v, a) + interior(v, a)
 
 
-UNIT_TOL = 1e-12  # accepted | |nu| - 1 | of a boundary normal
-
-
-def _check_unit(nu, n: int):
-    nu = _vector_components(nu, n)
-    nrm = float(np.linalg.norm(nu))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise ValueError(f"normal vector must be unit length, |nu| = {nrm}")
-    return nu
-
-
-def chi_involution(nu, a: FormElement) -> FormElement:
-    """Boundary involution ct(nu) c(nu); +1 on tangential forms, -1 on normal ones."""
-    nu = _check_unit(nu, a.n)
-    return clifford_ct(nu, clifford_c(nu, a))
-
-
-def boundary_split(nu, a: FormElement):
-    """Split a = tangential + normal with respect to the unit normal nu."""
-    nu = _check_unit(nu, a.n)
-    chi_a = chi_involution(nu, a)
-    tangential = (a + chi_a) * 0.5
-    normal = (a - chi_a) * 0.5
-    return tangential, normal
-
-
 # -- fixed-degree linear algebra views --------------------------------
 
 
@@ -326,17 +298,6 @@ def full_operator_matrix(op, n: int) -> np.ndarray:
         image = op(FormElement(n, {key: 1.0}))
         for k, v in image.coeffs.items():
             mat[pos[k], col] = v
-    return mat
-
-
-def operator_matrix(op, n: int, k_in: int, k_out: int) -> np.ndarray:
-    """Dense matrix of a linear map on forms in the fixed degree bases."""
-    basis_in = degree_basis(n, k_in)
-    dim_out = len(degree_basis(n, k_out))
-    mat = np.zeros((dim_out, len(basis_in)), dtype=complex)
-    for col, key in enumerate(basis_in):
-        image = op(FormElement(n, {key: 1.0}))
-        mat[:, col] = form_to_vec(image, k_out)
     return mat
 
 

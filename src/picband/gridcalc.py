@@ -4,8 +4,9 @@ The band is [0, L] x T^{n-1}: one radial axis with second-order one-sided
 stencils at the two torus leaves, and periodic transverse axes where the
 centred stencil makes discrete summation by parts *exact*.  On the flat
 metric every operator acts componentwise on the coefficient functions, so
-d, d*, the Dirac operator and their twisted versions are short compositions
-of axis derivatives with the pointwise exterior/Clifford index operations.
+d, d* and the twisted Dirac operator D_f = d + d* + ct(grad f) are short
+compositions of axis derivatives with the pointwise exterior/Clifford index
+operations (the untwisted D is D_f at f = 0).
 d, d*, the Clifford multiplications and the Weitzenboeck contractions all
 run through one key action, ``_key_action``.
 
@@ -21,9 +22,9 @@ may carry leading axes too: a convergence study puts its STUDY_DRAWS field
 draws on one leading draw axis and evaluates every draw in one residual
 call.  The integrals, the leaf slices and the Weitzenboeck sup-norm reduce
 per draw, and each draw is integrated on its own over the full grid, in
-the summation order of a single field.  D and D_f are one key action
-each, summed one output key at a time, so the d, d* and Clifford terms are
-never held as whole fields beside each other: with six draws on the axis
+the summation order of a single field.  D_f is one key action, summed
+one output key at a time, so the d, d* and Clifford terms are never held
+as whole fields beside each other: with six draws on the axis
 that is what keeps a study's peak memory down.  The periodic derivative is
 the difference of two precomputed index gathers; on a size-1 axis it is
 (data - data) / (2 ht), an exact 0 (NaN for a non-finite value).
@@ -44,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from . import exterior
-from .exterior import FormElement, _checked_key
+from .exterior import _checked_key
 
 __all__ = [
     "FlatBandGrid",
@@ -52,17 +53,15 @@ __all__ = [
     "d_grid",
     "dstar_grid",
     "laplacian_grid",
-    "dirac_grid",
+    "gradient_components",
     "D_f_grid",
     "green_residual_dirac",
     "green_residual_laplace",
     "twisted_weitzenboeck_residual",
-    "conjugation_residual",
-    "chi_eigenform_boundary_identity",
-    "contraction_trace_identity",
     "trig_field",
-    "convergence_order",
     "paired_test_fields",
+    "convergence_order",
+    "convergence_study",
     "load_grid_config",
 ]
 
@@ -113,6 +112,9 @@ class FlatBandGrid:
             raise ValueError("need at least 4 transverse points")
         if self.L <= 0:
             raise ValueError("band length must be positive")
+        if not self.h > 0:
+            raise ValueError(f"radial spacing h = L / (N_r - 1) = {self.h!r} is not positive "
+                             f"(L = {self.L!r}, N_r = {self.N_r})")
         if self.n > sys.float_info.max:
             # the cell volume ht^(n-1) is a float power: the OverflowError
             # ("not finite") that every command gives such a dimension
@@ -345,12 +347,6 @@ def laplacian_grid(F: FormField) -> FormField:
     return out
 
 
-def dirac_grid(F: FormField) -> FormField:
-    """D = d + d* (equivalently sum_j c(e_j) d_j)."""
-    d, dstar = _derivative_actions(F)
-    return _key_action(F, *d, dstar)
-
-
 def _clifford_action(vec_components, sign: int):
     """(ops, coef) of pointwise c (sign=-1) or ct (sign=+1) by a vector
     field given as a list of n scalars or arrays, None for a zero component."""
@@ -448,56 +444,6 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float | np
             rhs = rhs + 2.0 * hess[i][j] * contr[i].pointwise_inner(contr[j])
     defect = np.abs(lhs - rhs)[g._radial(slice(WEITZ_EDGE_NODES, -WEITZ_EDGE_NODES))]
     return _residual(np.max(defect, axis=tuple(range(-g.n, 0))))
-
-
-def conjugation_residual(omega: FormField, f: np.ndarray) -> float:
-    """Sup-norm defect of D_f = e^{-f} d e^{f} + e^{f} d* e^{-f} on the grid."""
-    f = np.asarray(f, dtype=float)
-    ef, emf = np.exp(f), np.exp(-f)
-    direct = D_f_grid(omega, f)
-    conj = d_grid(omega * ef) * emf + dstar_grid(omega * emf) * ef
-    return (direct - conj).sup_norm()
-
-
-# -- pointwise boundary/trace identities --------------------------------
-
-
-def chi_eigenform_boundary_identity(omega_boundary: FormElement, gradf, nu, sign: int) -> float:
-    """Residual of <ct(grad f) c(nu) w, w> = sign (grad f . nu) |w|^2 for a
-    chi-eigenform w with chi w = sign w."""
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    chi_w = exterior.chi_involution(nu, omega_boundary)
-    defect = (chi_w - omega_boundary * float(sign)).norm()
-    if defect > 1e-10 * max(1.0, omega_boundary.norm()):
-        raise ValueError(f"form is not a chi-eigenform for sign {sign}: defect {defect:.2e}")
-    lhs = exterior.inner(
-        exterior.clifford_ct(gradf, exterior.clifford_c(nu, omega_boundary)), omega_boundary
-    )
-    rhs = sign * float(np.dot(np.asarray(gradf), np.asarray(nu))) * omega_boundary.norm2()
-    return abs(lhs - rhs)
-
-
-def contraction_trace_identity(H, omega: FormElement) -> float:
-    """Residual of sum_ij H_ij (<i_i w, i_j w> + <theta^i ^ w, theta^j ^ w>)
-    = trace(H) |w|^2; exact linear algebra, any degree."""
-    H = np.asarray(H, dtype=float)
-    n = omega.n
-    if H.shape != (n, n):
-        raise ValueError(f"H must be {n} x {n}")
-    eye = np.eye(n)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if H[i, j] == 0:
-                continue
-            ii = exterior.inner(exterior.interior(eye[i], omega), exterior.interior(eye[j], omega))
-            ww = exterior.inner(
-                exterior.wedge(exterior.basis_form(n, i + 1), omega),
-                exterior.wedge(exterior.basis_form(n, j + 1), omega),
-            )
-            total += H[i, j] * (ii + ww)
-    return abs(total - np.trace(H) * omega.norm2())
 
 
 # -- field constructors --------------------------------------------------

@@ -31,7 +31,7 @@ __all__ = [
     "betti",
     "betti_relative",
     "twisted_coboundary",
-    "twisted_laplacian",
+    "twisted_composition_exact",
     "harmonic_dimension",
     "exact_rank",
     "load_complex",
@@ -41,6 +41,7 @@ __all__ = [
     "disk_complex",
     "moebius_complex",
     "prism_product",
+    "sphere_complex",
 ]
 
 
@@ -254,16 +255,6 @@ def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
     return (P * T.weight_vector(k)[None, :]) / T.weight_vector(k + 2)[:, None]
 
 
-def twisted_laplacian(T: TwistedComplex, k: int) -> np.ndarray:
-    """Delta^f_k = d_f^T d_f + d_{f,k-1} d_{f,k-1}^T on k-cochains."""
-    A = twisted_coboundary(T, k)
-    out = A.T @ A
-    if k >= 1:
-        B = twisted_coboundary(T, k - 1)
-        out = out + B @ B.T
-    return out
-
-
 def _svd_error(s: np.ndarray, shape) -> float:
     """Backward error c dim eps ||M||, c = 10, of the float singular values
     ``s`` (descending) of a matrix of this shape."""
@@ -386,14 +377,7 @@ BUNDLED = {  # name -> constructor of the complexes shipped by name
 }
 
 
-# -- serialisation -------------------------------------------------------
-
-
-def complex_to_json(K: SimplicialComplex) -> dict:
-    return {
-        "dim": K.dim,
-        "simplices": {str(d): [list(s) for s in K.simplices[d]] for d in sorted(K.simplices)},
-    }
+# -- loading ------------------------------------------------------------
 
 
 def load_complex(doc) -> SimplicialComplex:

@@ -11,7 +11,9 @@ slopes are pinned by the parameters
     b          = -2 log sin(beta / lambda_bar)
 
 The bandwidth potential is r delta chi(rho / r) for a C^2 cutoff chi that
-is -x on [0, 1/2], has chi'' in [0, 4], and is constant past the plateau.
+is -x on [0, 1/2], has chi'' in [0, 4], and is constant past the plateau:
+the cutoff is built here, and the margin check evaluates the inequality
+the potential must satisfy in closed form.
 Verifiers sweep the pointwise inequalities these potentials must satisfy
 region by region and report minimum margins.
 """
@@ -36,7 +38,6 @@ __all__ = [
     "boundary_slope_ratio",
     "verify_focal_inequality",
     "focal_margin_rows",
-    "bandwidth_potential",
     "verify_bandwidth_margin",
     "bandwidth_bound",
     "check_L_chain",
@@ -428,18 +429,6 @@ class ChiCutoff:
             np.select(conds, slope, default=0.0),
             np.select(conds, second, default=0.0),
         )
-
-
-def bandwidth_potential(chi: ChiCutoff, r: float, delta: float):
-    """f(rho) = r delta chi(rho / r); returns rho -> (f, f', f'')."""
-    if r <= 0 or delta < 0:
-        raise ValueError("need r > 0 and delta >= 0")
-
-    def jet(rho):
-        c, cp, cpp = chi.jet(np.asarray(rho) / r)
-        return r * delta * c, delta * cp, (delta / r) * cpp
-
-    return jet
 
 
 @dataclass(frozen=True)

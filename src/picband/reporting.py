@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Region", "Report", "report_bundle", "dump_reports", "write_csv"]
+__all__ = ["Region", "Report", "report_bundle", "dump_reports", "canonical_body", "write_csv"]
 
 
 @dataclass

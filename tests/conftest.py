@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from picband import curvature as C
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,44 @@ def sample_bounded_hessian(rng, n: int, r_f: float, lam: float, rho: float) -> n
     Q = random_orthonormal(rng, n)
     H = Q @ np.diag(eigs) @ Q.T
     return 0.5 * (H + H.T)
+
+
+def constant_curvature(n: int, kappa: float = 1.0) -> C.CurvTensor:
+    """Sectional curvature kappa everywhere: (kappa/2) g o^ g."""
+    return C.kulkarni_nomizu(np.eye(n), np.eye(n)) * (0.5 * kappa)
+
+
+def random_curvature(n: int, rng) -> C.CurvTensor:
+    """Random algebraic curvature tensor as the mean of six signed Kulkarni-Nomizu
+    squares of random symmetric matrices (these span the curvature space)."""
+    total = np.zeros((n, n, n, n))
+    for _ in range(6):
+        A = rng.standard_normal((n, n))
+        h = 0.5 * (A + A.T)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        total += sign * C.kulkarni_nomizu(h, h).R
+    return C.CurvTensor(total * (1.0 / 6))
+
+
+def curvature_to_json(R: C.CurvTensor) -> dict:
+    """Serialise the generating set {i<j, k<l, (i,j) <= (k,l)} of a tensor."""
+    comps = []
+    n = R.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    if (k, l) < (i, j):
+                        continue
+                    v = R.R[i, j, k, l]
+                    if v != 0:
+                        comps.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": float(v)})
+    return {"n": n, "components": comps}
+
+
+def complex_to_json(K) -> dict:
+    """The complex file format that hodge.load_complex reads."""
+    return {
+        "dim": K.dim,
+        "simplices": {str(d): [list(s) for s in K.simplices[d]] for d in sorted(K.simplices)},
+    }

@@ -16,7 +16,7 @@ from picband import exterior as E
 from picband import gridcalc as G
 from picband import hodge as H
 from picband import potentials as P
-from tests.conftest import sample_bounded_hessian
+from tests.conftest import random_curvature, sample_bounded_hessian
 
 SEED = 20240612
 
@@ -62,7 +62,7 @@ def test_criterion_02_weitzenboeck_double_path():
     worst = 0.0
     for n in (4, 6):
         for _ in range(100):
-            R = C.random_curvature(n, rng)
+            R = random_curvature(n, rng)
             M1 = C.weitzenboeck_on_two_forms(R).matrix
             M2 = C.weitzenboeck_clifford_trace(R)
             worst = max(worst, float(np.max(np.abs(M1 - M2))))
@@ -95,7 +95,7 @@ def test_criterion_04_pic_frame_search():
     small = C.SearchConfig(restarts=64, seed=SEED + 4)
     shift_worst = 0.0
     for _ in range(20):
-        R = C.random_curvature(4, rng)
+        R = random_curvature(4, rng)
         tau = float(rng.uniform(-2.0, 2.0))
         shift = C.kulkarni_nomizu(np.eye(4), np.eye(4)) * (tau / 8.0)
         base, _ = C.min_isotropic(R, small)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from picband import bands as BD
 from picband import curvature as C
+from tests.conftest import constant_curvature
 
 
 def tensor_at(B, r):
@@ -26,7 +27,7 @@ def test_sin_band_is_round_sphere():
     B = BD.WarpedBand(5, 0.3, math.pi / 2, BD.WarpProfile("sin"))
     for r in np.linspace(0.3, math.pi / 2, 7):
         R = tensor_at(B, float(r))
-        assert np.max(np.abs(R.R - C.constant_curvature(5, 1.0).R)) < 1e-12
+        assert np.max(np.abs(R.R - constant_curvature(5, 1.0).R)) < 1e-12
 
 
 def test_linear_band_is_flat():
@@ -173,7 +174,7 @@ def test_table_profile_tracks_closed_form():
     worst = 0.0
     for r in np.linspace(0.45, 1.35, 9):
         R = tensor_at(B, float(r))
-        worst = max(worst, float(np.max(np.abs(R.R - C.constant_curvature(4).R))))
+        worst = max(worst, float(np.max(np.abs(R.R - constant_curvature(4).R))))
     assert worst < 1e-3
     doc = {
         "n": 4,
@@ -304,7 +305,7 @@ def test_table_critical_radii_hold_the_minimum():
 def _corruptions():
     """One tensor per CurvTensor check that it fails: a non-finite orbit, each
     broken symmetry, and a first Bianchi defect of 1e-3."""
-    base = C.constant_curvature(4).R
+    base = constant_curvature(4).R
     nan = base.copy()
     for i, j, k, l, sign in ((0, 1, 0, 1, 1), (1, 0, 0, 1, -1), (0, 1, 1, 0, -1), (1, 0, 1, 0, 1)):
         nan[i, j, k, l] = sign * np.nan
@@ -323,7 +324,7 @@ def _corruptions():
 
 @pytest.mark.parametrize("bad", _corruptions(), ids=["finite", "first-pair", "second-pair", "interchange", "bianchi"])
 def test_stack_with_one_bad_member_fails_like_one_tensor(bad):
-    good = C.constant_curvature(4).R
+    good = constant_curvature(4).R
     with pytest.raises(ValueError) as single:
         C.CurvTensor(bad)
     with pytest.raises(ValueError) as stacked:

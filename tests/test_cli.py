@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from picband import cli
 from picband.reporting import canonical_body
+from tests.conftest import complex_to_json, constant_curvature, curvature_to_json
 
 
 def run_cli(args, env=None):
@@ -83,13 +84,9 @@ def test_verify_focal_cli(tmp_path):
 
 
 def test_verify_weitzenboeck_with_tensor_file(tmp_path):
-    import numpy as np
-
-    from picband import curvature as C
-
-    R = C.constant_curvature(4, 1.0)
+    R = constant_curvature(4, 1.0)
     path = tmp_path / "tensor.json"
-    path.write_text(json.dumps(C.curvature_to_json(R)))
+    path.write_text(json.dumps(curvature_to_json(R)))
     out = run_cli(["verify", "weitzenboeck", "--tensor", str(path), "--sigma", "4"])
     assert out.returncode == 0
     assert "weitzenboeck.lower_bound" in out.stdout
@@ -98,7 +95,7 @@ def test_verify_weitzenboeck_with_tensor_file(tmp_path):
 def test_verify_hodge_custom_complex(tmp_path):
     from picband import hodge as H
 
-    doc = H.complex_to_json(H.load_bundled("annulus"))
+    doc = complex_to_json(H.load_bundled("annulus"))
     path = tmp_path / "annulus.json"
     path.write_text(json.dumps(doc))
     out = run_cli(["verify", "hodge", "--complex", str(path), "--twists", "3"])
@@ -277,6 +274,49 @@ def test_grid_config_numbers_on_extreme_values(tmp_path):
     for where in _grid_number_paths(GRID_DOC):
         values = EXTREME_VALUES + (HUGE_SIZES if where[0].startswith("N_") else [])
         _sweep_file_number(tmp_path, ["verify", "identities", "--grid"], GRID_DOC, where, values, HUGE_SIZES)
+
+
+def test_grid_spacing_underflow_is_named_on_stderr(tmp_path, capsys):
+    """An L whose radial spacing rounds to 0 is refused for that reason,
+    not by whatever the zero spacing breaks first."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID_DOC, "L": 5e-324}))
+    assert cli.main(["verify", "identities", "--grid", str(path)]) == 2
+    assert "radial spacing h = L / (N_r - 1) = 0.0 is not positive" in capsys.readouterr().err
+
+
+# numeric flags of the suites the sweeps above leave out; each of these
+# suites takes at most about 0.05 s at its defaults
+SUITE_FLAGS = {
+    ("verify", "clifford", "--n", "4"): ("--n", "--samples", "--seed"),
+    ("verify", "curvature"): ("--n", "--sigma", "--tol", "--seed"),
+    ("verify", "weitzenboeck"): ("--n", "--sigma", "--tol", "--seed"),
+    ("verify", "counterexample"): ("--seed",),
+    ("verify", "hodge"): ("--twists", "--seed"),
+}
+
+
+@pytest.mark.parametrize("base, flag", [(base, flag) for base, flags in SUITE_FLAGS.items() for flag in flags],
+                         ids=lambda v: v if isinstance(v, str) else v[1])
+def test_suite_flags_on_extreme_values(tmp_path, capsys, base, flag):
+    """Each extreme value on each flag: exit 0, 1 or 2, never an internal
+    error; an error writes no report, and a run prints and writes only
+    finite margins."""
+    for i, value in enumerate(EXTREME_VALUES):
+        out = tmp_path / f"{i}.json"
+        try:
+            code = cli.main([*base, flag, value, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        printed = capsys.readouterr().out.split()
+        assert code in (0, 1, 2), (flag, value)
+        if code == 2:
+            assert not out.exists(), (flag, value)
+            continue
+        margins = [float(word.split("=", 1)[1]) for word in printed if word.startswith("min_margin=")]
+        assert margins and all(math.isfinite(m) for m in margins), (flag, value)
+        reports = json.loads(out.read_text())["report"]["reports"]
+        assert all(isinstance(r["min_margin"], float) for rep in reports for r in rep["regions"]), (flag, value)
 
 
 # integer fields of band specs and tensor files: a dimension whose dense n^4

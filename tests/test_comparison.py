@@ -18,15 +18,16 @@ def test_laplace_barrier_flat_limit():
 def test_barrier_at_zero_distance():
     p = B.ComparisonParams(4, 2.0, 1.5, 0.0)
     assert abs(B.laplace_upper_negative_boundary(p) - 1.5) < 1e-14
-    assert abs(B.hessian_upper_negative_boundary(p) - 1.5) < 1e-14
+    # the Hessian barrier is the Laplacian one at n = 2 (one normal direction)
+    assert abs(B.laplace_upper_negative_boundary(B.ComparisonParams(2, 2.0, 1.5, 0.0)) - 1.5) < 1e-14
 
 
 def test_hessian_barrier_reductions():
-    p = B.ComparisonParams(3, 1.0, 0.0, 0.8)
-    assert abs(B.hessian_upper_negative_boundary(p) - math.tanh(0.8)) < 1e-14
+    hess = B.laplace_upper_negative_boundary(B.ComparisonParams(2, 1.0, 0.0, 0.8))
+    assert abs(hess - math.tanh(0.8)) < 1e-14
     # Laplace barrier with Lambda -> (n-1) Lambda equals (n-1) x Hessian barrier
     for n, K, lam, rho in ((3, 1.0, 0.9, 1.1), (6, 0.5, 2.0, 0.3)):
-        hess = B.hessian_upper_negative_boundary(B.ComparisonParams(n, K, lam, rho))
+        hess = B.laplace_upper_negative_boundary(B.ComparisonParams(2, K, lam, rho))
         lap = B.laplace_upper_negative_boundary(B.ComparisonParams(n, K, (n - 1) * lam, rho))
         assert abs(lap - (n - 1) * hess) < 1e-12
 
@@ -37,7 +38,7 @@ def test_hessian_barrier_matches_riccati_oracle():
     for _ in range(6):
         K, lam, rho = rng.uniform(0.05, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.05, 2.0)
         res = B.riccati_oracle(B.RotSymModel(n=2, K=K, A0=-lam), rho)
-        hess = B.hessian_upper_negative_boundary(B.ComparisonParams(int(rng.integers(2, 8)), K, lam, rho))
+        hess = B.laplace_upper_negative_boundary(B.ComparisonParams(2, K, lam, rho))
         assert abs(res.trace - hess) < 1e-6
 
 
@@ -309,49 +310,6 @@ def test_riccati_sphere_profile_conjugate_point():
     res = B.riccati_oracle(model, 3.0)
     assert res.crossed
     assert abs(res.crossing - math.pi / 2) < 1e-9
-
-
-def test_index_form_constant_profile():
-    p = B.ComparisonParams(3, 0.0, 0.8, 1.3)
-    assert abs(B.index_form(lambda t: (1.0, 0.0), p) - 0.8 * 1.3) < 1e-12
-
-
-def test_index_form_optimizer_matches_barrier():
-    for n, K, lam, rho in ((3, 1.0, 1.0, 1.0), (5, 2.0, 0.5, 0.7), (4, 0.0, 1.5, 0.9)):
-        p = B.ComparisonParams(n, K, lam, rho)
-        value = B.index_form(B.optimal_index_profile(p), p)
-        target = rho * B.laplace_upper_negative_boundary(p)
-        assert abs(value - target) < 1e-6
-
-
-def test_index_form_optimizer_beats_linear(rng):
-    for _ in range(100):
-        n = int(rng.integers(3, 7))
-        K = float(rng.uniform(0.0, 3.0))
-        lam = float(rng.uniform(0.05, 3.0))
-        rho = float(rng.uniform(0.1, 2.0))
-        p = B.ComparisonParams(n, K, lam, rho)
-        assert B.index_form(B.optimal_index_profile(p), p) <= B.index_form(lambda t: (t, 1.0), p) + 1e-9
-
-
-def test_index_form_first_order_optimality(rng):
-    p = B.ComparisonParams(4, 1.3, 0.9, 1.1)
-    jet = B.optimal_index_profile(p)
-    base = B.index_form(jet, p)
-    for _ in range(10):
-        a = float(rng.uniform(-0.2, 0.2))
-        k = int(rng.integers(1, 4))
-        pert = lambda t: (
-            jet(t)[0] + a * math.sin(math.pi * k * (1.0 - t)),
-            jet(t)[1] - a * math.pi * k * math.cos(math.pi * k * (1.0 - t)),
-        )
-        assert B.index_form(pert, p) >= base - 1e-9
-
-
-def test_index_form_endpoint_constraint():
-    p = B.ComparisonParams(3, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        B.index_form(lambda t: (2.0 * t, 2.0), p)
 
 
 def test_barrier_curve_rows():

@@ -6,6 +6,17 @@ import pytest
 
 from picband import curvature as C
 from picband.exterior import degree_basis
+from tests.conftest import constant_curvature, curvature_to_json, random_curvature
+
+
+def random_pic_combination(n: int, rng) -> C.CurvTensor:
+    """Nonnegative combination of four KN squares of positive definite matrices."""
+    total = np.zeros((n, n, n, n))
+    for _ in range(4):
+        A = rng.standard_normal((n, n))
+        h = A @ A.T + 0.1 * np.eye(n)
+        total += rng.random() * C.kulkarni_nomizu(h, h).R
+    return C.CurvTensor(total / 4)
 
 
 def product_tensor(n=4, kappa=1.0):
@@ -36,7 +47,7 @@ def test_kn_normalization_fixes_sigma(rng):
 
 
 def test_iso_constant_curvature_frame_independent():
-    R = C.constant_curvature(4, 1.0)
+    R = constant_curvature(4, 1.0)
     assert abs(C.iso_curvature(R, C.Frame4.standard(4)) - 4.0) < 1e-14
     zero = C.CurvTensor(np.zeros((4,) * 4))
     assert C.iso_curvature(zero, C.Frame4.standard(4)) == 0.0
@@ -48,7 +59,7 @@ def test_iso_product_standard_frame():
 
 
 def test_iso_rejects_skew_frame():
-    R = C.constant_curvature(4)
+    R = constant_curvature(4)
     X = np.eye(4)
     X[0, 1] = 0.5
     with pytest.raises(ValueError):
@@ -60,7 +71,7 @@ def test_iso_symmetry_group(rng):
     invariance group is generated by the double swap, the pair swap, and a
     two-vector sign flip.  Invariance is algebraically exact; numerically
     the contraction order shifts the last ulp, hence the 1e-13 window."""
-    R = C.random_curvature(5, rng)
+    R = random_curvature(5, rng)
     X = np.linalg.qr(rng.standard_normal((5, 4)))[0].T
     base = C.iso_curvature(R, C.Frame4(X))
     scale = 1e-13 * max(1.0, abs(base))
@@ -84,7 +95,7 @@ def test_iso_symmetry_group(rng):
 def kernel_tensors(rng, n):
     """A random curvature tensor and one with the exact pair symmetries but a
     first Bianchi defect of 1e-3 (a Lambda^4 part the kernel must not drop)."""
-    R = C.random_curvature(n, rng)
+    R = random_curvature(n, rng)
     U = rng.standard_normal((n,) * 4)
     U = U - np.swapaxes(U, 2, 3)
     S = U - np.swapaxes(U, 0, 1)
@@ -102,7 +113,7 @@ def test_iso_kernel_matches_full_contraction(rng, n):
         X = np.linalg.qr(rng.standard_normal((16, n, 4)))[0].swapaxes(1, 2)
         T = np.einsum("Bai,Bbj,Bck,Bdl,ijkl->Babcd", X, X, X, X, R.R, optimize=True)
         ref = T[:, 0, 2, 0, 2] + T[:, 0, 3, 0, 3] + T[:, 1, 2, 1, 2] + T[:, 1, 3, 1, 3] - 2.0 * T[:, 0, 1, 2, 3]
-        assert np.max(np.abs(C.iso_curvature_batch(R, X) - ref)) <= 1e-13 * np.max(np.abs(R.R))
+        assert np.max(np.abs(C._iso_batch(R.R, X) - ref)) <= 1e-13 * np.max(np.abs(R.R))
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -118,7 +129,7 @@ def test_iso_gradient_matches_central_differences(rng, n):
             for i in range(n):
                 E = np.zeros_like(X)
                 E[:, a, i] = h
-                fd[:, a, i] = (C.iso_curvature_batch(R, X + E) - C.iso_curvature_batch(R, X - E)) / (2 * h)
+                fd[:, a, i] = (C._iso_batch(R.R, X + E) - C._iso_batch(R.R, X - E)) / (2 * h)
         assert np.max(np.abs(G - fd)) <= 1e-9 * max(1.0, np.max(np.abs(G)))
 
 
@@ -133,7 +144,7 @@ def test_min_isotropic_product_brute_force(rng):
     """Independent check: 10^5 random frames plus the optimizer agree on 2."""
     R = product_tensor()
     X = np.linalg.qr(rng.standard_normal((100_000, 4, 4)).swapaxes(1, 2))[0].swapaxes(1, 2)
-    vals = C.iso_curvature_batch(R, X)
+    vals = C._iso_batch(R.R, X)
     assert vals.min() > 2.0 - 1e-9
     value, _ = C.min_isotropic(R, C.SearchConfig(restarts=128, seed=2))
     assert abs(value - 2.0) < 1e-6
@@ -149,7 +160,7 @@ def test_min_isotropic_deterministic():
 
 
 def test_min_isotropic_shift_property(rng):
-    R = C.random_curvature(4, rng)
+    R = random_curvature(4, rng)
     cfg = C.SearchConfig(restarts=32, seed=3)
     base, _ = C.min_isotropic(R, cfg)
     for tau in (0.5, -1.25):
@@ -159,7 +170,7 @@ def test_min_isotropic_shift_property(rng):
 
 
 def test_is_sigma_pic_verdicts():
-    R = C.constant_curvature(4, 1.0)
+    R = constant_curvature(4, 1.0)
     cfg = C.SearchConfig(restarts=32, seed=0)
     assert C.is_sigma_pic(R, 4.0, cfg).passed
     bad = C.is_sigma_pic(R, 4.1, cfg)
@@ -175,7 +186,7 @@ def test_exact_min_matches_search():
     """The n = 4 closed form and the 512-restart search agree to 1e-6."""
     rng = np.random.default_rng(20261018)
     cfg = C.SearchConfig(seed=11)  # default 512 restarts
-    for generate in (C.random_curvature, C.random_pic_combination):
+    for generate in (random_curvature, random_pic_combination):
         for _ in range(20):
             R = generate(4, rng)
             exact, _ = C.exact_min_isotropic(R)
@@ -196,7 +207,7 @@ def test_stalled_restarts_retire_early(monkeypatch):
         return grad(R, X)
 
     monkeypatch.setattr(C, "_iso_grad_batch", counted)
-    R = C.random_curvature(4, np.random.default_rng(5))
+    R = random_curvature(4, np.random.default_rng(5))
     searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=11))
     assert iterations <= 100
     assert abs(searched - C.exact_min_isotropic(R)[0]) < 1e-6
@@ -207,7 +218,7 @@ def test_search_minimum_is_exact_on_its_witness_plane():
     frame has the searched value as its exact (closed-form) minimum."""
     rng = np.random.default_rng(20261018)
     for n in range(5, 9):
-        for generate in (C.random_curvature, C.random_pic_combination):
+        for generate in (random_curvature, random_pic_combination):
             R = generate(n, rng)
             searched, frame = C.min_isotropic(R, C.SearchConfig(restarts=64, seed=n))
             X = frame.vectors
@@ -219,7 +230,7 @@ def test_search_minimum_is_exact_on_its_witness_plane():
 def test_exact_min_witness_attains_value(rng):
     orientations = set()
     for t in range(200):
-        R = (C.random_curvature if t % 2 else C.random_pic_combination)(4, rng)
+        R = (random_curvature if t % 2 else random_pic_combination)(4, rng)
         value, frame = C.exact_min_isotropic(R)
         assert abs(C.iso_curvature(R, frame) - value) <= 1e-12 * np.max(np.abs(R.R))
         orientations.add(float(np.sign(np.linalg.det(frame.vectors))))
@@ -232,7 +243,7 @@ def test_exact_min_with_bianchi_defect(rng):
     eps = np.zeros((4,) * 4)
     for perm in itertools.permutations(range(4)):
         eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
-    R = C.random_curvature(4, rng) + C.CurvTensor(0.3 * eps, validate=False)
+    R = random_curvature(4, rng) + C.CurvTensor(0.3 * eps, validate=False)
     assert R.bianchi_defect() > 0.5
     exact, frame = C.exact_min_isotropic(R)
     searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=1))
@@ -273,7 +284,7 @@ def test_exact_min_matches_one_tensor_closed_form():
         eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
     orientations = set()
     for t in range(120):
-        R = (C.random_curvature, C.random_pic_combination)[t % 2](4, rng)
+        R = (random_curvature, random_pic_combination)[t % 2](4, rng)
         if t % 3 == 0:
             R = R + C.CurvTensor(rng.standard_normal() * eps, validate=False)
         value, frame = C.exact_min_isotropic(R)
@@ -285,11 +296,11 @@ def test_exact_min_matches_one_tensor_closed_form():
 
 def test_exact_min_needs_dimension_four():
     with pytest.raises(ValueError):
-        C.exact_min_isotropic(C.constant_curvature(5))
+        C.exact_min_isotropic(constant_curvature(5))
 
 
 def test_n4_fail_verdict_carries_witness_below_sigma(rng):
-    R = C.random_pic_combination(4, rng)
+    R = random_pic_combination(4, rng)
     exact, _ = C.exact_min_isotropic(R)
     sigma = max(exact, 0.0) + 0.5
     verdict = C.is_sigma_pic(R, sigma, C.SearchConfig(restarts=8))
@@ -316,7 +327,7 @@ def test_non_finite_minimum_is_a_fail():
 
 
 def test_non_finite_components_rejected():
-    R = C.constant_curvature(4).R.copy()
+    R = constant_curvature(4).R.copy()
     for i, j, k, l, sign in ((0, 1, 0, 1, 1), (1, 0, 0, 1, -1), (0, 1, 1, 0, -1), (1, 0, 1, 0, 1)):
         R[i, j, k, l] = sign * np.inf
     with pytest.raises(ValueError, match="finite"):
@@ -324,23 +335,17 @@ def test_non_finite_components_rejected():
 
 
 def test_traces_constant_curvature():
-    R = C.constant_curvature(4, 1.0)
-    assert C.sectional(R, 1, 2) == 1.0
+    R = constant_curvature(4, 1.0)
+    assert R.R[0, 1, 0, 1] == 1.0
     assert np.allclose(C.ricci(R), 3.0 * np.eye(4))
-    assert C.scalar(R) == 12.0
+    assert np.einsum("alal->", R.R) == 12.0
     zero = C.CurvTensor(np.zeros((4,) * 4))
-    assert C.scalar(zero) == 0.0
+    assert np.all(C.ricci(zero) == 0.0)
 
 
 def test_trace_identity_random(rng):
-    R = C.random_curvature(6, rng)
-    assert abs(C.scalar(R) - np.trace(C.ricci(R))) < 1e-10
-
-
-def test_ricci_floor_lambda():
-    # hyperbolic space has Ric = -(n-1) g, so the floor scale is 1
-    assert abs(C.ricci_floor_lambda(C.constant_curvature(4, -1.0)) - 1.0) < 1e-12
-    assert C.ricci_floor_lambda(C.constant_curvature(4, 1.0)) == 0.0
+    R = random_curvature(6, rng)
+    assert abs(np.einsum("alal->", R.R) - np.trace(C.ricci(R))) < 1e-10
 
 
 def test_weitzenboeck_zero_and_constant():
@@ -357,7 +362,7 @@ def test_weitzenboeck_zero_and_constant():
 
 def test_weitzenboeck_double_path(rng):
     for n in (4, 6):
-        R = C.random_curvature(n, rng)
+        R = random_curvature(n, rng)
         M1 = C.weitzenboeck_on_two_forms(R).matrix
         M2 = C.weitzenboeck_clifford_trace(R)
         assert np.max(np.abs(M1 - M2)) < 1e-10
@@ -365,12 +370,12 @@ def test_weitzenboeck_double_path(rng):
 
 
 def test_weitzenboeck_bound_check():
-    rep = C.weitzenboeck_lower_bound_check(C.constant_curvature(4), 4.0, C.SearchConfig(restarts=32))
+    rep = C.weitzenboeck_lower_bound_check(constant_curvature(4), 4.0, C.SearchConfig(restarts=32))
     assert rep.asserted and rep.passed
     assert abs(rep.lambda_min - 4.0) < 1e-10 and abs(rep.margin) < 1e-10
     rep2 = C.weitzenboeck_lower_bound_check(product_tensor(), 2.0, C.SearchConfig(restarts=32))
     assert rep2.asserted and rep2.passed and rep2.margin >= 0
-    hyp = C.constant_curvature(4, -1.0)
+    hyp = constant_curvature(4, -1.0)
     rep3 = C.weitzenboeck_lower_bound_check(hyp, 0.0, C.SearchConfig(restarts=32))
     assert not rep3.asserted and not rep3.pic_verdict.passed
 
@@ -379,7 +384,7 @@ def test_weitzenboeck_eigen_bound_for_pic_combinations(rng):
     cfg = C.SearchConfig(restarts=64, seed=5)
     for n in (4, 6):
         for _ in range(5):
-            R = C.random_pic_combination(n, rng)
+            R = random_pic_combination(n, rng)
             sigma_star, _ = C.min_isotropic(R, cfg)
             lam_min = C.weitzenboeck_on_two_forms(R).lambda_min()
             assert lam_min >= 0.5 * (n - 2) * sigma_star - 1e-8
@@ -387,7 +392,7 @@ def test_weitzenboeck_eigen_bound_for_pic_combinations(rng):
 
 def test_odd_dimension_rejected():
     with pytest.raises(ValueError):
-        C.weitzenboeck_lower_bound_check(C.constant_curvature(5), 1.0)
+        C.weitzenboeck_lower_bound_check(constant_curvature(5), 1.0)
 
 
 def test_bianchi_validation():
@@ -406,8 +411,8 @@ def test_bianchi_validation():
 
 
 def test_json_roundtrip_and_consistency(rng):
-    R = C.random_curvature(4, rng)
-    doc = C.curvature_to_json(R)
+    R = random_curvature(4, rng)
+    doc = curvature_to_json(R)
     R2 = C.load_curvature_json(doc)
     assert np.array_equal(R.R, R2.R)
     doc["components"].append({"i": 1, "j": 2, "k": 1, "l": 2, "v": R.R[0, 1, 0, 1] + 1.0})
@@ -427,5 +432,5 @@ def test_sphere_line_product_is_the_product_tensor():
     for n, kappa in ((4, 1.0), (5, 2.0), (6, 0.3)):
         assert np.array_equal(C.sphere_line_product(n, kappa).R, product_tensor(n, kappa).R)
     R = C.sphere_line_product(5, 2.0)
-    assert C.sectional(R, 1, 2) == C.sectional(R, 3, 4) == 2.0
-    assert C.sectional(R, 1, 5) == C.sectional(R, 4, 5) == 0.0
+    assert R.R[0, 1, 0, 1] == R.R[2, 3, 2, 3] == 2.0
+    assert R.R[0, 4, 0, 4] == R.R[3, 4, 3, 4] == 0.0

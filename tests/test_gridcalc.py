@@ -42,6 +42,10 @@ def test_grid_validation():
         G.FlatBandGrid(4, 2.0, 4, 6)
     with pytest.raises(ValueError):
         G.FlatBandGrid(4, -1.0, 16, 6)
+    # a positive L whose spacing rounds to 0: every radial stencil would divide by it
+    with pytest.raises(ValueError, match=r"radial spacing h = L / \(N_r - 1\) = 0\.0"):
+        G.FlatBandGrid(3, 5e-324, 12, 4)
+    assert G.FlatBandGrid(3, 1e-300, 12, 4).h > 0
 
 
 def test_grid_node_limit():
@@ -107,7 +111,7 @@ def test_dirac_two_code_paths(rng):
     # sum_j c(e_j) d_j equals d + d*
     g = grid()
     F = random_field(g, 2, rng)
-    D1 = G.dirac_grid(F)
+    D1 = G.d_grid(F) + G.dstar_grid(F)
     D2 = G.FormField(g)
     for j in range(g.n):
         comps = [None] * g.n
@@ -123,7 +127,7 @@ def test_D_f_reduces_to_dirac():
     g = grid()
     F = G.trig_field(g, [{"index": [1, 2], "factors": [{"axis": 0, "kind": "sin", "freq": 1}]}])
     zero = np.zeros(g.shape)
-    assert (G.D_f_grid(F, zero) - G.dirac_grid(F)).sup_norm() == 0.0
+    assert (G.D_f_grid(F, zero) - (G.d_grid(F) + G.dstar_grid(F))).sup_norm() == 0.0
 
 
 def test_D_f_linear_radial_on_constant_field():
@@ -188,61 +192,6 @@ def test_twisted_weitzenboeck_convergence():
     residuals, _, orders = G.convergence_study("weitzenboeck", (16, 32, 64), seed=0)
     assert all(r > 0 for r in residuals)
     assert all(abs(o - 2.0) <= 0.3 for o in orders)
-
-
-def test_conjugation_identity_convergence():
-    residuals, hs = [], []
-    for N in (16, 32, 64):
-        g = grid(N_r=N)
-        rng = np.random.default_rng(8)
-        om = random_field(g, 2, rng)
-        X = g.axes()
-        f = 0.5 * np.sin(math.pi * X[0] / g.L)
-        residuals.append(G.conjugation_residual(om, f))
-        hs.append(g.h)
-    orders = G.convergence_order(residuals, hs)
-    assert all(abs(o - 2.0) <= 0.5 for o in orders)
-
-
-def test_chi_eigenform_boundary_identity_cases(rng):
-    n = 4
-    nu = np.eye(n)[n - 1]
-    tang = E.basis_form(n, 1, 2)
-    norm = E.FormElement(n, {(1, n): 1.0})
-    grad = np.array([0.0, 0.0, 0.0, 0.7])
-    assert G.chi_eigenform_boundary_identity(tang, grad, nu, +1) < 1e-12
-    assert G.chi_eigenform_boundary_identity(norm, grad, nu, -1) < 1e-12
-    # tangential gradient components drop out on eigenforms
-    for _ in range(50):
-        gvec = rng.standard_normal(n)
-        keys = [k for k in E.degree_basis(n, 2) if n not in k]
-        w = E.FormElement(n, {k: complex(rng.standard_normal(), rng.standard_normal()) for k in keys})
-        assert G.chi_eigenform_boundary_identity(w, gvec, nu, +1) < 1e-10
-        wn = E.FormElement(
-            n, {(i, n): complex(rng.standard_normal(), rng.standard_normal()) for i in range(1, n)}
-        )
-        assert G.chi_eigenform_boundary_identity(wn, gvec, nu, -1) < 1e-10
-
-
-def test_chi_eigenform_rejects_mixed_form():
-    n = 4
-    nu = np.eye(n)[n - 1]
-    mixed = E.basis_form(n, 1, 2) + E.FormElement(n, {(1, n): 1.0})
-    with pytest.raises(ValueError):
-        G.chi_eigenform_boundary_identity(mixed, nu, nu, +1)
-
-
-def test_contraction_trace_identity(rng):
-    # H = I on a degree-k form: k |w|^2 + (n-k) |w|^2 = n |w|^2
-    n = 6
-    w = E.random_form(n, 2, rng)
-    assert G.contraction_trace_identity(np.eye(n), w) < 1e-12 * max(1.0, w.norm2())
-    for _ in range(20):
-        H = rng.standard_normal((n, n))
-        H = 0.5 * (H + H.T)
-        w = E.random_form(n, int(rng.integers(0, n + 1)), rng)
-        assert G.contraction_trace_identity(H, w) < 1e-12 * max(1.0, w.norm2()) * np.abs(H).max()
-    assert G.contraction_trace_identity(np.eye(n), E.FormElement(n)) == 0.0
 
 
 def test_grid_config_loader():
@@ -368,7 +317,8 @@ def test_summed_key_actions_are_the_field_sums(n):
     mixed = ([None, rng.standard_normal(g.shape), 0.5, None] + [1.0] * n)[:n]
     for k in range(n):
         F = random_field(g, k, rng) + random_field(g, k + 1, rng)
-        _assert_same_field(G.dirac_grid(F), G.d_grid(F) + G.dstar_grid(F))
+        d, dstar = G._derivative_actions(F)
+        _assert_same_field(G._key_action(F, *d, dstar), G.d_grid(F) + G.dstar_grid(F))
         _assert_same_field(G.D_f_grid(F, f), G.d_grid(F) + G.dstar_grid(F) + G._clifford_field(grads, F, +1))
         c, ct = G._clifford_action(mixed, -1), G._clifford_action(grads, +1)
         _assert_same_field(G._key_action(F, *c, ct, c),

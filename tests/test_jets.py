@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from picband import bands as BD
-from picband import comparison as CM
 from picband import potentials as P
 
 STEP = 1e-5  # central-difference step
@@ -23,32 +22,19 @@ def _chi():
     return chi.jet, 0.0, 1.5, chi.breakpoints
 
 
-def _bandwidth():
-    chi, r = P.ChiCutoff(0.9), 3.0
-    return P.bandwidth_potential(chi, r, 0.2), 0.0, 1.5 * r, [r * b for b in chi.breakpoints]
-
-
 def _table():
     xs = np.linspace(0.2, 1.6, 17)
     return BD.WarpProfile("table", xs=xs, values=np.sin(xs)).jet, 0.2, 1.6, xs
-
-
-def _index_profile(K, Lambda):
-    return CM.optimal_index_profile(CM.ComparisonParams(4, K, Lambda, 1.1)), 0.0, 1.0, ()
 
 
 PROFILES = {
     "focal-N": lambda: _focal("N"),
     "focal-D": lambda: _focal("D"),
     "chi": _chi,
-    "bandwidth": _bandwidth,
     "warp-const": lambda: (BD.WarpProfile("const", 1.5).jet, 0.2, 3.0, ()),
     "warp-sin": lambda: (BD.WarpProfile("sin", 1.3).jet, 0.2, 3.0, ()),
     "warp-linear": lambda: (BD.WarpProfile("linear", -0.7).jet, 0.2, 3.0, ()),
     "warp-table": _table,
-    "index-flat": lambda: _index_profile(0.0, 0.9),
-    "index-lambda0": lambda: _index_profile(1.3, 0.0),
-    "index-general": lambda: _index_profile(1.3, 0.9),
 }
 
 

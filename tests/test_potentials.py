@@ -162,18 +162,6 @@ def test_chi_feasibility_window():
     assert tight.jet(xs)[2].max() <= 4.0
 
 
-def test_bandwidth_potential_scaling():
-    chi = P.ChiCutoff(0.9)
-    r, delta = 3.0, 0.2
-    jet = P.bandwidth_potential(chi, r, delta)
-    rhos = np.linspace(0.0, 4.0 * r, 20_001)
-    _, fp, fpp = jet(rhos)
-    assert np.max(np.abs(fp)) <= delta + 1e-15
-    assert np.max(np.abs(fpp)) <= 4.0 * delta / r + 1e-15
-    assert np.max(np.abs(fp[rhos >= 0.9 * r])) == 0.0
-    assert abs(float(jet(0.1 * r)[0]) + 0.1 * r * delta) < 1e-14  # f = -delta rho near the boundary
-
-
 def test_bandwidth_margin_example():
     p = P.BandwidthParams(4, 1.0, 0.1, 0.2, 8.0, 8.0)
     rep = P.verify_bandwidth_margin(p)
@@ -217,6 +205,25 @@ def test_L_chain():
 def test_bandwidth_bound_monotone():
     vals = [P.bandwidth_bound(1.0, d) for d in (0.0, 0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_contraction_trace_identity(rng):
+    """The Gram matrices of the form bounds obey
+    sum_ij H_ij (G1 + G2)_ij = trace(H) |w|^2 for symmetric H, since
+    i_{e_j} (theta^i ^ .) + theta^i ^ i_{e_j} = delta_ij; H = I gives
+    (n - 2) |w|^2 + 2 |w|^2 on a two-form."""
+    n = 6
+    for t in range(21):
+        H = np.eye(n)
+        if t:
+            H = rng.standard_normal((n, n))
+            H = 0.5 * (H + H.T)
+        w = E.form_to_vec(E.random_form(n, 2, rng), 2)
+        G1, G2 = P._pairings(n, w)
+        norm2 = float(np.real(w.conj() @ w))
+        assert abs(np.sum(H * (G1 + G2)) - np.trace(H) * norm2) < 1e-12 * max(1.0, norm2) * np.abs(H).max()
+    G1, G2 = P._pairings(n, np.zeros(n * (n - 1) // 2))
+    assert not G1.any() and not G2.any()
 
 
 def test_hessian_form_bounds_zero_H(rng):

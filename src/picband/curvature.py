@@ -19,7 +19,11 @@ is x_0'H_02 x_2 + x_0'H_03 x_3 + x_1'H_12 x_2 + x_1'H_13 x_3 - 2 x_2'H_01 x_3,
 and each frame row's gradient is a sum of slices applied to frame vectors,
 e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.  Only the pair
 antisymmetries and the pair interchange are used, which the storage holds
-exactly; the first Bianchi identity is not.
+exactly; the first Bianchi identity is not.  The search carries the slices
+of its current frames, so a descent iteration costs one slice product: that
+of its trial frames, which gives their values and, for an accepted step,
+the slices of the next gradient.  Frames are retracted by Gram-Schmidt,
+which is the QR retraction with a positive diagonal.
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
@@ -228,8 +232,6 @@ def iso_curvature(R: CurvTensor, frame) -> float:
 # The six slot pairs (a, b) of a frame, in the order 01, 02, 03, 12, 13, 23.
 _PAIR_A = np.array([0, 0, 0, 1, 1, 2])
 _PAIR_B = np.array([1, 2, 3, 2, 3, 3])
-# The two frame rows each pair slice is applied to in the gradient.
-_GRAD_ROWS = np.array([[2, 3], [0, 2], [0, 3], [1, 2], [1, 3], [0, 1]])
 
 
 def _pair_slices(R: np.ndarray, X: np.ndarray):
@@ -241,33 +243,52 @@ def _pair_slices(R: np.ndarray, X: np.ndarray):
     return P, H
 
 
-def _iso_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    P, H = _pair_slices(R, X)
-    B = X.shape[0]
+def _iso_value(P: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Isotropic curvature of each frame from its outer products and pair slices."""
+    B = P.shape[0]
     # <H_ab, x_c (x) x_d> = R(x_a, x_b, x_c, x_d): slices 02, 03, 12, 13
     # against their own outer products, slice 01 against 23
     T = np.einsum("Bpm,Bpm->Bp", H.reshape(B, 6, -1)[:, :5], P.reshape(B, 6, -1)[:, [5, 1, 2, 3, 4]])
     return T[:, 1] + T[:, 2] + T[:, 3] + T[:, 4] - 2.0 * T[:, 0]
 
 
-def _iso_grad_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _iso_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return _iso_value(*_pair_slices(R, X))
+
+
+# The gradient as a table over (slot pair p, frame row c) and frame row a:
+# d/dx_a = sum_{p,c} _GRAD_COEF[p, c, a] H_p x_c, e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.
+_GRAD_COEF = np.zeros((6, 4, 4))
+_GRAD_COEF[[1, 2, 5, 3, 4, 5, 1, 3, 0, 0, 2, 4],
+           [2, 3, 1, 2, 3, 0, 0, 1, 3, 2, 0, 1],
+           [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]] = [2, 2, -2, 2, 2, 2, -2, -2, -2, 2, -2, -2]
+_GRAD_COEF = _GRAD_COEF.reshape(24, 4)
+
+
+def _slice_grad(H: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the isotropic curvature with respect to the
-    frame rows, as pair slices applied to frame vectors (x'H_ab = -H_ab x)."""
-    _, H = _pair_slices(R, X)
-    HX = H @ np.swapaxes(X[:, _GRAD_ROWS], 2, 3)  # HX[B,p,:,c] = H_p x_{_GRAD_ROWS[p,c]}
-    (h01x2, h01x3), (h02x0, h02x2), (h03x0, h03x3), (h12x1, h12x2), (h13x1, h13x3), (h23x0, h23x1) = (
-        np.moveaxis(HX, (1, 3), (0, 1))
-    )
-    return 2.0 * np.stack([h02x2 + h03x3 - h23x1, h12x2 + h13x3 + h23x0,
-                           -(h02x0 + h12x1 + h01x3), h01x2 - h03x0 - h13x1], axis=1)
+    frame rows, from the frames' pair slices H; no product with R."""
+    B, _, n, _ = H.shape
+    HX = H @ np.swapaxes(X, 1, 2)[:, None]  # HX[B,p,:,c] = H_p x_c
+    return (HX.transpose(0, 2, 1, 3).reshape(B * n, 24) @ _GRAD_COEF).reshape(B, n, 4).swapaxes(1, 2)
 
 
 def _retract(Y: np.ndarray) -> np.ndarray:
-    """Batched QR retraction onto orthonormal 4-frames, sign-fixed for determinism."""
-    Q, Rm = np.linalg.qr(np.swapaxes(Y, 1, 2))
-    diag = np.einsum("Bii->Bi", Rm)
-    signs = np.where(diag < 0, -1.0, 1.0)
-    return np.swapaxes(Q * signs[:, None, :], 1, 2)
+    """Retraction onto orthonormal 4-frames: modified Gram-Schmidt on the
+    rows of each frame.  This is the Q factor of the QR factorisation of
+    Y^T with a positive diagonal, which is unique, so it is the sign-fixed
+    QR retraction (Absil, Mahony and Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008) without a LAPACK call.  Each frame is first
+    scaled by a power of two, which is exact, so that no square overflows
+    on a frame as large as a tensor's scale allows (LAPACK scales too)."""
+    _, exponent = np.frexp(np.max(np.abs(Y), axis=(1, 2)))
+    Q = np.ldexp(Y, -exponent[:, None, None])
+    for a in range(4):  # normalise row a, then take it out of the rows below
+        q = Q[:, a]
+        q /= np.sqrt(np.einsum("Bi,Bi->B", q, q))[:, None]
+        rest = Q[:, a + 1:]
+        rest -= np.einsum("Bbi,Bi->Bb", rest, q)[:, :, None] * q[:, None, :]
+    return Q
 
 
 @dataclass(frozen=True)
@@ -288,8 +309,13 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     the reported value is the minimum over every frame evaluated during
     the search, reduced in (value, restart index) order.
 
-    Each iteration works on the live restarts only.  A restart retires in
-    one of three ways:
+    Each iteration works on the live restarts only and forms one set of
+    pair slices with R: those of its trial frames.  They give the trial
+    values, and a restart that accepts its trial keeps them as the slices of
+    its new frame, from which the next gradient is read (``_slice_grad``,
+    no product with R).  The trial frames come from the Gram-Schmidt
+    retraction (``_retract``), the same map as a QR retraction with a
+    positive diagonal.  A restart retires in one of three ways:
 
     * its tangent gradient drops below SEARCH_GRAD_TOL;
     * its step falls below 1e-14; it still takes one trial at its halved
@@ -297,7 +323,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     * it stalls: every STALL_WINDOW iterations, a restart whose accepted
       value fell by at most STALL_TOL * (1 + |v|) since the previous check
       retires.  This catches restarts whose gradient sits at the rounding
-      floor of the QR retraction, above SEARCH_GRAD_TOL, where they would
+      floor of the retraction, above SEARCH_GRAD_TOL, where they would
       otherwise stay live until SEARCH_MAX_ITER.
 
     A retired restart keeps its frame and step, which no longer change, so
@@ -309,7 +335,8 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     rng = np.random.default_rng(cfg.seed)
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
-    vals = _iso_batch(R.R, X)
+    P, H = _pair_slices(R.R, X)  # carried: H holds the slices of the current frames
+    vals = _iso_value(P, H)
     best_vals = vals.copy()
     best_X = X.copy()
     step = np.full(B, SEARCH_STEP0)
@@ -325,20 +352,21 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
             break
         live = np.flatnonzero(active | last_trial)
         Xl, stepl, act = X[live], step[live], active[live]
-        G = _iso_grad_batch(R.R, Xl)
+        G = _slice_grad(H[live], Xl)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
-        M = np.einsum("Bij,Bkj->Bik", G, Xl)
-        sym = 0.5 * (M + np.swapaxes(M, 1, 2))
-        Gt = G - np.einsum("Bik,Bkj->Bij", sym, Xl)
+        M = G @ np.swapaxes(Xl, 1, 2)
+        Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ Xl
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
         act &= gnorm2 > SEARCH_GRAD_TOL**2
         if not act.any():
             break
         Y = _retract(Xl - stepl[:, None, None] * Gt)
-        vY = _iso_batch(R.R, Y)
+        PY, HY = _pair_slices(R.R, Y)
+        vY = _iso_value(PY, HY)
         accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
         acc = live[accept]
         X[acc] = Y[accept]
+        H[acc] = HY[accept]
         vals[acc] = vY[accept]
         step[acc] = np.minimum(step[acc] * 1.5, 1.0)
         rej = live[act & ~accept]
@@ -458,11 +486,12 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
 
     FAIL comes with a concrete counter-frame.  In dimension 4 the verdict
     is exact (closed-form minimum); above, PASS is stochastic evidence from
-    the frame search (its effort is recorded in the verdict).  A non-finite
-    minimum is a FAIL.
+    the frame search (its effort is recorded in the verdict).  Any finite
+    sigma is accepted, a negative one too, as in the band verdicts; a
+    non-finite minimum is a FAIL.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     value, frame, restarts = _verdict_minimum(R, cfg)
     if not value >= sigma - cfg.tolerance:
         return PicVerdict(False, sigma, value, frame, restarts, cfg.tolerance)

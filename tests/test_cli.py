@@ -26,6 +26,24 @@ def run_cli(args, env=None):
     )
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+def test_cli_defaults_to_one_blas_thread(preset, expected):
+    """Importing the CLI sets one BLAS thread unless the user set a count."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, picband.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == expected
+
+
+def test_verify_curvature_negative_sigma_is_a_verdict():
+    """--sigma -1 was refused (exit 2) while verify band judged it."""
+    for n in ("4", "6"):
+        assert cli.main(["verify", "curvature", "--n", n, "--sigma", "-1"]) in (0, 1)
+
+
 def test_verify_clifford_passes():
     out = run_cli(["verify", "clifford", "--n", "4..5", "--samples", "10"])
     assert out.returncode == 0
@@ -344,6 +362,45 @@ def test_band_and_tensor_file_numbers_on_extreme_values(tmp_path, kind):
     for where, integer in fields.items():
         values = EXTREME_VALUES + (INTEGER_EXTREMES if integer else [])
         _sweep_file_number(tmp_path, argv, doc, where, values, BIG_INTEGERS)
+
+
+@pytest.mark.parametrize("v", [1e200, -1e200, 1e300])
+def test_frame_search_on_a_huge_tensor_is_a_verdict(tmp_path, v):
+    """At n = 5 the verdict runs the frame search, whose trial frames then
+    hold entries near 1e199: their Gram-Schmidt squares must not overflow
+    (an input error, exit 2), as the QR retraction's did not.  Only the
+    exit code and finite margins are checked: at this scale the step rule
+    accepts no step, so the value is that of the best random start."""
+    doc = {"n": 5, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": v},
+                                  {"i": 3, "j": 4, "k": 3, "l": 4, "v": 2.0}]}
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc))
+    _exit_2_or_finite(["verify", "curvature", "--tensor", str(path)], tmp_path / "r.json")
+    assert (tmp_path / "r.json").exists()
+
+
+CIRCLE_DOC = {"dim": 1, "simplices": {"0": [[0], [1], [2]], "1": [[0, 1], [1, 2], [0, 2]]}}
+HODGE_ARGV = ["verify", "hodge", "--twists", "3", "--complex"]
+
+
+def test_hodge_complex_numbers_on_extreme_values(tmp_path):
+    """The declared dimension, a vertex label and a label inside an edge of
+    a verify hodge --complex file at the extreme values and at
+    INTEGER_EXTREMES: exit 0, 1 or 2, never an internal error, and no
+    report on exit 2."""
+    for where in (("dim",), ("simplices", "0", 0, 0), ("simplices", "1", 0, 1)):
+        _sweep_file_number(tmp_path, HODGE_ARGV, CIRCLE_DOC, where, EXTREME_VALUES + INTEGER_EXTREMES, BIG_INTEGERS)
+
+
+@pytest.mark.parametrize("key", ["1e308", "-1", "nan", "inf", "1.5", "400", "1" + "0" * 400])
+def test_hodge_complex_dimension_keys_on_extreme_values(tmp_path, key):
+    """A simplex-list key that is no dimension, or a dimension its simplices
+    do not have."""
+    simplices = dict(CIRCLE_DOC["simplices"])
+    simplices[key] = simplices.pop("1")
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dim": 1, "simplices": simplices}))
+    _exit_2_or_finite([*HODGE_ARGV, str(path)], tmp_path / "r.json")
 
 
 def test_band_sigma_on_extreme_values(tmp_path):

@@ -90,17 +90,41 @@ def _worst(*values: float) -> float:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'4..8' -> [4, 5, 6, 7, 8], '4' -> [4]; an empty range like '8..4'
-    is a usage error."""
-    if ".." in text:
-        lo, hi = (int(t) for t in text.split("..", 1))
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """'4..8' -> [4, 5, 6, 7, 8], '4' -> [4]; an empty range like '8..4', a dimension below 1
+    and one whose largest degree stacks pass exterior.MAX_STACK_ENTRIES are usage errors."""
+    lo, hi = (int(t) for t in text.split("..", 1)) if ".." in text else (int(text),) * 2
+    if not (1 <= lo <= hi and exterior._stack_fits(hi, (hi - 1) // 2)):  # before the list is built
+        raise argparse.ArgumentTypeError(
+            f"need a nonempty range of dimensions >= 1 whose degree stacks fit in MAX_STACK_ENTRIES, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 # -- suites --------------------------------------------------------------
+
+
+def _clifford_basis_defect(n: int) -> float:
+    """Largest entry defect of {W_i, W_j} = 0, {I_i, I_j} = 0 and {W_i, I_j} = delta_ij on the
+    degree stacks W, I: the degree +2, -2 and 0 parts of {c_i, c_j} = -2 delta_ij, {ct_i, ct_j} =
+    2 delta_ij and {c_i, ct_j} = 0 for c = W - I, ct = W + I, so they hold exactly when those do."""
+    W, I = exterior.wedge_stack, exterior.interior_stack
+    worst = 0.0
+    for k in range(n + 1):
+        for i in range(n):  # batched over j: [j] is the relation of the pair (i, j) on degree k
+            wi = W(n, k - 1)[i] @ I(n, k) + I(n, k + 1) @ W(n, k)[i]
+            wi[i] -= np.eye(math.comb(n, k))
+            for defect in (W(n, k + 1)[i] @ W(n, k) + W(n, k + 1) @ W(n, k)[i],
+                           I(n, k - 1)[i] @ I(n, k) + I(n, k - 1) @ I(n, k)[i], wi):
+                worst = max(worst, float(np.abs(defect).max(initial=0.0)))
+    return worst
+
+
+def _c_on_stacks(v, form: dict) -> dict:
+    """c(v) through the degree stacks, on a form stored as {degree: coefficients}."""
+    out = {}
+    for k, x in form.items():
+        out[k + 1] = out.get(k + 1, 0.0) + v @ (exterior.wedge_stack(len(v), k) @ x)
+        out[k - 1] = out.get(k - 1, 0.0) - v @ (exterior.interior_stack(len(v), k) @ x)
+    return out
 
 
 def suite_clifford(args):
@@ -108,30 +132,16 @@ def suite_clifford(args):
     reports = []
     samples = args.samples
     for n in args.n:
-        worst = 0.0
-        eye = np.eye(n)
-        for k in range(n + 1):
-            for key in exterior.degree_basis(n, k):
-                a = exterior.FormElement(n, {key: 1.0})
-                for i in range(n):
-                    for j in range(i, n):
-                        ci_cj = exterior.clifford_c(eye[i], exterior.clifford_c(eye[j], a))
-                        cj_ci = exterior.clifford_c(eye[j], exterior.clifford_c(eye[i], a))
-                        t1 = ci_cj + cj_ci + (2.0 if i == j else 0.0) * a
-                        ti_tj = exterior.clifford_ct(eye[i], exterior.clifford_ct(eye[j], a))
-                        tj_ti = exterior.clifford_ct(eye[j], exterior.clifford_ct(eye[i], a))
-                        t2 = ti_tj + tj_ti - (2.0 if i == j else 0.0) * a
-                        mixed = exterior.clifford_c(eye[i], exterior.clifford_ct(eye[j], a)) + \
-                            exterior.clifford_ct(eye[j], exterior.clifford_c(eye[i], a))
-                        worst = _worst(worst, t1.norm(), t2.norm(), mixed.norm())
+        worst = _clifford_basis_defect(n)
         for _ in range(samples):
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
-            w = exterior.random_form(n, int(rng.integers(0, n + 1)), rng)
-            lhs = exterior.clifford_c(u, exterior.clifford_c(v, w)) + exterior.clifford_c(
-                v, exterior.clifford_c(u, w)
-            )
-            worst = _worst(worst, (lhs + 2.0 * float(u @ v) * w).norm() / max(1.0, w.norm()))
+            k = int(rng.integers(0, n + 1))
+            w = rng.standard_normal(math.comb(n, k)) + 1j * rng.standard_normal(math.comb(n, k))
+            uv, vu = _c_on_stacks(u, _c_on_stacks(v, {k: w})), _c_on_stacks(v, _c_on_stacks(u, {k: w}))
+            uv[k] += 2.0 * float(u @ v) * w
+            lhs = np.concatenate([uv[d] + vu[d] for d in uv])
+            worst = _worst(worst, float(np.linalg.norm(lhs) / max(1.0, np.linalg.norm(w))))
         reports.append(
             Report(
                 check=f"clifford.relations.n{n}",

@@ -278,11 +278,8 @@ def _retract(Y: np.ndarray) -> np.ndarray:
     rows of each frame.  This is the Q factor of the QR factorisation of
     Y^T with a positive diagonal, which is unique, so it is the sign-fixed
     QR retraction (Absil, Mahony and Sepulchre, Optimization Algorithms on
-    Matrix Manifolds, 2008) without a LAPACK call.  Each frame is first
-    scaled by a power of two, which is exact, so that no square overflows
-    on a frame as large as a tensor's scale allows (LAPACK scales too)."""
-    _, exponent = np.frexp(np.max(np.abs(Y), axis=(1, 2)))
-    Q = np.ldexp(Y, -exponent[:, None, None])
+    Matrix Manifolds, 2008) without a LAPACK call."""
+    Q = Y.copy()
     for a in range(4):  # normalise row a, then take it out of the rows below
         q = Q[:, a]
         q /= np.sqrt(np.einsum("Bi,Bi->B", q, q))[:, None]
@@ -327,15 +324,19 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
       otherwise stay live until SEARCH_MAX_ITER.
 
     A retired restart keeps its frame and step, which no longer change, so
-    it would only repeat its last trial.
+    it would only repeat its last trial.  The search runs on R scaled by a
+    power of two to unit size, which is exact: min_isotropic(2^k R) is
+    2^k min_isotropic(R).
     """
     n = R.n
     if n < 4:
         raise ValueError("isotropic curvature needs ambient dimension >= 4")
+    _, exponent = math.frexp(float(np.max(np.abs(R.R))))
+    Rs = np.ldexp(R.R, -exponent)
     rng = np.random.default_rng(cfg.seed)
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
-    P, H = _pair_slices(R.R, X)  # carried: H holds the slices of the current frames
+    P, H = _pair_slices(Rs, X)  # carried: H holds the slices of the current frames
     vals = _iso_value(P, H)
     best_vals = vals.copy()
     best_X = X.copy()
@@ -361,7 +362,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         if not act.any():
             break
         Y = _retract(Xl - stepl[:, None, None] * Gt)
-        PY, HY = _pair_slices(R.R, Y)
+        PY, HY = _pair_slices(Rs, Y)
         vY = _iso_value(PY, HY)
         accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
         acc = live[accept]
@@ -382,7 +383,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
 
     order = np.lexsort((np.arange(B), best_vals))
     k = order[0]
-    return float(best_vals[k]), Frame4(_retract(best_X[k][None])[0])
+    return math.ldexp(float(best_vals[k]), exponent), Frame4(_retract(best_X[k][None])[0])
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ matrices :func:`wedge_stack`, :func:`interior_stack` and
 of ``gridcalc``, the Clifford-trace route of ``curvature`` and the form
 bounds of ``potentials``.  The index formula ``curvature.weitzenboeck_on_two_forms``
 keeps its own signs on purpose: it is the independent path the trace route
-is checked against.
+is checked against.  ``verify clifford`` checks the Clifford relations on the
+stacks; :class:`FormElement` is the tests' independent route to them.
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ __all__ = [
     "basis_form",
     "degree_basis",
     "form_to_vec",
-    "vec_to_form",
     "full_operator_matrix",
     "full_basis",
-    "random_form",
     "wedge_key",
     "wedge_keys",
     "interior_key",
@@ -53,6 +52,9 @@ __all__ = [
     "interior_stack",
     "two_form_blocks",
 ]
+
+MAX_STACK_ENTRIES = 1 << 21  # dense entries of one degree stack (n <= 10): 16 MiB of float64
+
 
 def wedge_key(j: int, key: tuple):
     """theta^j ^ theta^key as (key, sign), or None when j is in key."""
@@ -124,18 +126,6 @@ class FormElement:
         out.coeffs = dict(self.coeffs)
         return out
 
-    def degrees(self):
-        return sorted({len(k) for k in self.coeffs})
-
-    def degree(self) -> int:
-        """Degree of a pure-degree form (0 for the zero form)."""
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError(f"form has mixed degrees {degs}")
-        return degs[0]
-
     def __add__(self, other: "FormElement") -> "FormElement":
         self._check(other)
         out = self.copy()
@@ -155,9 +145,6 @@ class FormElement:
         return out
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "FormElement":
-        return self * -1.0
 
     def norm2(self) -> float:
         return float(sum((v * v.conjugate()).real for v in self.coeffs.values()))
@@ -272,14 +259,6 @@ def form_to_vec(a: FormElement, k: int) -> np.ndarray:
     return out
 
 
-def vec_to_form(vec, n: int, k: int) -> FormElement:
-    basis = degree_basis(n, k)
-    vec = np.asarray(vec)
-    if vec.shape != (len(basis),):
-        raise ValueError(f"coefficient vector has shape {vec.shape}, expected ({len(basis)},)")
-    return FormElement(n, {key: vec[i] for i, key in enumerate(basis) if vec[i] != 0})
-
-
 @lru_cache(maxsize=None)
 def full_basis(n: int):
     """All multi-indices, grouped by degree then lexicographic (size 2^n)."""
@@ -301,9 +280,21 @@ def full_operator_matrix(op, n: int) -> np.ndarray:
     return mat
 
 
+def _stack_fits(n: int, k: int) -> bool:
+    """Whether n C(n, k) C(n, k + 1), the entries of the stacks between degrees k and k + 1, fits in
+    MAX_STACK_ENTRIES; counted up from n^2, the count at degree 0 (and at an empty degree), and stopped
+    past the limit: a huge n costs a few products."""
+    entries, t = n * n, 1  # n C(n, t - 1) C(n, t)
+    while t <= min(k, n - 1 - k) and entries <= MAX_STACK_ENTRIES:
+        entries, t = entries * (n - t + 1) * (n - t) // (t * (t + 1)), t + 1
+    return entries <= MAX_STACK_ENTRIES
+
+
 def _key_stack(key_op, n: int, k_in: int, k_out: int) -> np.ndarray:
     """Read-only stack over j = 1..n of the matrices of key_op(j, .) from
     the degree-k_in basis to the degree-k_out basis."""
+    if not _stack_fits(n, min(k_in, k_out)):
+        raise ValueError(f"dimension {n} has more than MAX_STACK_ENTRIES degree stack entries")
     basis = degree_basis(n, k_in)
     row = {key: r for r, key in enumerate(degree_basis(n, k_out))}
     out = np.zeros((n, len(row), len(basis)))
@@ -336,10 +327,3 @@ def two_form_blocks(n: int):
     Q = np.einsum("iab,jbc->ijac", interior_stack(n, 3), wedge_stack(n, 2))
     P.flags.writeable = Q.flags.writeable = False
     return P, Q
-
-
-def random_form(n: int, k: int, rng) -> FormElement:
-    """Degree-k form with standard complex normal coefficients."""
-    basis = degree_basis(n, k)
-    vec = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    return vec_to_form(vec, n, k)

@@ -45,6 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from . import exterior
+from .curvature import _json_int
 from .exterior import _checked_key
 
 __all__ = [
@@ -471,7 +472,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
             raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
         val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones((1,) * grid.n, dtype=complex)
         for fac in term.get("factors", []):
-            axis = int(fac["axis"])
+            axis = _json_int(fac["axis"], "axis")
             if not 0 <= axis < grid.n:
                 raise ValueError(f"factor axis {axis} out of range 0..{grid.n - 1}")
             kind = fac.get("kind", "sin")
@@ -489,7 +490,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
             val = val * (np.sin(arg) if kind == "sin" else np.cos(arg)).reshape(
                 [-1 if a == axis else 1 for a in range(grid.n)]
             )
-        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(term["index"])))
+        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(_json_int(i, "index") for i in term["index"])))
         if hit is not None:
             key, sign = hit
             out._acc(key, sign * val)
@@ -577,7 +578,8 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
 
 def load_grid_config(doc) -> tuple[FlatBandGrid, list[FormField]]:
     """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]}."""
-    grid = FlatBandGrid(int(doc["n"]), float(doc["L"]), int(doc["N_r"]), int(doc["N_t"]))
+    grid = FlatBandGrid(_json_int(doc["n"], "n"), float(doc["L"]), _json_int(doc["N_r"], "N_r"),
+                        _json_int(doc["N_t"], "N_t"))
     specs = doc.get("fields", [])
     if not isinstance(specs, list) or not all(isinstance(term, dict) for spec in specs for term in spec):
         raise ValueError("fields must be a list of fields, each a list of term objects")

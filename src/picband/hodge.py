@@ -25,6 +25,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .curvature import _json_int
+
 __all__ = [
     "SimplicialComplex",
     "TwistedComplex",
@@ -385,7 +387,7 @@ def load_complex(doc) -> SimplicialComplex:
     constructor validates labels, dimensions, vertices and closure."""
     simplices = {int(d): [tuple(s) for s in items] for d, items in doc["simplices"].items()}
     K = SimplicialComplex(simplices)
-    if K.dim != int(doc.get("dim", K.dim)):
+    if K.dim != _json_int(doc.get("dim", K.dim), "dim"):
         raise ValueError("declared dimension does not match the simplex lists")
     return K
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from picband import curvature as C
+from picband import exterior as E
 
 
 @pytest.fixture
@@ -24,6 +25,13 @@ def sample_bounded_hessian(rng, n: int, r_f: float, lam: float, rho: float) -> n
     Q = random_orthonormal(rng, n)
     H = Q @ np.diag(eigs) @ Q.T
     return 0.5 * (H + H.T)
+
+
+def random_form(n: int, k: int, rng) -> E.FormElement:
+    """Degree-k form with standard complex normal coefficients."""
+    basis = E.degree_basis(n, k)
+    vec = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return E.FormElement(n, dict(zip(basis, vec)))
 
 
 def constant_curvature(n: int, kappa: float = 1.0) -> C.CurvTensor:

@@ -16,7 +16,7 @@ from picband import exterior as E
 from picband import gridcalc as G
 from picband import hodge as H
 from picband import potentials as P
-from tests.conftest import random_curvature, sample_bounded_hessian
+from tests.conftest import random_curvature, random_form, sample_bounded_hessian
 
 SEED = 20240612
 
@@ -244,7 +244,7 @@ def test_criterion_08_pointwise_form_inequalities():
             lam = float(rng.uniform(0.5, 8.0))
             rho = float(rng.uniform(0.0, 3.0))
             Hm = sample_bounded_hessian(rng, n, r_f, lam, rho)
-            om = E.random_form(n, 2, rng)
+            om = random_form(n, 2, rng)
             rep = P.hessian_form_bounds(Hm, om, r_f, lam, rho)
             assert rep.details["hypotheses_met"]
             worst = min(worst, min(r.min_margin for r in rep.regions))

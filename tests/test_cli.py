@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,49 @@ def test_verify_clifford_passes():
     out = run_cli(["verify", "clifford", "--n", "4..5", "--samples", "10"])
     assert out.returncode == 0
     assert "PASS clifford.relations.n4" in out.stdout
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "11", "1000000000000000", "4..1000000000000000", "4..1000000000",
+                               "1" + "0" * 400])
+def test_clifford_dimension_past_the_stacks_is_usage_error(tmp_path, monkeypatch, capsys, n):
+    """A dimension below 1 or one whose largest degree stack passes
+    MAX_STACK_ENTRIES is refused before any stack or range list is built:
+    4..10^15 ended in a MemoryError (exit 1), and --n 0 passes vacuously on
+    the stacks."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a stack past the limit")
+
+    monkeypatch.setattr(cli.exterior, "_key_stack", refuse)
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "clifford", "--n", n, "--out", str(report)])
+    assert exc.value.code == 2
+    assert "dimensions >= 1 whose degree stacks fit in MAX_STACK_ENTRIES" in capsys.readouterr().err
+    assert not report.exists()
+    assert cli.exterior.MAX_STACK_ENTRIES >= 10 * math.comb(10, 4) * math.comb(10, 5)  # n = 10 still runs
+
+
+def _flip_one_sign(stack_fn, n, k):
+    """stack_fn with one nonzero entry of its (n, k) stack negated."""
+    def flipped(n_, k_):
+        S = stack_fn(n_, k_)
+        if (n_, k_) == (n, k):
+            S = S.copy()
+            S[tuple(np.argwhere(S)[0])] *= -1
+        return S
+    return flipped
+
+
+def test_clifford_basis_defect_is_exact_and_a_corrupted_stack_fails(monkeypatch, capsys):
+    """On the degree stacks the basis relations hold with defect exactly 0;
+    one flipped sign in wedge_stack(4, 2) fails them by 2 and makes the
+    suite FAIL (exit 1)."""
+    assert all(cli._clifford_basis_defect(n) == 0.0 for n in range(1, 9))
+    monkeypatch.setattr(cli.exterior, "wedge_stack", _flip_one_sign(cli.exterior.wedge_stack, 4, 2))
+    assert cli._clifford_basis_defect(4) == 2.0
+    assert cli.main(["verify", "clifford", "--n", "4..5", "--samples", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL clifford.relations.n4" in out and "PASS clifford.relations.n5" in out
 
 
 def test_verify_failure_exit_code():
@@ -364,19 +408,20 @@ def test_band_and_tensor_file_numbers_on_extreme_values(tmp_path, kind):
         _sweep_file_number(tmp_path, argv, doc, where, values, BIG_INTEGERS)
 
 
-@pytest.mark.parametrize("v", [1e200, -1e200, 1e300])
+@pytest.mark.parametrize("v", [1e20, 1e200, -1e200, 1e300])
 def test_frame_search_on_a_huge_tensor_is_a_verdict(tmp_path, v):
-    """At n = 5 the verdict runs the frame search, whose trial frames then
-    hold entries near 1e199: their Gram-Schmidt squares must not overflow
-    (an input error, exit 2), as the QR retraction's did not.  Only the
-    exit code and finite margins are checked: at this scale the step rule
-    accepts no step, so the value is that of the best random start."""
+    """At n = 5 the verdict runs the frame search.  The coordinate frame
+    (e3, e4, e1, e5) has isotropic curvature 0, so sigma = 1 fails at every
+    v; at 1e20 the search on the unscaled tensor accepted no step and
+    passed on its best random start, 1.1e16.  The margins must be finite:
+    no square of a frame overflows."""
     doc = {"n": 5, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": v},
                                   {"i": 3, "j": 4, "k": 3, "l": 4, "v": 2.0}]}
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(doc))
-    _exit_2_or_finite(["verify", "curvature", "--tensor", str(path)], tmp_path / "r.json")
-    assert (tmp_path / "r.json").exists()
+    argv = ["verify", "curvature", "--sigma", "1", "--tensor", str(path)]
+    _exit_2_or_finite(argv, tmp_path / "r.json")
+    assert not json.loads((tmp_path / "r.json").read_text())["report"]["reports"][0]["pass"]
 
 
 CIRCLE_DOC = {"dim": 1, "simplices": {"0": [[0], [1], [2]], "1": [[0, 1], [1, 2], [0, 2]]}}
@@ -494,6 +539,32 @@ def test_non_integral_file_integer_is_input_error(tmp_path, capsys, field, value
     path.write_text(json.dumps(doc))
     assert cli.main([*argv, str(path)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+GRID_INTEGERS = [("n",), ("N_r",), ("N_t",), ("fields", 0, 0, "factors", 0, "axis"), ("fields", 0, 0, "index", 0)]
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=["fraction", "boolean", "string"])
+@pytest.mark.parametrize("where", [("dim",), *GRID_INTEGERS], ids=lambda w: "-".join(map(str, w[-2:])))
+def test_non_integral_grid_or_complex_integer_is_input_error(tmp_path, capsys, where, value):
+    """A complex file's dim and a grid config's n, N_r, N_t, factor axis and
+    term index must be integers: "dim": 1.5 and "N_r": 12.5 were truncated
+    and passed, "axis": 0.7 was read as axis 0 and an index 1.5 or true ran
+    (exit 0)."""
+    if where == ("dim",):
+        argv, doc = HODGE_ARGV, {**CIRCLE_DOC, "dim": value}
+    else:
+        argv, doc = ["verify", "identities", "--grid"], json.loads(json.dumps(GRID_DOC))
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    path, report = tmp_path / "in.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path), "--out", str(report)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("flag, ladder", [("--N-t", "{}"), ("--N-r", "16,32,{}")])

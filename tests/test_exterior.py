@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from picband import exterior as E
+from tests.conftest import random_form
 
 
 def test_wedge_basis_case():
@@ -41,8 +42,8 @@ def test_interior_wedge_adjoint(n, rng):
     for _ in range(1000):
         v = rng.standard_normal(n)
         k = int(rng.integers(1, n + 1))
-        a = E.random_form(n, k, rng)
-        b = E.random_form(n, k - 1, rng)
+        a = random_form(n, k, rng)
+        b = random_form(n, k - 1, rng)
         lhs = E.inner(E.interior(v, a), b)
         rhs = E.inner(a, E.wedge_vector(v, b))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, a.norm() * b.norm())
@@ -51,7 +52,7 @@ def test_interior_wedge_adjoint(n, rng):
 def test_clifford_square_signs(rng):
     n = 4
     e1 = np.eye(n)[0]
-    w = E.random_form(n, 2, rng)
+    w = random_form(n, 2, rng)
     assert (E.clifford_c(e1, E.clifford_c(e1, w)) + w).norm() < 1e-13
     assert (E.clifford_ct(e1, E.clifford_ct(e1, w)) - w).norm() < 1e-13
 
@@ -59,7 +60,7 @@ def test_clifford_square_signs(rng):
 def test_clifford_mixed_anticommute(rng):
     n = 4
     e1, e2 = np.eye(n)[0], np.eye(n)[1]
-    w = E.random_form(n, 3, rng)
+    w = random_form(n, 3, rng)
     out = E.clifford_c(e1, E.clifford_ct(e2, w)) + E.clifford_ct(e2, E.clifford_c(e1, w))
     assert out.norm() < 1e-13
 
@@ -93,8 +94,8 @@ def test_clifford_relations_all_basis_pairs(n):
 def test_c_antiadjoint_ct_adjoint(rng):
     n = 6
     v = rng.standard_normal(n)
-    a = E.random_form(n, 3, rng)
-    b = E.random_form(n, 2, rng)
+    a = random_form(n, 3, rng)
+    b = random_form(n, 2, rng)
     assert abs(E.inner(E.clifford_c(v, a), b) + E.inner(a, E.clifford_c(v, b))) < 1e-12
     assert abs(E.inner(E.clifford_ct(v, a), b) - E.inner(a, E.clifford_ct(v, b))) < 1e-12
 
@@ -116,7 +117,7 @@ def test_chi_involution_squares_to_identity(rng):
     n = 5
     nu = rng.standard_normal(n)
     nu /= np.linalg.norm(nu)
-    a = E.random_form(n, 2, rng) + E.random_form(n, 3, rng)
+    a = random_form(n, 2, rng) + random_form(n, 3, rng)
     assert (chi(nu, chi(nu, a)) - a).norm() < 1e-12
 
 
@@ -125,7 +126,7 @@ def test_ct_of_unit_anticommutes_with_c_of_unit(rng):
     n = 5
     v = rng.standard_normal(n)
     nu = rng.standard_normal(n)
-    a = E.random_form(n, 2, rng)
+    a = random_form(n, 2, rng)
     lhs = E.clifford_ct(v, E.clifford_c(nu, a))
     rhs = E.clifford_c(nu, E.clifford_ct(v, a))
     assert (lhs + rhs).norm() < 1e-12
@@ -146,7 +147,7 @@ def test_operator_matrix_roundtrip(rng):
     n = 4
     e2 = np.eye(n)[1]
     M = operator_matrix(lambda a: E.interior(e2, a), n, 2, 1)
-    w = E.random_form(n, 2, rng)
+    w = random_form(n, 2, rng)
     direct = E.form_to_vec(E.interior(e2, w), 1)
     assert np.allclose(M @ E.form_to_vec(w, 2), direct)
 

@@ -5,7 +5,7 @@ import pytest
 
 from picband import exterior as E
 from picband import potentials as P
-from tests.conftest import random_orthonormal, sample_bounded_hessian
+from tests.conftest import random_form, random_orthonormal, sample_bounded_hessian
 
 
 @pytest.fixture
@@ -218,7 +218,7 @@ def test_contraction_trace_identity(rng):
         if t:
             H = rng.standard_normal((n, n))
             H = 0.5 * (H + H.T)
-        w = E.form_to_vec(E.random_form(n, 2, rng), 2)
+        w = E.form_to_vec(random_form(n, 2, rng), 2)
         G1, G2 = P._pairings(n, w)
         norm2 = float(np.real(w.conj() @ w))
         assert abs(np.sum(H * (G1 + G2)) - np.trace(H) * norm2) < 1e-12 * max(1.0, norm2) * np.abs(H).max()
@@ -228,7 +228,7 @@ def test_contraction_trace_identity(rng):
 
 def test_hessian_form_bounds_zero_H(rng):
     n, r_f, lam, rho = 4, 10.0, 5.0, 1.0
-    om = E.random_form(n, 2, rng)
+    om = random_form(n, 2, rng)
     rep = P.hessian_form_bounds(np.zeros((n, n)), om, r_f, lam, rho)
     assert rep.passed
     cap = (n - 1) * lam / ((n - 1) + lam * rho)
@@ -255,7 +255,7 @@ def test_hessian_form_bounds_random_certification(rng):
             lam = float(rng.uniform(0.5, 8.0))
             rho = float(rng.uniform(0.0, 3.0))
             H = sample_bounded_hessian(rng, n, r_f, lam, rho)
-            om = E.random_form(n, 2, rng)
+            om = random_form(n, 2, rng)
             rep = P.hessian_form_bounds(H, om, r_f, lam, rho)
             assert rep.passed, (n, r_f, lam, rho)
 

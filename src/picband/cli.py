@@ -359,6 +359,9 @@ def suite_identities(args):
     return reports
 
 
+TWIST_BLOCK_ENTRIES = 2**18  # float64 entries (2 MiB) of the stacked matrices of one block of twists
+
+
 def suite_hodge(args):
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -377,12 +380,13 @@ def suite_hodge(args):
     for name, cond, k in jobs:
         K = name if isinstance(name, hodge.SimplicialComplex) else hodge.load_bundled(name)
         target = hodge.betti_relative(K, k) if cond == "relative" else hodge.betti(K, k)
+        # entries of one twist's [d_f ; d_{f,k-1}^T], counted on the absolute cochains
+        entries = K.n_simplices(k) * (K.n_simplices(k + 1) + K.n_simplices(k - 1))
+        block = max(1, TWIST_BLOCK_ENTRIES // max(entries, 1))
         ok = True
-        for _ in range(twists):
-            f = rng.uniform(-5.0, 5.0, K.n_simplices(0))
-            T = hodge.TwistedComplex(K, f, cond)
-            if hodge.harmonic_dimension(T, k) != target:
-                ok = False
+        for start in range(0, twists, block):  # the same stream as one draw per twist
+            f = rng.uniform(-5.0, 5.0, (min(block, twists - start), K.n_simplices(0)))
+            ok &= bool(np.all(hodge.harmonic_dimension(hodge.TwistedComplex(K, f, cond), k) == target))
         label = name if isinstance(name, str) else "custom"
         reports.append(
             Report(

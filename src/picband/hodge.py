@@ -2,7 +2,12 @@
 relative boundary conditions.
 
 Cohomology ranks are computed over exact rationals on the integer
-coboundary matrices; they are the authoritative Betti numbers.  The twisted
+coboundary matrices; they are the authoritative Betti numbers.  The
+elimination (``exact_rank``) keeps its integer rows sparse and updates
+only the rows with a nonzero entry in the pivot column, each to
+p * row - a * pivot_row divided by the gcd of its entries: every step
+multiplies a row by a nonzero integer and adds a multiple of another, so
+the row space over Q, and with it the rank, is exact.  The twisted
 differential conjugates the coboundary by positive per-simplex weights
 w(s) = exp(mean of a vertex function over s), so its rank, and hence the
 twisted harmonic dimension, never depends on the twist: that invariance is
@@ -16,10 +21,21 @@ The cochain space and the integer data are defined once per complex: a
 indices of the simplices off its boundary subcomplex at construction, and
 one restriction (``_coboundary``) gives the absolute or relative
 coboundary to the Betti numbers, the twisted complexes and the exact
-fallback of ``harmonic_dimension`` alike.  A twist only adds its weights."""
+fallback of ``harmonic_dimension`` alike.  A twist only adds its weights.
+The exact rank of each coboundary, and the float floor read at its index,
+are computed once per degree and condition and cached on the complex.
+
+A block of twists is a vertex function of shape (B, V): its weights, its
+twisted coboundaries and its harmonic dimensions carry the leading axis,
+so one batched SVD (the per-matrix singular values, bit for bit) serves
+the block, and its uncertified twists reach the exact ranks together.  The
+``verify hodge`` suite sizes its blocks by a fixed budget of stacked-matrix
+entries (``cli.TWIST_BLOCK_ENTRIES``), so its memory does not grow with
+the number of twists."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -95,6 +111,7 @@ class SimplicialComplex:
             d: np.searchsorted(labels, np.array(self.simplices.get(d, []), dtype=np.int64).reshape(-1, d + 1))
             for d in range(self.dim + 1)
         }
+        self._ranks = {}  # (degree, relative) -> exact rank of d_j, see _rank
         self._floors = {}  # (degree, relative) -> sigma+_min of d_j, see _twisted_floor
         bnd = {d: set(v) for d, v in self.boundary_subcomplex().items()}
         self._interior = {
@@ -151,29 +168,36 @@ _NO_CHAINS.flags.writeable = False
 
 
 def exact_rank(M: np.ndarray) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination on
-    Python ints.  Each step replaces a row below the pivot by
-    (p * row - a * pivot_row) / p_prev, p the pivot, a the row's entry in
-    the pivot column and p_prev the previous pivot (1 at the first step);
-    the entries are then minors of M, so the division is exact and no
-    fraction is ever formed."""
-    rows = [[int(x) for x in row] for row in np.asarray(M)]
-    rank, prev = 0, 1
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for r in range(rank + 1, len(rows)):
-            a = rows[r][col]
-            rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], prow)]
-        prev = p
+    """Rank over the rationals by sparse fraction-free elimination on
+    Python ints.  The rows are kept as {column: nonzero entry}.  Each step
+    takes a shortest remaining row as the pivot row, with pivot p at its
+    first column, and updates only the rows r whose entry a in that column
+    is nonzero: r <- p * r - a * pivot_row, divided by the gcd of its
+    entries.  Every step multiplies a row by a nonzero integer and adds a
+    multiple of another row, so the row space over Q is unchanged and no
+    fraction is ever formed; the pivot row leaves with the only nonzero
+    entry left in its column, so the rank is the number of steps."""
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in np.asarray(M).tolist()]
+    rows = [row for row in rows if row]
+    rank = 0
+    while rows:
+        prow = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col, p = next(iter(prow.items()))
         rank += 1
-        if rank == len(rows):
-            break
+        for i, row in enumerate(rows):
+            a = row.get(col)
+            if a is None:
+                continue
+            new = {j: p * x for j, x in row.items()}
+            for j, y in prow.items():
+                v = new.get(j, 0) - a * y
+                if v:
+                    new[j] = v
+                else:
+                    del new[j]
+            g = math.gcd(*new.values()) if new else 1
+            rows[i] = {j: v // g for j, v in new.items()} if g > 1 else new
+        rows = [row for row in rows if row]
     return rank
 
 
@@ -185,11 +209,18 @@ def _coboundary(K: SimplicialComplex, k: int, relative: bool) -> np.ndarray:
     return D[np.ix_(K._interior.get(k + 1, []), K._interior.get(k, []))] if relative else D
 
 
+def _rank(K: SimplicialComplex, j: int, relative: bool) -> int:
+    """Exact rank of the integer d_j, computed once per degree and condition."""
+    key = (j, relative)
+    if key not in K._ranks:
+        K._ranks[key] = exact_rank(_coboundary(K, j, relative))
+    return K._ranks[key]
+
+
 def _betti(K: SimplicialComplex, k: int, relative: bool) -> int:
     if not (0 <= k <= K.dim):
         raise ValueError(f"k = {k} out of range for a {K.dim}-complex")
-    Dk = _coboundary(K, k, relative)
-    return Dk.shape[1] - exact_rank(Dk) - exact_rank(_coboundary(K, k - 1, relative))
+    return _coboundary(K, k, relative).shape[1] - _rank(K, k, relative) - _rank(K, k - 1, relative)
 
 
 def betti(K: SimplicialComplex, k: int) -> int:
@@ -204,11 +235,13 @@ def betti_relative(K: SimplicialComplex, k: int) -> int:
 
 class TwistedComplex:
     """Cochain complex twisted by positive weights exp(mean f over vertices);
-    ``f`` lists the vertex values in increasing label order.
+    ``f`` lists the vertex values in increasing label order, shape (V,) for
+    one twist or (B, V) for a block of B twists.
 
     boundary_condition "absolute" keeps all cochains, "relative" restricts
     to cochains supported off the boundary subcomplex; ``weights[d]`` holds
-    the weights of the simplices spanning the chosen d-cochains.
+    the weights of the simplices spanning the chosen d-cochains, with the
+    block's leading axis.
     """
 
     def __init__(self, base: SimplicialComplex, f, boundary_condition: str = "absolute"):
@@ -218,32 +251,33 @@ class TwistedComplex:
         self.boundary_condition = boundary_condition
         nverts = base.n_simplices(0)
         f = np.asarray(f, dtype=float)
-        if f.shape != (nverts,):
-            raise ValueError(f"vertex function must have {nverts} entries")
+        if f.ndim not in (1, 2) or f.shape[-1] != nverts:
+            raise ValueError(f"vertex function must have {nverts} entries, or be a block of such rows")
         self.f = f
         with np.errstate(over="ignore"):  # an overflow is rejected just below
-            weights = {d: np.exp(f[v].mean(axis=1)) for d, v in base._vertices.items()}
+            weights = {d: np.exp(f[..., v].mean(axis=-1)) for d, v in base._vertices.items()}
         # a NaN or infinite f, or one whose exponential over- or underflows
         if not all(np.all(np.isfinite(w) & (w > 0)) for w in weights.values()):
             raise ValueError("twisting weights must be finite and positive")
         self._relative = boundary_condition == "relative"
-        self.weights = {d: w[base._interior[d]] if self._relative else w for d, w in weights.items()}
+        self.weights = {d: w[..., base._interior[d]] if self._relative else w for d, w in weights.items()}
 
     def weight_vector(self, k: int) -> np.ndarray:
-        """Weights of the k-cochain basis; empty outside degrees 0..dim."""
-        return self.weights.get(k, _NO_WEIGHTS)
+        """Weights of the k-cochain basis, shape (n_k,) or (B, n_k); empty
+        outside degrees 0..dim."""
+        return self.weights[k] if k in self.weights else np.zeros(self.f.shape[:-1] + (0,))
 
 
-_NO_WEIGHTS = np.zeros(0)
 _EPS = float(np.finfo(float).eps)
 
 
 def twisted_coboundary(T: TwistedComplex, k: int) -> np.ndarray:
-    """Float matrix of d_f = W_{k+1}^{-1} D_k W_k on the chosen cochain space."""
+    """Float matrix of d_f = W_{k+1}^{-1} D_k W_k on the chosen cochain
+    space; a block of twists gives one matrix per twist on a leading axis."""
     if not (0 <= k <= T.base.dim):
         raise ValueError(f"k = {k} out of range")
     D = _coboundary(T.base, k, T._relative)
-    return (D * T.weight_vector(k)[None, :]) / T.weight_vector(k + 1)[:, None]
+    return (D * T.weight_vector(k)[..., None, :]) / T.weight_vector(k + 1)[..., :, None]
 
 
 def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
@@ -254,48 +288,55 @@ def twisted_composition_exact(T: TwistedComplex, k: int) -> np.ndarray:
     the exact value of the float composition's underlying linear map.
     """
     P = _coboundary(T.base, k + 1, T._relative) @ _coboundary(T.base, k, T._relative)  # integer arithmetic
-    return (P * T.weight_vector(k)[None, :]) / T.weight_vector(k + 2)[:, None]
+    return (P * T.weight_vector(k)[..., None, :]) / T.weight_vector(k + 2)[..., :, None]
 
 
-def _svd_error(s: np.ndarray, shape) -> float:
+def _svd_error(s: np.ndarray, shape):
     """Backward error c dim eps ||M||, c = 10, of the float singular values
-    ``s`` (descending) of a matrix of this shape."""
-    return 10.0 * max(shape) * _EPS * (float(s[0]) if s.size else 0.0)
+    ``s`` (descending on the last axis) of matrices of this shape; one per
+    matrix of a block."""
+    return 10.0 * max(shape[-2:]) * _EPS * (s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1]))
 
 
-def _twisted_floor(T: TwistedComplex, j: int) -> float:
+def _twisted_floor(T: TwistedComplex, j: int):
     """Lower bound sigma+_min(D_j) min w_j / max w_{j+1} on the nonzero
-    singular values of d_{f,j} = W_{j+1}^{-1} D_j W_j; inf when D_j = 0.
-    sigma+_min(D_j) is kept per degree and condition: the smallest float
-    singular value of the integer D_j above the backward error, where an
-    exact zero lands, less that error."""
+    singular values of d_{f,j} = W_{j+1}^{-1} D_j W_j, one per twist; inf
+    when D_j = 0.  sigma+_min(D_j) is kept per degree and condition: the
+    float singular value of the integer D_j at the index of its exact rank,
+    less the backward error, which bounds the smallest nonzero one below."""
     K, key = T.base, (j, T._relative)
     if key not in K._floors:
         D = _coboundary(K, j, T._relative).astype(float)
-        s = np.linalg.svd(D, compute_uv=False)
-        nonzero = s[s > _svd_error(s, D.shape)]
-        K._floors[key] = float(nonzero[-1]) - _svd_error(s, D.shape) if nonzero.size else np.inf
+        s, rank = np.linalg.svd(D, compute_uv=False), _rank(K, j, T._relative)
+        K._floors[key] = float(s[rank - 1] - _svd_error(s, D.shape)) if rank else np.inf
     floor = K._floors[key]
-    return floor if floor == np.inf else floor * T.weight_vector(j).min() / T.weight_vector(j + 1).max()
+    if floor == np.inf:
+        return floor
+    return floor * T.weight_vector(j).min(axis=-1) / T.weight_vector(j + 1).max(axis=-1)
 
 
-def harmonic_dimension(T: TwistedComplex, k: int) -> int:
-    """Kernel dimension of the twisted Laplacian, certified or exact.
+def harmonic_dimension(T: TwistedComplex, k: int):
+    """Kernel dimension of the twisted Laplacian, certified or exact: an int
+    for one twist, an int array of shape (B,) for a block.
 
     Delta_f is the Gram matrix of M = [d_f ; d_{f,k-1}^T], so the kernel is
     read from M's singular values without squaring the condition number.
     As d_f d_{f,k-1} = 0, each nonzero one is one of d_f or d_{f,k-1}, so at
     least the smaller ``_twisted_floor``.  When that bound exceeds twice the
     SVD's backward error, exactly the nonzero ones compute above half of
-    it: the count is proved.  Otherwise the exact ranks decide.
+    it: the count is proved.  Otherwise the exact ranks decide.  A block
+    stacks its matrices for one batched SVD; its uncertified twists take
+    the exact route together.
     """
     A = twisted_coboundary(T, k)
-    M = np.vstack([A, twisted_coboundary(T, k - 1).T]) if k >= 1 else A
+    M = np.concatenate([A, np.swapaxes(twisted_coboundary(T, k - 1), -1, -2)], axis=-2) if k >= 1 else A
     s = np.linalg.svd(M, compute_uv=False)
-    bound = min(_twisted_floor(T, j) for j in range(max(k - 1, 0), k + 1))
-    if bound > 2.0 * _svd_error(s, M.shape):
-        return M.shape[1] - int(np.sum(s > 0.5 * bound))
-    return _betti(T.base, k, T._relative)
+    bound = _twisted_floor(T, k) if k == 0 else np.minimum(_twisted_floor(T, k - 1), _twisted_floor(T, k))
+    certified = bound > 2.0 * _svd_error(s, M.shape)
+    count = M.shape[-1] - np.sum(s > 0.5 * np.asarray(bound)[..., None], axis=-1)
+    if not np.all(certified):
+        count = np.where(certified, count, _betti(T.base, k, T._relative))
+    return int(count) if T.f.ndim == 1 else count
 
 
 # -- complex constructors ------------------------------------------------

@@ -267,35 +267,19 @@ IDENTITY_SAMPLES = 256
 BREAKPOINT_EPS = 1e-9  # the focal sweep also samples each breakpoint this far to either side
 
 
-def _middle_identity_residual(p: FocalParams, interval) -> float:
-    """max | -f'' + f'^2 / 2 + (n-2) sigma / 4 | at IDENTITY_SAMPLES points of the middle piece.
+def _middle_identity_residual(pot: PiecewisePotential, interval) -> float:
+    """max |-s f'' + f'^2 / 2 + (n-2) sigma / 4| / (|f''| + f'^2 / 2 + (n-2) sigma / 4) over
+    IDENTITY_SAMPLES points of the middle piece, on the jet the focal sweep evaluates; s is
+    the orientation sign (orientation D negates f).
 
-    cot^2 - csc^2 cancels catastrophically in double precision when
-    lambda_bar is large (absolute error ~ 4 lambda_bar^2 eps), so the
-    closed forms are evaluated in extended precision; the residual then
-    reflects the identity itself, not evaluation rounding.  Orientation
-    does not matter: both signs give the same combination.
+    Relative, because the terms grow like lambda_bar^2 near the first
+    breakpoint, where the absolute residual is rounding of that size.
     """
-    from mpmath import mp
-
-    old = mp.dps
-    mp.dps = 40
-    try:
-        beta = (mp.mpf(p.n) - 2) * mp.mpf(p.sigma) / 8
-        beta = mp.sqrt(beta)
-        shift = mp.mpf(p.rho_sigma) - mp.mpf(p.rho_lambda)
-        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
-        target = (mp.mpf(p.n) - 2) * mp.mpf(p.sigma) / 4
-        worst = mp.mpf(0)
-        for i in range(IDENTITY_SAMPLES):
-            rho = a + (b - a) * i / (IDENTITY_SAMPLES - 1)
-            u = beta * (rho - shift)
-            fp = -2 * beta * mp.cot(u)
-            fpp = 2 * beta**2 * mp.csc(u) ** 2
-            worst = max(worst, abs(-fpp + fp**2 / 2 + target))
-        return float(worst)
-    finally:
-        mp.dps = old
+    p = pot.params
+    _, fp, fpp = pot.jet(np.linspace(interval[0], interval[1], IDENTITY_SAMPLES))
+    target = (p.n - 2) * p.sigma / 4.0
+    residual = np.abs(-pot.sign * fpp + 0.5 * fp**2 + target) / (np.abs(fpp) + 0.5 * fp**2 + target)
+    return float(residual.max())
 
 
 def _focal_margin(pot: PiecewisePotential, r_f: float, rho):
@@ -343,7 +327,7 @@ def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = 
     ):
         regions.append(Region(name, float(margin[mask].min())))
 
-    identity_residual = _middle_identity_residual(p, (x1 + eps, x2 - eps))
+    identity_residual = _middle_identity_residual(pot, (x1 + eps, x2 - eps))
 
     passed = all(r.min_margin > 0 for r in regions) and identity_residual <= IDENTITY_TOL
     return Report(

@@ -191,16 +191,18 @@ def test_strong_twist_annulus_regression():
 
 def test_default_suite_takes_no_exact_fallback(monkeypatch, tmp_path):
     """Under the suite's +-5 twist law every kernel dimension of the five
-    default jobs is certified: harmonic_dimension never reaches exact_rank."""
+    default jobs is certified: harmonic_dimension never takes the exact
+    route.  The exact ranks are cached on the complex, so the route is
+    counted at its entry, ``_betti``, not at ``exact_rank``."""
     from picband import cli
 
     inside, fallbacks = [False], []
-    rank, harmonic = H.exact_rank, H.harmonic_dimension
+    exact, harmonic = H._betti, H.harmonic_dimension
 
-    def counted_rank(M):
+    def counted_betti(K, k, relative):
         if inside[0]:
-            fallbacks.append(M.shape)
-        return rank(M)
+            fallbacks.append((k, relative))
+        return exact(K, k, relative)
 
     def traced_harmonic(T, k):
         inside[0] = True
@@ -209,12 +211,95 @@ def test_default_suite_takes_no_exact_fallback(monkeypatch, tmp_path):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(H, "exact_rank", counted_rank)
+    monkeypatch.setattr(H, "_betti", counted_betti)
     monkeypatch.setattr(H, "harmonic_dimension", traced_harmonic)
     for seed in range(3):
         assert cli.main(["verify", "hodge", "--twists", "60", "--seed", str(seed),
                          "--out", str(tmp_path / "r.json")]) == 0
     assert fallbacks == []
+
+
+def test_mixed_block_takes_the_exact_route_once(monkeypatch):
+    """A block whose twists are partly uncertified (the zero twist is, a
+    twist of amplitude 40 is not) counts like the per-twist calls and
+    reaches the exact route once."""
+    K = H.load_bundled("annulus")
+    F = np.zeros((3, K.n_simplices(0)))
+    F[1] = np.random.default_rng(1).uniform(-40.0, 40.0, K.n_simplices(0))
+    calls, exact = [], H._betti
+    monkeypatch.setattr(H, "_betti", lambda K, k, relative: calls.append(k) or exact(K, k, relative))
+    single = [H.harmonic_dimension(H.TwistedComplex(K, f), 1) for f in F]
+    assert calls == [1] and single == [1, 1, 1]
+    block = H.harmonic_dimension(H.TwistedComplex(K, F), 1)
+    assert calls == [1, 1] and block.dtype.kind == "i" and block.tolist() == single
+
+
+def test_hodge_twist_blocks_stay_within_the_entry_budget(monkeypatch, tmp_path):
+    """At --twists 1000 the jobs run in blocks of twists, several for the
+    larger complexes, and no block stacks more float entries than
+    TWIST_BLOCK_ENTRIES."""
+    from picband import cli
+
+    blocks, harmonic = [], H.harmonic_dimension
+
+    def recorded(T, k):
+        stacked = H.twisted_coboundary(T, k).size + (H.twisted_coboundary(T, k - 1).size if k else 0)
+        blocks.append(((id(T.base), T.boundary_condition, k), T.f.shape[0], stacked))
+        return harmonic(T, k)
+
+    monkeypatch.setattr(H, "harmonic_dimension", recorded)
+    assert cli.main(["verify", "hodge", "--twists", "1000", "--out", str(tmp_path / "r.json")]) == 0
+    assert max(stacked for *_, stacked in blocks) <= cli.TWIST_BLOCK_ENTRIES
+    per_job = {}
+    for job, b, _ in blocks:
+        per_job.setdefault(job, []).append(b)
+    assert [sum(bs) for bs in per_job.values()] == [1000] * 5
+    assert max(len(bs) for bs in per_job.values()) > 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_hodge_suite_equals_per_twist_reference(monkeypatch, tmp_path, seed):
+    """The suite's blocked draws are the stream of one draw per twist, bit
+    for bit, its counts are the per-twist counts, and its reports are those
+    of a per-twist loop, on the default jobs and on a complex file whose
+    degree-1 job takes several blocks."""
+    from picband import cli
+
+    torus = grid_complex(5, 4, True, range(20))
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(complex_to_json(torus)))
+    drawn, counted, harmonic = [], [], H.harmonic_dimension
+
+    def recorded(T, k):
+        drawn.append(T.f)
+        result = harmonic(T, k)
+        counted.extend(np.atleast_1d(result).tolist())
+        return result
+
+    monkeypatch.setattr(H, "harmonic_dimension", recorded)
+    twists = 200
+    for source, jobs in (([], [("annulus", "absolute", 1), ("annulus", "relative", 1), ("torus", "absolute", 1),
+                               ("solid_torus", "absolute", 1), ("solid_torus", "relative", 2)]),
+                         (["--complex", str(path)], [(torus, "absolute", k) for k in range(3)])):
+        drawn.clear()
+        counted.clear()
+        out = tmp_path / "r.json"
+        cli.main(["verify", "hodge", "--twists", str(twists), "--seed", str(seed), "--out", str(out)] + source)
+        rng, rows, counts, expect = np.random.default_rng(seed), [], [], []
+        for name, cond, k in jobs:
+            K = H.load_bundled(name) if isinstance(name, str) else name
+            target = H._betti(K, k, cond == "relative")
+            ok = True
+            for _ in range(twists):
+                rows.append(rng.uniform(-5.0, 5.0, K.n_simplices(0)))
+                counts.append(harmonic(H.TwistedComplex(K, rows[-1], cond), k))
+                ok &= counts[-1] == target
+            expect.append((f"hodge.{name if isinstance(name, str) else 'custom'}.{cond}.k{k}", ok, target))
+        assert len(drawn) > len(jobs) if source else len(drawn) == len(jobs)
+        assert np.array_equal(np.concatenate([f.ravel() for f in drawn]), np.concatenate(rows))
+        assert counted == counts
+        reports = json.loads(out.read_text())["report"]["reports"]
+        assert [(r["check"], r["pass"], r["details"]["betti_target"]) for r in reports] == expect
 
 
 def test_exact_fallback_matches_float(rng):
@@ -325,3 +410,82 @@ def test_twisted_hodge_properties(K, amplitude, seed):
         if B.size:
             with pytest.raises(ValueError):
                 B[0, 0] = 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes(), st.sampled_from([5.0, 10.0, 20.0, 40.0]), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_twist_block_equals_per_twist_loop(K, amplitude, B, seed):
+    """A (B, V) block of twists gives, in every degree and under both
+    conditions, exactly the per-twist loop's counts, and its weights,
+    twisted coboundaries and compositions equal the row-wise ones bit for
+    bit."""
+    F = np.random.default_rng(seed).uniform(-amplitude, amplitude, (B, K.n_simplices(0)))
+    for cond in ("absolute", "relative"):
+        block = H.TwistedComplex(K, F, cond)
+        rows = [H.TwistedComplex(K, f, cond) for f in F]
+        for d in range(-1, K.dim + 2):
+            assert np.array_equal(block.weight_vector(d), np.array([T.weight_vector(d) for T in rows]))
+        for k in range(K.dim + 1):
+            counts = H.harmonic_dimension(block, k)
+            assert counts.shape == (B,) and counts.dtype.kind == "i"
+            assert counts.tolist() == [H.harmonic_dimension(T, k) for T in rows], (cond, k)
+            assert np.array_equal(H.twisted_coboundary(block, k), [H.twisted_coboundary(T, k) for T in rows])
+            assert np.array_equal(H.twisted_composition_exact(block, k),
+                                  [H.twisted_composition_exact(T, k) for T in rows])
+
+
+RP2_TRIANGLES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+def test_exact_rank_on_coboundaries_and_torsion():
+    """exact_rank equals exact Fraction elimination on every coboundary of
+    every bundled complex under both conditions, and on the 6-vertex RP^2,
+    whose d_1 has an elementary divisor 2: its Betti numbers over Q are
+    (1, 0, 0), over F_2 they would be (1, 1, 1)."""
+    for name in H.BUNDLED:
+        K = H.load_bundled(name)
+        for relative in (False, True):
+            for j in range(-1, K.dim + 1):
+                D = H._coboundary(K, j, relative)
+                assert H.exact_rank(D) == _fraction_rank(D), (name, relative, j)
+    edges = sorted({e for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)})
+    rp2 = H.SimplicialComplex({0: [(v,) for v in range(6)], 1: edges, 2: RP2_TRIANGLES})
+    assert [H.betti(rp2, k) for k in range(3)] == [1, 0, 0]
+    for j in range(3):
+        D = rp2.coboundary_matrix(j)
+        assert H.exact_rank(D) == _fraction_rank(D)
+
+
+def test_exact_rank_on_sparse_sign_matrices(rng):
+    for _ in range(60):
+        m, n = rng.integers(1, 31), rng.integers(1, 41)
+        M = rng.choice([-1, 1], size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.02, 0.3))
+        assert H.exact_rank(M) == _fraction_rank(M)
+
+
+def test_betti_ranks_each_coboundary_once(monkeypatch):
+    K = H.prism_product(H.circle_complex(4), 3, cyclic=True)  # a fresh complex: nothing cached
+    calls, rank = [], H.exact_rank
+    monkeypatch.setattr(H, "exact_rank", lambda M: calls.append(M.shape) or rank(M))
+    assert H.betti(K, 1) == 2 and len(calls) == 2  # d_1 and d_0
+    assert H.betti(K, 1) == 2 and len(calls) == 2
+    assert H.betti(K, 2) == 1 and len(calls) == 3  # only d_2 is new
+    assert H.harmonic_dimension(H.TwistedComplex(K, np.zeros(K.n_simplices(0))), 1) == 2
+    assert len(calls) == 3  # the floors read the same ranks
+
+
+def test_cached_floor_sits_at_the_exact_rank_index():
+    """sigma+_min(D_j) is the float singular value at the exact rank's
+    index less the backward error, a positive lower bound on every bundled
+    complex."""
+    for name in H.BUNDLED:
+        K = H.load_bundled(name)
+        for cond in ("absolute", "relative"):
+            T = H.TwistedComplex(K, np.zeros(K.n_simplices(0)), cond)
+            for j in range(K.dim + 1):
+                H._twisted_floor(T, j)
+                D = H._coboundary(K, j, cond == "relative").astype(float)
+                s, rank = np.linalg.svd(D, compute_uv=False), H.exact_rank(D.astype(np.int64))
+                expect = float(s[rank - 1] - H._svd_error(s, D.shape)) if rank else np.inf
+                assert K._floors[j, cond == "relative"] == expect > 0, (name, cond, j)

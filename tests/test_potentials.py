@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -119,6 +120,29 @@ def test_focal_inequality_middle_identity(params):
     _, fp, fpp = pot.jet(rhos)
     res = -fpp + 0.5 * fp**2 + 0.25 * (params.n - 2) * params.sigma
     assert np.max(np.abs(res)) < 1e-9
+
+
+def test_focal_suite_checks_the_evaluated_jet(monkeypatch, tmp_path, capsys):
+    """verify focal checks the middle identity on the jet its sweep
+    evaluates: with the middle piece's f'' scaled by 0.9 every inequality
+    margin stays positive, and the identity fails both orientations."""
+    from picband import cli
+
+    jet = P.PiecewisePotential.jet
+
+    def bent(self, rho):
+        f, fp, fpp = jet(self, rho)
+        x1, x2 = self.breakpoints
+        rho = np.asarray(rho, dtype=float)
+        return f, fp, np.where((rho > x1) & (rho <= x2), 0.9 * fpp, fpp)
+
+    monkeypatch.setattr(P.PiecewisePotential, "jet", bent)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "focal", "--out", str(out)]) == 1
+    assert "FAIL focal.inequality.N" in capsys.readouterr().out
+    for rep in json.loads(out.read_text())["report"]["reports"][2:]:
+        assert all(r["min_margin"] > 0 for r in rep["regions"])
+        assert rep["details"]["middle_identity_residual"] > P.IDENTITY_TOL and not rep["pass"]
 
 
 def test_focal_inequality_orientation_d(params):

@@ -3,8 +3,12 @@
 The barriers bound the Hessian and Laplacian of the distance function from
 a hypersurface under lower curvature bounds ``Sec >= -K`` or
 ``Ric >= -(n-1)K`` and boundary convexity bounds.  The oracle integrates
-the scalar Riccati equation satisfied by the level-set Hessian along inward
-normal geodesics and is the independent ground truth for the barriers.
+the Riccati equation satisfied by the level-set Hessian along inward normal
+geodesics and is the independent ground truth for the barriers.  In a
+rotationally symmetric model that matrix equation diagonalises in the
+eigenbasis of ``A0``, so the oracle integrates one scalar equation per
+distinct principal value, with fixed-step RK4.  A constant-curvature
+model's steps make no per-step calls; a non-finite ``A0`` is a ValueError.
 
 Boundary-form convention. ``A0`` is the second fundamental form of the
 start hypersurface with respect to the *outward* unit normal, positive on
@@ -134,14 +138,19 @@ class RotSymModel:
     radial_curvature: object = None
 
     def curvature_fn(self):
+        """K_rad for the oracle: the warped profile's callable, or the
+        constant -K as a number, whose RK4 steps then call nothing."""
         if self.radial_curvature is not None:
             return self.radial_curvature
-        K = self.K
-        return lambda rho: -K
+        return float(-self.K)
 
     def initial_hessian_eigs(self) -> np.ndarray:
         A = np.asarray(self.A0, dtype=float)
         m = self.n - 1
+        if not np.isfinite(A).all():
+            # W(0) = -inf is a focal point at 0 that the inverse variable
+            # (u = -0.0) would miss, and a NaN has no flow at all
+            raise ValueError(f"A0 must be finite, got {self.A0!r}")
         if A.ndim == 0:
             eigs = np.full(m, float(A))
         elif A.ndim == 1:
@@ -175,22 +184,10 @@ class RiccatiResult:
 _U_SWITCH = 0.1  # |w| >= 1/_U_SWITCH is integrated in the inverse variable
 
 
-# One classical RK4 step of each form of the Riccati equation; ka, kb, kc
-# are K_rad at x, x + h/2 and x + h.
-def _w_step(w, h, ka, kb, kc):
-    """w' = -w^2 - K_rad."""
-    k1 = -w * w - ka
-    w2 = w + (0.5 * h) * k1
-    k2 = -w2 * w2 - kb
-    w3 = w + (0.5 * h) * k2
-    k3 = -w3 * w3 - kb
-    w4 = w + h * k3
-    k4 = -w4 * w4 - kc
-    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _u_step(u, h, ka, kb, kc):
-    """u' = 1 + K_rad u^2 for u = 1/w."""
+    """One classical RK4 step of u' = 1 + K_rad u^2 for u = 1/w; ka, kb, kc
+    are K_rad at x, x + h/2 and x + h.  The pole bisection's step; the
+    step loop of :func:`_integrate_scalar` inlines the same arithmetic."""
     k1 = 1.0 + ka * u * u
     u2 = u + (0.5 * h) * k1
     k2 = 1.0 + kb * u2 * u2
@@ -201,36 +198,56 @@ def _u_step(u, h, ka, kb, kc):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_scalar(w0: float, kfn, rhos, step: float):
+def _integrate_scalar(w0: float, krad, rhos, step: float):
     """Integrate w' = -w^2 - K_rad(rho) from w(0) = w0 out to each of the
     non-decreasing radii rhos, in one pass.
 
-    Returns one (w(rho), None) or (None, crossing) per radius; a radius
-    whose |w| exceeds BLOWUP_THRESHOLD reports the first-order location
-    of the pole just beyond it, and once a pole is found every later
-    radius reports it.  Each segment between consecutive radii (the first
-    from 0) takes the fewest equal steps of at most ``step``; a segment of
-    length 0 takes none.  Whenever |w| >= 10 the inverse variable u = 1/w
-    is integrated instead (u' = 1 + K_rad u^2, smooth through the pole
-    u = 0), so the pole location is resolved by bisection to ~1e-9;
-    w -> +infinity cannot occur forward in rho since w' < 0 for large
-    positive w.
+    ``krad`` is K_rad as a callable of rho, or as a number when it is
+    constant; a constant's steps call nothing.  Returns one (w(rho), None)
+    or (None, crossing) per radius; a radius whose |w| exceeds
+    BLOWUP_THRESHOLD reports the first-order location of the pole just
+    beyond it, and once a pole is found every later radius reports it.
+    Each segment between consecutive radii (the first from 0) takes the
+    fewest equal steps of at most ``step``; a segment of length 0 takes
+    none.  Whenever |w| >= 10 the inverse variable u = 1/w is integrated
+    instead (u' = 1 + K_rad u^2, smooth through the pole u = 0), so the
+    pole location is resolved by bisection to ~1e-9; w -> +infinity cannot
+    occur forward in rho since w' < 0 for large positive w.  A state that
+    is NaN at a radius (a K_rad that is not finite) is a ValueError.
+
+    Each step is classical RK4 written out in the variable in use, with
+    the operations in the order of a generic RK4 step on each right-hand
+    side, so the result is that step's to the last bit.
     """
+    varying = callable(krad)
+    kfn = krad if varying else (lambda _: krad)  # the bisection's K_rad
+    ka = kb = kc = krad  # a constant's K_rad at every stage; a callable's is read per step
+    w_max, u_max = 1.0 / _U_SWITCH, _U_SWITCH
     out = []
     start, pole = 0.0, None
-    in_u = abs(w0) >= 1.0 / _U_SWITCH
+    in_u = abs(w0) >= w_max
     y = 1.0 / w0 if in_u else w0
     for rho in rhos:
         if pole is None and rho > start:
             steps = int(math.ceil((rho - start) / step))
             h = (rho - start) / steps
+            hh, h6 = 0.5 * h, h / 6.0
             x = start
-            kc = kfn(x)
+            if varying:
+                kc = krad(x)
             for _ in range(steps):
-                # x + h is the next step's x, so its K_rad is reused there
-                ka, kb, kc = kc, kfn(x + 0.5 * h), kfn(x + h)
+                if varying:
+                    # x + h is the next step's x, so its K_rad is reused there
+                    ka, kb, kc = kc, krad(x + hh), krad(x + h)
                 if in_u:
-                    y_new = _u_step(y, h, ka, kb, kc)
+                    # u' = 1 + K_rad u^2
+                    k1 = 1.0 + ka * y * y
+                    t = y + hh * k1
+                    k2 = 1.0 + kb * t * t
+                    t = y + hh * k2
+                    k3 = 1.0 + kb * t * t
+                    t = y + h * k3
+                    y_new = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + (1.0 + kc * t * t))
                     if y < 0.0 <= y_new:  # pole of w: u rises through zero
                         a, b, ua = x, x + h, y
                         while b - a > 1e-12:
@@ -243,11 +260,18 @@ def _integrate_scalar(w0: float, kfn, rhos, step: float):
                                 a, ua = mid, um
                         pole = 0.5 * (a + b)
                         break
-                    if abs(y_new) > _U_SWITCH:
+                    if abs(y_new) > u_max:
                         y_new, in_u = 1.0 / y_new, False
                 else:
-                    y_new = _w_step(y, h, ka, kb, kc)
-                    if abs(y_new) >= 1.0 / _U_SWITCH:
+                    # w' = -w^2 - K_rad
+                    k1 = -y * y - ka
+                    t = y + hh * k1
+                    k2 = -t * t - kb
+                    t = y + hh * k2
+                    k3 = -t * t - kb
+                    t = y + h * k3
+                    y_new = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + (-t * t - kc))
+                    if abs(y_new) >= w_max:
                         y_new, in_u = 1.0 / y_new, True
                 y, x = y_new, x + h
             start = rho
@@ -255,6 +279,8 @@ def _integrate_scalar(w0: float, kfn, rhos, step: float):
             out.append((None, pole))
             continue
         w = 1.0 / y if in_u else y
+        if w != w:
+            raise ValueError(f"the Riccati flow is NaN at rho = {rho:g}: K_rad is not finite or past the step limit")
         if abs(w) > BLOWUP_THRESHOLD:
             # pole sits just beyond rho; u' ~ 1 gives its first-order location
             out.append((None, rho - (y if in_u else 1.0 / y)))
@@ -267,9 +293,13 @@ def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
     """The level-set Hessian Riccati flow read off at each of the
     non-decreasing distances rhos: one RiccatiResult per distance.
 
-    The state diagonalises in the eigenbasis of A0 and is integrated per
-    eigenvalue with fixed-step RK4, the step h at most RICCATI_STEP
-    max(1, max(rhos)).  Each distinct eigenvalue is integrated once, in a
+    The matrix flow diagonalises in the eigenbasis of A0, so it is one
+    scalar Riccati equation per principal value, integrated with
+    fixed-step RK4, the step h at most RICCATI_STEP max(1, max(rhos)).  A
+    constant-curvature model passes its K_rad = -K to the integration as a
+    number, so its RK4 steps make no per-step calls; a warped
+    ``radial_curvature`` is called twice per step.  Each distinct
+    principal value is integrated once, in a
     single trajectory through every distance (an umbilic A0 costs one
     integration of about max(rhos) / h steps, however many distances are
     asked for); a distance's trace still adds one value per eigenvalue in
@@ -281,7 +311,9 @@ def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
     |K| > 1e8 for distances up to 1) raises ValueError instead of
     returning numbers that are not a solution; a warped
     ``radial_curvature`` must keep the same bound, which is not checked.
-    A negative or decreasing distance is a ValueError too.
+    A negative or decreasing distance is a ValueError too, and so are a
+    non-finite A0 and a warped ``radial_curvature`` that drives the flow to
+    NaN (checked at each distance).
     """
     rhos = [float(rho) for rho in rhos]
     if rhos and not rhos[0] >= 0:
@@ -294,12 +326,12 @@ def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
             f"K = {model.K:g} is past the oracle's RK4 step limit h sqrt|K| <= 1 at step h = {h:g}"
         )
     eigs = model.initial_hessian_eigs()
-    kfn = model.curvature_fn()
+    krad = model.curvature_fn()
     w0s = eigs.tolist()
     by_value = {}
     for w0 in w0s:
         if w0 not in by_value:
-            by_value[w0] = _integrate_scalar(w0, kfn, rhos, h)
+            by_value[w0] = _integrate_scalar(w0, krad, rhos, h)
     results = []
     for i, rho in enumerate(rhos):
         if rho == 0:

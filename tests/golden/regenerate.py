@@ -1,0 +1,70 @@
+"""Rewrite the golden report corpus from the source tree on the path.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each entry is one ``pic-verify`` command line run in process through
+``cli.main``.  Its file ``<name>.json`` holds the argv (without ``--out``),
+the exit code, the standard output and what the command wrote: the
+canonical report body of a ``verify`` run, or the text of an ``emit csv``
+file.  ``tests/test_golden.py`` reruns every entry and compares.  A
+regenerated entry whose verdict or exit code moved is a behaviour change,
+not a refresh: explain every changed entry where the change is recorded.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+ENTRIES = {
+    **{f"comparison-seed{seed}": ["verify", "comparison", "--seed", str(seed)] for seed in range(4)},
+    **{f"comparison-draws40-seed{seed}": ["verify", "comparison", "--draws", "40", "--seed", str(seed)]
+       for seed in range(4)},
+    "csv-barrier": ["emit", "csv", "--curve", "barrier"],
+    "csv-barrier-K0.5-Lambda1.5": ["emit", "csv", "--curve", "barrier", "--K", "0.5", "--Lambda", "1.5",
+                                   "--points", "24"],
+    "csv-barrier-K0-Lambda2": ["emit", "csv", "--curve", "barrier", "--K", "0", "--Lambda", "2",
+                               "--n", "6", "--rho-max", "3"],
+}
+
+
+def run_entry(argv: list[str], workdir: str) -> dict:
+    """Run one command line in process; returns its exit code, standard
+    output and output: the canonical report body (verify) or CSV text (emit)."""
+    from picband import cli
+
+    out_path = os.path.join(workdir, "out.csv" if argv[0] == "emit" else "out.json")
+    if os.path.exists(out_path):
+        os.remove(out_path)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main([*argv, "--out", out_path])
+    entry = {"argv": argv, "exit_code": code, "stdout": sink.getvalue()}
+    if os.path.exists(out_path):
+        with open(out_path) as fh:
+            if argv[0] == "verify":
+                entry["body"] = json.load(fh)["report"]  # the body without its timestamp
+            else:
+                entry["csv"] = fh.read()
+    return entry
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argv in ENTRIES.items():
+            with open(os.path.join(HERE, f"{name}.json"), "w") as fh:
+                json.dump(run_entry(argv, workdir), fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            print(name, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -198,6 +198,29 @@ def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
     assert B._integrate_scalar(w0, kfn, [rho], step) == [_reference_integrate(w0, kfn, rho, step)]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    w0=st.one_of(st.floats(-9.9, 9.9), st.floats(10.0, 300.0), st.floats(-300.0, -10.0)),
+    K=st.floats(-4.0, 4.0),
+    rhos=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4).map(sorted),
+)
+@example(w0=-2.0, K=0.0, rhos=[1.0])  # focal crossing at rho = 1/2, entered from w
+@example(w0=-40.0, K=1.0, rhos=[0.5])  # crossing from the inverse variable
+@example(w0=40.0, K=-2.0, rhos=[2.5])  # |w0| >= 10 falling back into w
+@example(w0=-0.3, K=0.7, rhos=[0.4, 0.4, 1.2])  # a repeated distance
+def test_constant_curvature_steps_match_callable_and_reference(w0, K, rhos):
+    """K_rad passed as a number (no per-step calls) gives the bits of the
+    same constant passed as a callable, and of the reference transcription
+    at the first distance; a repeated distance takes no steps."""
+    step = B.RICCATI_STEP * max(1.0, rhos[-1])
+    const = B._integrate_scalar(w0, -K, rhos, step)
+    assert const == B._integrate_scalar(w0, lambda r: -K, rhos, step)
+    assert const[0] == _reference_integrate(w0, lambda r: -K, rhos[0], step)
+    for i in range(1, len(rhos)):
+        if rhos[i] == rhos[i - 1]:
+            assert const[i] == const[i - 1]
+
+
 def test_oracle_integrates_each_distinct_value_once_in_order(monkeypatch):
     calls = []
     integrate = B._integrate_scalar
@@ -231,6 +254,35 @@ def test_oracle_step_limit_scales_with_rho():
         B.riccati_oracle(model, 2.0)
 
 
+@pytest.mark.parametrize(
+    "A0", [math.inf, -math.inf, math.nan, [0.5, math.nan], [-math.inf, 0.2], [[math.inf, 0.0], [0.0, 1.0]]],
+    ids=["inf", "-inf", "nan", "nan-principal-value", "-inf-principal-value", "inf-matrix"],
+)
+def test_oracle_rejects_non_finite_boundary_form(A0):
+    """W(0) = -inf is a focal point at 0 that the inverse variable missed
+    (u = 1/-inf = -0.0 never rises through zero), and a NaN gave a NaN
+    trace: both returned a result."""
+    model = B.RotSymModel(n=3, K=1.0, A0=A0)
+    with pytest.raises(ValueError, match="A0 must be finite"):
+        model.initial_hessian_eigs()
+    for rho in (0.0, 1.0):
+        with pytest.raises(ValueError, match="A0 must be finite"):
+            B.riccati_oracle(model, rho)
+
+
+@pytest.mark.parametrize(
+    "k_rad, at",
+    [(lambda r: math.nan, "0.25"), (lambda r: math.inf, "0.25"), (lambda r: math.nan if r > 0.5 else 0.0, "1")],
+    ids=["nan", "inf", "nan-past-0.5"],
+)
+def test_curve_rejects_warped_curvature_that_makes_nan(k_rad, at):
+    """A warped K_rad that drives the flow to NaN is an error, not a NaN
+    trace: checked at each distance, so the NaN past 0.5 is found at 1.0."""
+    model = B.RotSymModel(n=3, A0=0.2, radial_curvature=k_rad)
+    with pytest.raises(ValueError, match=f"NaN at rho = {at}:"):
+        B.riccati_curve(model, [0.25, 1.0])
+
+
 @st.composite
 def curve_models(draw):
     """A model with constant K and principal values A0 (focal crossings
@@ -261,6 +313,16 @@ def test_curve_matches_oracle_per_distance(case):
             assert abs(res.crossing - alone.crossing) <= 1e-9
         else:
             assert abs(res.trace - alone.trace) <= 1e-9 * max(1.0, abs(alone.trace))
+
+
+@settings(max_examples=25, deadline=None)
+@given(curve_models())
+def test_constant_model_matches_its_warped_twin(case):
+    """A constant-curvature model (K_rad passed as a number) and the same
+    curvature as a warped profile give equal curves."""
+    model, rhos = case
+    twin = B.RotSymModel(n=model.n, A0=model.A0, radial_curvature=lambda r, K=model.K: -K)
+    assert B.riccati_curve(model, rhos) == B.riccati_curve(twin, rhos)
 
 
 def test_curve_row_at_zero_is_the_start_trace():

@@ -1,0 +1,72 @@
+"""The golden report corpus: every entry of ``tests/golden/`` rerun in
+process through ``cli.main`` and compared with what was recorded.
+
+Exit codes, standard output, report keys, strings, booleans and integers
+must be equal.  Floats must agree to 1e-12 relative, because another
+numpy, BLAS or libm may move a last bit; a CSV cell holds 12 significant
+digits, so its text may also move by one unit in its last digit.
+``tests/golden/regenerate.py`` rewrites the corpus.
+"""
+
+import csv
+import glob
+import io
+import json
+import math
+import os
+
+import pytest
+
+from tests.golden.regenerate import ENTRIES, run_entry
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+REL = 1e-12
+
+
+def _assert_same(got, want, where):
+    if isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def _assert_same_csv(got: str, want: str):
+    got_rows, want_rows = list(csv.reader(io.StringIO(got))), list(csv.reader(io.StringIO(want)))
+    assert got_rows[0] == want_rows[0], "CSV header differs"
+    assert len(got_rows) == len(want_rows), "CSV row counts differ"
+    for i, (g_row, w_row) in enumerate(zip(got_rows[1:], want_rows[1:]), start=1):
+        assert len(g_row) == len(w_row), f"row {i}: cell counts differ"
+        for g, w in zip(g_row, w_row):
+            if g == w:
+                continue
+            a, b = float(g), float(w)
+            last_digit = 10.0 ** (math.floor(math.log10(abs(b))) - 11) if b else 0.0
+            assert abs(a - b) <= REL * abs(b) + last_digit, f"row {i}: {g} != {w}"
+
+
+def test_corpus_holds_every_entry():
+    on_disk = {os.path.basename(p)[: -len(".json")] for p in glob.glob(os.path.join(GOLDEN, "*.json"))}
+    assert on_disk == set(ENTRIES)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_golden_entry(name, tmp_path):
+    with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        want = json.load(fh)
+    assert want["argv"] == ENTRIES[name]
+    got = run_entry(want["argv"], str(tmp_path))
+    assert got["exit_code"] == want["exit_code"]
+    assert got["stdout"] == want["stdout"]
+    assert sorted(got) == sorted(want)
+    if "body" in want:
+        _assert_same(got["body"], want["body"], "body")
+    if "csv" in want:
+        _assert_same_csv(got["csv"], want["csv"])

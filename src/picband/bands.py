@@ -248,7 +248,7 @@ def k_convexity_defect(A, k: int) -> float:
     m = A.shape[0]
     if not (1 <= k <= m):
         raise ValueError(f"k = {k} out of range 1..{m}")
-    eigs = np.sort(np.linalg.eigvalsh(A))
+    eigs = np.linalg.eigvalsh(A)  # ascending
     return max(0.0, -float(np.sum(eigs[:k])))
 
 

@@ -8,7 +8,8 @@ geodesics and is the independent ground truth for the barriers.  In a
 rotationally symmetric model that matrix equation diagonalises in the
 eigenbasis of ``A0``, so the oracle integrates one scalar equation per
 distinct principal value, with fixed-step RK4.  A constant-curvature
-model's steps make no per-step calls; a non-finite ``A0`` is a ValueError.
+model's steps make no per-step calls; a non-finite ``A0`` is a ValueError,
+and so is a curvature past the RK4 step limit, constant or warped.
 
 Boundary-form convention. ``A0`` is the second fundamental form of the
 start hypersurface with respect to the *outward* unit normal, positive on
@@ -121,6 +122,13 @@ def laplace_lower_focal(p: ComparisonParams) -> float:
 # -- Riccati oracle -----------------------------------------------------
 
 
+def _symmetric(M: np.ndarray) -> bool:
+    """Whether the square matrix M is finite with max |M - M^T| <= 1e-12 max(1, max |M|): the
+    symmetry rule of every matrix input that an eigvalsh reads, which sees only one triangle."""
+    big = np.maximum.reduce(np.abs(M), axis=None)  # NaN if any entry is
+    return bool(big < math.inf and np.maximum.reduce(np.abs(M - M.T), axis=None) <= 1e-12 * max(1.0, big))
+
+
 @dataclass(frozen=True)
 class RotSymModel:
     """Rotationally symmetric comparison model for the oracle.
@@ -160,7 +168,7 @@ class RotSymModel:
         elif A.ndim == 2:
             if A.shape != (m, m):
                 raise ValueError(f"expected a {m} x {m} form, got {A.shape}")
-            if not np.allclose(A, A.T, atol=1e-12):
+            if not _symmetric(A):
                 raise ValueError("boundary form must be symmetric")
             eigs = np.linalg.eigvalsh(A)
         else:
@@ -198,6 +206,16 @@ def _u_step(u, h, ka, kb, kc):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_step_limit(h: float, rho: float, k) -> None:
+    """Raise ValueError when a finite K_rad value k, read at rho, breaks the RK4 step limit
+    h^2 |K_rad| <= 1; a K_rad that is not finite drives the flow to NaN, which the
+    integration reports at the next distance."""
+    if abs(k) < math.inf and h * h * abs(k) > 1.0:
+        raise ValueError(
+            f"K_rad = {k:g} at rho = {rho:g} is past the oracle's RK4 step limit h^2 |K_rad| <= 1 at step h = {h:g}"
+        )
+
+
 def _integrate_scalar(w0: float, krad, rhos, step: float):
     """Integrate w' = -w^2 - K_rad(rho) from w(0) = w0 out to each of the
     non-decreasing radii rhos, in one pass.
@@ -213,7 +231,9 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
     instead (u' = 1 + K_rad u^2, smooth through the pole u = 0), so the
     pole location is resolved by bisection to ~1e-9; w -> +infinity cannot
     occur forward in rho since w' < 0 for large positive w.  A state that
-    is NaN at a radius (a K_rad that is not finite) is a ValueError.
+    is NaN at a radius (a K_rad that is not finite) is a ValueError, and so
+    is a finite K_rad value that a step of a callable reads past the step
+    limit h^2 |K_rad| <= 1.
 
     Each step is classical RK4 written out in the variable in use, with
     the operations in the order of a generic RK4 step on each right-hand
@@ -234,11 +254,15 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
             hh, h6 = 0.5 * h, h / 6.0
             x = start
             if varying:
-                kc = krad(x)
+                h2, kc = h * h, krad(x)
+                _check_step_limit(h, x, kc)
             for _ in range(steps):
                 if varying:
                     # x + h is the next step's x, so its K_rad is reused there
                     ka, kb, kc = kc, krad(x + hh), krad(x + h)
+                    if h2 * abs(kb) > 1.0 or h2 * abs(kc) > 1.0:
+                        _check_step_limit(h, x + hh, kb)
+                        _check_step_limit(h, x + h, kc)
                 if in_u:
                     # u' = 1 + K_rad u^2
                     k1 = 1.0 + ka * y * y
@@ -309,8 +333,9 @@ def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
     RK4 at a fixed step is stable and accurate only while h sqrt|K_rad|
     stays small.  A constant-curvature model with h sqrt|K| > 1 (about
     |K| > 1e8 for distances up to 1) raises ValueError instead of
-    returning numbers that are not a solution; a warped
-    ``radial_curvature`` must keep the same bound, which is not checked.
+    returning numbers that are not a solution, and so does a warped
+    ``radial_curvature`` at the first finite value a step reads with
+    h^2 |K_rad| > 1; the error names that value and its radius.
     A negative or decreasing distance is a ValueError too, and so are a
     non-finite A0 and a warped ``radial_curvature`` that drives the flow to
     NaN (checked at each distance).

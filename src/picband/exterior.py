@@ -17,10 +17,12 @@ in :class:`FormElement`, :func:`wedge`, the vector actions and the cached
 matrices :func:`wedge_stack`, :func:`interior_stack` and
 :func:`two_form_blocks` are built from them, and so are the grid operators
 of ``gridcalc``, the Clifford-trace route of ``curvature`` and the form
-bounds of ``potentials``.  The index formula ``curvature.weitzenboeck_on_two_forms``
-keeps its own signs on purpose: it is the independent path the trace route
-is checked against.  ``verify clifford`` checks the Clifford relations on the
-stacks; :class:`FormElement` is the tests' independent route to them.
+bounds of ``potentials``, which read both contraction operators off the
+cached :func:`two_form_blocks` (no Gram matrices).  The index formula
+``curvature.weitzenboeck_on_two_forms`` keeps its own signs on purpose: it
+is the independent path the trace route is checked against.
+``verify clifford`` checks the Clifford relations on the stacks;
+:class:`FormElement` is the tests' independent route to them.
 """
 
 from __future__ import annotations
@@ -248,10 +250,15 @@ def degree_basis(n: int, k: int):
     return tuple(combinations(range(1, n + 1), k)) if k >= 0 else ()
 
 
+@lru_cache(maxsize=None)
+def _basis_index(n: int, k: int) -> dict:
+    """{key: position} in degree_basis(n, k); shared by every caller, so read it only."""
+    return {key: i for i, key in enumerate(degree_basis(n, k))}
+
+
 def form_to_vec(a: FormElement, k: int) -> np.ndarray:
-    basis = degree_basis(a.n, k)
-    pos = {key: i for i, key in enumerate(basis)}
-    out = np.zeros(len(basis), dtype=complex)
+    pos = _basis_index(a.n, k)
+    out = np.zeros(len(pos), dtype=complex)
     for key, val in a.coeffs.items():
         if len(key) != k:
             raise ValueError(f"form has a degree-{len(key)} component, expected pure degree {k}")
@@ -296,7 +303,7 @@ def _key_stack(key_op, n: int, k_in: int, k_out: int) -> np.ndarray:
     if not _stack_fits(n, min(k_in, k_out)):
         raise ValueError(f"dimension {n} has more than MAX_STACK_ENTRIES degree stack entries")
     basis = degree_basis(n, k_in)
-    row = {key: r for r, key in enumerate(degree_basis(n, k_out))}
+    row = _basis_index(n, k_out)
     out = np.zeros((n, len(row), len(basis)))
     for j in range(1, n + 1):
         for col, key in enumerate(basis):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, exterior
+from .comparison import _symmetric
 from .reporting import Region, Report
 
 __all__ = [
@@ -524,33 +525,47 @@ def check_L_chain(n: int, sigma: float, delta: float) -> Report:
 # -- pointwise form inequalities ----------------------------------------
 
 
-def _pairings(n: int, w: np.ndarray):
-    """Gram matrices G1_ij = <theta^i ^ w, theta^j ^ w> and
-    G2_ij = <i_i w, i_j w> for a two-form coefficient vector w."""
-    U = exterior.wedge_stack(n, 2) @ w
-    V = exterior.interior_stack(n, 2) @ w
-    return U @ U.conj().T, V @ V.conj().T
+def _two_form_vector(omega) -> tuple[np.ndarray, float]:
+    """omega's coefficient vector w on Lambda^2 and |w|^2; a non-finite coefficient, or a
+    |w|^2 that overflows, is a ValueError."""
+    w = exterior.form_to_vec(omega, 2)
+    norm2 = float(np.vdot(w, w).real)
+    if not math.isfinite(norm2):
+        raise ValueError(f"omega must have finite coefficients and a finite |omega|^2, got {norm2}")
+    return w, norm2
 
 
 def hessian_form_bounds(H, omega, r_f: float, lam: float, rho: float) -> Report:
     """Check the two pointwise Hessian-contraction inequalities against a
     symmetric H with lambda_min(H) >= -2/r_f and
-    trace(H) <= (n-1) lambda / ((n-1) + lambda rho)."""
+    trace(H) <= (n-1) lambda / ((n-1) + lambda rho).
+
+    The contractions sum_ij H_ij <theta^i ^ w, theta^j ^ w> and
+    sum_ij H_ij <i_{e_i} w, i_{e_j} w> are Re <Q(H) w, w> and Re <P(H) w, w>,
+    because theta^i ^ and i_{e_i} are adjoint: P(H) = sum_ij H_ij P_ij and
+    Q(H) = sum_ij H_ij Q_ij are read off the cached
+    ``exterior.two_form_blocks(n)`` (P_ij = theta^i ^ i_{e_j},
+    Q_ij = i_{e_i} theta^j ^) as one product each with H.  The eigenvalue
+    hypothesis takes one eigvalsh of H; no Gram matrix is formed.  A
+    non-finite entry of H, coefficient of omega or |omega|^2, or a
+    non-finite r_f, lambda or rho is a ValueError.
+    """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
-    if H.shape != (n, n) or not np.allclose(H, H.T, atol=1e-12):
-        raise ValueError("H must be a symmetric matrix")
+    if H.shape != (n, n) or not _symmetric(H):
+        raise ValueError("H must be a finite symmetric matrix")
     if n % 2 or n < 4:
         raise ValueError("n must be even and at least 4")
     if omega.n != n:
         raise ValueError("form dimension does not match H")
-    if r_f <= 0 or lam <= 0 or rho < 0:
-        raise ValueError("need r_f > 0, lambda > 0, rho >= 0")
+    if not (0.0 < r_f < math.inf and 0.0 < lam < math.inf and 0.0 <= rho < math.inf):
+        raise ValueError("need finite r_f > 0, lambda > 0, rho >= 0")
+    w, norm2 = _two_form_vector(omega)
     trace_cap = (n - 1) * lam / ((n - 1) + lam * rho)
-    eigs = np.linalg.eigvalsh(H)
+    tr = float(H.trace())
     hypotheses = {
-        "lambda_min_above_-2/r_f": bool(eigs[0] >= -2.0 / r_f - 1e-12),
-        "trace_below_cap": bool(np.trace(H) <= trace_cap + 1e-12),
+        "lambda_min_above_-2/r_f": bool(np.linalg.eigvalsh(H)[0] >= -2.0 / r_f - 1e-12),
+        "trace_below_cap": bool(tr <= trace_cap + 1e-12),
     }
     params = {"n": n, "r_f": r_f, "lambda": lam, "rho": rho}
     if not all(hypotheses.values()):
@@ -561,12 +576,10 @@ def hessian_form_bounds(H, omega, r_f: float, lam: float, rho: float) -> Report:
             tolerance=1e-10,
             details={"hypotheses": hypotheses, "hypotheses_met": False},
         )
-    w = exterior.form_to_vec(omega, 2)
-    G1, G2 = _pairings(n, w)
-    norm2 = float(np.real(w.conj() @ w))
-    tr = float(np.trace(H))
-    t1 = float(np.real(np.sum(H * G1)))
-    t2 = float(np.real(np.sum(H * G2)))
+    P, Q = exterior.two_form_blocks(n)
+    h, d = H.ravel(), len(w)
+    t1 = float(np.vdot(w, (h @ Q.reshape(n * n, d * d)).reshape(d, d) @ w).real)
+    t2 = float(np.vdot(w, (h @ P.reshape(n * n, d * d)).reshape(d, d) @ w).real)
     lhs1 = tr * norm2 - 2.0 * t1
     rhs1 = (trace_cap + 4.0 * (n - 2) / r_f) * norm2
     lhs2 = -tr * norm2 + 2.0 * t2
@@ -587,12 +600,13 @@ def hessian_form_bounds(H, omega, r_f: float, lam: float, rho: float) -> Report:
 def boundary_form_bounds(A, omega, mode: str) -> Report:
     """Check the boundary contraction inequality value >= -lambda |omega|^2
     for a tangential (two_convex) or normal (n_minus_two_convex) two-form,
-    with lambda derived from the eigenvalues of A."""
+    with lambda derived from the eigenvalues of A.  A non-finite entry of A,
+    coefficient of omega or |omega|^2 is a ValueError."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     n = m + 1
-    if A.shape != (m, m) or not np.allclose(A, A.T, atol=1e-12):
-        raise ValueError("A must be a symmetric matrix on the boundary tangent space")
+    if A.shape != (m, m) or not _symmetric(A):
+        raise ValueError("A must be a finite symmetric matrix on the boundary tangent space")
     if omega.n != n:
         raise ValueError(f"omega must live on R^{n} with e_{n} the normal direction")
     tangential = all(n not in key for key in omega.coeffs)
@@ -603,14 +617,13 @@ def boundary_form_bounds(A, omega, mode: str) -> Report:
         raise ValueError("two_convex mode needs a purely tangential form")
     if mode == "n_minus_two_convex" and not normal:
         raise ValueError("n_minus_two_convex mode needs a purely normal form")
+    w, norm2 = _two_form_vector(omega)
     # least lambda >= 0 with every k-sum of eigenvalues of A >= -lambda
     lam = bands.k_convexity_defect(A, 2 if mode == "two_convex" else m - 1)
     # theta^i ^ i_{e_j} (two_convex) or i_{e_i} theta^j ^ on Lambda^2, i, j < n
     ops = exterior.two_form_blocks(n)[mode != "two_convex"][:m, :m]
-    w = exterior.form_to_vec(omega, 2)
     op = np.einsum("ij,ijab->ab", A, ops)
-    value = float(np.real(np.conj(w) @ (op @ w)))
-    norm2 = float(np.real(np.conj(w) @ w))
+    value = float(np.vdot(w, op @ w).real)
     margin = value + lam * norm2
     return Report(
         check=f"boundary.{mode}",

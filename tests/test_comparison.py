@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def test_oracle_rejects_non_finite_boundary_form(A0):
             B.riccati_oracle(model, rho)
 
 
+def test_boundary_form_must_be_symmetric_to_the_rule():
+    """A 1e-6 asymmetry passed allclose's default rtol, and eigvalsh read one
+    triangle; a rotated diagonal as built (rounding asymmetry only) is accepted."""
+    A = np.array([[1.0, 1.0 + 1e-6, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        B.RotSymModel(n=4, K=1.0, A0=A).initial_hessian_eigs()
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    A = Q @ np.diag([2e5, -1e5, 3.0]) @ Q.T
+    assert (A != A.T).any()
+    eigs = B.RotSymModel(n=4, K=1.0, A0=A).initial_hessian_eigs()
+    assert np.allclose(np.sort(-eigs), [-1e5, 3.0, 2e5], rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "k_rad, at",
     [(lambda r: math.nan, "0.25"), (lambda r: math.inf, "0.25"), (lambda r: math.nan if r > 0.5 else 0.0, "1")],
@@ -281,6 +296,30 @@ def test_curve_rejects_warped_curvature_that_makes_nan(k_rad, at):
     model = B.RotSymModel(n=3, A0=0.2, radial_curvature=k_rad)
     with pytest.raises(ValueError, match=f"NaN at rho = {at}:"):
         B.riccati_curve(model, [0.25, 1.0])
+
+
+@pytest.mark.parametrize("k_rad", [1e300, -1e300, 1e12], ids=["1e300", "-1e300", "1e12"])
+def test_curve_rejects_warped_curvature_past_step_limit(k_rad):
+    """K_rad = +-1e300 gave trace 0.0 and no crossing (the first step
+    overflowed, and the switch to u = 1/w gave a signed zero), and 1e12
+    a crossing at 1e-4 for a pole near 1.6e-6."""
+    model = B.RotSymModel(n=3, A0=0.2, radial_curvature=lambda r: k_rad)
+    with pytest.raises(ValueError, match=re.escape(f"K_rad = {k_rad:g} at rho = 0 is past the oracle's RK4 step limit")):
+        B.riccati_curve(model, [0.5, 1.0])
+
+
+def test_curve_rejects_warped_curvature_that_leaves_the_step_limit_late():
+    model = B.RotSymModel(n=3, A0=0.2, radial_curvature=lambda r: 1e9 if r > 0.75 else 0.0)
+    with pytest.raises(ValueError, match=r"K_rad = 1e\+09 at rho = 0.75.* step limit"):
+        B.riccati_curve(model, [0.5, 1.0])
+
+
+def test_warped_profile_at_the_step_limit_matches_reference():
+    """A profile that reaches h^2 |K_rad| = 0.99 is inside the limit: its
+    steps are the reference transcription's to the last bit."""
+    kfn = lambda r: -0.99e8 * math.sin(2.0 * r) ** 2
+    step = B.RICCATI_STEP
+    assert B._integrate_scalar(0.3, kfn, [0.8], step) == [_reference_integrate(0.3, kfn, 0.8, step)]
 
 
 @st.composite

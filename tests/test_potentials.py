@@ -1,8 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picband import exterior as E
 from picband import potentials as P
@@ -231,23 +233,80 @@ def test_bandwidth_bound_monotone():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def _pairings(n: int, w: np.ndarray):
+    """Gram matrices G1_ij = <theta^i ^ w, theta^j ^ w> and
+    G2_ij = <i_i w, i_j w> for a two-form coefficient vector w: the
+    independent route to the contractions of the Hessian form check."""
+    U = E.wedge_stack(n, 2) @ w
+    V = E.interior_stack(n, 2) @ w
+    return U @ U.conj().T, V @ V.conj().T
+
+
+def _gram_route(H, w, r_f, lam, rho):
+    """(margins, passed, hypotheses) of the Hessian form check summed over
+    the Gram matrices, as sum_ij H_ij G_ij."""
+    n = H.shape[0]
+    trace_cap = (n - 1) * lam / ((n - 1) + lam * rho)
+    tr = float(np.trace(H))
+    hypotheses = {
+        "lambda_min_above_-2/r_f": bool(np.linalg.eigvalsh(H)[0] >= -2.0 / r_f - 1e-12),
+        "trace_below_cap": bool(tr <= trace_cap + 1e-12),
+    }
+    G1, G2 = _pairings(n, w)
+    norm2 = float(np.real(w.conj() @ w))
+    t1 = float(np.real(np.sum(H * G1)))
+    t2 = float(np.real(np.sum(H * G2)))
+    margin1 = (trace_cap + 4.0 * (n - 2) / r_f) * norm2 - (tr * norm2 - 2.0 * t1)
+    margin2 = (-tr * norm2 + 2.0 * t2) + (trace_cap + 8.0 / r_f) * norm2
+    passed = all(hypotheses.values()) and margin1 >= -1e-10 and margin2 >= -1e-10
+    return (margin1, margin2), passed, hypotheses
+
+
 def test_contraction_trace_identity(rng):
-    """The Gram matrices of the form bounds obey
-    sum_ij H_ij (G1 + G2)_ij = trace(H) |w|^2 for symmetric H, since
-    i_{e_j} (theta^i ^ .) + theta^i ^ i_{e_j} = delta_ij; H = I gives
-    (n - 2) |w|^2 + 2 |w|^2 on a two-form."""
-    n = 6
-    for t in range(21):
-        H = np.eye(n)
-        if t:
-            H = rng.standard_normal((n, n))
-            H = 0.5 * (H + H.T)
-        w = E.form_to_vec(random_form(n, 2, rng), 2)
-        G1, G2 = P._pairings(n, w)
-        norm2 = float(np.real(w.conj() @ w))
-        assert abs(np.sum(H * (G1 + G2)) - np.trace(H) * norm2) < 1e-12 * max(1.0, norm2) * np.abs(H).max()
-    G1, G2 = P._pairings(n, np.zeros(n * (n - 1) // 2))
-    assert not G1.any() and not G2.any()
+    """The contraction operators of the form bounds obey P(H) + Q(H) =
+    trace(H) I on Lambda^2 for symmetric H, since
+    i_{e_i} (theta^j ^ .) + theta^j ^ i_{e_i} = delta_ij; so do the Gram
+    matrices of the independent route: sum_ij H_ij (G1 + G2)_ij =
+    trace(H) |w|^2, and H = I gives (n - 2) |w|^2 + 2 |w|^2 on a two-form."""
+    for n in range(4, 9):
+        P_blocks, Q_blocks = E.two_form_blocks(n)
+        d = n * (n - 1) // 2
+        for t in range(21):
+            H = np.eye(n)
+            if t:
+                H = rng.standard_normal((n, n))
+                H = 0.5 * (H + H.T)
+            PQ = np.einsum("ij,ijab->ab", H, P_blocks + Q_blocks)
+            assert np.abs(PQ - np.trace(H) * np.eye(d)).max() < 1e-12 * n * np.abs(H).max()
+            w = E.form_to_vec(random_form(n, 2, rng), 2)
+            G1, G2 = _pairings(n, w)
+            norm2 = float(np.real(w.conj() @ w))
+            assert abs(np.sum(H * (G1 + G2)) - np.trace(H) * norm2) < 1e-12 * max(1.0, norm2) * np.abs(H).max()
+        G1, G2 = _pairings(n, np.zeros(d))
+        assert not G1.any() and not G2.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    r_f=st.floats(2.0, 20.0),
+    lam=st.floats(0.5, 8.0),
+    rho=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessian_form_bounds_matches_gram_route(n, r_f, lam, rho, seed):
+    """The block route's margins are the Gram route's to 1e-12 relative,
+    with the same verdict and hypothesis flags, on complex forms and
+    Hessians that meet the hypotheses."""
+    rng = np.random.default_rng(seed)
+    H = sample_bounded_hessian(rng, n, r_f, lam, rho)
+    om = random_form(n, 2, rng)
+    rep = P.hessian_form_bounds(H, om, r_f, lam, rho)
+    margins, passed, hypotheses = _gram_route(H, E.form_to_vec(om, 2), r_f, lam, rho)
+    assert rep.passed == passed and rep.details["hypotheses"] == hypotheses
+    assert rep.details["hypotheses_met"] is all(hypotheses.values())
+    for region, margin in zip(rep.regions, margins, strict=True):
+        assert abs(region.min_margin - margin) <= 1e-12 * abs(margin)
 
 
 def test_hessian_form_bounds_zero_H(rng):
@@ -321,6 +380,92 @@ def test_boundary_form_bounds_wrong_type():
         P.boundary_form_bounds(A, om_tan, "n_minus_two_convex")
     with pytest.raises(ValueError, match="unknown mode"):
         P.boundary_form_bounds(A, om_tan, "three_convex")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["nan-omega", "inf-omega", "overflowing-norm", "inf-H", "nan-lambda", "nan-rho", "inf-r_f", "inf-lambda"],
+)
+def test_hessian_form_bounds_rejects_non_finite_input(case):
+    """A non-finite input gave FAIL with NaN margins, "hypotheses not met"
+    (lambda or rho NaN) or PASS (r_f = inf); each is now a ValueError."""
+    r_f, lam, rho = 10.0, 5.0, 1.0
+    H = sample_bounded_hessian(np.random.default_rng(3), 4, r_f, lam, rho)
+    om = E.FormElement(4, {(1, 2): 1.0, (2, 4): 0.5j})
+    if case == "nan-omega":
+        om = E.FormElement(4, {(1, 2): math.nan})
+    elif case == "inf-omega":
+        om = E.FormElement(4, {(1, 3): complex(0.0, math.inf)})
+    elif case == "overflowing-norm":
+        om = E.FormElement(4, {(1, 2): 1e200})
+    elif case == "inf-H":
+        H[0, 0] = math.inf
+    elif case == "nan-lambda":
+        lam = math.nan
+    elif case == "nan-rho":
+        rho = math.nan
+    elif case == "inf-r_f":
+        r_f = math.inf
+    else:
+        lam = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        P.hessian_form_bounds(H, om, r_f, lam, rho)
+
+
+@pytest.mark.parametrize("case", ["nan-omega", "inf-omega", "overflowing-norm", "inf-A"])
+def test_boundary_form_bounds_rejects_non_finite_input(case):
+    """These gave FAIL with NaN margins; each is now a ValueError."""
+    A = np.diag([1.0, 2.0, 3.0])
+    coeffs = {(1, 2): 1.0, (2, 3): 0.5j}
+    if case == "nan-omega":
+        coeffs[(1, 3)] = math.nan
+    elif case == "inf-omega":
+        coeffs[(1, 3)] = -math.inf
+    elif case == "overflowing-norm":
+        coeffs[(1, 3)] = 1e200j
+    else:
+        A[1, 1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        P.boundary_form_bounds(A, E.FormElement(4, coeffs), "two_convex")
+
+
+# the entry pair (0, 1) differs by 1e-6: inside allclose's default rtol, far past 1e-12
+NEAR_SYMMETRIC = np.array([[1.0, 1.0 + 1e-6, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_form_bounds_reject_a_matrix_that_is_not_symmetric():
+    om = E.FormElement(4, {(1, 2): 1.0})
+    with pytest.raises(ValueError, match="symmetric"):
+        P.boundary_form_bounds(NEAR_SYMMETRIC, om, "two_convex")
+    H = np.eye(4)
+    H[:3, :3] = 0.1 * NEAR_SYMMETRIC
+    with pytest.raises(ValueError, match="symmetric"):
+        P.hessian_form_bounds(H, om, 10.0, 5.0, 1.0)
+
+
+def test_form_bounds_accept_a_rotated_diagonal_as_built():
+    """Q diag Q^T carries rounding asymmetry of its own scale; the rule is
+    relative to max |M|, so it is accepted at any scale without symmetrising."""
+    rng = np.random.default_rng(11)
+
+    def rotated_diagonal(m, scale):
+        while True:  # the first draw whose product is not symmetric to the bit
+            Q = random_orthonormal(rng, m)
+            M = Q @ np.diag(scale * rng.uniform(-1.0, 1.0, m)) @ Q.T
+            if (M != M.T).any():
+                return M
+
+    for scale in (1e-3, 1.0, 1e6):
+        A, H = rotated_diagonal(3, scale), rotated_diagonal(4, scale)
+        P.boundary_form_bounds(A, E.FormElement(4, {(1, 2): 1.0}), "two_convex")
+        P.hessian_form_bounds(H, E.FormElement(4, {(1, 2): 1.0}), 10.0, 5.0, 1.0)
+
+
+def test_library_calls_no_allclose():
+    """np.allclose adds a default rtol of 1e-5 to any atol, which let a 1e-6
+    asymmetry through; the library's symmetry rule is comparison._symmetric."""
+    src = Path(__file__).resolve().parents[1] / "src" / "picband"
+    assert [path.name for path in sorted(src.glob("*.py")) if "allclose(" in path.read_text()] == []
 
 
 def test_boundary_form_bounds_random_certification(rng):

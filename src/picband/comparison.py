@@ -216,6 +216,13 @@ def _check_step_limit(h: float, rho: float, k) -> None:
         )
 
 
+def _switch(y: float) -> float:
+    """The other variable, 1/y, at a switch between w and u = 1/w.  An
+    infinite y (a K_rad that is not finite) gives NaN, which the readout
+    reports, where 1/y would pass on a finite 0."""
+    return 1.0 / y if abs(y) < math.inf else math.nan
+
+
 def _integrate_scalar(w0: float, krad, rhos, step: float):
     """Integrate w' = -w^2 - K_rad(rho) from w(0) = w0 out to each of the
     non-decreasing radii rhos, in one pass.
@@ -232,6 +239,7 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
     pole location is resolved by bisection to ~1e-9; w -> +infinity cannot
     occur forward in rho since w' < 0 for large positive w.  A state that
     is NaN at a radius (a K_rad that is not finite) is a ValueError, and so
+    is one that was infinite at a switch of variable, and so
     is a finite K_rad value that a step of a callable reads past the step
     limit h^2 |K_rad| <= 1.
 
@@ -285,7 +293,7 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
                         pole = 0.5 * (a + b)
                         break
                     if abs(y_new) > u_max:
-                        y_new, in_u = 1.0 / y_new, False
+                        y_new, in_u = _switch(y_new), False
                 else:
                     # w' = -w^2 - K_rad
                     k1 = -y * y - ka
@@ -296,7 +304,7 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
                     t = y + h * k3
                     y_new = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + (-t * t - kc))
                     if abs(y_new) >= w_max:
-                        y_new, in_u = 1.0 / y_new, True
+                        y_new, in_u = _switch(y_new), True
                 y, x = y_new, x + h
             start = rho
         if pole is not None:
@@ -338,7 +346,7 @@ def riccati_curve(model: RotSymModel, rhos) -> list[RiccatiResult]:
     h^2 |K_rad| > 1; the error names that value and its radius.
     A negative or decreasing distance is a ValueError too, and so are a
     non-finite A0 and a warped ``radial_curvature`` that drives the flow to
-    NaN (checked at each distance).
+    NaN or infinity (checked at each distance).
     """
     rhos = [float(rho) for rho in rhos]
     if rhos and not rhos[0] >= 0:

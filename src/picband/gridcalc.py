@@ -22,10 +22,7 @@ may carry leading axes too: a convergence study puts its STUDY_DRAWS field
 draws on one leading draw axis and evaluates every draw in one residual
 call.  The integrals, the leaf slices and the Weitzenboeck sup-norm reduce
 per draw, and each draw is integrated on its own over the full grid, in
-the summation order of a single field.  D_f is one key action, summed
-one output key at a time, so the d, d* and Clifford terms are never held
-as whole fields beside each other: with six draws on the axis
-that is what keeps a study's peak memory down.  The periodic derivative is
+the summation order of a single field.  The periodic derivative is
 the difference of two precomputed index gathers; on a size-1 axis it is
 (data - data) / (2 ht), an exact 0 (NaN for a non-finite value).
 
@@ -222,35 +219,30 @@ class FormField:
                 if hit is not None:
                     self._acc(hit[0], hit[1] * arr)
 
-    def copy(self) -> "FormField":
-        out = FormField(self.grid)
-        out.data = {k: v.copy() for k, v in self.data.items()}
-        return out
-
     def _acc(self, key, arr):
         if key in self.data:
             self.data[key] = self.data[key] + arr
         else:
             self.data[key] = arr
 
+    def _shared(self) -> "FormField":
+        """A field on the same component arrays: no operation writes a
+        component in place, so a sum may start from its first term's."""
+        out = FormField(self.grid)
+        out.data = dict(self.data)
+        return out
+
     def __add__(self, other: "FormField") -> "FormField":
-        out = self.copy()
+        out = self._shared()
         for k, v in other.data.items():
             out._acc(k, v)
         return out
 
     def __sub__(self, other: "FormField") -> "FormField":
-        out = self.copy()
+        out = self._shared()
         for k, v in other.data.items():
             out._acc(k, -v)
         return out
-
-    def __mul__(self, s) -> "FormField":
-        out = FormField(self.grid)
-        out.data = {k: v * s for k, v in self.data.items()}
-        return out
-
-    __rmul__ = __mul__
 
     def pointwise_inner(self, other: "FormField") -> np.ndarray:
         """<self, other> at every node (Hermitian, linear in self)."""
@@ -272,67 +264,31 @@ def _zeros(g: FlatBandGrid) -> np.ndarray:
     return np.zeros((1,) * g.n, dtype=complex)
 
 
-def _key_action(F: FormField, ops, coef, *more) -> FormField:
-    """sum over (key_op, sign) in ops and j = 1..n of sign * key_op(j, .)
-    applied to coef(j, component), walking the components of F in order
-    and j inside each.  coef runs only on a hit; it returns None for an
-    absent term.  Each further (ops, coef) pair in more is one more such
-    action, and the result is the field sum of all, left to right.
-
-    The result is built one output key at a time, so no action's whole
-    field is held beside the others'.  It is the term-by-term loop's bit
-    for bit: a key's terms add in walk order, and keys come in the order
-    that loop inserts them (first term of the first action that has one)."""
-    actions = ((ops, coef),) + more
-    plan = {}  # output key -> per action: [(walk position, j, sign, component)]
-    for a, (key_ops, _) in enumerate(actions):
-        position = 0
-        for key, arr in F.data.items():
-            for j in range(1, F.grid.n + 1):
-                for key_op, sign in key_ops:
-                    hit = key_op(j, key)
-                    if hit is not None:
-                        plan.setdefault(hit[0], [[] for _ in actions])[a].append((position, j, sign * hit[1], arr))
-                        position += 1
-    sums = []
-    for out_key, per_action in plan.items():
-        total = first = None
-        for a, ((_, action_coef), terms) in enumerate(zip(actions, per_action)):
-            part = None
-            for position, j, sign, arr in terms:
-                term = action_coef(j, arr)
-                if term is None:
-                    continue
-                if part is None:
-                    part, at = sign * term, (a, position)
-                else:
-                    part = part + sign * term
-            if part is not None:
-                total, first = (part, at) if total is None else (total + part, first)
-        if total is not None:
-            sums.append((first, out_key, total))
+def _key_action(F: FormField, key_ops, coef) -> FormField:
+    """sum over (key_op, sign) in key_ops and j = 1..n of sign * key_op(j, .)
+    applied to coef(j, component), walking the components of F in order and
+    j inside each.  coef runs only on a hit; it returns None for an absent
+    term."""
     out = FormField(F.grid)
-    out.data = {key: total for _, key, total in sorted(sums, key=lambda t: t[0])}
+    for key, arr in F.data.items():
+        for j in range(1, F.grid.n + 1):
+            for key_op, sign in key_ops:
+                hit = key_op(j, key)
+                if hit is not None:
+                    term = coef(j, arr)
+                    if term is not None:
+                        out._acc(hit[0], sign * hit[1] * term)
     return out
-
-
-def _derivative_actions(F: FormField):
-    """(ops, coef) of d, theta^j ^ d_j, and of d*, -i_{e_j} d_j."""
-
-    def coef(j, arr):
-        return F.grid.deriv(arr, j - 1)
-
-    return (((exterior.wedge_key, 1),), coef), (((exterior.interior_key, -1),), coef)
 
 
 def d_grid(F: FormField) -> FormField:
     """Exterior derivative: sum_j theta^j ^ d_j F."""
-    return _key_action(F, *_derivative_actions(F)[0])
+    return _key_action(F, ((exterior.wedge_key, 1),), lambda j, arr: F.grid.deriv(arr, j - 1))
 
 
 def dstar_grid(F: FormField) -> FormField:
     """Codifferential on the flat band: -sum_j i_{e_j} d_j F."""
-    return _key_action(F, *_derivative_actions(F)[1])
+    return _key_action(F, ((exterior.interior_key, -1),), lambda j, arr: F.grid.deriv(arr, j - 1))
 
 
 def laplacian_grid(F: FormField) -> FormField:
@@ -348,20 +304,15 @@ def laplacian_grid(F: FormField) -> FormField:
     return out
 
 
-def _clifford_action(vec_components, sign: int):
-    """(ops, coef) of pointwise c (sign=-1) or ct (sign=+1) by a vector
-    field given as a list of n scalars or arrays, None for a zero component."""
+def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
+    """Pointwise c (sign=-1) or ct (sign=+1) of F by a vector field given as
+    a list of n scalars or arrays, None for a zero component."""
 
     def coef(j, arr):
         comp = vec_components[j - 1]
         return None if comp is None else comp * arr
 
-    return ((exterior.wedge_key, 1), (exterior.interior_key, sign)), coef
-
-
-def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
-    """Pointwise c (sign=-1) or ct (sign=+1) of F; see _clifford_action."""
-    return _key_action(F, *_clifford_action(vec_components, sign))
+    return _key_action(F, ((exterior.wedge_key, 1), (exterior.interior_key, sign)), coef)
 
 
 def gradient_components(g: FlatBandGrid, f: np.ndarray):
@@ -371,8 +322,7 @@ def gradient_components(g: FlatBandGrid, f: np.ndarray):
 def D_f_grid(F: FormField, f: np.ndarray) -> FormField:
     """Twisted Dirac operator D + ct(grad f) with f sampled on the grid."""
     grads = gradient_components(F.grid, np.asarray(f, dtype=complex))
-    d, dstar = _derivative_actions(F)
-    return _key_action(F, *d, dstar, _clifford_action(grads, +1))
+    return d_grid(F) + dstar_grid(F) + _clifford_field(grads, F, +1)
 
 
 def _boundary_term_dirac(alpha: FormField, beta: FormField) -> complex:

@@ -33,6 +33,10 @@ ENTRIES = {
                                    "--points", "24"],
     "csv-barrier-K0-Lambda2": ["emit", "csv", "--curve", "barrier", "--K", "0", "--Lambda", "2",
                                "--n", "6", "--rho-max", "3"],
+    "identities": ["verify", "identities"],
+    "identities-n3": ["verify", "identities", "--n", "3"],
+    "identities-n5": ["verify", "identities", "--n", "5", "--N-t", "5", "--N-r", "12,16,20"],
+    "identities-Nr24-48-96": ["verify", "identities", "--N-r", "24,48,96"],
 }
 
 

@@ -308,22 +308,33 @@ def test_key_action_matches_the_loops_it_replaced(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_summed_key_actions_are_the_field_sums(n):
-    """Several actions in one key action give their left-to-right field sum
-    bit for bit, keys in the same order, also where a coef is None."""
+    """D_f is the left-to-right field sum d + d* + ct(grad f) bit for bit,
+    keys in the same order."""
     g = grid(N_r=8, N_t=4, n=n)
     rng = np.random.default_rng(60 + n)
     f = rng.standard_normal(g.shape)
     grads = G.gradient_components(g, f + 0j)
-    mixed = ([None, rng.standard_normal(g.shape), 0.5, None] + [1.0] * n)[:n]
     for k in range(n):
         F = random_field(g, k, rng) + random_field(g, k + 1, rng)
-        d, dstar = G._derivative_actions(F)
-        _assert_same_field(G._key_action(F, *d, dstar), G.d_grid(F) + G.dstar_grid(F))
         _assert_same_field(G.D_f_grid(F, f), G.d_grid(F) + G.dstar_grid(F) + G._clifford_field(grads, F, +1))
-        c, ct = G._clifford_action(mixed, -1), G._clifford_action(grads, +1)
-        _assert_same_field(G._key_action(F, *c, ct, c),
-                           G._clifford_field(mixed, F, -1) + G._clifford_field(grads, F, +1)
-                           + G._clifford_field(mixed, F, -1))
+
+
+def test_D_f_calls_the_module_d_and_dstar(monkeypatch):
+    calls = []
+    for name in ("d_grid", "dstar_grid"):
+        original = getattr(G, name)
+
+        def counting(F, name=name, original=original):
+            calls.append(name)
+            return original(F)
+
+        monkeypatch.setattr(G, name, counting)
+    g = grid(N_r=8, N_t=4, n=3)
+    F = random_field(g, 1, np.random.default_rng(7))
+    G.D_f_grid(F, np.zeros(g.shape))
+    assert calls == ["d_grid", "dstar_grid"]
+    G.convergence_study("dirac", (12, 16), n=3)
+    assert calls.count("d_grid") == calls.count("dstar_grid") == 1 + 2 * 2  # two D_f per residual
 
 
 def test_convergence_study_calls_the_module_residual(monkeypatch):

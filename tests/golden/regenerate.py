@@ -37,6 +37,8 @@ ENTRIES = {
     "identities-n3": ["verify", "identities", "--n", "3"],
     "identities-n5": ["verify", "identities", "--n", "5", "--N-t", "5", "--N-r", "12,16,20"],
     "identities-Nr24-48-96": ["verify", "identities", "--N-r", "24,48,96"],
+    **{f"{suite}{name}": ["verify", suite, *flags] for suite in ("curvature", "weitzenboeck")
+       for name, flags in (("", []), ("-n6", ["--n", "6"]), ("-n6-sigma0", ["--n", "6", "--sigma", "0"]))},
 }
 
 

@@ -172,7 +172,8 @@ def suite_curvature(args):
         passed=verdict.passed,
         tolerance=scfg.tolerance,
         regions=[Region("min_isotropic_margin", verdict.min_found - sigma)],
-        details={"min_found": verdict.min_found, "seed": scfg.seed},
+        details={"certified_bound" if verdict.kind == "certified" else "min_found": verdict.min_found,
+                 "kind": verdict.kind, "seed": scfg.seed},
     )
     return [report]
 
@@ -201,6 +202,7 @@ def suite_weitzenboeck(args):
                 "lambda_min": rep.lambda_min,
                 "bound": rep.bound,
                 "pic_precondition": rep.pic_verdict.passed,
+                "kind": rep.pic_verdict.kind,
                 "asserted": rep.asserted,
             },
         ),

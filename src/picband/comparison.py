@@ -280,7 +280,10 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
                     k3 = 1.0 + kb * t * t
                     t = y + h * k3
                     y_new = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + (1.0 + kc * t * t))
-                    if y < 0.0 <= y_new:  # pole of w: u rises through zero
+                    # pole of w: u rises through zero to a finite value; a u that
+                    # jumps to +inf read an infinite K_rad and falls through to
+                    # the switch, whose NaN the readout reports
+                    if y < 0.0 <= y_new < math.inf:
                         a, b, ua = x, x + h, y
                         while b - a > 1e-12:
                             mid = 0.5 * (a + b)

@@ -27,9 +27,11 @@ which is the QR retraction with a positive diagonal.
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
-closed form (``exact_min_isotropic``), and rest on the stochastic search
-``min_isotropic`` in dimension 5 and up.  The band checks are exact at every
-n: a warped band's minimum is a closed form in its two sectionals
+closed form (``exact_min_isotropic``).  In dimension 5 and up they first try
+the Ky Fan certificate (``_certified_bound``), one eigvalsh of the curvature
+operator on two-forms, and run the stochastic search ``min_isotropic`` only
+when it does not prove sigma.  The band checks are exact at every n: a
+warped band's minimum is a closed form in its two sectionals
 (``bands._isotropic_min``), and no tensor of theirs is searched.
 """
 
@@ -79,6 +81,10 @@ MAX_TENSOR_COMPONENTS = 1 << 21
 # operators (n <= 16): exterior.two_form_blocks and the Clifford-trace action
 # each hold that many floats, 175 MB peak in all at n = 16
 MAX_TWO_FORM_ENTRIES = 1 << 22
+# Backward error of eigvalsh taken as EIGEN_ERROR * dim * eps * max|lambda| in
+# the certified bound: each of the two smallest eigenvalues moves by at most
+# the backward error, and the bound counts each twice
+EIGEN_ERROR = 16
 
 
 def _trailing(R: np.ndarray, axes) -> np.ndarray:
@@ -87,9 +93,30 @@ def _trailing(R: np.ndarray, axes) -> np.ndarray:
     return np.transpose(R, (*range(lead), *(lead + a for a in axes)))
 
 
+def _bianchi_sum(R: np.ndarray) -> np.ndarray:
+    """The first Bianchi cyclic sum R_ijkl + R_jkil + R_kijl over a tensor or a
+    stack; under the pair symmetries it is R_ijkl + R_iklj + R_iljk."""
+    return R + _trailing(R, (1, 2, 0, 3)) + _trailing(R, (2, 0, 1, 3))
+
+
 def _bianchi_defect(R: np.ndarray) -> float:
-    """Largest first Bianchi defect R_ijkl + R_jkil + R_kijl over a tensor or a stack."""
-    return float(np.max(np.abs(R + _trailing(R, (1, 2, 0, 3)) + _trailing(R, (2, 0, 1, 3)))))
+    """Largest first Bianchi defect over a tensor or a stack."""
+    return float(np.max(np.abs(_bianchi_sum(R))))
+
+
+_PAIR_SYMMETRIES = (  # (axes, sign, name): R = sign * R permuted by axes
+    ((1, 0, 2, 3), -1.0, "antisymmetry in the first index pair"),
+    ((0, 1, 3, 2), -1.0, "antisymmetry in the second index pair"),
+    ((2, 3, 0, 1), 1.0, "pair-interchange symmetry"),
+)
+
+
+def _failed_symmetry(R: np.ndarray) -> str | None:
+    """The name of the first pair symmetry that R does not hold exactly, or None."""
+    for axes, sign, name in _PAIR_SYMMETRIES:
+        if not np.array_equal(R, sign * _trailing(R, axes)):
+            return name
+    return None
 
 
 def _validate(R: np.ndarray) -> None:
@@ -97,12 +124,9 @@ def _validate(R: np.ndarray) -> None:
     call validates a single tensor or a stack of them."""
     if not np.all(np.isfinite(R)):
         raise ValueError("curvature components must be finite")
-    if not np.array_equal(R, -_trailing(R, (1, 0, 2, 3))):
-        raise ValueError("antisymmetry in the first index pair fails")
-    if not np.array_equal(R, -_trailing(R, (0, 1, 3, 2))):
-        raise ValueError("antisymmetry in the second index pair fails")
-    if not np.array_equal(R, _trailing(R, (2, 3, 0, 1))):
-        raise ValueError("pair-interchange symmetry fails")
+    failed = _failed_symmetry(R)
+    if failed:
+        raise ValueError(f"{failed} fails")
     defect = _bianchi_defect(R)
     if defect > BIANCHI_TOL:
         raise ValueError(f"first Bianchi identity violated by {defect:.3e}")
@@ -288,6 +312,13 @@ def _retract(Y: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _unit_scaled(R: np.ndarray):
+    """``(2^-e R, e)`` with the largest |component| of 2^-e R in [1/2, 1):
+    an exact scaling, so that no product or square of components overflows."""
+    _, exponent = math.frexp(float(np.max(np.abs(R))))
+    return np.ldexp(R, -exponent), exponent
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for the stochastic frame search over orthonormal 4-frames
@@ -331,8 +362,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     n = R.n
     if n < 4:
         raise ValueError("isotropic curvature needs ambient dimension >= 4")
-    _, exponent = math.frexp(float(np.max(np.abs(R.R))))
-    Rs = np.ldexp(R.R, -exponent)
+    Rs, exponent = _unit_scaled(R.R)
     rng = np.random.default_rng(cfg.seed)
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
@@ -455,20 +485,64 @@ def exact_min_isotropic(R: CurvTensor):
     return float(values[0]), Frame4(np.array([x0, x1, x2, J.T @ x2]))
 
 
+def _certified_bound(R: CurvTensor) -> float | None:
+    """A proven lower bound of the isotropic curvature over all orthonormal
+    four-frames, or None where none is given: a component that is not
+    finite, a pair symmetry that does not hold exactly, or a bound past the
+    float range.
+
+    For a frame (x_1, x_2, x_3, x_4), with x_ab = x_a ^ x_b,
+    K = <R alpha, alpha> + <R beta, beta> - 2 b(x_1, x_2, x_3, x_4), where
+    alpha = x_13 - x_24 and beta = x_14 + x_23 are orthogonal of norm sqrt(2)
+    and b = ``_bianchi_sum(R)``.  By Ky Fan, the first two terms are at least
+    2 (l_1 + l_2), the two smallest eigenvalues of R on the two-forms
+    e_i ^ e_j, i < j (Micallef and Moore, Ann. Math. 127, 1988), and
+    |b(x_1, x_2, x_3, x_4)| <= |b|_F.  R on two-forms is symmetric, because
+    the pair interchange holds exactly.  The eigenvalues are eigvalsh's, so
+    the bound also subtracts EIGEN_ERROR * dim * eps * max|l|; |b|_F is
+    raised by the rounding of its sums, 6 eps n^2 on components below 1, and
+    of its norm, relative n^4 eps.  It is computed on ``_unit_scaled(R)``,
+    which is exact.
+    """
+    if not np.all(np.isfinite(R.R)) or _failed_symmetry(R.R):
+        return None
+    Rs, exponent = _unit_scaled(R.R)
+    n = R.n
+    i, j = np.triu_indices(n, 1)
+    lam = np.linalg.eigvalsh(Rs[i[:, None], j[:, None], i[None, :], j[None, :]])
+    eps = np.finfo(float).eps
+    eigen_error = EIGEN_ERROR * len(lam) * eps * max(-lam[0], lam[-1])
+    bianchi = float(np.linalg.norm(_bianchi_sum(Rs))) * (1.0 + n**4 * eps) + 6.0 * eps * n * n
+    try:
+        return math.ldexp(float(2.0 * (lam[0] + lam[1]) - eigen_error - 2.0 * bianchi), exponent)
+    except OverflowError:
+        return None
+
+
 def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
-    """The (value, frame, restarts) minimum a sigma-PIC verdict rests on:
-    exact in dimension 4 (no search, 0 restarts), the frame search above it."""
+    """The (value, frame, restarts, kind) minimum a sigma-PIC verdict rests
+    on: exact in dimension 4 (no search, 0 restarts), the frame search above
+    it."""
     if R.n == 4:
-        return (*exact_min_isotropic(R), 0)
-    return (*min_isotropic(R, cfg), cfg.restarts)
+        return (*exact_min_isotropic(R), 0, "exact")
+    return (*min_isotropic(R, cfg), cfg.restarts, "stochastic")
 
 
 @dataclass
 class PicVerdict:
-    """Outcome of a sigma-PIC membership test: exact in dimension 4,
-    stochastic and non-certified in dimension 5 and up.  ``restarts`` is
-    the search effort spent: the restarts of the frame search, 0 in
-    dimension 4, where no search runs.  ``tolerance`` is the verdict's
+    """Outcome of a sigma-PIC membership test, of one of three kinds:
+
+    * ``"exact"`` (dimension 4): ``min_found`` is the closed-form minimum;
+    * ``"certified"`` (a PASS in dimension 5 and up): ``min_found`` is the
+      Ky Fan bound, which is at most the true minimum and proves the PASS;
+      no search runs (``restarts`` 0, no witness);
+    * ``"stochastic"`` (dimension 5 and up, where the bound does not prove
+      sigma): ``min_found`` is the frame search's minimum, an upper bound
+      of the true one; a PASS is evidence, not a proof.
+
+    A FAIL of ``is_sigma_pic`` carries a witness frame whose isotropic
+    curvature is ``min_found``.  ``restarts`` is the search effort spent: the restarts
+    of the frame search, 0 where none runs.  ``tolerance`` is the verdict's
     tolerance."""
 
     passed: bool
@@ -477,6 +551,7 @@ class PicVerdict:
     witness: Frame4 | None
     restarts: int
     tolerance: float
+    kind: str
 
     def __bool__(self):
         return self.passed
@@ -486,17 +561,22 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
     """Test whether the isotropic curvature stays >= sigma over all frames.
 
     FAIL comes with a concrete counter-frame.  In dimension 4 the verdict
-    is exact (closed-form minimum); above, PASS is stochastic evidence from
-    the frame search (its effort is recorded in the verdict).  Any finite
-    sigma is accepted, a negative one too, as in the band verdicts; a
-    non-finite minimum is a FAIL.
+    is exact (closed-form minimum).  Above, a Ky Fan bound >= sigma - tol is
+    a certified PASS with no search; otherwise the frame search decides, and
+    its PASS is stochastic evidence (its effort is recorded in the verdict).
+    Any finite sigma is accepted, a negative one too, as in the band
+    verdicts; a non-finite minimum is a FAIL.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
-    value, frame, restarts = _verdict_minimum(R, cfg)
+    if R.n > 4:
+        bound = _certified_bound(R)
+        if bound is not None and bound >= sigma - cfg.tolerance:
+            return PicVerdict(True, sigma, bound, None, 0, cfg.tolerance, "certified")
+    value, frame, restarts, kind = _verdict_minimum(R, cfg)
     if not value >= sigma - cfg.tolerance:
-        return PicVerdict(False, sigma, value, frame, restarts, cfg.tolerance)
-    return PicVerdict(True, sigma, value, None, restarts, cfg.tolerance)
+        return PicVerdict(False, sigma, value, frame, restarts, cfg.tolerance, kind)
+    return PicVerdict(True, sigma, value, None, restarts, cfg.tolerance, kind)
 
 
 # -- traces -----------------------------------------------------------
@@ -609,8 +689,8 @@ def weitzenboeck_lower_bound_check(
     if sigma >= 0:
         verdict = is_sigma_pic(R, sigma, cfg)
     else:
-        value, _, restarts = _verdict_minimum(R, cfg)
-        verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance)
+        value, _, restarts, kind = _verdict_minimum(R, cfg)
+        verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance, kind)
     bound = 0.5 * (R.n - 2) * sigma
     margin = lam - bound
     if not verdict.passed:

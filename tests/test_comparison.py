@@ -301,14 +301,17 @@ def test_curve_rejects_warped_curvature_that_makes_nan(k_rad, at):
 @pytest.mark.parametrize(
     "A0, k, rho",
     [(0.2, math.inf, 1.0), (0.2, -math.inf, 1.0), (-20.0, math.inf, 0.02), (-20.0, -math.inf, 0.02),
-     (20.0, -math.inf, 0.02)],
-    ids=["w-to-u-inf", "w-to-u-minus-inf", "u-to-w-inf", "u-to-w-minus-inf", "u-to-w-rising-minus-inf"],
+     (20.0, -math.inf, 0.02), (20.0, math.inf, 0.02)],
+    ids=["w-to-u-inf", "w-to-u-minus-inf", "u-to-w-inf", "u-to-w-minus-inf", "u-to-w-rising-minus-inf",
+         "u-below-zero-to-inf"],
 )
 def test_curve_rejects_warped_curvature_infinite_at_the_last_step(A0, k, rho):
     """A K_rad that is infinite only at the last step overflows the state,
     and the switch of variable turned that into a signed zero: w -> u gave
     u = -0.0 and a ZeroDivisionError at the readout, u -> w a finite trace
-    0.0.  It is the NaN error at the distance."""
+    0.0.  A u below zero that jumps to +inf passed the pole test and was
+    reported as a crossing at 0.0199999.  It is the NaN error at the
+    distance."""
     model = B.RotSymModel(n=3, A0=A0, radial_curvature=lambda r: k if r >= rho - 1e-7 else 0.0)
     with pytest.raises(ValueError, match=f"NaN at rho = {rho:g}:"):
         B.riccati_curve(model, [rho])

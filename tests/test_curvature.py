@@ -1,8 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picband import curvature as C
 from picband.exterior import degree_basis
@@ -441,16 +443,105 @@ def test_n4_fail_verdict_carries_witness_below_sigma(rng):
     assert C.iso_curvature(R, verdict.witness) < sigma - verdict.tolerance
 
 
-@pytest.mark.parametrize("n, spent", [(4, 0), (5, 8)])
+@pytest.mark.parametrize("n, spent", [(4, 0), (5, 8), (6, 0)])
 def test_verdict_restarts_are_the_search_effort(n, spent):
-    """Dimension 4 takes the closed form and runs no search: 0 restarts."""
+    """Dimension 4 takes the closed form and runs no search: 0 restarts.  At
+    n = 6 the round sphere's Ky Fan bound 4 certifies sigma = 1 and 2.5, so
+    no search runs either; the product at n = 5 has bound 0 and is searched."""
     cfg = C.SearchConfig(restarts=8)
-    R = product_tensor(n)
-    assert C.is_sigma_pic(R, 1.0, cfg).restarts == spent
-    assert C.is_sigma_pic(R, 2.5, cfg).restarts == spent
+    kind = {4: "exact", 5: "stochastic", 6: "certified"}[n]
+    R = constant_curvature(n) if kind == "certified" else product_tensor(n)
+    for sigma in (1.0, 2.5):
+        verdict = C.is_sigma_pic(R, sigma, cfg)
+        assert (verdict.restarts, verdict.kind) == (spent, kind)
     if n % 2 == 0:
-        for sigma in (1.0, -1.0):  # the sigma < 0 branch builds its verdict apart
-            assert C.weitzenboeck_lower_bound_check(R, sigma, cfg).pic_verdict.restarts == spent
+        verdict = C.weitzenboeck_lower_bound_check(R, 1.0, cfg).pic_verdict
+        assert (verdict.restarts, verdict.kind) == (spent, kind)
+        # the sigma < 0 branch builds its verdict apart, from the minimum alone
+        verdict = C.weitzenboeck_lower_bound_check(R, -1.0, cfg).pic_verdict
+        assert (verdict.restarts, verdict.kind) == ((0, "exact") if n == 4 else (8, "stochastic"))
+
+
+def _four_form(n: int, rng) -> np.ndarray:
+    """A random totally antisymmetric 4-tensor: it has the pair symmetries
+    exactly, and its first Bianchi sum is three times itself."""
+    w = np.zeros((n,) * 4)
+    for idx in itertools.combinations(range(n), 4):
+        v = rng.standard_normal()
+        for perm in itertools.permutations(range(4)):
+            w[tuple(idx[p] for p in perm)] = np.linalg.det(np.eye(4)[list(perm)]) * v
+    return w
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(5, 7), st.sampled_from(["random", "pic", "broken"]), st.floats(0.0, 1.0),
+       st.integers(-30, 30), st.integers(0, 2**32 - 1))
+def test_certified_bound_is_below_the_search_minimum(n, kind, defect, scale_exp, seed):
+    """The Ky Fan bound is <= the 512-restart search minimum + 1e-12 * scale
+    on random tensors, PIC combinations, and PIC combinations summed with a
+    4-form (validate=False, a first Bianchi defect), at scales 2^-30..2^30."""
+    rng = np.random.default_rng(seed)
+    R = (random_curvature if kind == "random" else random_pic_combination)(n, rng)
+    if kind == "broken":
+        R = R + C.CurvTensor(defect * _four_form(n, rng), validate=False)
+    R = R * 2.0**scale_exp
+    bound = C._certified_bound(R)
+    searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=seed))
+    assert bound <= searched + 1e-12 * np.max(np.abs(R.R))
+
+
+def _op_tensor4(self_dual, anti_self_dual) -> np.ndarray:
+    """The tensor on R^4 whose curvature operator has the given eigenvalues
+    on the self-dual and on the anti-self-dual two-forms; equal traces make
+    it satisfy the first Bianchi identity."""
+    Ep, Em = C._hodge_eigenbases()
+    M = Ep @ np.diag(self_dual) @ Ep.T + Em @ np.diag(anti_self_dual) @ Em.T
+    i, j = (np.array(degree_basis(4, 2)) - 1).T
+    R = np.zeros((4,) * 4)
+    R[i[:, None], j[:, None], i[None, :], j[None, :]] = 0.5 * (M + M.T)
+    R = R - R.transpose(1, 0, 2, 3)
+    return R - R.transpose(0, 1, 3, 2)
+
+
+def test_certificate_without_the_bianchi_term_is_false(monkeypatch):
+    """A PIC tensor at n = 5 plus 0.3 times the volume form of its first four
+    coordinates: the true minimum drops to 0.2, while the Ky Fan bound of the
+    sum is 2.  Only the 2 |b|_F term keeps the certificate from proving
+    sigma = 1; without it the verdict is a wrong certified PASS."""
+    R = np.zeros((5,) * 4)
+    R[:4, :4, :4, :4] = _op_tensor4([0.2, 0.2, 2.6], [1.0, 1.0, 1.0])
+    pic = C.CurvTensor(R) + C.kulkarni_nomizu(np.eye(5), np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
+    vol = np.zeros((5,) * 4)
+    for perm in itertools.permutations(range(4)):
+        vol[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    broken = pic + C.CurvTensor(0.3 * vol, validate=False)
+    cfg = C.SearchConfig(restarts=64)
+    assert C.is_sigma_pic(pic, 0.5, cfg).kind == "certified"  # bound 0.8
+    verdict = C.is_sigma_pic(broken, 1.0, cfg)
+    assert not verdict.passed and verdict.kind == "stochastic"
+    assert C.iso_curvature(broken, verdict.witness) < 0.2 + 1e-9
+    monkeypatch.setattr(C, "_bianchi_sum", np.zeros_like)
+    wrong = C.is_sigma_pic(broken, 1.0, cfg)
+    assert wrong.passed and wrong.kind == "certified" and wrong.min_found > 1.99
+
+
+def test_huge_components_give_verdicts_without_warnings():
+    """Components of 1e200 at n = 5: the bound is taken on 2^-e R, where
+    |b|_F of a 1e200 Bianchi defect does not overflow, so no verdict warns."""
+    doc = {"n": 5, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": 1e200},
+                                  {"i": 3, "j": 4, "k": 3, "l": 4, "v": 2.0}]}
+    huge = C.load_curvature_json(doc)
+    broken = constant_curvature(5, 1e200) + C.CurvTensor(1e200 * _four_form(5, np.random.default_rng(0)),
+                                                          validate=False)
+    cfg = C.SearchConfig(restarts=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fail = C.is_sigma_pic(huge, 1.0, cfg)  # bound 0: searched, and the frame (e3, e4, e1, e5) gives 0
+        round_sphere = C.is_sigma_pic(constant_curvature(5, 1e200), 1.0, cfg)
+        assert C._certified_bound(broken) < 0.0  # 2 |b|_F of the 4-form outweighs the sphere's 4e200
+    assert not fail.passed and fail.kind == "stochastic"
+    assert round_sphere.passed and round_sphere.kind == "certified"
+    assert 4e200 * (1 - 1e-12) < round_sphere.min_found <= 4e200
 
 
 @pytest.mark.parametrize("n", [4, 6])

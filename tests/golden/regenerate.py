@@ -39,6 +39,7 @@ ENTRIES = {
     "identities-Nr24-48-96": ["verify", "identities", "--N-r", "24,48,96"],
     **{f"{suite}{name}": ["verify", suite, *flags] for suite in ("curvature", "weitzenboeck")
        for name, flags in (("", []), ("-n6", ["--n", "6"]), ("-n6-sigma0", ["--n", "6", "--sigma", "0"]))},
+    **{suite: ["verify", suite] for suite in ("bandwidth", "focal", "hodge", "band", "counterexample")},
 }
 
 

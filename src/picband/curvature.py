@@ -77,9 +77,9 @@ STALL_WINDOW = 25  # iterations between two stall checks of the frame search
 STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
 # Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
 MAX_TENSOR_COMPONENTS = 1 << 21
-# Two-form block entries d2^2 n^2, d2 = n(n-1)/2, accepted by the Weitzenboeck
-# operators (n <= 16): exterior.two_form_blocks and the Clifford-trace action
-# each hold that many floats, 175 MB peak in all at n = 16
+# Two-form block entries d2^2 n^2, d2 = n(n-1)/2, accepted by both Weitzenboeck routes (n <= 16):
+# the Clifford-trace route's two_form_blocks and action each hold that many floats, the index
+# route d2^2 (161 MB peak for verify weitzenboeck --n 16)
 MAX_TWO_FORM_ENTRIES = 1 << 22
 # Backward error of eigvalsh taken as EIGEN_ERROR * dim * eps * max|lambda| in
 # the certified bound: each of the two smallest eigenvalues moves by at most
@@ -417,19 +417,29 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
 
 
 @lru_cache(maxsize=None)
+def _two_form_pairs(n: int):
+    """0-based index arrays (i, j) of the two-forms e_i ^ e_j, i < j, in ``degree_basis(n, 2)`` order."""
+    pairs = (np.array(degree_basis(n, 2)) - 1).T
+    pairs.setflags(write=False)
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
 def _hodge_eigenbases():
     """Orthonormal bases (as columns over e_i ^ e_j, i < j) of the self-dual
     and the anti-self-dual two-forms on R^4: the +1 and -1 eigenspaces of the
     Hodge star, read off alpha ^ beta = <*alpha, beta> e_1 ^ e_2 ^ e_3 ^ e_4.
     For alpha = e_i ^ e_j, alpha ^ beta = e_i ^ (e_j ^ beta)."""
     wedge = np.einsum("iab,jbc->ijc", exterior.wedge_stack(4, 3), exterior.wedge_stack(4, 2))
-    star = np.array([wedge[i - 1, j - 1] for i, j in degree_basis(4, 2)])
+    star = wedge[_two_form_pairs(4)]
     _, vecs = np.linalg.eigh(star)  # eigenvalues -1, -1, -1, 1, 1, 1
     return vecs[:, 3:], vecs[:, :3]
 
 
-# e_i ^ e_j, i < j, on R^4 as 0-based index arrays (i, j)
-_TWO_FORMS4 = (np.array(degree_basis(4, 2)) - 1).T
+def _on_two_forms(R: np.ndarray) -> np.ndarray:
+    """The curvature operator on two-forms, R[..., i, j, k, l] for i < j, k < l, of a tensor or a stack."""
+    i, j = _two_form_pairs(R.shape[-1])
+    return R[..., i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
 def _exact_min_core(Rs: np.ndarray):
@@ -438,8 +448,7 @@ def _exact_min_core(Rs: np.ndarray):
     ``(values, side, tops)``: the S minima, whether each is attained on the
     anti-self-dual side (the self-dual side on a tie), and per side the
     (S, 3) top eigenvectors in that side's basis."""
-    i, j = _TWO_FORMS4
-    op = Rs[:, i[:, None], j[:, None], i[None, :], j[None, :]]  # curvature operator on e_i ^ e_j
+    op = _on_two_forms(Rs)
     beta = Rs[:, 0, 1, 2, 3] + Rs[:, 0, 2, 3, 1] + Rs[:, 0, 3, 1, 2]
     halves, tops = [], []
     for E, shift in zip(_hodge_eigenbases(), (-beta, beta)):
@@ -472,7 +481,7 @@ def exact_min_isotropic(R: CurvTensor):
     values, side, tops = _exact_min_core(R.R[None])
     s = int(side[0])
     w = _hodge_eigenbases()[s] @ tops[s][0]
-    i, j = _TWO_FORMS4
+    i, j = _two_form_pairs(4)
     J = np.zeros((4, 4))
     J[i, j] = w
     J[j, i] = -w
@@ -508,8 +517,7 @@ def _certified_bound(R: CurvTensor) -> float | None:
         return None
     Rs, exponent = _unit_scaled(R.R)
     n = R.n
-    i, j = np.triu_indices(n, 1)
-    lam = np.linalg.eigvalsh(Rs[i[:, None], j[:, None], i[None, :], j[None, :]])
+    lam = np.linalg.eigvalsh(_on_two_forms(Rs))
     eps = np.finfo(float).eps
     eigen_error = EIGEN_ERROR * len(lam) * eps * max(-lam[0], lam[-1])
     bianchi = float(np.linalg.norm(_bianchi_sum(Rs))) * (1.0 + n**4 * eps) + 6.0 * eps * n * n
@@ -522,7 +530,9 @@ def _certified_bound(R: CurvTensor) -> float | None:
 def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
     """The (value, frame, restarts, kind) minimum a sigma-PIC verdict rests
     on: exact in dimension 4 (no search, 0 restarts), the frame search above
-    it."""
+    it; NaN, no frame and 0 restarts on a tensor that is not finite."""
+    if not np.all(np.isfinite(R.R)):
+        return math.nan, None, 0, "exact" if R.n == 4 else "stochastic"
     if R.n == 4:
         return (*exact_min_isotropic(R), 0, "exact")
     return (*min_isotropic(R, cfg), cfg.restarts, "stochastic")
@@ -541,9 +551,11 @@ class PicVerdict:
       of the true one; a PASS is evidence, not a proof.
 
     A FAIL of ``is_sigma_pic`` carries a witness frame whose isotropic
-    curvature is ``min_found``.  ``restarts`` is the search effort spent: the restarts
-    of the frame search, 0 where none runs.  ``tolerance`` is the verdict's
-    tolerance."""
+    curvature is ``min_found``.  A tensor with a NaN or infinite component is
+    a FAIL of its dimension's kind with ``min_found`` NaN and no witness, and
+    no route runs on it.  ``restarts`` is the search effort spent: the
+    restarts of the frame search, 0 where none runs.  ``tolerance`` is the
+    verdict's tolerance."""
 
     passed: bool
     sigma: float
@@ -565,7 +577,7 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
     a certified PASS with no search; otherwise the frame search decides, and
     its PASS is stochastic evidence (its effort is recorded in the verdict).
     Any finite sigma is accepted, a negative one too, as in the band
-    verdicts; a non-finite minimum is a FAIL.
+    verdicts; a tensor that is not finite is a FAIL with a NaN minimum.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
@@ -618,32 +630,19 @@ def weitzenboeck_on_two_forms(R: CurvTensor) -> WeitzOperator:
 
     The action on a basis two-form theta^i ^ theta^j is
     Ric_ki theta^k ^ theta^j - Ric_kj theta^k ^ theta^i
-    - 2 R_ikjl theta^k ^ theta^l, re-expanded in the ordered basis.
+    - 2 R_ikjl theta^k ^ theta^l.  In the ordered basis (theta^l ^ theta^k =
+    -theta^k ^ theta^l) its row a < b holds, summed in this order,
+    Ric_ai d_bj - Ric_aj d_bi - 2 R_iajb + Ric_bj d_ai - Ric_bi d_aj + 2 R_ibja,
+    d the Kronecker delta.  Its curvature terms are the curvature operator on
+    two-forms only under the first Bianchi identity.
     """
     n = R.n
     _check_two_form_size(n)
-    basis = degree_basis(n, 2)
-    pos = {key: t for t, key in enumerate(basis)}
-    ric = ricci(R)
-    dim = len(basis)
-    M = np.zeros((dim, dim))
-
-    def add(k, l, col, w):
-        # accumulate w * theta^k ^ theta^l (0-based k, l) into column col
-        if k == l:
-            return
-        if k < l:
-            M[pos[(k + 1, l + 1)], col] += w
-        else:
-            M[pos[(l + 1, k + 1)], col] -= w
-
-    for col, (i1, j1) in enumerate(basis):
-        i, j = i1 - 1, j1 - 1
-        for k in range(n):
-            add(k, j, col, ric[k, i])
-            add(k, i, col, -ric[k, j])
-            for l in range(n):
-                add(k, l, col, -2.0 * R.R[i, k, j, l])
+    i, j = _two_form_pairs(n)
+    a, b = i[:, None], j[:, None]  # the row's pair; the column's is (i, j)
+    ric, d = ricci(R), np.eye(n)
+    M = (ric[a, i] * d[b, j] - ric[a, j] * d[b, i] - 2.0 * R.R[i, a, j, b]
+         + ric[b, j] * d[a, i] - ric[b, i] * d[a, j] + 2.0 * R.R[i, b, j, a])
     return WeitzOperator(n, M)
 
 
@@ -661,7 +660,7 @@ def weitzenboeck_clifford_trace(R: CurvTensor) -> np.ndarray:
     _check_two_form_size(n)
     wedge_interior, interior_wedge = exterior.two_form_blocks(n)
     action = np.einsum("ijpq,pqac->ijac", R.R, wedge_interior)
-    return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action).astype(complex)
+    return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action)
 
 
 @dataclass
@@ -685,7 +684,8 @@ def weitzenboeck_lower_bound_check(
     (n-2) sigma / 2, conditional on the sigma-PIC precondition."""
     if R.n % 2 != 0 or R.n < 4:
         raise ValueError("the eigenvalue bound is asserted for even n >= 4 only")
-    lam = weitzenboeck_on_two_forms(R).lambda_min()  # first: it refuses a size before the search runs
+    _check_two_form_size(R.n)  # first: a size is refused before the search runs
+    lam = weitzenboeck_on_two_forms(R).lambda_min() if np.all(np.isfinite(R.R)) else math.nan
     if sigma >= 0:
         verdict = is_sigma_pic(R, sigma, cfg)
     else:
@@ -693,9 +693,8 @@ def weitzenboeck_lower_bound_check(
         verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance, kind)
     bound = 0.5 * (R.n - 2) * sigma
     margin = lam - bound
-    if not verdict.passed:
-        return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, False, asserted=False)
-    return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, margin >= -1e-9, asserted=True)
+    return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, verdict.passed and margin >= -1e-9,
+                            asserted=verdict.passed)
 
 
 # -- loading ----------------------------------------------------------

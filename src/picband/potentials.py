@@ -36,7 +36,6 @@ __all__ = [
     "BandwidthParams",
     "check_focal_regularity",
     "check_focal_boundary",
-    "boundary_slope_ratio",
     "verify_focal_inequality",
     "focal_margin_rows",
     "verify_bandwidth_margin",
@@ -231,36 +230,23 @@ def check_focal_regularity(params: FocalParams, r_f: float) -> Report:
     )
 
 
-def boundary_slope_ratio(n: int, sigma: float, lam_bar: float) -> Report:
+def check_focal_boundary(params: FocalParams) -> Report:
     """Normal-derivative check at the boundary: -f'(0) / lambda_bar >= 1,
     through y = beta / lambda_bar <= 1/sqrt(8n) < 1 and 2 y cot y >= 1.
-
-    Takes (n, sigma, lambda_bar) directly; the ratio does not involve the
-    interior convexity parameter lambda at all.
-    """
-    if n < 4 or n % 2:
-        raise ValueError("n must be even and at least 4")
-    if lam_bar < n * math.sqrt(sigma):
-        raise ValueError(f"lambda_bar must be at least n sqrt(sigma) = {n * math.sqrt(sigma):.6g}")
-    beta = math.sqrt((n - 2) * sigma / 8.0)
-    y = beta / lam_bar
+    The ratio does not involve the interior convexity parameter lambda."""
+    p = params
+    y = p.beta / p.lam_bar
     ratio = 2.0 * y / math.tan(y)  # equals -f'(0) / lambda_bar
-    y_bound = 1.0 / math.sqrt(8.0 * n)
+    y_bound = 1.0 / math.sqrt(8.0 * p.n)
     passed = y <= y_bound and y < 1.0 and ratio >= 1.0
     return Report(
         check="focal.boundary",
-        params={"n": n, "sigma": sigma, "lambda_bar": lam_bar},
+        params={"n": p.n, "sigma": p.sigma, "lambda": p.lam, "lambda_bar": p.lam_bar},
         passed=bool(passed),
         tolerance=0.0,
         regions=[Region("normal_derivative_ratio", ratio - 1.0), Region("y_bound", y_bound - y)],
         details={"y": y, "two_y_cot_y": ratio},
     )
-
-
-def check_focal_boundary(params: FocalParams) -> Report:
-    rep = boundary_slope_ratio(params.n, params.sigma, params.lam_bar)
-    rep.params["lambda"] = params.lam
-    return rep
 
 
 IDENTITY_TOL = 1e-9

@@ -561,9 +561,29 @@ def test_negative_sigma_verdict_is_the_minimum_against_sigma(rng, n):
 
 
 def test_non_finite_minimum_is_a_fail():
-    R = C.CurvTensor(np.full((5,) * 4, np.nan), validate=False)
-    verdict = C.is_sigma_pic(R, 0.0, C.SearchConfig(restarts=4))
-    assert not verdict.passed and math.isnan(verdict.min_found)
+    """A tensor with NaN or +-inf components (validate=False; the infinite
+    ones keep the pair symmetries) is a FAIL with a NaN minimum, no witness
+    and no search, at n = 4 (before the closed form) and n = 5, 6 (before
+    the certificate and the search); the bound check builds no operator on
+    it, for sigma >= 0 and below.  No warning is raised (the suite turns
+    warnings into errors)."""
+    cfg = C.SearchConfig(restarts=4)
+    for n in (4, 5, 6):
+        sphere = constant_curvature(n).R
+        tensors = [np.full((n,) * 4, np.nan)]
+        for inf in (np.inf, -np.inf):
+            tensors.append(np.zeros((n,) * 4))
+            tensors[-1][sphere > 0], tensors[-1][sphere < 0] = inf, -inf
+        for T in tensors:
+            R = C.CurvTensor(T, validate=False)
+            verdict = C.is_sigma_pic(R, 0.0, cfg)
+            assert not verdict.passed and math.isnan(verdict.min_found)
+            assert verdict.witness is None and verdict.restarts == 0
+            if n % 2 == 0:
+                for sigma in (0.0, -1.0):
+                    rep = C.weitzenboeck_lower_bound_check(R, sigma, cfg)
+                    assert math.isnan(rep.lambda_min) and math.isnan(rep.pic_verdict.min_found)
+                    assert not rep.passed and not rep.asserted and rep.pic_verdict.restarts == 0
 
 
 def test_non_finite_components_rejected():
@@ -588,7 +608,15 @@ def test_trace_identity_random(rng):
     assert abs(np.einsum("alal->", R.R) - np.trace(C.ricci(R))) < 1e-10
 
 
-def test_weitzenboeck_zero_and_constant():
+def test_weitzenboeck_zero_and_constant(monkeypatch):
+    """The index formula gives 0 and the round sphere's ((n - 2) sigma / 2) I
+    with its own sign rule: the exterior algebra's wedge and contraction
+    helpers raise here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the index route called an exterior sign helper")
+
+    for name in ("wedge_key", "wedge_keys", "interior_key", "wedge_stack", "interior_stack", "two_form_blocks"):
+        monkeypatch.setattr(C.exterior, name, refuse)
     zero = C.CurvTensor(np.zeros((4,) * 4))
     assert np.all(C.weitzenboeck_on_two_forms(zero).matrix == 0.0)
     for n in (4, 6, 8):

@@ -89,19 +89,19 @@ def test_regularity_chain(params):
     assert rep3.passed
 
 
-def test_boundary_ratio():
-    rep = P.boundary_slope_ratio(4, 1.0, 8.0)
+def test_boundary_ratio(params):
+    rep = P.check_focal_boundary(params)
     assert rep.passed
-    y = 0.5 / 8.0
+    y = 0.5 / 100.0
     assert abs(rep.details["two_y_cot_y"] - 2.0 * y / math.tan(y)) < 1e-15
     assert rep.details["two_y_cot_y"] >= 1.0
     with pytest.raises(ValueError):
-        P.boundary_slope_ratio(4, 1.0, 3.0)
+        P.check_focal_boundary(P.FocalParams(4, 1.0, 5.0, 3.0))
 
 
 def test_boundary_ratio_small_y_limit():
     # 2 y cot y -> 2 as y -> 0
-    rep = P.boundary_slope_ratio(4, 1e-8, 8.0)
+    rep = P.check_focal_boundary(P.FocalParams(4, 1e-8, 1.0, 8.0))
     assert abs(rep.details["two_y_cot_y"] - 2.0) < 1e-9
 
 

@@ -25,12 +25,13 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 ENTRIES = {
-    **{f"comparison-seed{seed}": ["verify", "comparison", "--seed", str(seed)] for seed in range(4)},
+    **{f"comparison-seed{seed}": ["verify", "comparison", "--seed", str(seed)] for seed in range(6)},
     **{f"comparison-draws40-seed{seed}": ["verify", "comparison", "--draws", "40", "--seed", str(seed)]
        for seed in range(4)},
     "csv-barrier": ["emit", "csv", "--curve", "barrier"],
     "csv-barrier-K0.5-Lambda1.5": ["emit", "csv", "--curve", "barrier", "--K", "0.5", "--Lambda", "1.5",
                                    "--points", "24"],
+    "csv-focal": ["emit", "csv", "--curve", "focal"],
     "csv-barrier-K0-Lambda2": ["emit", "csv", "--curve", "barrier", "--K", "0", "--Lambda", "2",
                                "--n", "6", "--rho-max", "3"],
     "identities": ["verify", "identities"],

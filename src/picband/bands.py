@@ -356,9 +356,14 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
 
 
 def load_band_json(doc) -> WarpedBand:
-    """Band spec: {"n", "phi": {"kind": "const"|"sin"|"linear"|"table",
-    "scale"?, "x"?, "values"?}, "r0", "r1"}."""
+    """Band spec: {"n", "phi", "r0", "r1"}, phi either {"kind":
+    "const"|"sin"|"linear", "scale"?} or {"kind": "table", "x", "values"}.
+    A phi key its kind does not read is an error, not dropped."""
     phi = doc["phi"]
+    takes = ("kind", "x", "values") if phi["kind"] == "table" else ("kind", "scale")
+    unread = sorted(set(phi) - set(takes))
+    if unread:
+        raise ValueError(f"phi of kind {phi['kind']!r} takes only the keys {takes}, not {unread}")
     profile = WarpProfile(
         phi["kind"],
         float(phi.get("scale", 1.0)),

@@ -119,11 +119,15 @@ def _failed_symmetry(R: np.ndarray) -> str | None:
     return None
 
 
+def _check_finite(R: np.ndarray) -> None:
+    if not np.all(np.isfinite(R)):
+        raise ValueError("curvature components must be finite")
+
+
 def _validate(R: np.ndarray) -> None:
     """The CurvTensor checks over the trailing four axes of R, so that one
     call validates a single tensor or a stack of them."""
-    if not np.all(np.isfinite(R)):
-        raise ValueError("curvature components must be finite")
+    _check_finite(R)
     failed = _failed_symmetry(R)
     if failed:
         raise ValueError(f"{failed} fails")
@@ -611,6 +615,8 @@ class WeitzOperator:
         dim = len(degree_basis(n, 2))
         if M.shape != (dim, dim):
             raise ValueError(f"operator must be {dim} x {dim} for n = {n}")
+        if not np.all(np.isfinite(M)):  # a NaN defect would pass the test below
+            raise ValueError("curvature operator entries must be finite")
         scale = max(1.0, float(np.max(np.abs(M))))
         if float(np.max(np.abs(M - M.conj().T))) > HERMITIAN_TOL * scale:
             raise ValueError("curvature operator is not Hermitian within tolerance")
@@ -634,10 +640,12 @@ def weitzenboeck_on_two_forms(R: CurvTensor) -> WeitzOperator:
     -theta^k ^ theta^l) its row a < b holds, summed in this order,
     Ric_ai d_bj - Ric_aj d_bi - 2 R_iajb + Ric_bj d_ai - Ric_bi d_aj + 2 R_ibja,
     d the Kronecker delta.  Its curvature terms are the curvature operator on
-    two-forms only under the first Bianchi identity.
+    two-forms only under the first Bianchi identity.  A non-finite tensor
+    is a ValueError.
     """
     n = R.n
     _check_two_form_size(n)
+    _check_finite(R.R)
     i, j = _two_form_pairs(n)
     a, b = i[:, None], j[:, None]  # the row's pair; the column's is (i, j)
     ric, d = ricci(R), np.eye(n)
@@ -654,10 +662,11 @@ def weitzenboeck_clifford_trace(R: CurvTensor) -> np.ndarray:
     and the Lambda^2 block of c(e_i) c(e_j) is
     -(theta^i ^ i_{e_j} + i_{e_i} theta^j ^); both are the cached
     :func:`exterior.two_form_blocks`.  Used to cross-check
-    :func:`weitzenboeck_on_two_forms`.
+    :func:`weitzenboeck_on_two_forms`.  A non-finite tensor is a ValueError.
     """
     n = R.n
     _check_two_form_size(n)
+    _check_finite(R.R)
     wedge_interior, interior_wedge = exterior.two_form_blocks(n)
     action = np.einsum("ijpq,pqac->ijac", R.R, wedge_interior)
     return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action)

@@ -31,7 +31,11 @@ so one batched SVD (the per-matrix singular values, bit for bit) serves
 the block, and its uncertified twists reach the exact ranks together.  The
 ``verify hodge`` suite sizes its blocks by a fixed budget of stacked-matrix
 entries (``cli.TWIST_BLOCK_ENTRIES``), so its memory does not grow with
-the number of twists."""
+the number of twists.
+
+Every bundled product is one construction, ``product_complex(A, B)``: the
+staircase triangulation of |A| x |B|, one simplex per monotone lattice
+path over each pair of top simplices."""
 
 from __future__ import annotations
 
@@ -55,11 +59,10 @@ __all__ = [
     "load_complex",
     "load_bundled",
     "interval_complex",
-    "circle_complex",
     "disk_complex",
     "moebius_complex",
-    "prism_product",
     "sphere_complex",
+    "product_complex",
 ]
 
 
@@ -357,11 +360,6 @@ def interval_complex() -> SimplicialComplex:
     return SimplicialComplex(_close_down([(0, 1)], 1))
 
 
-def circle_complex(m: int = 3) -> SimplicialComplex:
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    return SimplicialComplex(_close_down(edges, 1))
-
-
 def disk_complex() -> SimplicialComplex:
     return SimplicialComplex(_close_down([(0, 1, 2)], 2))
 
@@ -371,52 +369,41 @@ def moebius_complex() -> SimplicialComplex:
     return SimplicialComplex(_close_down(tris, 2))
 
 
-def prism_product(base: SimplicialComplex, layers: int, cyclic: bool) -> SimplicialComplex:
-    """Staircase triangulation of base x interval (or base x circle).
-
-    Vertices (v, layer) are numbered layer * V + v, v the position of a base
-    vertex among the sorted labels.  Over a base p-simplex with ordered
-    vertices v_0 < ... < v_p the prism between layers l, l+1
-    is cut into the (p+1)-simplices {bottom v_0..v_j, top v_j..v_p}; the
-    induced quad diagonals depend only on the global vertex order, so
-    neighbouring prisms match.  Cyclic products need at least 3 layers.
-    """
-    if cyclic and layers < 3:
-        raise ValueError("cyclic products need at least 3 layers")
-    if not cyclic and layers < 1:
-        raise ValueError("need at least one layer")
-    V = base.n_simplices(0)
-    p = base.dim
-    nlay = layers if cyclic else layers + 1
-
-    def node(v, layer):
-        return (layer % nlay) * V + v
-
-    tops = []
-    for l in range(layers):
-        for s in base._vertices[p].tolist():
-            for j in range(p + 1):
-                bottom = [node(v, l) for v in s[: j + 1]]
-                top = [node(v, l + 1) for v in s[j:]]
-                tops.append(tuple(bottom + top))
-    return SimplicialComplex(_close_down(tops, p + 1))
-
-
 def sphere_complex(dim: int) -> SimplicialComplex:
     """Boundary of the (dim+1)-simplex."""
     verts = range(dim + 2)
     return SimplicialComplex(_close_down(list(combinations(verts, dim + 1)), dim))
 
 
+def product_complex(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
+    """Staircase triangulation of |A| x |B|, for pure complexes A and B.
+
+    Vertex (a, b) is numbered b * V_A + a, a and b the positions of the
+    factors' vertices among their sorted labels.  Over top simplices
+    a_0 < ... < a_p of A and b_0 < ... < b_q of B the prism is cut into one
+    (p+q)-simplex per monotone lattice path from (0, 0) to (p, q), with the
+    vertices (a_i, b_j) along the path; the cut of each shared face depends
+    only on the vertex orders, so neighbouring prisms match.
+    """
+    p, q, V = A.dim, B.dim, A.n_simplices(0)
+    tops = []
+    for s in A._vertices[p].tolist():
+        for t in B._vertices[q].tolist():
+            for steps in combinations(range(p + q), p):  # the path's steps along A
+                i = [sum(x < k for x in steps) for k in range(p + q + 1)]
+                tops.append([t[k - i_k] * V + s[i_k] for k, i_k in enumerate(i)])
+    return SimplicialComplex(_close_down(tops, p + q))
+
+
 BUNDLED = {  # name -> constructor of the complexes shipped by name
     "interval": interval_complex,
-    "circle": circle_complex,
+    "circle": lambda: sphere_complex(1),
     "disk": disk_complex,
-    "annulus": lambda: prism_product(circle_complex(), 1, cyclic=False),
+    "annulus": lambda: product_complex(sphere_complex(1), interval_complex()),
     "moebius": moebius_complex,
-    "torus": lambda: prism_product(circle_complex(), 3, cyclic=True),
-    "solid_torus": lambda: prism_product(disk_complex(), 3, cyclic=True),
-    "s2xs1": lambda: prism_product(sphere_complex(2), 3, cyclic=True),
+    "torus": lambda: product_complex(sphere_complex(1), sphere_complex(1)),
+    "solid_torus": lambda: product_complex(disk_complex(), sphere_complex(1)),
+    "s2xs1": lambda: product_complex(sphere_complex(2), sphere_complex(1)),
 }
 
 

@@ -500,6 +500,21 @@ def test_band_spec_dipping_below_zero_between_scan_radii_is_input_error(tmp_path
     assert "warping must stay positive on the band, phi = -0.0745" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi, unread", [
+    ({"kind": "table", "scale": 3.0, "x": [0, 1, 2, 3], "values": [1, 1, 1, 1]}, "'scale'"),
+    ({"kind": "sin", "x": [0, 1, 2, 3], "values": [1, 1, 1, 1]}, "'values', 'x'"),
+], ids=["table-with-scale", "sin-with-table"])
+def test_band_spec_key_its_kind_does_not_read_is_input_error(tmp_path, capsys, phi, unread):
+    """A table reads kind, x and values; const, sin and linear read kind
+    and scale.  The table with scale 3 printed PASS (min_margin=1, exit 0)
+    with the scale dropped; at phi = 3 the minimum is 2/9, a FAIL."""
+    path, out = tmp_path / "band.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"n": 4, "r0": 0.5, "r1": 2.5, "phi": phi}))
+    assert cli.main(["verify", "band", "--band", str(path), "--sigma", "1", "--out", str(out)]) == 2
+    assert f"not [{unread}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weitzenboeck_past_two_form_limit_is_input_error(monkeypatch, capsys):
     """--n 38 passes the dense-tensor limit but its two-form blocks would
     hold about 5.7 GB each: refused before they, or the search, are reached."""

@@ -565,8 +565,11 @@ def test_non_finite_minimum_is_a_fail():
     ones keep the pair symmetries) is a FAIL with a NaN minimum, no witness
     and no search, at n = 4 (before the closed form) and n = 5, 6 (before
     the certificate and the search); the bound check builds no operator on
-    it, for sigma >= 0 and below.  No warning is raised (the suite turns
-    warnings into errors)."""
+    it, for sigma >= 0 and below, and both Weitzenboeck routes and the
+    operator itself refuse it (the index route warned and its lambda_min
+    raised LinAlgError; the trace route returned NaN; a NaN operator passed
+    the Hermitian test).  No warning is raised (the suite turns warnings
+    into errors)."""
     cfg = C.SearchConfig(restarts=4)
     for n in (4, 5, 6):
         sphere = constant_curvature(n).R
@@ -584,6 +587,14 @@ def test_non_finite_minimum_is_a_fail():
                     rep = C.weitzenboeck_lower_bound_check(R, sigma, cfg)
                     assert math.isnan(rep.lambda_min) and math.isnan(rep.pic_verdict.min_found)
                     assert not rep.passed and not rep.asserted and rep.pic_verdict.restarts == 0
+                for route in (C.weitzenboeck_on_two_forms, C.weitzenboeck_clifford_trace):
+                    with pytest.raises(ValueError, match="must be finite"):
+                        route(R)
+        if n % 2 == 0:
+            d2 = n * (n - 1) // 2
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    C.WeitzOperator(n, np.full((d2, d2), bad))
 
 
 def test_non_finite_components_rejected():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from picband import bands
 from picband import hodge as H
 from tests.conftest import complex_to_json
 
@@ -329,7 +330,7 @@ def test_vertex_function_follows_sorted_labels():
     """A vertex is addressed by its position among the sorted labels, so a
     relabelled circle twists exactly like the one labelled 0, 1, 2."""
     f = np.array([0.3, -1.2, 2.0])
-    plain = H.TwistedComplex(H.circle_complex(3), f)
+    plain = H.TwistedComplex(H.sphere_complex(1), f)
     for labels in ((-1, 0, 1), (0, 2, 5), (10, 20, 30)):
         a, b, c = labels
         K = H.SimplicialComplex({0: [(a,), (b,), (c,)], 1: [(a, b), (b, c), (a, c)]})
@@ -337,13 +338,8 @@ def test_vertex_function_follows_sorted_labels():
         assert np.array_equal(T.weight_vector(0), np.exp(f))
         assert np.array_equal(T.weight_vector(1), plain.weight_vector(1))
         assert [H.harmonic_dimension(T, k) for k in (0, 1)] == [1, 1]
-        torus = H.prism_product(K, 3, cyclic=True)
+        torus = H.product_complex(K, K)
         assert [H.betti(torus, k) for k in range(3)] == [1, 2, 1]
-
-
-def test_prism_product_needs_layers():
-    with pytest.raises(ValueError):
-        H.prism_product(H.circle_complex(3), 2, cyclic=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 800.0], ids=["nan", "inf", "overflow"])
@@ -368,15 +364,61 @@ def grid_complex(m: int, w: int, torus: bool, label) -> H.SimplicialComplex:
     return H.SimplicialComplex({0: [(x,) for x in range(m * w)], 1: sorted(edges), 2: sorted(tris)})
 
 
-PRISM_BASES = [H.interval_complex(), H.disk_complex()] + [H.circle_complex(m) for m in (3, 4, 5)]
+def cycle_complex(labels) -> H.SimplicialComplex:
+    """The cycle through the given vertex labels in their order, closed
+    back to the first."""
+    return H.SimplicialComplex({0: [(v,) for v in labels], 1: list(zip(labels, labels[1:] + labels[:1]))})
+
+
+PRODUCT_BASES = [H.interval_complex(), H.disk_complex()] + [cycle_complex(list(range(m))) for m in (3, 4, 5)]
+
+
+KUENNETH_FACTORS = {
+    "interval": H.interval_complex(),
+    "disk": H.disk_complex(),
+    "S1": H.sphere_complex(1),
+    "S2": H.sphere_complex(2),
+    "moebius": H.moebius_complex(),
+    "C4": cycle_complex([7, -3, 11, 0]),
+    "C5": cycle_complex([4, 9, -1, 2, 6]),
+}
+
+
+def _betti_numbers(K):
+    return [H.betti(K, k) for k in range(K.dim + 1)]
+
+
+def test_product_betti_numbers_follow_kuenneth():
+    """b_k(A x B) = sum_i b_i(A) b_{k-i}(B) over Q, on every ordered pair of
+    factors, relabelled cycles included; the constructor has checked the
+    product's closure and del o del = 0."""
+    for (a, A), (b, B) in itertools.product(KUENNETH_FACTORS.items(), repeat=2):
+        bA, bB = _betti_numbers(A), _betti_numbers(B)
+        expect = [sum(bA[i] * bB[k - i] for i in range(len(bA)) if 0 <= k - i < len(bB))
+                  for k in range(A.dim + B.dim + 1)]
+        assert _betti_numbers(H.product_complex(A, B)) == expect, (a, b)
+
+
+def test_sphere_products_match_the_kuenneth_table():
+    """The exact Betti numbers of the triangulated S^a x S^b are the table
+    ``bands.betti_sphere_product`` that the counterexample reads."""
+    for a, b in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]:
+        K = H.product_complex(H.sphere_complex(a), H.sphere_complex(b))
+        assert _betti_numbers(K) == [bands.betti_sphere_product(k, a, b) for k in range(a + b + 1)], (a, b)
+
+
+def test_band_over_s2_x_s1():
+    """The band I x S^2 x S^1: absolute Betti numbers those of S^2 x S^1, and
+    relative ones their Lefschetz duals."""
+    K = H.product_complex(H.interval_complex(), H.load_bundled("s2xs1"))
+    assert _betti_numbers(K) == [1, 1, 1, 1, 0]
+    assert [H.betti_relative(K, k) for k in range(5)] == [0, 1, 1, 1, 1]
 
 
 @st.composite
 def complexes(draw):
     if draw(st.booleans()):
-        base = draw(st.sampled_from(PRISM_BASES))
-        cyclic = draw(st.booleans())
-        return H.prism_product(base, draw(st.integers(3 if cyclic else 1, 4)), cyclic)
+        return H.product_complex(draw(st.sampled_from(PRODUCT_BASES)), draw(st.sampled_from(PRODUCT_BASES)))
     torus = draw(st.booleans())
     m, w = draw(st.integers(3, 5)), draw(st.integers(3 if torus else 2, 4))
     return grid_complex(m, w, torus, draw(st.permutations(range(m * w))))
@@ -465,7 +507,7 @@ def test_exact_rank_on_sparse_sign_matrices(rng):
 
 
 def test_betti_ranks_each_coboundary_once(monkeypatch):
-    K = H.prism_product(H.circle_complex(4), 3, cyclic=True)  # a fresh complex: nothing cached
+    K = H.product_complex(cycle_complex([0, 1, 2, 3]), H.sphere_complex(1))  # a fresh complex: nothing cached
     calls, rank = [], H.exact_rank
     monkeypatch.setattr(H, "exact_rank", lambda M: calls.append(M.shape) or rank(M))
     assert H.betti(K, 1) == 2 and len(calls) == 2  # d_1 and d_0

@@ -5,7 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each entry is one ``pic-verify`` command line run in process through
-``cli.main``.  Its file ``<name>.json`` holds the argv (without ``--out``),
+``cli.main``.  Input files live under ``tests/golden/inputs/``, and an
+entry names them by paths relative to ``tests/golden/``, so what it
+records does not depend on where the repository is checked out.  Its file
+``<name>.json`` holds the argv (without ``--out``),
 the exit code, the standard output and what the command wrote: the
 canonical report body of a ``verify`` run, or the text of an ``emit csv``
 file.  ``tests/test_golden.py`` reruns every entry and compares.  A
@@ -41,6 +44,12 @@ ENTRIES = {
     **{f"{suite}{name}": ["verify", suite, *flags] for suite in ("curvature", "weitzenboeck")
        for name, flags in (("", []), ("-n6", ["--n", "6"]), ("-n6-sigma0", ["--n", "6", "--sigma", "0"]))},
     **{suite: ["verify", suite] for suite in ("bandwidth", "focal", "hodge", "band", "counterexample")},
+    # the kinds of input file the benchmark's cli-sweep generates
+    **{f"band-{kind}": ["verify", "band", "--band", f"inputs/band-{kind}.json"] for kind in ("sin", "table")},
+    **{f"{suite}-tensor": ["verify", suite, "--tensor", "inputs/tensor4.json"]
+       for suite in ("curvature", "weitzenboeck")},
+    **{f"hodge-{name}": ["verify", "hodge", "--complex", f"inputs/{name}.json"] for name in ("annulus", "torus")},
+    "identities-grid": ["verify", "identities", "--grid", "inputs/grid.json"],
 }
 
 
@@ -52,9 +61,10 @@ def run_entry(argv: list[str], workdir: str) -> dict:
     out_path = os.path.join(workdir, "out.csv" if argv[0] == "emit" else "out.json")
     if os.path.exists(out_path):
         os.remove(out_path)
+    paths = [os.path.join(HERE, arg) if arg.startswith("inputs/") else arg for arg in argv]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
-        code = cli.main([*argv, "--out", out_path])
+        code = cli.main([*paths, "--out", out_path])
     entry = {"argv": argv, "exit_code": code, "stdout": sink.getvalue()}
     if os.path.exists(out_path):
         with open(out_path) as fh:

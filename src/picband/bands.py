@@ -11,6 +11,14 @@ frame is searched.  ``band_curvatures`` builds the dense tensors, the
 independent route the tests compare that closed form against.  The
 outward-normal convention is fixed globally: boundary_shape is positive on
 the boundary of a convex cap.
+
+Each warp kind (const, sin, linear, table) is declared once in ``_KINDS``:
+the phi keys a band spec of that kind reads, its jet, its natural floor,
+the radii of [lo, hi] among which phi is least and the width from which
+every band holds a zero of phi (pi for sin).  A band is accepted only if it
+is narrower than that and phi is positive, phi^2 does not underflow and the
+sectionals are finite at exactly those radii, so the positivity check holds
+on the whole band, not on samples of it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,49 +91,91 @@ class _NaturalCubic:
         )
 
     def critical_radii(self, lo: float, hi: float) -> list:
-        """Radii of [lo, hi] among which phi attains its minimum there: each
-        piece (the end pieces extended past the knots, as in :meth:`jet`)
-        meets [lo, hi] in an interval, possibly a single point, and its cubic
-        is least at an end of that interval or at a real root of its
-        quadratic derivative inside it.  Every root is clipped into the
-        interval, so a complex pair adds only harmless radii."""
+        """Radii of [lo, hi] among which phi attains its minimum there, and
+        |phi'| its maximum: each piece (the end pieces extended past the
+        knots, as in :meth:`jet`) meets [lo, hi] in an interval, possibly a
+        single point, and its cubic is least at an end of that interval or
+        at a real root of its quadratic derivative inside it, while its
+        derivative peaks at an end or at the root of its linear second
+        derivative.  Every root is clipped into the interval, so a complex
+        pair adds only harmless radii."""
         ends = np.clip(np.r_[lo, self.xs[1:-1], hi], lo, hi)  # piece i: ends[i]..ends[i + 1]
         radii = list(ends)
         for i, h in enumerate(self.h):
             M0, M1 = self.M[i], self.M[i + 1]
-            # phi'(x_i + t h) = c0 + h M0 t + h (M1 - M0) t^2 / 2
+            # phi'(x_i + t h) = c0 + h M0 t + h (M1 - M0) t^2 / 2, phi''(x_i + t h) = M0 + (M1 - M0) t
             c0 = (self.ys[i + 1] - self.ys[i]) / h - h * (2.0 * M0 + M1) / 6.0
-            roots = self.xs[i] + h * np.roots([0.5 * h * (M1 - M0), h * M0, c0]).real
-            radii += list(np.clip(roots, ends[i], ends[i + 1]))
+            ts = np.r_[np.roots([0.5 * h * (M1 - M0), h * M0, c0]), np.roots([M1 - M0, M0])].real
+            radii += list(np.clip(self.xs[i] + h * ts, ends[i], ends[i + 1]))
         return radii
 
 
-# kind -> ((scale, r) -> (phi, phi', phi''), natural floor: the smallest
-# radius the profile extends to with phi > 0).  Exact-zero derivatives are
-# 0.0 literals, not scaled: a negative scale must not turn them into -0.0.
-_CLOSED_FORMS = {
-    "const": (lambda s, r: (s, 0.0, 0.0), -math.inf),
-    "sin": (lambda s, r: (s * math.sin(r), s * math.cos(r), -s * math.sin(r)), 0.0),
-    "linear": (lambda s, r: (s * r, s, 0.0), 0.0),
+def _sin_radii(s: float, lo: float, hi: float) -> list:
+    """s sin r is least on [lo, hi] at an end or where it turns downward:
+    at 3 pi/2 (s > 0) or pi/2 (s < 0) modulo 2 pi.  The first such radius
+    at or past lo is lo plus an offset in [0, 2 pi), so it is exact near lo
+    and, where floats are too coarse to place it (|r| past about 1e16),
+    rounds onto lo; such a band is refused by its width, pi or more
+    (``max_width``).  |phi'| peaks at an end too, or at a zero of phi."""
+    turn = lo + (math.pi * (1.5 if s > 0 else 0.5) - lo) % (2.0 * math.pi)
+    return [lo, hi, turn] if turn <= hi else [lo, hi]
+
+
+class _Kind(NamedTuple):
+    """One warp kind: the phi keys a band spec of this kind reads besides
+    "kind"; make(scale, xs, values), the profile's parameters p; jet(p, r),
+    (phi, phi', phi''); floor(p), the smallest radius the profile extends
+    to with phi > 0; radii(p, lo, hi), the radii of [lo, hi] among
+    which phi is least and |phi'| largest; and max_width: every band at
+    least this wide holds a zero of phi, also where floats are too coarse
+    to place one."""
+
+    keys: tuple
+    make: Callable
+    jet: Callable
+    floor: Callable
+    radii: Callable
+    max_width: float = math.inf
+
+
+def _scale(scale, xs, values):
+    return scale
+
+
+# Exact-zero derivatives are 0.0 literals, not scaled: a negative scale must
+# not turn them into -0.0.
+_KINDS = {
+    "const": _Kind(("scale",), _scale, lambda s, r: (s, 0.0, 0.0), lambda s: -math.inf,
+                   lambda s, lo, hi: [lo]),
+    "sin": _Kind(("scale",), _scale, lambda s, r: (s * math.sin(r), s * math.cos(r), -s * math.sin(r)),
+                 lambda s: 0.0, _sin_radii, math.pi),  # zeros are pi apart
+    "linear": _Kind(("scale",), _scale, lambda s, r: (s * r, s, 0.0), lambda s: 0.0,
+                    lambda s, lo, hi: [lo, hi]),  # monotone
+    "table": _Kind(("x", "values"), lambda scale, xs, values: _NaturalCubic(xs, values), _NaturalCubic.jet,
+                   lambda spline: float(spline.xs[0]), _NaturalCubic.critical_radii),
 }
 
 
 class WarpProfile:
-    """Closed-form (or tabulated) warping; jet(r) gives (phi, phi', phi'').
-    The scale multiplies the closed forms; a table is taken as given."""
+    """A warping of one declared kind (``_KINDS``); jet(r) gives (phi, phi',
+    phi'').  The scale multiplies the closed forms; a table is taken as
+    given."""
 
     def __init__(self, kind: str, scale: float = 1.0, xs=None, values=None):
-        if kind not in _CLOSED_FORMS and kind != "table":
+        if kind not in _KINDS:
             raise ValueError(f"unknown warp kind {kind!r}")
         self.kind = kind
-        self.scale = scale
-        self._spline = _NaturalCubic(xs, values) if kind == "table" else None
-        self.natural_floor = float(self._spline.xs[0]) if kind == "table" else _CLOSED_FORMS[kind][1]
+        self._kind = _KINDS[kind]
+        self._p = self._kind.make(scale, xs, values)
+        self.natural_floor = self._kind.floor(self._p)
+        self.max_width = self._kind.max_width
 
     def jet(self, r: float):
-        if self._spline is not None:
-            return self._spline.jet(r)
-        return _CLOSED_FORMS[self.kind][0](self.scale, r)
+        return self._kind.jet(self._p, r)
+
+    def critical_radii(self, lo: float, hi: float) -> list:
+        """Radii of [lo, hi] among which phi is least and |phi'| largest."""
+        return self._kind.radii(self._p, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -140,16 +191,18 @@ class WarpedBand:
         curvature._check_dimension(self.n)  # the band's curvature tensors are dense
         if not (self.r0 < self.r1):
             raise ValueError("need r0 < r1")
-        radii = list(np.linspace(self.r0, self.r1, 64))
-        if self.phi.kind == "table":  # and where the spline may dip lowest between those
-            radii += self.phi._spline.critical_radii(self.r0, self.r1)
+        radii = [float(r) for r in self.phi.critical_radii(self.r0, self.r1)]
+        p, r = min((self.phi.jet(r)[0], r) for r in radii)
+        if p <= 0:
+            raise ValueError(f"warping must stay positive on the band, phi = {p:g} at r = {r}")
+        if self.r1 - self.r0 >= self.phi.max_width:
+            raise ValueError(f"warping must stay positive on the band, but {self.phi.kind} has a zero on every band "
+                             f"at least {self.phi.max_width:g} wide")
+        if p * p < sys.float_info.min:  # the sectionals divide by phi^2
+            raise ValueError(f"warping phi = {p:g} underflows phi^2 on the band, at r = {r}")
         for r in radii:
-            p = self.phi.jet(float(r))[0]
-            if p <= 0:
-                raise ValueError(f"warping must stay positive on the band, phi = {p:g} at r = {r}")
-            if p * p < sys.float_info.min:  # the sectionals divide by phi^2
-                raise ValueError(f"warping phi = {p:g} underflows phi^2 on the band, at r = {r}")
-            if not all(map(math.isfinite, self.sectionals_at(float(r)))):  # phi^2 past the float range
+            if not all(map(math.isfinite, self.sectionals_at(r))):  # phi^2 or phi'^2 past the float range
+                p = self.phi.jet(r)[0]
                 raise ValueError(f"warping phi = {p:g} overflows the sectionals on the band, at r = {r}")
 
     def sectionals_at(self, r: float):
@@ -263,13 +316,12 @@ def focal_radius_model(B: WarpedBand, end: str):
     Returns (focal_radius, capped): capped is True when no focal point was
     found before the model geometry runs out.  The horizon returned then is
     the distance from the upper end down to the profile's natural floor, or
-    the band width at the lower end and for the constant profile.
+    the band width at the lower end and for a profile with no floor (const).
     """
     r_end = B.r1 if end == "upper" else B.r0
     direction = -1.0 if end == "upper" else 1.0  # inward radial motion
-    if end == "upper" and B.phi.kind != "const":
-        horizon = r_end - B.phi.natural_floor
-    else:
+    horizon = r_end - B.phi.natural_floor if end == "upper" else width(B)
+    if math.isinf(horizon):
         horizon = width(B)
 
     def radial_curvature(rho):
@@ -357,17 +409,15 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
 
 def load_band_json(doc) -> WarpedBand:
     """Band spec: {"n", "phi", "r0", "r1"}, phi either {"kind":
-    "const"|"sin"|"linear", "scale"?} or {"kind": "table", "x", "values"}.
-    A phi key its kind does not read is an error, not dropped."""
+    "const"|"sin"|"linear", "scale"?} or {"kind": "table", "x", "values"}:
+    the keys of its kind's declaration.  A key that is not read is an
+    error, not dropped, and every number must be a JSON number."""
+    curvature._json_keys(doc, ("n", "phi", "r0", "r1"), "a band spec")
     phi = doc["phi"]
-    takes = ("kind", "x", "values") if phi["kind"] == "table" else ("kind", "scale")
-    unread = sorted(set(phi) - set(takes))
-    if unread:
-        raise ValueError(f"phi of kind {phi['kind']!r} takes only the keys {takes}, not {unread}")
-    profile = WarpProfile(
-        phi["kind"],
-        float(phi.get("scale", 1.0)),
-        xs=phi.get("x"),
-        values=phi.get("values"),
-    )
-    return WarpedBand(curvature._json_int(doc["n"], "n"), float(doc["r0"]), float(doc["r1"]), profile)
+    if phi["kind"] not in _KINDS:
+        raise ValueError(f"unknown warp kind {phi['kind']!r}")
+    curvature._json_keys(phi, ("kind", *_KINDS[phi["kind"]].keys), f"phi of kind {phi['kind']!r}")
+    number = curvature._json_number
+    xs, values = ([number(v, key) for v in phi[key]] if key in phi else None for key in ("x", "values"))
+    profile = WarpProfile(phi["kind"], number(phi.get("scale", 1.0), "scale"), xs=xs, values=values)
+    return WarpedBand(curvature._json_int(doc["n"], "n"), number(doc["r0"], "r0"), number(doc["r1"], "r1"), profile)

@@ -59,6 +59,15 @@ def _radial_sizes(text: str) -> list[int]:
     return sizes
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note the flag in ``given``: ``main`` refuses
+    it next to the input file that fixes what it sets."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite constant {name} in JSON input")
 
@@ -491,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("curvature", "weitzenboeck"):
         sp = vsub.add_parser(name)
-        sp.add_argument("--n", type=int, default=4)
+        sp.add_argument("--n", type=int, default=4, action=_Given)
         sp.add_argument("--sigma", type=_finite_float, default=1.0)
-        sp.add_argument("--tensor", type=str, default=None, help="curvature tensor JSON file")
+        sp.add_argument("--tensor", type=str, default=None, help="curvature tensor JSON file; excludes --n")
         sp.add_argument("--tol", type=_finite_float, default=1e-9)
         _add_common(sp)
 
@@ -512,10 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = vsub.add_parser("identities")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--N-t", dest="N_t", type=int, default=6)
-    sp.add_argument("--N-r", dest="N_r", type=_radial_sizes, default="16,32,64")
-    sp.add_argument("--grid", type=str, default=None, help="grid config JSON with explicit fields")
+    sp.add_argument("--n", type=int, default=4, action=_Given)
+    sp.add_argument("--N-t", dest="N_t", type=int, default=6, action=_Given)
+    sp.add_argument("--N-r", dest="N_r", type=_radial_sizes, default="16,32,64", action=_Given)
+    sp.add_argument("--grid", type=str, default=None,
+                    help="grid config JSON with explicit fields; excludes --n, --N-t and --N-r")
     _add_common(sp)
 
     sp = vsub.add_parser("hodge")
@@ -582,6 +592,10 @@ def _emit(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    given = sorted(set(vars(args).pop("given", ())))
+    source = getattr(args, "tensor", None) or getattr(args, "grid", None)
+    if given and source:
+        ap.error(f"{', '.join(given)}: the input file {source} fixes what these flags set")
     try:
         # one overflow policy for every command: finite flags that overflow
         # or make a NaN inside numpy, and integer flags past the float range

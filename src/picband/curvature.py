@@ -730,20 +730,39 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
+def _json_number(value, name: str) -> float:
+    """A number field of a JSON input; a boolean, a string or anything else
+    that is not a JSON number is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_keys(doc, takes: tuple, what: str) -> None:
+    """A JSON object of an input file holds only keys that are read: any
+    other one is an error that names it, not dropped."""
+    unread = sorted(set(doc) - set(takes))
+    if unread:
+        raise ValueError(f"{what} takes only the keys {takes}, not {unread}")
+
+
 def load_curvature_json(doc) -> CurvTensor:
     """Build a tensor from ``{"n": n, "components": [{i,j,k,l,v}, ...]}``.
 
     Indices are 1-based and may list any generating set; the loader
     completes the orbit under the pair (anti)symmetries and rejects entries
-    that disagree by more than 1e-10.
+    that disagree by more than 1e-10, keys that are not read and values
+    that are not JSON numbers.
     """
+    _json_keys(doc, ("n", "components"), "a tensor file")
     n = _json_int(doc["n"], "n")
     _check_dimension(n)
     R = np.zeros((n, n, n, n))
     seen = np.zeros((n, n, n, n), dtype=bool)
     for entry in doc["components"]:
+        _json_keys(entry, ("i", "j", "k", "l", "v"), "a tensor component")
         i, j, k, l = (_json_int(entry[key], key) - 1 for key in ("i", "j", "k", "l"))
-        v = float(entry["v"])
+        v = _json_number(entry["v"], "v")
         if not all(0 <= t < n for t in (i, j, k, l)):
             raise ValueError(f"component index out of range: {entry}")
         for perm, sign in _SLOT_PERMS:

@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from . import exterior
-from .curvature import _json_int
+from .curvature import _json_int, _json_keys, _json_number
 from .exterior import _checked_key
 
 __all__ = [
@@ -410,24 +410,27 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     list in any order means theta^{i_1} ^ ... ^ theta^{i_k}, stored under
     its increasing key with the permutation's sign (zero if one repeats).
     A term is stored with size 1 on every axis it has no sin/cos factor on.
-    An index outside 1..n, an axis outside 0..n-1 or a coef that is not
-    [re] or [re, im] is a ValueError.
+    An index outside 1..n, an axis outside 0..n-1, a coef that is not
+    [re] or [re, im], a number that is not a JSON number and a key that is
+    not read are ValueErrors.
     """
     radial = np.linspace(0.0, grid.L, grid.N_r)
     transverse = np.arange(grid.N_t) * grid.ht
     out = FormField(grid)
     for term in spec:
-        coef = term.get("coef", [1.0, 0.0])
+        _json_keys(term, ("index", "coef", "factors"), "a field term")
+        coef = [_json_number(c, "coef") for c in term.get("coef", [1.0, 0.0])]
         if len(coef) not in (1, 2):
             raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
         val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones((1,) * grid.n, dtype=complex)
         for fac in term.get("factors", []):
+            _json_keys(fac, ("axis", "kind", "freq", "phase"), "a term factor")
             axis = _json_int(fac["axis"], "axis")
             if not 0 <= axis < grid.n:
                 raise ValueError(f"factor axis {axis} out of range 0..{grid.n - 1}")
             kind = fac.get("kind", "sin")
-            freq = float(fac.get("freq", 1))
-            phase = float(fac.get("phase", 0.0))
+            freq = _json_number(fac.get("freq", 1), "freq")
+            phase = _json_number(fac.get("phase", 0.0), "phase")
             if kind == "const":
                 continue
             if kind not in ("sin", "cos"):
@@ -527,8 +530,10 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
 
 
 def load_grid_config(doc) -> tuple[FlatBandGrid, list[FormField]]:
-    """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]}."""
-    grid = FlatBandGrid(_json_int(doc["n"], "n"), float(doc["L"]), _json_int(doc["N_r"], "N_r"),
+    """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]};
+    a key that is not read is an error, not dropped."""
+    _json_keys(doc, ("n", "L", "N_r", "N_t", "fields"), "a grid config")
+    grid = FlatBandGrid(_json_int(doc["n"], "n"), _json_number(doc["L"], "L"), _json_int(doc["N_r"], "N_r"),
                         _json_int(doc["N_t"], "N_t"))
     specs = doc.get("fields", [])
     if not isinstance(specs, list) or not all(isinstance(term, dict) for spec in specs for term in spec):

@@ -45,7 +45,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .curvature import _json_int
+from .curvature import _json_int, _json_keys
 
 __all__ = [
     "SimplicialComplex",
@@ -412,7 +412,9 @@ BUNDLED = {  # name -> constructor of the complexes shipped by name
 
 def load_complex(doc) -> SimplicialComplex:
     """Complex file format: {"dim": d, "simplices": {"0": [...], ...}}; the
-    constructor validates labels, dimensions, vertices and closure."""
+    constructor validates labels, dimensions, vertices and closure.  A key
+    that is not read is an error, not dropped."""
+    _json_keys(doc, ("dim", "simplices"), "a complex file")
     simplices = {int(d): [tuple(s) for s in items] for d, items in doc["simplices"].items()}
     K = SimplicialComplex(simplices)
     if K.dim != _json_int(doc.get("dim", K.dim), "dim"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from picband import bands as BD
 from picband import curvature as C
@@ -44,6 +44,54 @@ def test_curvature_outside_band_rejected():
 def test_positive_warping_required():
     with pytest.raises(ValueError):
         BD.WarpedBand(4, 2.0, 4.0, BD.WarpProfile("sin"))  # sin changes sign
+
+
+@st.composite
+def closed_form_bands(draw):
+    """(kind, scale, r0, r1) of a const, sin or linear band: a scale of either
+    sign, r0 in [-50, 50] and a width up to 1e3, every draw at least 1e-6
+    away from the zeros of phi."""
+    kind = draw(st.sampled_from(["const", "sin", "linear"]))
+    scale = draw(st.floats(1e-6, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    r0 = draw(st.floats(-50.0, 50.0))
+    r1 = r0 + draw(st.one_of(st.floats(1e-6, 4.0), st.floats(1e-6, 1e3)))
+    zeros = {"const": lambda r: math.inf, "linear": abs, "sin": lambda r: abs(r - round(r / math.pi) * math.pi)}
+    assume(zeros[kind](r0) >= 1e-6 and zeros[kind](r1) >= 1e-6)
+    return kind, scale, r0, r1
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_bands())
+def test_band_is_accepted_exactly_where_phi_stays_positive(band):
+    """A band is accepted exactly when phi > 0 on all of [r0, r1], decided by
+    closed forms independent of the declared radii: const when s > 0,
+    linear when s r0 > 0 and s r1 > 0, and sin when s sin r0 > 0, the band
+    is shorter than pi and no multiple of pi lies in it.  A refusal names a
+    radius of the band where phi <= 0."""
+    kind, s, r0, r1 = band
+    positive = {
+        "const": s > 0,
+        "linear": s * r0 > 0 and s * r1 > 0,
+        "sin": s * math.sin(r0) > 0 and r1 - r0 < math.pi and math.ceil(r0 / math.pi) * math.pi > r1,
+    }[kind]
+    profile = BD.WarpProfile(kind, s)
+    try:
+        BD.WarpedBand(4, r0, r1, profile)
+    except ValueError as exc:
+        assert not positive and "warping must stay positive on the band" in str(exc)
+        r = float(str(exc).rsplit("at r = ", 1)[1])
+        assert r0 <= r <= r1 and profile.jet(r)[0] <= 0
+    else:
+        assert positive
+
+
+@pytest.mark.parametrize("width", [32768.0, 65536.0, 81920.0])
+def test_sin_band_at_least_pi_wide_is_refused_where_floats_are_coarse(width):
+    """Near r = -1e20 floats lie 16384 apart, so the first downward turn of
+    sin past r0 rounds onto r0, and phi > 0 at r0, at r1 and there; each of
+    these bands still holds a zero of phi."""
+    with pytest.raises(ValueError, match="has a zero on every band at least 3.14159 wide"):
+        BD.WarpedBand(4, -1e20, -1e20 + width, BD.WarpProfile("sin"))
 
 
 def test_sigma_pic_profile_product():
@@ -279,25 +327,32 @@ UNDERSHOOT_X = np.linspace(0.0, 3.0, 301)
 UNDERSHOOT_VALUES = np.where(UNDERSHOOT_X < 1.5, 1.0, 0.03)
 
 
-def _least(spline, radii):
+def _least(profile, radii):
     """(min phi, where) over the given radii."""
-    return min((spline.jet(float(r))[0], float(r)) for r in radii)
+    return min((profile.jet(float(r))[0], float(r)) for r in radii)
 
 
 def test_table_critical_radii_hold_the_minimum():
     """The spline's minimum over an interval is attained at one of its
     critical radii, also between the knots and on the end pieces extended
     past them; a table that dips below zero there is refused at load."""
-    spline = BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES)._spline
-    low, at = _least(spline, spline.critical_radii(0.0, 3.0))
-    sampled, _ = _least(spline, np.linspace(1.49, 1.52, 30001))
+    profile = BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES)
+    low, at = _least(profile, profile.critical_radii(0.0, 3.0))
+    sampled, _ = _least(profile, np.linspace(1.49, 1.52, 30001))
     assert low <= sampled and sampled - low < 1e-9
     assert low < -0.07 and abs(at - 1.504) < 1e-3
-    ends = BD.WarpProfile("table", xs=[0.0, 1.0, 2.0, 3.0], values=[1.0, 0.2, 1.5, 0.3])._spline
-    for lo, hi in ((-2.0, 0.5), (2.5, 6.0)):  # the minimum on (2.5, 6.0) is near 3.91, past the knots
+    ends = BD.WarpProfile("table", xs=[0.0, 1.0, 2.0, 3.0], values=[1.0, 0.2, 1.5, 0.3])
+    # the minimum on (2.5, 6.0) is near 3.91, past the knots; on (1, 2) |phi'|
+    # peaks at 1.69 between the two zeros of phi', where phi'' vanishes, and
+    # is 0.65 at the knots
+    for lo, hi in ((-2.0, 0.5), (1.0, 2.0), (2.5, 6.0)):
         low, _ = _least(ends, ends.critical_radii(lo, hi))
         sampled, _ = _least(ends, np.linspace(lo, hi, 20001))
         assert low <= sampled and sampled - low < 1e-6
+        # |phi'| peaks where phi'' vanishes between the knots, or at an end
+        steepest = max(abs(ends.jet(float(r))[1]) for r in ends.critical_radii(lo, hi))
+        sampled = max(abs(ends.jet(float(r))[1]) for r in np.linspace(lo, hi, 20001))
+        assert steepest >= sampled and steepest - sampled < 1e-6
     with pytest.raises(ValueError, match="warping must stay positive"):
         BD.WarpedBand(4, 0.0, 3.0, BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES))
 

@@ -515,6 +515,87 @@ def test_band_spec_key_its_kind_does_not_read_is_input_error(tmp_path, capsys, p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r0, r1, scale, sigma", [
+    (1.5707963267948966, 3168.2961911453067, 2.0, "1"),
+    (0.5, 396.34067435231395, 1.0, "0.5"),
+], ids=["sin-2-every-scan-radius-on-a-crest", "sin-1"])
+def test_sin_band_changing_sign_is_input_error(tmp_path, capsys, r0, r1, scale, sigma):
+    """phi = scale sin r changes sign on these bands, but each of the 64
+    radii of the old positivity scan sat where phi > 0: verify band printed
+    PASS (exit 0).  phi is least at 3 pi/2, where it is -scale."""
+    path, out = tmp_path / "band.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"n": 4, "r0": r0, "r1": r1, "phi": {"kind": "sin", "scale": scale}}))
+    assert cli.main(["verify", "band", "--band", str(path), "--sigma", sigma, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"warping must stay positive on the band, phi = {-scale:g} at r = 4.71238898038469" in err
+    assert not out.exists()
+
+
+TERM = GRID_DOC["fields"][0][0]
+
+
+@pytest.mark.parametrize("argv, doc, name", [
+    (["verify", "band", "--band"], {**BAND_DOC, "sigma": 5}, "['sigma']"),
+    (["verify", "band", "--band"], {**BAND_DOC, "r0": "0.5"}, "r0 must be a number"),
+    (["verify", "band", "--band"], {**BAND_DOC, "phi": {"kind": "sin", "scale": True}}, "scale must be a number"),
+    (["verify", "band", "--band"], {**BAND_DOC, "phi": {"kind": "table", "x": [0, 1, "2"], "values": [1, 1, 1]}},
+     "x must be a number"),
+    (["verify", "curvature", "--tensor"], {**TENSOR_DOC, "symmetric": True}, "['symmetric']"),
+    (["verify", "curvature", "--tensor"],
+     {**TENSOR_DOC, "components": [{**TENSOR_DOC["components"][0], "scale": 100}]}, "['scale']"),
+    (["verify", "curvature", "--tensor"],
+     {**TENSOR_DOC, "components": [{**TENSOR_DOC["components"][0], "v": "1.5"}]}, "v must be a number"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "Nr": 24}, "['Nr']"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "L": True}, "L must be a number"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "fields": [[{**TERM, "weight": 2}], [TERM]]},
+     "['weight']"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "fields": [[{**TERM, "coef": [True, 0]}], [TERM]]},
+     "coef must be a number"),
+    (["verify", "identities", "--grid"],
+     {**GRID_DOC, "fields": [[{**TERM, "factors": [{"axis": 0, "kind": "sin", "freqs": 3}]}], [TERM]]},
+     "['freqs']"),
+    (["verify", "identities", "--grid"],
+     {**GRID_DOC, "fields": [[{**TERM, "factors": [{"axis": 0, "kind": "sin", "phase": "0"}]}], [TERM]]},
+     "phase must be a number"),
+    (["verify", "hodge", "--complex"], {**CIRCLE_DOC, "orientation": "ccw"}, "['orientation']"),
+], ids=["band-sigma", "band-r0-string", "band-scale-bool", "band-x-string", "tensor-key", "component-key",
+        "component-v-string", "grid-Nr", "grid-L-bool", "term-key", "coef-bool", "factor-freqs", "phase-string",
+        "complex-orientation"])
+def test_unread_key_or_non_number_in_an_input_file_is_input_error(tmp_path, capsys, argv, doc, name):
+    """Every input file holds only keys that are read, and its numbers are
+    JSON numbers: each of these files ran to a verdict (exit 0, or 1 for the
+    tensors), with the key dropped (a band spec's "sigma" ran at the default
+    sigma, a factor's "freqs" at freq 1) or the string or boolean converted
+    by float()."""
+    path, out = tmp_path / "in.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "curvature", "--tensor", "{tensor}", "--n", "7"], "--n"),
+    (["verify", "weitzenboeck", "--n", "4", "--tensor", "{tensor}"], "--n"),
+    (["verify", "identities", "--grid", "{grid}", "--N-r", "24,48,96", "--n", "5"], "--N-r, --n"),
+    (["verify", "identities", "--N-t", "5", "--grid", "{grid}"], "--N-t"),
+], ids=["curvature", "weitzenboeck", "identities-N-r-n", "identities-N-t"])
+def test_flag_that_an_input_file_fixes_is_usage_error(tmp_path, capsys, argv, flags):
+    """--n next to --tensor, and --n, --N-t or --N-r next to --grid, ran on
+    the file's values and exited 0; the flags are refused in either order,
+    also at their default values.  Without a file they still run."""
+    files = {"tensor": tmp_path / "tensor.json", "grid": tmp_path / "grid.json"}
+    files["tensor"].write_text(json.dumps(TENSOR_DOC))
+    files["grid"].write_text(json.dumps(GRID_DOC))
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*(arg.format(**files) for arg in argv), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{flags}: the input file" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["verify", "identities", "--n", "3", "--N-t", "4", "--N-r", "8,12", "--out", str(out)]) in (0, 1)
+
+
 def test_weitzenboeck_past_two_form_limit_is_input_error(monkeypatch, capsys):
     """--n 38 passes the dense-tensor limit but its two-form blocks would
     hold about 5.7 GB each: refused before they, or the search, are reached."""

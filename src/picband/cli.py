@@ -1,9 +1,9 @@
-"""Command-line front end: named verification suites with JSON/CSV reports.
+"""Command-line front end: verification suites with JSON reports, and CSV curves.
 
 One process, subcommand dispatch.  Exit codes: 0 all checks pass, 1 at
 least one verification failed, 2 usage or input error, 3 internal error.
-Reports are deterministic for a fixed seed; PIC_TOOLKIT_SEED overrides any
-configured seed.  Each suite parameter is declared once, as its argparse
+Reports are deterministic for a fixed seed; PIC_TOOLKIT_SEED overrides the
+``--seed`` flag.  Each suite parameter is declared once, as its argparse
 flag, and every suite run, in process too, goes through the parser:
 ``run_suite`` takes the parsed ``verify`` namespace.
 """
@@ -31,7 +31,7 @@ from .reporting import Region, Report, dump_reports, write_csv  # noqa: E402
 
 
 class InputError(ValueError):
-    """Bad config or data file; maps to exit code 2."""
+    """Bad input file or non-finite result; maps to exit code 2."""
 
 
 def _finite_float(text: str) -> float:
@@ -317,9 +317,6 @@ def suite_focal(args):
         potentials.verify_focal_inequality(p, r_f, orientation="N"),
         potentials.verify_focal_inequality(p, r_f, orientation="D"),
     ]
-    if args.out:
-        rows = potentials.focal_margin_rows(p, r_f)
-        write_csv(_sibling(args.out, "focal_margins.csv"), ["rho", "lhs", "rhs", "margin"], rows)
     return reports
 
 
@@ -347,9 +344,8 @@ def suite_identities(args):
             for name, res in checks
         ]
     Ns, n, N_t = args.N_r, args.n, args.N_t
-    csv_rows = []
     for kind in ("dirac", "laplace", "weitzenboeck"):
-        residuals, hs, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=args.seed)
+        residuals, _, orders = gridcalc.convergence_study(kind, Ns, n=n, N_t=N_t, seed=args.seed)
         # judged on the finest pair: a coarse pair may still be pre-asymptotic
         headroom = 0.3 - abs(orders[-1] - 2.0)
         label = f"green_{kind}" if kind != "weitzenboeck" else "twisted_weitzenboeck"
@@ -363,10 +359,6 @@ def suite_identities(args):
                 details={"residuals": residuals, "orders": orders, "seed": args.seed},
             )
         )
-        csv_rows.append((label, [(h, r, o) for h, r, o in zip(hs, residuals, orders + [float("nan")])]))
-    if args.out:
-        for label, rows in csv_rows:
-            write_csv(_sibling(args.out, f"convergence_{label}.csv"), ["h", "residual", "order"], rows)
     return reports
 
 
@@ -461,11 +453,6 @@ def run_suite(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sibling(out_path: str, name: str) -> str:
-    base = os.path.dirname(os.path.abspath(out_path))
-    return os.path.join(base, name)
-
-
 # -- argument parsing ------------------------------------------------------
 
 
@@ -545,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=_finite_float, default=3.0)
     _add_common(sp)
 
-    em = sub.add_parser("emit", help="emit CSV curves or a config template")
+    em = sub.add_parser("emit", help="emit CSV curves")
     esub = em.add_subparsers(dest="what", required=True)
     sp = esub.add_parser("csv")
     sp.add_argument("--curve", choices=("barrier", "focal"), required=True)
@@ -555,31 +542,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho-max", type=_finite_float, default=2.0)
     sp.add_argument("--points", type=_count, default=256)
     sp.add_argument("--out", type=str, required=True)
-    sp = esub.add_parser("json")
-    sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--out", type=str, required=True)
 
     return ap
 
 
 def _emit(args) -> int:
-    if args.what == "json":
-        # what ``verify SUITE`` parses with no flags: every parameter with its default
-        defaults = vars(build_parser().parse_args(["verify", args.suite]))
-        del defaults["command"]
-        doc = {k: defaults.pop(k) for k in ("suite", "seed", "tol", "out") if k in defaults}
-        doc["params"] = defaults
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return 0
     if args.curve == "barrier":
         p = comparison.ComparisonParams(args.n, args.K, args.Lambda, 0.0)
         rows = comparison.barrier_curve_rows(p, np.linspace(0.0, args.rho_max, args.points))
         header = ["rho", "barrier", "oracle", "margin"]
     else:
         fp = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar)
-        rows = potentials.focal_margin_rows(fp, args.rf, points=args.points)
+        rows = potentials.focal_margin_rows(fp, args.rf, args.points)
         header = ["rho", "lhs", "rhs", "margin"]
     # numpy overflow raises in main; the barrier's Python-float formulas
     # reach inf silently (--Lambda 1e308)

@@ -334,7 +334,7 @@ def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = 
     )
 
 
-def focal_margin_rows(params: FocalParams, r_f: float, points: int = 512):
+def focal_margin_rows(params: FocalParams, r_f: float, points: int):
     """(rho, lhs, rhs, margin) rows of the N-orientation focal inequality, for CSV."""
     if not r_f > 0:
         raise ValueError("focal radius must be positive")

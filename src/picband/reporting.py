@@ -42,7 +42,7 @@ class Report:
         out = {
             "check": self.check,
             "params": _plain(self.params),
-            "regions": [_plain(r.to_dict() if isinstance(r, Region) else r) for r in self.regions],
+            "regions": [_plain(r.to_dict()) for r in self.regions],
             "pass": bool(self.passed),
             "tolerance": _plain(self.tolerance),
         }

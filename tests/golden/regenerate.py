@@ -11,7 +11,8 @@ records does not depend on where the repository is checked out.  Its file
 ``<name>.json`` holds the argv (without ``--out``),
 the exit code, the standard output and what the command wrote: the
 canonical report body of a ``verify`` run, or the text of an ``emit csv``
-file.  ``tests/test_golden.py`` reruns every entry and compares.  A
+file.  Each entry runs in an empty working directory, and writing any
+file there besides its ``--out`` file fails it.  ``tests/test_golden.py`` reruns every entry and compares.  A
 regenerated entry whose verdict or exit code moved is a behaviour change,
 not a refresh: explain every changed entry where the change is recorded.
 """
@@ -53,35 +54,43 @@ ENTRIES = {
 }
 
 
-def run_entry(argv: list[str], workdir: str) -> dict:
-    """Run one command line in process; returns its exit code, standard
-    output and output: the canonical report body (verify) or CSV text (emit)."""
+def run_entry(argv: list[str]) -> dict:
+    """Run one command line in process, with an empty working directory
+    that it must leave holding at most its --out file; returns its exit
+    code, standard output and output: the canonical report body (verify)
+    or CSV text (emit)."""
     from picband import cli
 
-    out_path = os.path.join(workdir, "out.csv" if argv[0] == "emit" else "out.json")
-    if os.path.exists(out_path):
-        os.remove(out_path)
+    name = "out.csv" if argv[0] == "emit" else "out.json"
     paths = [os.path.join(HERE, arg) if arg.startswith("inputs/") else arg for arg in argv]
     sink = io.StringIO()
-    with contextlib.redirect_stdout(sink):
-        code = cli.main([*paths, "--out", out_path])
-    entry = {"argv": argv, "exit_code": code, "stdout": sink.getvalue()}
-    if os.path.exists(out_path):
-        with open(out_path) as fh:
-            if argv[0] == "verify":
-                entry["body"] = json.load(fh)["report"]  # the body without its timestamp
-            else:
-                entry["csv"] = fh.read()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        out_path = os.path.join(workdir, name)
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main([*paths, "--out", out_path])
+        finally:
+            os.chdir(cwd)
+        stray = sorted(set(os.listdir(workdir)) - {name})
+        assert not stray, f"{argv} wrote {stray} besides its --out file"
+        entry = {"argv": argv, "exit_code": code, "stdout": sink.getvalue()}
+        if os.path.exists(out_path):
+            with open(out_path) as fh:
+                if argv[0] == "verify":
+                    entry["body"] = json.load(fh)["report"]  # the body without its timestamp
+                else:
+                    entry["csv"] = fh.read()
     return entry
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as workdir:
-        for name, argv in ENTRIES.items():
-            with open(os.path.join(HERE, f"{name}.json"), "w") as fh:
-                json.dump(run_entry(argv, workdir), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(name, file=sys.stderr)
+    for name, argv in ENTRIES.items():
+        with open(os.path.join(HERE, f"{name}.json"), "w") as fh:
+            json.dump(run_entry(argv), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(name, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def test_verify_focal_cli(tmp_path):
     bundle = json.loads(out_json.read_text())
     checks = {r["check"] for r in bundle["report"]["reports"]}
     assert {"focal.regularity", "focal.boundary", "focal.inequality.N", "focal.inequality.D"} <= checks
-    assert (tmp_path / "focal_margins.csv").exists()
+    assert os.listdir(tmp_path) == ["focal.json"]  # only the report: the curve is `emit csv --curve focal`
 
 
 def test_verify_weitzenboeck_with_tensor_file(tmp_path):
@@ -609,14 +609,23 @@ def test_weitzenboeck_past_two_form_limit_is_input_error(monkeypatch, capsys):
     assert cli.curvature.MAX_TWO_FORM_ENTRIES >= (16 * 15 // 2) ** 2 * 16**2  # n = 16 still runs
 
 
-def test_band_has_no_restarts_flag(tmp_path):
+def test_band_has_no_restarts_flag():
     """The band profile searches nothing, so it takes no search effort."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "band", "--restarts", "8"])
     assert exc.value.code == 2
+    assert "restarts" not in vars(cli.build_parser().parse_args(["verify", "band"]))
+
+
+@pytest.mark.xfail(strict=True, reason="verify band judges 9 sampled radii, not the whole band")
+def test_band_dipping_between_profile_radii_fails(tmp_path):
+    """phi = 1 but for 0.996 at the knot 0.5625: the margin is about -3
+    near r = 0.5625, between the profile's radii, where it reads 0.320684."""
+    xs = [3.0 * i / 32 for i in range(33)]
+    values = [0.996 if x == 0.5625 else 1.0 for x in xs]
     path = tmp_path / "band.json"
-    assert cli.main(["emit", "json", "--suite", "band", "--out", str(path)]) == 0
-    assert "restarts" not in json.loads(path.read_text())["params"]
+    path.write_text(json.dumps({"n": 4, "r0": 0, "r1": 3, "phi": {"kind": "table", "x": xs, "values": values}}))
+    assert cli.main(["verify", "band", "--band", str(path), "--sigma", "1"]) == 1
 
 
 @pytest.mark.parametrize("value", [4.5, True, "4"], ids=["fraction", "boolean", "string"])
@@ -713,7 +722,7 @@ def test_dimension_past_float_range_is_input_error(tmp_path, capsys, command):
     assert not path.exists()
 
 
-def test_tol_only_on_the_suites_that_read_it(tmp_path):
+def test_tol_only_on_the_suites_that_read_it():
     for suite in sorted(cli.SUITES):
         argv = ["verify", suite, "--tol", "1e-3"]
         if suite in ("curvature", "weitzenboeck"):
@@ -722,9 +731,6 @@ def test_tol_only_on_the_suites_that_read_it(tmp_path):
             with pytest.raises(SystemExit) as exc:
                 cli.build_parser().parse_args(argv)
             assert exc.value.code == 2, suite
-        path = tmp_path / f"{suite}.json"
-        assert cli.main(["emit", "json", "--suite", suite, "--out", str(path)]) == 0
-        assert ("tol" in json.loads(path.read_text())) == (suite in ("curvature", "weitzenboeck"))
 
 
 def test_parser_built_once_keeps_no_state_between_runs(tmp_path, monkeypatch):
@@ -738,11 +744,13 @@ def test_parser_built_once_keeps_no_state_between_runs(tmp_path, monkeypatch):
     assert [(r["params"]["draws"], r["details"]["seed"]) for r in reports] == [(3, 5), (20, 0)]
 
 
-def test_emit_config_template(tmp_path):
+def test_emit_writes_only_csv_curves(tmp_path):
+    """No command reads a config, so none writes a config template."""
     path = tmp_path / "cfg.json"
-    out = run_cli(["emit", "json", "--suite", "bandwidth", "--out", str(path)])
-    assert out.returncode == 0
-    assert json.loads(path.read_text())["suite"] == "bandwidth"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["emit", "json", "--suite", "bandwidth", "--out", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
 
 
 def test_run_suite_in_process(tmp_path):
@@ -838,19 +846,6 @@ def test_nan_defect_is_input_error_and_writes_no_report(tmp_path, monkeypatch, c
 
 def _subparsers(parser) -> dict:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
-def _parser_defaults(suite: str) -> dict:
-    args = vars(cli.build_parser().parse_args(["verify", suite]))
-    return {k: v for k, v in args.items() if k not in ("command", "suite", "seed", "tol", "out")}
-
-
-@pytest.mark.parametrize("suite", sorted(cli.SUITES))
-def test_emit_json_lists_every_parameter_default(tmp_path, suite):
-    path = tmp_path / "cfg.json"
-    assert cli.main(["emit", "json", "--suite", suite, "--out", str(path)]) == 0
-    params = json.loads(path.read_text())["params"]
-    assert params and params == _parser_defaults(suite)
 
 
 def test_unknown_suite_parameter_is_input_error(capsys):

@@ -58,11 +58,11 @@ def test_corpus_holds_every_entry():
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
-def test_golden_entry(name, tmp_path):
+def test_golden_entry(name):
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
         want = json.load(fh)
     assert want["argv"] == ENTRIES[name]
-    got = run_entry(want["argv"], str(tmp_path))
+    got = run_entry(want["argv"])
     assert got["exit_code"] == want["exit_code"]
     assert got["stdout"] == want["stdout"]
     assert sorted(got) == sorted(want)

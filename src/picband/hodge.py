@@ -2,36 +2,30 @@
 relative boundary conditions.
 
 Cohomology ranks are computed over exact rationals on the integer
-coboundary matrices; they are the authoritative Betti numbers.  The
-elimination (``exact_rank``) keeps its integer rows sparse and updates
-only the rows with a nonzero entry in the pivot column, each to
-p * row - a * pivot_row divided by the gcd of its entries: every step
-multiplies a row by a nonzero integer and adds a multiple of another, so
-the row space over Q, and with it the rank, is exact.  The twisted
-differential conjugates the coboundary by positive per-simplex weights
-w(s) = exp(mean of a vertex function over s), so its rank, and hence the
-twisted harmonic dimension, never depends on the twist: that invariance is
-what the floating-point kernel computation is tested against.  The
-conjugation also bounds the twisted differential's nonzero singular values
-below by the integer one's times a ratio of weights, which certifies the
-float count; where the bound is too small to, the exact ranks decide.
+coboundary matrices (``exact_rank``); they are the authoritative Betti
+numbers.  The twisted differential conjugates the coboundary by positive
+per-simplex weights w(s) = exp(mean of a vertex function over s), so its
+rank, and hence the twisted harmonic dimension n_k - rank d_{f,k} -
+rank d_{f,k-1}, never depends on the twist: that invariance is what the
+floating-point kernel computation is tested against.  Each twisted rank is
+counted from its own coboundary's singular values, which the conjugation
+bounds below by the integer ones times a ratio of weights: that certifies
+the float count, and where the bound is too small to, the exact rank decides.
 
 The cochain space and the integer data are defined once per complex: a
 ``SimplicialComplex`` builds its read-only boundary matrices and the
 indices of the simplices off its boundary subcomplex at construction, and
 one restriction (``_coboundary``) gives the absolute or relative
 coboundary to the Betti numbers, the twisted complexes and the exact
-fallback of ``harmonic_dimension`` alike.  A twist only adds its weights.
-The exact rank of each coboundary, and the float floor read at its index,
-are computed once per degree and condition and cached on the complex.
+fallback alike.  A twist only adds its weights.  The exact rank of each
+coboundary, and the float floor read at its index, are computed once per
+degree and condition and cached on the complex; each twisted rank once per
+degree, on its twisted complex.
 
 A block of twists is a vertex function of shape (B, V): its weights, its
-twisted coboundaries and its harmonic dimensions carry the leading axis,
-so one batched SVD (the per-matrix singular values, bit for bit) serves
-the block, and its uncertified twists reach the exact ranks together.  The
-``verify hodge`` suite sizes its blocks by a fixed budget of stacked-matrix
-entries (``cli.TWIST_BLOCK_ENTRIES``), so its memory does not grow with
-the number of twists.
+twisted coboundaries and its ranks carry the leading axis, so one batched
+SVD (the per-matrix singular values, bit for bit) serves each degree of
+the block, and its uncertified twists reach the exact rank together.
 
 Every bundled product is one construction, ``product_complex(A, B)``: the
 staircase triangulation of |A| x |B|, one simplex per monotone lattice
@@ -264,6 +258,8 @@ class TwistedComplex:
             raise ValueError("twisting weights must be finite and positive")
         self._relative = boundary_condition == "relative"
         self.weights = {d: w[..., base._interior[d]] if self._relative else w for d, w in weights.items()}
+        # degree j -> rank of d_{f,j} per twist (_twisted_rank); d_{-1} and d_dim are 0
+        self._ranks = dict.fromkeys((-1, base.dim), np.zeros(f.shape[:-1], dtype=np.int64))
 
     def weight_vector(self, k: int) -> np.ndarray:
         """Weights of the k-cochain basis, shape (n_k,) or (B, n_k); empty
@@ -318,27 +314,30 @@ def _twisted_floor(T: TwistedComplex, j: int):
     return floor * T.weight_vector(j).min(axis=-1) / T.weight_vector(j + 1).max(axis=-1)
 
 
-def harmonic_dimension(T: TwistedComplex, k: int):
-    """Kernel dimension of the twisted Laplacian, certified or exact: an int
-    for one twist, an int array of shape (B,) for a block.
+def _twisted_rank(T: TwistedComplex, j: int):
+    """Rank of d_{f,j} per twist, cached on ``T``.  Its nonzero singular
+    values are at least ``_twisted_floor``: where that exceeds twice the
+    SVD's backward error, exactly those compute above half of it and the
+    count is proved; for every other twist of the block the exact rank of
+    D_j decides."""
+    if j not in T._ranks:
+        A = twisted_coboundary(T, j)
+        s = np.linalg.svd(A, compute_uv=False)
+        floor = _twisted_floor(T, j)
+        rank = np.sum(s > 0.5 * np.asarray(floor)[..., None], axis=-1)
+        certified = floor > 2.0 * _svd_error(s, A.shape)
+        T._ranks[j] = rank if np.all(certified) else np.where(certified, rank, _rank(T.base, j, T._relative))
+    return T._ranks[j]
 
-    Delta_f is the Gram matrix of M = [d_f ; d_{f,k-1}^T], so the kernel is
-    read from M's singular values without squaring the condition number.
-    As d_f d_{f,k-1} = 0, each nonzero one is one of d_f or d_{f,k-1}, so at
-    least the smaller ``_twisted_floor``.  When that bound exceeds twice the
-    SVD's backward error, exactly the nonzero ones compute above half of
-    it: the count is proved.  Otherwise the exact ranks decide.  A block
-    stacks its matrices for one batched SVD; its uncertified twists take
-    the exact route together.
-    """
-    A = twisted_coboundary(T, k)
-    M = np.concatenate([A, np.swapaxes(twisted_coboundary(T, k - 1), -1, -2)], axis=-2) if k >= 1 else A
-    s = np.linalg.svd(M, compute_uv=False)
-    bound = _twisted_floor(T, k) if k == 0 else np.minimum(_twisted_floor(T, k - 1), _twisted_floor(T, k))
-    certified = bound > 2.0 * _svd_error(s, M.shape)
-    count = M.shape[-1] - np.sum(s > 0.5 * np.asarray(bound)[..., None], axis=-1)
-    if not np.all(certified):
-        count = np.where(certified, count, _betti(T.base, k, T._relative))
+
+def harmonic_dimension(T: TwistedComplex, k: int):
+    """Kernel dimension of the twisted Laplacian, n_k - rank d_{f,k} -
+    rank d_{f,k-1}, exact as d_{f,k} d_{f,k-1} = 0: an int for one twist,
+    an int array of shape (B,) for a block.  Asked for every degree, ``T``
+    SVDs each d_{f,j} once, never squaring its condition number."""
+    if not (0 <= k <= T.base.dim):
+        raise ValueError(f"k = {k} out of range")
+    count = T.weight_vector(k).shape[-1] - _twisted_rank(T, k) - _twisted_rank(T, k - 1)
     return int(count) if T.f.ndim == 1 else count
 
 

@@ -284,14 +284,20 @@ def _focal_margin(pot: PiecewisePotential, r_f: float, rho):
     return lhs, rhs, lhs - rhs
 
 
+def _require_focal_radius(p: FocalParams, r_f: float):
+    """The focal inequality's hypothesis r_f > 9 sqrt(n/sigma), for the
+    verdict and the emitted curve alike."""
+    if not r_f > 9.0 * math.sqrt(p.n / p.sigma):
+        raise ValueError("focal radius must exceed 9 sqrt(n/sigma)")
+
+
 def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = "N") -> Report:
     """Sweep the pointwise focal inequality over [0, r_f] and report the
     minimum margin in each of the three regions, plus the residual of the
     middle-piece identity -f'' + f'^2 / 2 = -(n-2) sigma / 4 (orientation D
     flips the sign of f'')."""
     p = params
-    if r_f <= 9.0 * math.sqrt(p.n / p.sigma):
-        raise ValueError("focal radius must exceed 9 sqrt(n/sigma)")
+    _require_focal_radius(p, r_f)
     pot = PiecewisePotential(p, orientation)
     x1, x2 = pot.breakpoints
     eps = BREAKPOINT_EPS
@@ -336,8 +342,7 @@ def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = 
 
 def focal_margin_rows(params: FocalParams, r_f: float, points: int):
     """(rho, lhs, rhs, margin) rows of the N-orientation focal inequality, for CSV."""
-    if not r_f > 0:
-        raise ValueError("focal radius must be positive")
+    _require_focal_radius(params, r_f)
     pot = PiecewisePotential(params, "N")
     rhos = np.linspace(0.0, r_f, points)
     lhs, rhs, margin = _focal_margin(pot, r_f, rhos)

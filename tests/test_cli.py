@@ -145,6 +145,17 @@ def test_verify_focal_cli(tmp_path):
     assert os.listdir(tmp_path) == ["focal.json"]  # only the report: the curve is `emit csv --curve focal`
 
 
+def test_focal_curve_needs_the_focal_radius_verify_focal_needs(tmp_path):
+    """At r_f = 30, below 9 sqrt(n/sigma) = 31.18 for n = 6 and sigma = 0.5,
+    the focal inequality's hypothesis fails: the verdict and the emitted
+    curve both exit 2 and write nothing."""
+    flags = ["--n", "6", "--sigma", "0.5", "--rf", "30"]
+    for argv in (["verify", "focal", *flags], ["emit", "csv", "--curve", "focal", *flags]):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+
+
 def test_verify_weitzenboeck_with_tensor_file(tmp_path):
     R = constant_curvature(4, 1.0)
     path = tmp_path / "tensor.json"

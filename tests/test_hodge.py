@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from picband import bands
 from picband import hodge as H
 from tests.conftest import complex_to_json
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 
 def test_interval_betti():
@@ -190,49 +194,67 @@ def test_strong_twist_annulus_regression():
     assert H.harmonic_dimension(T, 0) == H.betti(K, 0) == 1
 
 
+def _count_exact_fallbacks(mp):
+    """Patch ``_rank`` through ``mp`` to record (degree, relative) of each
+    exact rank that ``_twisted_rank`` falls back to.  The floors read the
+    exact rank too, for their index; those calls are not fallbacks."""
+    fallbacks, exact = [], H._rank
+
+    def counted(K, j, relative):
+        if sys._getframe(1).f_code is H._twisted_rank.__code__:
+            fallbacks.append((j, relative))
+        return exact(K, j, relative)
+
+    mp.setattr(H, "_rank", counted)
+    return fallbacks
+
+
 def test_default_suite_takes_no_exact_fallback(monkeypatch, tmp_path):
-    """Under the suite's +-5 twist law every kernel dimension of the five
-    default jobs is certified: harmonic_dimension never takes the exact
-    route.  The exact ranks are cached on the complex, so the route is
-    counted at its entry, ``_betti``, not at ``exact_rank``."""
+    """Under the suite's +-5 twist law every twisted rank of the five
+    default jobs, and of every degree of the annulus and torus files, is
+    certified: no twist takes the exact route.  The exact ranks are cached
+    on the complex, so the route is counted at its entry, ``_rank`` called
+    from ``_twisted_rank``, not at ``exact_rank``."""
     from picband import cli
 
-    inside, fallbacks = [False], []
-    exact, harmonic = H._betti, H.harmonic_dimension
-
-    def counted_betti(K, k, relative):
-        if inside[0]:
-            fallbacks.append((k, relative))
-        return exact(K, k, relative)
-
-    def traced_harmonic(T, k):
-        inside[0] = True
-        try:
-            return harmonic(T, k)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(H, "_betti", counted_betti)
-    monkeypatch.setattr(H, "harmonic_dimension", traced_harmonic)
-    for seed in range(3):
-        assert cli.main(["verify", "hodge", "--twists", "60", "--seed", str(seed),
-                         "--out", str(tmp_path / "r.json")]) == 0
+    fallbacks = _count_exact_fallbacks(monkeypatch)
+    for source in ([], *(["--complex", os.path.join(GOLDEN_INPUTS, f"{name}.json")] for name in ("annulus", "torus"))):
+        for seed in range(3):
+            assert cli.main(["verify", "hodge", "--twists", "60", "--seed", str(seed),
+                             "--out", str(tmp_path / "r.json")] + source) == 0
     assert fallbacks == []
 
 
 def test_mixed_block_takes_the_exact_route_once(monkeypatch):
-    """A block whose twists are partly uncertified (the zero twist is, a
-    twist of amplitude 40 is not) counts like the per-twist calls and
-    reaches the exact route once."""
+    """A block whose twists are partly uncertified (the zero twist is
+    certified, a twist of amplitude 40 is not, in d_0 nor d_1) counts like
+    the per-twist calls and reaches each exact rank once."""
     K = H.load_bundled("annulus")
     F = np.zeros((3, K.n_simplices(0)))
     F[1] = np.random.default_rng(1).uniform(-40.0, 40.0, K.n_simplices(0))
-    calls, exact = [], H._betti
-    monkeypatch.setattr(H, "_betti", lambda K, k, relative: calls.append(k) or exact(K, k, relative))
+    calls = _count_exact_fallbacks(monkeypatch)
     single = [H.harmonic_dimension(H.TwistedComplex(K, f), 1) for f in F]
-    assert calls == [1] and single == [1, 1, 1]
+    assert calls == [(1, False), (0, False)] and single == [1, 1, 1]
     block = H.harmonic_dimension(H.TwistedComplex(K, F), 1)
-    assert calls == [1, 1] and block.dtype.kind == "i" and block.tolist() == single
+    assert calls == [(1, False), (0, False)] * 2 and block.dtype.kind == "i" and block.tolist() == single
+
+
+def test_every_degree_svds_each_twisted_coboundary_once(monkeypatch):
+    """Asked for every degree 0..dim, a block of twists builds and SVDs
+    d_{f,j} once for each j < dim, and never d_{f,dim}, whose target is 0."""
+    K = H.product_complex(H.disk_complex(), cycle_complex([0, 1, 2, 3]))  # dim 3, nothing cached
+    F = np.random.default_rng(2).uniform(-5.0, 5.0, (4, K.n_simplices(0)))
+    expect = [[H.betti(K, k)] * 4 for k in range(K.dim + 1)]
+    # a first twisted complex fills K's exact ranks and floors
+    assert [H.harmonic_dimension(H.TwistedComplex(K, F), k).tolist() for k in range(K.dim + 1)] == expect
+    built, svds, coboundary, svd = [], [], H.twisted_coboundary, np.linalg.svd
+    monkeypatch.setattr(H, "twisted_coboundary", lambda T, j: built.append(j) or coboundary(T, j))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: svds.append(M.shape) or svd(M, **kw))
+    T = H.TwistedComplex(K, F)
+    for _ in range(2):
+        assert [H.harmonic_dimension(T, k).tolist() for k in range(K.dim + 1)] == expect
+    assert built == [0, 1, 2]
+    assert svds == [(4, K.n_simplices(j + 1), K.n_simplices(j)) for j in range(3)]
 
 
 def test_hodge_twist_blocks_stay_within_the_entry_budget(monkeypatch, tmp_path):
@@ -260,45 +282,50 @@ def test_hodge_twist_blocks_stay_within_the_entry_budget(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_hodge_suite_equals_per_twist_reference(monkeypatch, tmp_path, seed):
-    """The suite's blocked draws are the stream of one draw per twist, bit
-    for bit, its counts are the per-twist counts, and its reports are those
-    of a per-twist loop, on the default jobs and on a complex file whose
-    degree-1 job takes several blocks."""
+    """The suite's blocked draws are one stream per (complex, condition)
+    job, one draw per twist, bit for bit; every degree's counts are the
+    per-twist, per-degree counts on the same rows, and its reports are
+    those of a per-twist loop, on the default jobs (one degree each) and on
+    a complex file whose degrees share each of several blocks."""
     from picband import cli
 
     torus = grid_complex(5, 4, True, range(20))
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(complex_to_json(torus)))
-    drawn, counted, harmonic = [], [], H.harmonic_dimension
+    drawn, counted, harmonic = [], {}, H.harmonic_dimension
 
     def recorded(T, k):
-        drawn.append(T.f)
+        if not drawn or T.f is not drawn[-1]:
+            drawn.append(T.f)
         result = harmonic(T, k)
-        counted.extend(np.atleast_1d(result).tolist())
+        counted.setdefault((id(T.base), T.boundary_condition, k), []).extend(np.atleast_1d(result).tolist())
         return result
 
     monkeypatch.setattr(H, "harmonic_dimension", recorded)
     twists = 200
-    for source, jobs in (([], [("annulus", "absolute", 1), ("annulus", "relative", 1), ("torus", "absolute", 1),
-                               ("solid_torus", "absolute", 1), ("solid_torus", "relative", 2)]),
-                         (["--complex", str(path)], [(torus, "absolute", k) for k in range(3)])):
+    for source, jobs in (([], [("annulus", "absolute", [1]), ("annulus", "relative", [1]), ("torus", "absolute", [1]),
+                               ("solid_torus", "absolute", [1]), ("solid_torus", "relative", [2])]),
+                         (["--complex", str(path)], [(torus, "absolute", [0, 1, 2])])):
         drawn.clear()
         counted.clear()
         out = tmp_path / "r.json"
         cli.main(["verify", "hodge", "--twists", str(twists), "--seed", str(seed), "--out", str(out)] + source)
         rng, rows, counts, expect = np.random.default_rng(seed), [], [], []
-        for name, cond, k in jobs:
+        for name, cond, degrees in jobs:
             K = H.load_bundled(name) if isinstance(name, str) else name
-            target = H._betti(K, k, cond == "relative")
-            ok = True
+            per_degree = {k: [] for k in degrees}
             for _ in range(twists):
                 rows.append(rng.uniform(-5.0, 5.0, K.n_simplices(0)))
-                counts.append(harmonic(H.TwistedComplex(K, rows[-1], cond), k))
-                ok &= counts[-1] == target
-            expect.append((f"hodge.{name if isinstance(name, str) else 'custom'}.{cond}.k{k}", ok, target))
+                for k in degrees:
+                    per_degree[k].append(harmonic(H.TwistedComplex(K, rows[-1], cond), k))
+            for k, job_counts in per_degree.items():
+                target = H._betti(K, k, cond == "relative")
+                counts.append(job_counts)
+                expect.append((f"hodge.{name if isinstance(name, str) else 'custom'}.{cond}.k{k}",
+                               all(c == target for c in job_counts), target))
         assert len(drawn) > len(jobs) if source else len(drawn) == len(jobs)
         assert np.array_equal(np.concatenate([f.ravel() for f in drawn]), np.concatenate(rows))
-        assert counted == counts
+        assert list(counted.values()) == counts
         reports = json.loads(out.read_text())["report"]["reports"]
         assert [(r["check"], r["pass"], r["details"]["betti_target"]) for r in reports] == expect
 
@@ -474,6 +501,36 @@ def test_twist_block_equals_per_twist_loop(K, amplitude, B, seed):
             assert np.array_equal(H.twisted_coboundary(block, k), [H.twisted_coboundary(T, k) for T in rows])
             assert np.array_equal(H.twisted_composition_exact(block, k),
                                   [H.twisted_composition_exact(T, k) for T in rows])
+
+
+def _stacked_rule_certifies(T, k) -> bool:
+    """The certification of one SVD of [d_{f,k} ; d_{f,k-1}^T] per degree:
+    the smaller of the two floors above twice that matrix's backward error."""
+    A = H.twisted_coboundary(T, k)
+    M = np.concatenate([A, H.twisted_coboundary(T, k - 1).T]) if k >= 1 else A
+    s = np.linalg.svd(M, compute_uv=False)
+    bound = H._twisted_floor(T, k) if k == 0 else min(H._twisted_floor(T, k - 1), H._twisted_floor(T, k))
+    return bool(bound > 2.0 * H._svd_error(s, M.shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(), st.sampled_from([5.0, 10.0, 20.0]), st.integers(0, 2**32 - 1))
+def test_harmonic_dimension_is_n_minus_two_exact_ranks(K, amplitude, seed):
+    """n_k - rank D_k - rank D_{k-1} by exact ranks, under both conditions
+    and twists of amplitude up to 20, and a rank that the stacked rule
+    certifies (in degree k or k + 1) never takes the exact route."""
+    f = np.random.default_rng(seed).uniform(-amplitude, amplitude, K.n_simplices(0))
+    for relative in (False, True):
+        T = H.TwistedComplex(K, f, "relative" if relative else "absolute")
+        stacked = [_stacked_rule_certifies(T, k) for k in range(K.dim + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            fallbacks = _count_exact_fallbacks(mp)
+            counts = [H.harmonic_dimension(T, k) for k in range(K.dim + 1)]
+        for k in range(K.dim + 1):
+            D = H._coboundary(K, k, relative)
+            assert counts[k] == D.shape[1] - H.exact_rank(D) - H.exact_rank(H._coboundary(K, k - 1, relative))
+            if stacked[k]:
+                assert (k, relative) not in fallbacks and (k - 1, relative) not in fallbacks, k
 
 
 RP2_TRIANGLES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,9 +51,51 @@ __all__ = [
 ]
 
 
+class _Piece(NamedTuple):
+    """One piece of a profile: jet(t) is (f, f', f'') at its own coordinate
+    t = local(x), each a number or an array like t; ends are the exact t of its
+    two ends (-inf and inf on the outer sides of the first and last piece)."""
+
+    jet: Callable
+    ends: tuple
+    local: Callable = lambda x: x
+
+
+class _Piecewise:
+    """A profile declared once, as pieces split by increasing breakpoints.
+    ``jet`` evaluates each piece only on its own points, so no piece needs to
+    be finite off them; a breakpoint takes its left piece and a NaN the last.
+    ``limits`` evaluates the pieces at the exact coordinates of their ends."""
+
+    def __init__(self, breaks, pieces):
+        self.breaks = np.asarray(breaks, dtype=float)
+        self.pieces = tuple(pieces)
+
+    def index(self, x):
+        """The piece of each x."""
+        return np.searchsorted(self.breaks, x)
+
+    def jet(self, x):
+        """(f, f', f'') at x, each shaped like x."""
+        x = np.asarray(x, dtype=float)
+        which, out = self.index(x), np.empty((3, *x.shape))
+        for k in np.unique(which):
+            on, piece = which == k, self.pieces[k]
+            t = piece.local(x[on])
+            out[:, on] = np.broadcast_arrays(t, *piece.jet(t))[1:]
+        return tuple(out)
+
+    def limits(self) -> np.ndarray:
+        """(left, right) one-sided (f, f', f'') at each breakpoint, shape
+        (breakpoints, 2, 3); np.ptp over its axis 1 gives the jumps."""
+        return np.array([[left.jet(left.ends[1]), right.jet(right.ends[0])]
+                         for left, right in zip(self.pieces, self.pieces[1:])], dtype=float)
+
+
 class _NaturalCubic:
-    """Natural cubic spline through (xs, ys) with its first two
-    derivatives.  Plain tridiagonal solve, no external dependency."""
+    """Natural cubic spline through (xs, ys) with its first two derivatives,
+    by a plain tridiagonal solve.  Piece i is the cubic between knots i and
+    i + 1, the end pieces extended past the end knots."""
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -61,52 +104,49 @@ class _NaturalCubic:
             raise ValueError("table profile needs at least 3 (x, phi) samples")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("table abscissae must be strictly increasing")
-        m = len(xs)
         h = np.diff(xs)
-        rhs = np.zeros(m)
-        rhs[1:-1] = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
-        diag = np.ones(m)
-        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
-        lower = np.zeros(m - 1)
-        upper = np.zeros(m - 1)
-        lower[:-1] = h[:-1]
-        upper[1:] = h[1:]
-        lower[-1] = 0.0
-        upper[0] = 0.0
-        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        rhs = np.r_[0.0, 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1]), 0.0]
+        A = np.diag(np.r_[1.0, 2.0 * (h[:-1] + h[1:]), 1.0])
+        A += np.diag(np.r_[h[:-1], 0.0], -1) + np.diag(np.r_[0.0, h[1:]], 1)
         self.M = np.linalg.solve(A, rhs)  # second derivatives at the knots
         self.xs, self.ys, self.h = xs, ys, h
+        ends = np.r_[-math.inf, xs[1:-1], math.inf]
+        self.pieces = _Piecewise(xs[1:-1], [_Piece(partial(self._cubic, i), (ends[i], ends[i + 1]))
+                                            for i in range(len(h))])
 
-    def jet(self, r: float):
-        """(value, first, second derivative) at r; past the end knots the
-        end segment's cubic is extended."""
-        i = int(np.clip(np.searchsorted(self.xs, r) - 1, 0, len(self.xs) - 2))
+    def _cubic(self, i, r):
+        """(value, first, second derivative) of piece i's cubic at r, for i
+        shaped like r.  np.float_power is libm's pow at any array size; ``**``
+        may take a SIMD pow on arrays, which moves last bits with the size."""
         x0, x1, h = self.xs[i], self.xs[i + 1], self.h[i]
         y0, y1, M0, M1 = self.ys[i], self.ys[i + 1], self.M[i], self.M[i + 1]
         a, b = (x1 - r) / h, (r - x0) / h
+        a2, b2 = np.float_power(a, 2.0), np.float_power(b, 2.0)
         return (
-            a * y0 + b * y1 + ((a**3 - a) * M0 + (b**3 - b) * M1) * h * h / 6.0,
-            (y1 - y0) / h + (-(3.0 * a**2 - 1.0) * M0 + (3.0 * b**2 - 1.0) * M1) * h / 6.0,
+            a * y0 + b * y1 + ((np.float_power(a, 3.0) - a) * M0 + (np.float_power(b, 3.0) - b) * M1) * h * h / 6.0,
+            (y1 - y0) / h + (-(3.0 * a2 - 1.0) * M0 + (3.0 * b2 - 1.0) * M1) * h / 6.0,
             a * M0 + b * M1,
         )
 
+    def jet(self, r):
+        """(value, first, second derivative) at r, vectorised."""
+        return self._cubic(self.pieces.index(r), np.asarray(r, dtype=float))
+
     def critical_radii(self, lo: float, hi: float) -> list:
         """Radii of [lo, hi] among which phi attains its minimum there, and
-        |phi'| its maximum: each piece (the end pieces extended past the
-        knots, as in :meth:`jet`) meets [lo, hi] in an interval, possibly a
-        single point, and its cubic is least at an end of that interval or
-        at a real root of its quadratic derivative inside it, while its
-        derivative peaks at an end or at the root of its linear second
-        derivative.  Every root is clipped into the interval, so a complex
-        pair adds only harmless radii."""
-        ends = np.clip(np.r_[lo, self.xs[1:-1], hi], lo, hi)  # piece i: ends[i]..ends[i + 1]
-        radii = list(ends)
-        for i, h in enumerate(self.h):
-            M0, M1 = self.M[i], self.M[i + 1]
+        |phi'| its maximum: each piece meets [lo, hi] in an interval, possibly
+        a point, where its cubic is least at an end or at a real root of its
+        quadratic derivative, and its derivative peaks at an end or at the root
+        of its linear second derivative.  Roots are clipped into the interval,
+        so a complex pair adds only harmless radii."""
+        radii = [lo]
+        for i, piece in enumerate(self.pieces.pieces):
+            start, stop = np.clip(piece.ends, lo, hi)
+            h, M0, M1 = self.h[i], self.M[i], self.M[i + 1]
             # phi'(x_i + t h) = c0 + h M0 t + h (M1 - M0) t^2 / 2, phi''(x_i + t h) = M0 + (M1 - M0) t
             c0 = (self.ys[i + 1] - self.ys[i]) / h - h * (2.0 * M0 + M1) / 6.0
             ts = np.r_[np.roots([0.5 * h * (M1 - M0), h * M0, c0]), np.roots([M1 - M0, M0])].real
-            radii += list(np.clip(self.xs[i] + h * ts, ends[i], ends[i + 1]))
+            radii += [stop, *np.clip(self.xs[i] + h * ts, start, stop)]
         return radii
 
 

@@ -284,40 +284,21 @@ def suite_bandwidth(args):
     p = potentials.BandwidthParams(
         n=args.n, sigma=args.sigma, delta=args.delta, Lambda=args.Lambda, r_f=args.rf, L=args.L
     )
-    reports = [potentials.verify_bandwidth_margin(p), potentials.check_L_chain(p.n, p.sigma, p.delta)]
-    chi = potentials.ChiCutoff()
-    xs = np.linspace(0.0, 2.0, 10_001)
-    c, cp, cpp = chi.jet(xs)
-    low = xs <= 0.5
-    chi_ok = (
-        float(np.max(np.abs(c[low] + xs[low]))) < 1e-12
-        and float(cpp.min()) >= 0.0
-        and float(cpp.max()) <= 4.0
-        and float(cp.min()) >= -1.0
-        and float(cp.max()) <= 0.0
-    )
-    reports.append(
-        Report(
-            check="bandwidth.chi_cutoff",
-            params={"plateau_end": chi.plateau_end},
-            passed=chi_ok,
-            tolerance=1e-12,
-            regions=[Region("chi_second_deriv_headroom", 4.0 - float(cpp.max()))],
-            details={"c_plateau": chi.c_plateau},
-        )
-    )
-    return reports
+    return [
+        potentials.verify_bandwidth_margin(p),
+        potentials.check_L_chain(p.n, p.sigma, p.delta),
+        potentials.check_chi_cutoff(potentials.ChiCutoff()),
+    ]
 
 
 def suite_focal(args):
     p, r_f = potentials.FocalParams(args.n, args.sigma, args.lam, args.lam_bar), args.rf
-    reports = [
+    return [
         potentials.check_focal_regularity(p, r_f),
         potentials.check_focal_boundary(p),
         potentials.verify_focal_inequality(p, r_f, orientation="N"),
         potentials.verify_focal_inequality(p, r_f, orientation="D"),
     ]
-    return reports
 
 
 def suite_identities(args):

@@ -11,11 +11,11 @@ slopes are pinned by the parameters
     b          = -2 log sin(beta / lambda_bar)
 
 The bandwidth potential is r delta chi(rho / r) for a C^2 cutoff chi that
-is -x on [0, 1/2], has chi'' in [0, 4], and is constant past the plateau:
-the cutoff is built here, and the margin check evaluates the inequality
-the potential must satisfy in closed form.
-Verifiers sweep the pointwise inequalities these potentials must satisfy
-region by region and report minimum margins.
+is -x on [0, 1/2], has chi'' in [0, 4], and is constant past the plateau.
+Both are declared piece by piece (``bands._Piecewise``): each piece is
+evaluated only on its own points, and the one-sided limits at the exact
+ends of the pieces check continuity and the cutoff's claims in closed form.
+The focal verifier sweeps its pointwise inequality region by region.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "FocalParams",
     "PiecewisePotential",
     "ChiCutoff",
+    "check_chi_cutoff",
     "BandwidthParams",
     "check_focal_regularity",
     "check_focal_boundary",
@@ -47,7 +48,6 @@ __all__ = [
 
 CONTINUITY_TOL = 1e-10
 FOCAL_GRID_POINTS = 10_001  # uniform samples of the focal sweep over [0, r_f]
-L_CHAIN_POINTS = 10_001  # arctan samples of check_L_chain
 
 
 @dataclass(frozen=True)
@@ -116,89 +116,61 @@ class FocalParams:
         return self.rho_sigma - self.rho_lambda + 0.5 * math.pi / self.beta
 
 
-def _safe_mid_arg(u):
-    """Clamp the middle-piece argument into (0, pi); np.select evaluates all
-    branches, so out-of-piece arguments must not hit the sin/tan poles."""
-    return np.clip(u, 1e-9, math.pi - 1e-9)
-
-
 class PiecewisePotential:
     """Three-piece radial potential.  Orientation "N" is the potential with
-    f' in [-a, 0] increasing; "D" is its pointwise negation."""
+    f' in [-a, 0] increasing; "D" is its pointwise negation.
+
+    The pieces are the line in t = rho - break1, ending at t = 0; -2 log sin u
+    in u = beta (rho - rho_sigma + rho_lambda), from u = beta / lambda_bar to
+    pi/2; then zero.  Limits at those exact ends are honest: recovering u from
+    the float breakpoint would add cancellation noise amplified by lambda_bar^2.
+    """
 
     def __init__(self, params: FocalParams, orientation: str = "N"):
         if orientation not in ("N", "D"):
             raise ValueError("orientation must be 'N' or 'D'")
-        self.params = params
+        self.params = p = params
         self.orientation = orientation
         self.sign = 1.0 if orientation == "N" else -1.0
-        self.breakpoints = (params.break1, params.break2)
+        self.breakpoints = (p.break1, p.break2)
+        self.pieces = bands._Piecewise(self.breakpoints, [
+            bands._Piece(lambda t: (-p.slope_a * t + p.offset_b, -p.slope_a, 0.0), (-math.inf, 0.0),
+                         lambda rho: rho - p.rho_sigma + p.rho_lambda - 1.0 / p.lam_bar),
+            bands._Piece(lambda u: (-2.0 * np.log(np.sin(u)), -2.0 * p.beta / np.tan(u),
+                                    2.0 * p.beta**2 / np.sin(u) ** 2),
+                         (p.beta / p.lam_bar, 0.5 * math.pi), lambda rho: p.beta * (rho - p.rho_sigma + p.rho_lambda)),
+            bands._Piece(lambda rho: (0.0, 0.0, 0.0), (p.break2, math.inf)),
+        ])
         self._validate()
 
     def jet(self, rho):
-        """(f, f', f'') at rho, vectorised; s = +1 gives the N orientation.
-
-        At a breakpoint each component is its left value; probe rho +- eps
-        for the one-sided limits.  The linear piece is evaluated no further
-        right than its breakpoint: np.select computes every piece at every
-        rho, and the unselected line must not overflow far out.
-        """
-        p, s = self.params, self.sign
-        rho = np.asarray(rho, dtype=float)
-        x1, x2 = self.breakpoints
-        u = _safe_mid_arg(p.beta * (rho - p.rho_sigma + p.rho_lambda))
-        lin = (
-            -p.slope_a * (np.minimum(rho, x1) - p.rho_sigma + p.rho_lambda - 1.0 / p.lam_bar) + p.offset_b,
-            np.full_like(rho, -p.slope_a),
-            np.zeros_like(rho),
-        )
-        mid = (-2.0 * np.log(np.sin(u)), -2.0 * p.beta / np.tan(u), 2.0 * p.beta**2 / np.sin(u) ** 2)
-        conds = [rho <= x1, rho <= x2]
-        return tuple(s * np.select(conds, [a, b], default=0.0) for a, b in zip(lin, mid))
+        """(f, f', f'') at rho, vectorised; at a breakpoint each component is
+        its left value."""
+        return tuple(self.sign * part for part in self.pieces.jet(rho))
 
     def one_sided_limits(self):
-        """Exact one-sided (value, slope) limits at both breakpoints.
-
-        The piece-local coordinate is substituted exactly (u = beta /
-        lambda_bar at the first breakpoint, u = pi/2 at the second), which
-        is the honest evaluation of the limit: recovering u from the float
-        breakpoint would inject cancellation noise amplified by lambda_bar^2.
-        """
-        p, s = self.params, self.sign
-        y = p.beta / p.lam_bar
-        lim = {
-            "break1_left": (s * p.offset_b, s * -p.slope_a),
-            "break1_right": (s * -2.0 * math.log(math.sin(y)), s * -2.0 * p.beta / math.tan(y)),
-            "break2_left": (
-                s * -2.0 * math.log(math.sin(0.5 * math.pi)),
-                s * -2.0 * p.beta / math.tan(0.5 * math.pi),
-            ),
-            "break2_right": (0.0, 0.0),
-        }
-        return lim
+        """Exact one-sided (value, slope) limits at both breakpoints."""
+        lim = self.sign * self.pieces.limits()
+        return {f"break{k + 1}_{side}": (float(lim[k, j, 0]), float(lim[k, j, 1]))
+                for k in range(2) for j, side in enumerate(("left", "right"))}
 
     def continuity_defects(self):
-        lim = self.one_sided_limits()
-        v1 = abs(lim["break1_left"][0] - lim["break1_right"][0])
-        s1 = abs(lim["break1_left"][1] - lim["break1_right"][1])
-        v2 = abs(lim["break2_left"][0] - lim["break2_right"][0])
-        s2 = abs(lim["break2_left"][1] - lim["break2_right"][1])
-        return max(v1, v2), max(s1, s2)
+        """The largest jump of f and of f' over the breakpoints."""
+        value_jump, slope_jump, _ = np.ptp(self.pieces.limits(), axis=1).max(axis=0)
+        return float(value_jump), float(slope_jump)
 
     def _validate(self):
+        """C^1, and f' in [-a, 0] increasing (N orientation): f' is -a on the
+        line, -2 beta cot u increasing in u on the middle piece and 0 past it,
+        so its one-sided values at the breakpoints decide."""
         value_jump, slope_jump = self.continuity_defects()
         if value_jump > CONTINUITY_TOL or slope_jump > CONTINUITY_TOL:
             raise ValueError(
                 f"potential not C^1 at a breakpoint: jumps {value_jump:.2e}, {slope_jump:.2e}"
             )
-        x2 = self.breakpoints[1]
-        rhos = np.linspace(0.0, x2 * 1.05, 512)
-        fp = self.sign * self.jet(rhos)[1]  # N orientation view
-        scale = max(1.0, self.params.slope_a)
-        if fp.max() > 1e-12 or fp.min() < -self.params.slope_a - 1e-9 * scale:
-            raise ValueError("slope leaves the interval [-a, 0]")
-        if np.any(np.diff(fp) < -1e-9 * scale):
-            raise ValueError("slope fails to be monotone increasing")
+        fp, tol = self.pieces.limits()[:, :, 1].ravel(), 1e-9 * max(1.0, self.params.slope_a)
+        if fp.max() > 1e-12 or fp.min() < -self.params.slope_a - tol or np.any(np.diff(fp) < -tol):
+            raise ValueError("slope leaves the interval [-a, 0] or fails to increase")
 
 
 def check_focal_regularity(params: FocalParams, r_f: float) -> Report:
@@ -301,24 +273,15 @@ def verify_focal_inequality(params: FocalParams, r_f: float, orientation: str = 
     pot = PiecewisePotential(p, orientation)
     x1, x2 = pot.breakpoints
     eps = BREAKPOINT_EPS
-    rhos = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, r_f, FOCAL_GRID_POINTS),
-                np.array([x1 - eps, x1 + eps, x2 - eps, x2 + eps]),
-            ]
-        )
-    )
+    rhos = np.unique(np.r_[np.linspace(0.0, r_f, FOCAL_GRID_POINTS), x1 - eps, x1 + eps, x2 - eps, x2 + eps])
     rhos = rhos[(rhos >= 0) & (rhos <= r_f)]
     _, _, margin = _focal_margin(pot, r_f, rhos)
 
-    regions = []
-    for name, mask in (
+    regions = [Region(name, float(margin[mask].min())) for name, mask in (
         ("rho_above_half_rf", rhos > 0.5 * r_f),
         ("rho_sigma_to_half_rf", (rhos >= p.rho_sigma) & (rhos <= 0.5 * r_f)),
         ("rho_below_rho_sigma", rhos <= p.rho_sigma),
-    ):
-        regions.append(Region(name, float(margin[mask].min())))
+    )]
 
     identity_residual = _middle_identity_residual(pot, (x1 + eps, x2 - eps))
 
@@ -353,58 +316,71 @@ def focal_margin_rows(params: FocalParams, r_f: float, points: int):
 
 
 class ChiCutoff:
-    """C^2 piecewise-polynomial cutoff: identity times -1 on [0, 1/2], a
-    convex transition with chi'' in [0, 4], then constant c_plateau."""
+    """C^2 cutoff in five pieces: -x on [0, 1/2]; a cubic ramp on which chi''
+    rises linearly to a height h <= 4; a quadratic with chi'' = h; a cubic
+    ramp back to chi'' = 0; and c_plateau from plateau_end on.  The constants
+    that make the pieces meet (_v_x0, _dp_x0, c_plateau) are read when a piece
+    is evaluated, so :func:`check_chi_cutoff` judges the cutoff as it stands."""
 
     def __init__(self, plateau_end: float = 0.9):
         if not (0.75 < plateau_end <= 1.0):
             raise ValueError(
                 "plateau_end must lie in (3/4, 1]: chi'' <= 4 forces the plateau past 1/2 + 1/4"
             )
-        self.plateau_end = plateau_end
+        self.plateau_end = p = plateau_end
         ell = plateau_end - 0.5
         t = 0.5 * (1.0 - 0.25 / ell)  # half the feasibility slack
-        self.ramp = t * ell
-        self.height = 1.0 / (ell - self.ramp)
-        if self.height > 4.0 + 1e-12:
-            raise ValueError("internal: chi'' height exceeds 4")
-        x0 = 0.5 + self.ramp
-        x1 = plateau_end - self.ramp
-        self._x0, self._x1 = x0, x1
-        h, e = self.height, self.ramp
+        self.ramp = e = t * ell
+        self.height = h = 1.0 / (ell - e)  # below 4, which check_chi_cutoff confirms
+        x0, x1 = 0.5 + e, plateau_end - e
         # accumulate continuity constants piece by piece
         self._dp_x0 = -1.0 + 0.5 * h * e
         self._v_x0 = -x0 + h * e * e / 6.0
-        self._dp_x1 = self._dp_x0 + h * (x1 - x0)
-        self._v_x1 = self._v_x0 + self._dp_x0 * (x1 - x0) + 0.5 * h * (x1 - x0) ** 2
+        v_x1 = self._v_x0 + self._dp_x0 * (x1 - x0) + 0.5 * h * (x1 - x0) ** 2
         # chi'(x) = -h (p - x)^2 / (2 e) on the down-ramp, zero at p
-        self.c_plateau = self._v_x1 - h * e * e / 6.0
+        self.c_plateau = v_x1 - h * e * e / 6.0
         self.breakpoints = (0.5, x0, x1, plateau_end)
+        # each piece in its offset from a breakpoint, which is exact on the
+        # piece (Sterbenz), so -0.5 - s is -x there and the ends are exact
+        self.pieces = bands._Piecewise(self.breakpoints, [
+            bands._Piece(lambda x: (-x, -1.0, 0.0), (-math.inf, 0.5)),
+            bands._Piece(lambda s: (-0.5 - s + h * s**3 / (6.0 * e), -1.0 + h * s**2 / (2.0 * e), h * s / e),
+                         (0.0, e), lambda x: x - 0.5),
+            bands._Piece(lambda d: (self._v_x0 + self._dp_x0 * d + 0.5 * h * d**2, self._dp_x0 + h * d, h),
+                         (0.0, x1 - x0), lambda x: x - x0),
+            bands._Piece(lambda q: (self.c_plateau + (h / (6.0 * e)) * q**3, -(h / (2.0 * e)) * q**2, h * q / e),
+                         (e, 0.0), lambda x: p - x),
+            bands._Piece(lambda x: (self.c_plateau, 0.0, 0.0), (p, math.inf)),
+        ])
 
     def jet(self, x):
         """(chi, chi', chi'') at x, vectorised."""
-        x = np.asarray(x, dtype=float)
-        h, e, p = self.height, self.ramp, self.plateau_end
-        x0, x1 = self._x0, self._x1
-        conds = [x <= 0.5, x <= x0, x <= x1, x <= p]
-        value = [
-            -x,
-            -x + h * (x - 0.5) ** 3 / (6.0 * e),
-            self._v_x0 + self._dp_x0 * (x - x0) + 0.5 * h * (x - x0) ** 2,
-            self.c_plateau + (h / (6.0 * e)) * (p - x) ** 3,
-        ]
-        slope = [
-            np.full_like(x, -1.0),
-            -1.0 + h * (x - 0.5) ** 2 / (2.0 * e),
-            self._dp_x0 + h * (x - x0),
-            -(h / (2.0 * e)) * (p - x) ** 2,
-        ]
-        second = [np.zeros_like(x), h * (x - 0.5) / e, np.full_like(x, h), h * (p - x) / e]
-        return (
-            np.select(conds, value, default=self.c_plateau),
-            np.select(conds, slope, default=0.0),
-            np.select(conds, second, default=0.0),
-        )
+        return self.pieces.jet(x)
+
+
+def check_chi_cutoff(chi: ChiCutoff) -> Report:
+    """The cutoff's claims in closed form, from its pieces: chi, chi' and
+    chi'' jump by at most 1e-12 at each breakpoint; chi'' is in [0, 4], as
+    it is linear on each piece and constant on the outer two, so its
+    one-sided breakpoint values hold its extremes; chi' is in [-1, 0], as it
+    is then nondecreasing; and chi = -x on [0, 1/2], as the first piece is a
+    cubic whose value and slope at 0 and 1/2 are those of -x."""
+    tol = 1e-12
+    lim = chi.pieces.limits()
+    _, slope, second = lim.transpose(2, 0, 1)
+    ends = np.array([0.0, 0.5])
+    c, cp, _ = chi.jet(ends)
+    line_defect = max(abs(c + ends).max(), abs(cp + 1.0).max())
+    passed = (np.ptp(lim, axis=1).max() <= tol and line_defect <= tol
+              and 0.0 <= second.min() and second.max() <= 4.0 and -1.0 <= slope.min() and slope.max() <= 0.0)
+    return Report(
+        check="bandwidth.chi_cutoff",
+        params={"plateau_end": chi.plateau_end},
+        passed=bool(passed),
+        tolerance=tol,
+        regions=[Region("chi_second_deriv_headroom", 4.0 - float(second.max()))],
+        details={"c_plateau": chi.c_plateau},
+    )
 
 
 @dataclass(frozen=True)
@@ -489,24 +465,26 @@ def verify_bandwidth_margin(p: BandwidthParams) -> Report:
 
 
 def check_L_chain(n: int, sigma: float, delta: float) -> Report:
-    """Constant chain behind the width bound: 32(n+1)/(pi(n-3)) peaks at
-    160/pi < 51 over n >= 4, and arctan(y) >= (pi/4) y on [0, 1] (L_CHAIN_POINTS samples)."""
+    """Constant chain behind the width bound, in closed form.
+
+    32(m+1)/(pi(m-3)) = (32/pi)(1 + 4/(m-3)) decreases in m, so its maximum
+    over m >= 4 is 160/pi < 51, at m = 4.  arctan is concave on [0, 1] and
+    equals (pi/4) y at y = 0 and y = 1, so arctan y >= (pi/4) y on [0, 1],
+    with equality at both ends: the margin is exactly 0.
+    """
     if n < 4:
         raise ValueError("n must be at least 4")
-    consts = [32.0 * (m + 1) / (math.pi * (m - 3)) for m in range(4, max(n, 40) + 1)]
-    const_margin = 51.0 - max(consts)
-    ys = np.linspace(0.0, 1.0, L_CHAIN_POINTS)
-    arctan_margin = float(np.min(np.arctan(ys) - 0.25 * math.pi * ys))
+    max_constant = 160.0 / math.pi
+    const_margin = 51.0 - max_constant
     ratio_flag = delta >= math.sqrt(sigma)
-    passed = const_margin > 0 and arctan_margin >= -1e-12 and not ratio_flag
     return Report(
         check="bandwidth.L_chain",
         params={"n": n, "sigma": sigma, "delta": delta},
-        passed=bool(passed),
+        passed=bool(const_margin > 0 and not ratio_flag),
         tolerance=1e-12,
-        regions=[Region("constant_51_margin", const_margin), Region("arctan_margin", arctan_margin)],
+        regions=[Region("constant_51_margin", const_margin), Region("arctan_margin", 0.0)],
         details={
-            "max_constant": max(consts),
+            "max_constant": max_constant,
             "max_constant_at_n4": 160.0 / math.pi,
             "delta_over_sqrt_sigma_exceeds_1": ratio_flag,
         },

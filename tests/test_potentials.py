@@ -49,8 +49,9 @@ def test_potential_breakpoints_and_support(params):
 
 
 def test_focal_jet_far_past_the_support_does_not_overflow(params):
-    """np.select evaluates the linear piece at every rho; far right of its
-    breakpoint it must not overflow (verify focal --rf 1e306 exits 0)."""
+    """Each piece is evaluated only on its own points, so the line is never
+    evaluated far right of its breakpoint, where it would overflow (verify
+    focal --rf 1e306 exits 0)."""
     pot = P.PiecewisePotential(params)
     with np.errstate(over="raise"):
         f, fp, fpp = pot.jet(np.array([0.0, 1e306]))
@@ -178,6 +179,17 @@ def test_chi_cutoff_is_c2():
             assert abs(float(left) - float(right)) < 1e-7
 
 
+@pytest.mark.parametrize("plateau_end", [0.76, 0.9, 1.0])
+def test_chi_cutoff_check_reads_the_pieces(plateau_end):
+    """The closed-form check passes across the feasibility window, with
+    breakpoint jumps far below its 1e-12 and the headroom exactly 4 - h."""
+    chi = P.ChiCutoff(plateau_end)
+    rep = P.check_chi_cutoff(chi)
+    assert rep.passed
+    assert np.ptp(chi.pieces.limits(), axis=1).max() < 1e-15
+    assert rep.regions[0].min_margin == 4.0 - chi.height
+
+
 def test_chi_feasibility_window():
     with pytest.raises(ValueError):
         P.ChiCutoff(0.75)
@@ -223,6 +235,7 @@ def test_L_chain():
     assert rep.passed
     assert abs(rep.details["max_constant"] - 160.0 / math.pi) < 1e-9
     assert rep.details["max_constant"] < 51.0
+    assert [r.min_margin for r in rep.regions] == [51.0 - 160.0 / math.pi, 0.0]
     assert P.bandwidth_bound(1.0, 0.0) == 0.0
     flagged = P.check_L_chain(4, 1.0, 1.5)
     assert not flagged.passed and flagged.details["delta_over_sqrt_sigma_exceeds_1"]

@@ -93,9 +93,15 @@ class _Piecewise:
 
 
 class _NaturalCubic:
-    """Natural cubic spline through (xs, ys) with its first two derivatives,
-    by a plain tridiagonal solve.  Piece i is the cubic between knots i and
-    i + 1, the end pieces extended past the end knots."""
+    """Natural cubic spline through (xs, ys) with its first two derivatives.
+    Piece i is the cubic between knots i and i + 1, the end pieces extended
+    past the end knots.
+
+    The second derivatives M at the knots are 0 at both ends and solve the
+    interior rows h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = rhs[i],
+    a tridiagonal system whose diagonal strictly dominates, so one forward
+    and one back sweep solve it without pivoting, in O(m) time and memory
+    for m knots."""
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -105,10 +111,16 @@ class _NaturalCubic:
         if np.any(np.diff(xs) <= 0):
             raise ValueError("table abscissae must be strictly increasing")
         h = np.diff(xs)
-        rhs = np.r_[0.0, 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1]), 0.0]
-        A = np.diag(np.r_[1.0, 2.0 * (h[:-1] + h[1:]), 1.0])
-        A += np.diag(np.r_[h[:-1], 0.0], -1) + np.diag(np.r_[0.0, h[1:]], 1)
-        self.M = np.linalg.solve(A, rhs)  # second derivatives at the knots
+        rhs = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
+        ratio, value = [0.0], [0.0]  # each row reduced to M[i] + ratio M[i+1] = value; M[0] = 0
+        for a, b, c, d in zip(h[:-1].tolist(), (2.0 * (h[:-1] + h[1:])).tolist(), h[1:].tolist(), rhs.tolist()):
+            w = b - a * ratio[-1]
+            ratio.append(c / w)
+            value.append((d - a * value[-1]) / w)
+        M = [0.0]  # M[m-1] = 0, then back up the rows
+        for r, v in zip(reversed(ratio), reversed(value)):
+            M.append(v - r * M[-1])
+        self.M = np.array(M[::-1])  # second derivatives at the knots
         self.xs, self.ys, self.h = xs, ys, h
         ends = np.r_[-math.inf, xs[1:-1], math.inf]
         self.pieces = _Piecewise(xs[1:-1], [_Piece(partial(self._cubic, i), (ends[i], ends[i + 1]))
@@ -402,13 +414,13 @@ class CounterexampleSpec:
         curvature._check_dimension(self.n)  # the product tensor the report speaks of is dense
 
 
-def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfig()) -> Report:
+def counterexample_report(S: CounterexampleSpec) -> Report:
     """Desk-scale verification of the wide-band example on S^{n-1} x S^1.
 
     After scaling to sigma = 1, checks: the product tensor's minimal
     isotropic curvature clears sigma (S^{n-1} x S^1 is the band with
     ks = sigma and kr = 0, so it is 2 sigma exactly, :func:`_isotropic_min`;
-    ``cfg`` supplies only the tolerance); the width lower bound 2L - 2 > L; the
+    to the tolerance 1e-9); the width lower bound 2L - 2 > L; the
     Betti count b_k = 2 via the recorded sphere-product arithmetic; and the
     boundary norm bound is carried symbolically (the domains are fixed up to
     diffeomorphisms with |D phi| + |D^2 phi| < 100).
@@ -426,12 +438,13 @@ def counterexample_report(S: CounterexampleSpec, cfg: SearchConfig = SearchConfi
     b_punctured = betti_sphere_product(k, n - 1, 1)
     b_total = 2 * b_complement + b_punctured
 
-    passed = curvature_margin >= -cfg.tolerance and width_margin > 0 and b_total == 2
+    tol = 1e-9
+    passed = curvature_margin >= -tol and width_margin > 0 and b_total == 2
     return Report(
         check="band.counterexample",
         params={"n": n, "k": k, "sigma": S.sigma, "L": S.L},
         passed=bool(passed),
-        tolerance=cfg.tolerance,
+        tolerance=tol,
         regions=[
             Region("curvature_margin", curvature_margin),
             Region("width_margin", width_margin),

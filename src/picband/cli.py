@@ -240,19 +240,26 @@ def suite_comparison(args):
             comparison.ComparisonParams(n, K, Lam, rho)
         )
         worst = _worst(worst, abs(res.trace - barrier))
+
+    def positive_barrier(K, Lam, rho):
+        return comparison.laplace_upper_positive_boundary(comparison.ComparisonParams(4, K, Lam, rho))
+
+    # the positive-boundary barrier's reported pole must separate its two
+    # branches: a value just below it, a PoleBeyond just past it
     pole_err = 0.0
     for _ in range(5):
         K = float(rng.uniform(0.3, 2.0))
         Lam = math.sqrt(K) * float(rng.uniform(1.2, 3.0))
-        out = comparison.laplace_upper_positive_boundary(
-            comparison.ComparisonParams(4, K, Lam, 50.0)
-        )
-        expected = math.atanh(math.sqrt(K) / Lam) / math.sqrt(K)
-        pole_err = _worst(pole_err, abs(out.rho_pole - expected))
-    flat = comparison.ComparisonParams(4, 0.0, 0.0, 0.0, r_f=3.0)
+        pole = positive_barrier(K, Lam, 50.0)
+        bracketed = (isinstance(pole, comparison.PoleBeyond)
+                     and isinstance(positive_barrier(K, Lam, pole.rho_pole * (1.0 - 1e-9)), float)
+                     and isinstance(positive_barrier(K, Lam, pole.rho_pole * (1.0 + 1e-9)), comparison.PoleBeyond))
+        pole_err = _worst(pole_err, 0.0 if bracketed else 1.0)
+    # both lower focal barriers must meet across the switch to their K -> 0 limits
+    at_eps, flat = (comparison.ComparisonParams(4, K, 0.0, 0.0, r_f=3.0) for K in (comparison.K_FLAT_EPS, 0.0))
     limit_err = _worst(
-        abs(comparison.hessian_lower_focal(flat) + 2.0 / 3.0),
-        abs(comparison.laplace_lower_focal(flat) + 2.0),
+        abs(comparison.hessian_lower_focal(at_eps) - comparison.hessian_lower_focal(flat)),
+        abs(comparison.laplace_lower_focal(at_eps) - comparison.laplace_lower_focal(flat)),
     )
     return [
         Report(

@@ -194,8 +194,8 @@ _U_SWITCH = 0.1  # |w| >= 1/_U_SWITCH is integrated in the inverse variable
 
 def _u_step(u, h, ka, kb, kc):
     """One classical RK4 step of u' = 1 + K_rad u^2 for u = 1/w; ka, kb, kc
-    are K_rad at x, x + h/2 and x + h.  The pole bisection's step; the
-    step loop of :func:`_integrate_scalar` inlines the same arithmetic."""
+    are K_rad at x, x + h/2 and x + h.  The step of :func:`_integrate_scalar`
+    in the inverse variable and of its pole bisection."""
     k1 = 1.0 + ka * u * u
     u2 = u + (0.5 * h) * k1
     k2 = 1.0 + kb * u2 * u2
@@ -243,9 +243,10 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
     is a finite K_rad value that a step of a callable reads past the step
     limit h^2 |K_rad| <= 1.
 
-    Each step is classical RK4 written out in the variable in use, with
-    the operations in the order of a generic RK4 step on each right-hand
-    side, so the result is that step's to the last bit.
+    Each step is classical RK4 in the variable in use, with the operations
+    in the order of a generic RK4 step on each right-hand side, so the
+    result is that step's to the last bit: :func:`_u_step` in u, and the
+    same arithmetic written out in w, where most steps are taken.
     """
     varying = callable(krad)
     kfn = krad if varying else (lambda _: krad)  # the bisection's K_rad
@@ -272,14 +273,7 @@ def _integrate_scalar(w0: float, krad, rhos, step: float):
                         _check_step_limit(h, x + hh, kb)
                         _check_step_limit(h, x + h, kc)
                 if in_u:
-                    # u' = 1 + K_rad u^2
-                    k1 = 1.0 + ka * y * y
-                    t = y + hh * k1
-                    k2 = 1.0 + kb * t * t
-                    t = y + hh * k2
-                    k3 = 1.0 + kb * t * t
-                    t = y + h * k3
-                    y_new = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + (1.0 + kc * t * t))
+                    y_new = _u_step(y, h, ka, kb, kc)
                     # pole of w: u rises through zero to a finite value; a u that
                     # jumps to +inf read an infinite K_rad and falls through to
                     # the switch, whose NaN the readout reports

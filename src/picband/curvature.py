@@ -177,9 +177,6 @@ class CurvTensor:
     def validate(self):
         _validate(self.R)
 
-    def bianchi_defect(self) -> float:
-        return _bianchi_defect(self.R)
-
     def __add__(self, other: "CurvTensor") -> "CurvTensor":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -243,10 +240,6 @@ class Frame4:
         if defect > FRAME_TOL:
             raise ValueError(f"frame is not orthonormal, Gram defect {defect:.3e}")
         self.vectors = X
-
-    @staticmethod
-    def standard(n: int) -> "Frame4":
-        return Frame4(np.eye(n)[:4])
 
 
 def iso_curvature(R: CurvTensor, frame) -> float:

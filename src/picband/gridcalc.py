@@ -142,11 +142,6 @@ class FlatBandGrid:
     def shape(self):
         return (self.N_r,) + (self.N_t,) * (self.n - 1)
 
-    def axes(self):
-        xs = [np.linspace(0.0, self.L, self.N_r)]
-        xs += [np.arange(self.N_t) * self.ht for _ in range(self.n - 1)]
-        return np.meshgrid(*xs, indexing="ij")
-
     def _radial(self, index) -> tuple:
         """Subscript that takes index on the radial axis of a component,
         whatever leading axes it carries."""
@@ -452,9 +447,8 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
 
 def _paired_field(g: FlatBandGrid, rngs, *degrees: int) -> FormField:
     """One term per component of each degree: a random radial sine times
-    the transverse factor all study fields share.  rngs is one generator,
-    or a list of them, one draw each on a leading draw axis."""
-    lead = (len(rngs),) if isinstance(rngs, list) else ()
+    the transverse factor all study fields share; one draw per generator
+    of the list rngs, on a leading draw axis."""
     x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
     shared = np.cos(2.0 * math.pi * (np.arange(g.N_t) * g.ht) + 0.3).reshape((1, -1) + (1,) * (g.n - 2))
     out = FormField(g)
@@ -462,9 +456,8 @@ def _paired_field(g: FlatBandGrid, rngs, *degrees: int) -> FormField:
         for key in combinations(range(1, g.n + 1), degree):
             # per generator: coef re, im, then the radial sine's freq, phase
             draws = np.array([(rng.standard_normal(), rng.standard_normal(),
-                               rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
-                              for rng in (rngs if lead else [rngs])])
-            re, im, freq, phase = draws.T.reshape((4,) + lead + (1,) * g.n)
+                               rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for rng in rngs])
+            re, im, freq, phase = draws.T.reshape((4, len(rngs)) + (1,) * g.n)
             out.data[key] = (re + 1j * im) * np.sin(math.pi * freq * x / g.L + phase) * shared
     return out
 
@@ -478,11 +471,11 @@ def _study(kind: str):
     """(fields, residual) of a study kind.  The table is built per call, so
     the residual is whatever the module binds under its name at that time."""
     studies = {
-        "dirac": (lambda g, rng: (_paired_field(g, rng, 2), _paired_field(g, rng, 1, 3)),
+        "dirac": (lambda g, rngs: (_paired_field(g, rngs, 2), _paired_field(g, rngs, 1, 3)),
                   green_residual_dirac),
-        "laplace": (lambda g, rng: (_paired_field(g, rng, 2), _paired_field(g, rng, 2)),
+        "laplace": (lambda g, rngs: (_paired_field(g, rngs, 2), _paired_field(g, rngs, 2)),
                     green_residual_laplace),
-        "weitzenboeck": (lambda g, rng: (_paired_field(g, rng, 2), _radial_twist(g)),
+        "weitzenboeck": (lambda g, rngs: (_paired_field(g, rngs, 2), _radial_twist(g)),
                          twisted_weitzenboeck_residual),
     }
     if kind not in studies:
@@ -490,9 +483,9 @@ def _study(kind: str):
     return studies[kind]
 
 
-def paired_test_fields(grid: FlatBandGrid, rng, kind: str):
-    """Field pairs for the convergence studies, from one generator, or from
-    a list of them with one draw each on a leading draw axis.
+def paired_test_fields(grid: FlatBandGrid, rngs, kind: str):
+    """Field pairs for the convergence studies, one draw per generator of
+    the list rngs, on a leading draw axis.
 
     Components share one transverse factor so the pairings do not integrate
     to zero over the torus directions, and the paired degrees are adjacent
@@ -500,7 +493,7 @@ def paired_test_fields(grid: FlatBandGrid, rng, kind: str):
     a transversally varying twist would leave an O(h_t^2) floor under pure
     radial refinement.
     """
-    return _study(kind)[0](grid, rng)
+    return _study(kind)[0](grid, rngs)
 
 
 def convergence_order(residuals, hs) -> list[float]:

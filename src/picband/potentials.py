@@ -53,7 +53,19 @@ FOCAL_GRID_POINTS = 10_001  # uniform samples of the focal sweep over [0, r_f]
 @dataclass(frozen=True)
 class FocalParams:
     """Parameters of the focal potential; lambda and lambda_bar must both
-    exceed n sqrt(sigma)."""
+    exceed n sqrt(sigma), and 1/lambda_bar <= rho_lambda.
+
+    Two more of the potential's conditions follow from these, so no input
+    can fail them:
+
+    - 1/lambda_bar < pi/(4 beta): pi/(4 beta) = (pi/sqrt 2) n/sqrt(n-2) /
+      (n sqrt sigma), and n/sqrt(n-2) >= 2 sqrt 2 for n >= 4, so pi/(4 beta)
+      >= 2 pi/(n sqrt sigma) > 6/lambda_bar;
+    - 0 < rho_lambda < rho_sigma: atan x < x gives rho_lambda <
+      1/(beta + 2 lambda) < 1/(2 n sqrt sigma), and rho_sigma (2 n sqrt sigma)
+      = 2 sqrt(15 n) (n-1) > 46.  rho_lambda is 0 only by underflow, which
+      1/lambda_bar <= rho_lambda refuses, as it refuses a NaN.
+    """
 
     n: int
     sigma: float
@@ -72,13 +84,9 @@ class FocalParams:
             raise ValueError(f"lambda must exceed n sqrt(sigma) = {floor:.6g}")
         if self.lam_bar <= floor:
             raise ValueError(f"lambda_bar must exceed n sqrt(sigma) = {floor:.6g}")
-        if not (0.0 < self.rho_lambda < self.rho_sigma):
-            raise ValueError("rho_lambda must lie in (0, rho_sigma)")
         if not math.isfinite(self.break2):
             raise ValueError(f"the potential's breakpoints overflow at sigma = {self.sigma:g}")
-        if not (1.0 / self.lam_bar < 0.25 * math.pi / self.beta):
-            raise ValueError("lambda_bar too small: 1/lambda_bar must be below pi/(4 beta)")
-        if 1.0 / self.lam_bar > self.rho_lambda:
+        if not 1.0 / self.lam_bar <= self.rho_lambda:
             raise ValueError(
                 "lambda_bar too small for this lambda: need 1/lambda_bar <= rho_lambda"
             )
@@ -147,12 +155,6 @@ class PiecewisePotential:
         """(f, f', f'') at rho, vectorised; at a breakpoint each component is
         its left value."""
         return tuple(self.sign * part for part in self.pieces.jet(rho))
-
-    def one_sided_limits(self):
-        """Exact one-sided (value, slope) limits at both breakpoints."""
-        lim = self.sign * self.pieces.limits()
-        return {f"break{k + 1}_{side}": (float(lim[k, j, 0]), float(lim[k, j, 1]))
-                for k in range(2) for j, side in enumerate(("left", "right"))}
 
     def continuity_defects(self):
         """The largest jump of f and of f' over the breakpoints."""
@@ -318,28 +320,25 @@ def focal_margin_rows(params: FocalParams, r_f: float, points: int):
 class ChiCutoff:
     """C^2 cutoff in five pieces: -x on [0, 1/2]; a cubic ramp on which chi''
     rises linearly to a height h <= 4; a quadratic with chi'' = h; a cubic
-    ramp back to chi'' = 0; and c_plateau from plateau_end on.  The constants
-    that make the pieces meet (_v_x0, _dp_x0, c_plateau) are read when a piece
-    is evaluated, so :func:`check_chi_cutoff` judges the cutoff as it stands."""
+    ramp back to chi'' = 0; and c_plateau from plateau_end = 0.9 on.  The
+    constants that make the pieces meet (_v_x0, _dp_x0, c_plateau) are read
+    when a piece is evaluated, so :func:`check_chi_cutoff` judges the cutoff
+    as it stands."""
 
-    def __init__(self, plateau_end: float = 0.9):
-        if not (0.75 < plateau_end <= 1.0):
-            raise ValueError(
-                "plateau_end must lie in (3/4, 1]: chi'' <= 4 forces the plateau past 1/2 + 1/4"
-            )
-        self.plateau_end = p = plateau_end
-        ell = plateau_end - 0.5
+    def __init__(self):
+        self.plateau_end = p = 0.9
+        ell = p - 0.5
         t = 0.5 * (1.0 - 0.25 / ell)  # half the feasibility slack
         self.ramp = e = t * ell
         self.height = h = 1.0 / (ell - e)  # below 4, which check_chi_cutoff confirms
-        x0, x1 = 0.5 + e, plateau_end - e
+        x0, x1 = 0.5 + e, p - e
         # accumulate continuity constants piece by piece
         self._dp_x0 = -1.0 + 0.5 * h * e
         self._v_x0 = -x0 + h * e * e / 6.0
         v_x1 = self._v_x0 + self._dp_x0 * (x1 - x0) + 0.5 * h * (x1 - x0) ** 2
         # chi'(x) = -h (p - x)^2 / (2 e) on the down-ramp, zero at p
         self.c_plateau = v_x1 - h * e * e / 6.0
-        self.breakpoints = (0.5, x0, x1, plateau_end)
+        self.breakpoints = (0.5, x0, x1, p)
         # each piece in its offset from a breakpoint, which is exact on the
         # piece (Sterbenz), so -0.5 - s is -x there and the ends are exact
         self.pieces = bands._Piecewise(self.breakpoints, [

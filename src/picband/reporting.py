@@ -75,16 +75,14 @@ def _plain(obj):
     return str(obj)
 
 
-def report_bundle(reports, seed=None) -> dict:
+def report_bundle(reports, seed) -> dict:
     """Deterministic report body plus a separate metadata object."""
-    body = {"reports": [r.to_dict() for r in reports]}
-    if seed is not None:
-        body["seed"] = int(seed)
+    body = {"reports": [r.to_dict() for r in reports], "seed": int(seed)}
     return {"report": body, "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}}
 
 
-def dump_reports(path, reports, seed=None):
-    bundle = report_bundle(reports, seed=seed)
+def dump_reports(path, reports, seed):
+    bundle = report_bundle(reports, seed)
     with open(path, "w") as fh:
         json.dump(bundle, fh, sort_keys=True, indent=1, separators=(",", ": "), allow_nan=False)
         fh.write("\n")

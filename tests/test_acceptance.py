@@ -314,9 +314,7 @@ def test_criterion_10_discrete_hodge():
 def test_criterion_11_counterexample_report():
     """(n, k, sigma, L) = (4, 2, 1, 3): curvature margin 1.0 +- 1e-6, width
     bound 2L - 2 = 4 > L, Betti arithmetic 2."""
-    rep = BD.counterexample_report(
-        BD.CounterexampleSpec(4, 2, 1.0, 3.0), C.SearchConfig(seed=SEED + 10)
-    )
+    rep = BD.counterexample_report(BD.CounterexampleSpec(4, 2, 1.0, 3.0))
     by_name = {r.name: r.min_margin for r in rep.regions}
     margin_ok = abs(by_name["curvature_margin"] - 1.0) < 1e-6
     width_ok = rep.details["width_lower_bound"] == 4.0 and rep.details["width_lower_bound"] > 3.0

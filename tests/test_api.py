@@ -1,12 +1,16 @@
-"""Every public function and class of the library is used by the program,
-named by the benchmark, or on a short allow-list with its reason; and each
-module's ``__all__`` lists exactly those names.
+"""Every public function and class of the library, and every public method
+of a public class, is used by the program, named by the benchmark, or on a
+short allow-list with its reason; and each module's ``__all__`` lists
+exactly the public functions and classes.
 
 "Used" means referenced from code in ``src/`` or ``perfbench/`` outside its
 own definition: by name inside its module, or elsewhere through an import of
 it or an attribute of a name bound to its module (``exterior.clifford_c``,
-``self.E.full_operator_matrix``).  Tests and docstrings do not count.  The
-command-line module is left out: its suites are the entry points.
+``self.E.full_operator_matrix``).  A method is used when its name is read as
+an attribute (``rep.summary_line()``, ``_NaturalCubic.jet``) outside a
+function of that name; the receiver's type is not inferred.  Tests and
+docstrings do not count.  The command-line module is left out: its suites
+are the entry points.
 """
 
 import ast
@@ -43,6 +47,32 @@ def _public(module: str) -> dict:
     tree = ast.parse((ROOT / "src" / "picband" / f"{module}.py").read_text())
     return {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def _public_methods(module: str) -> set:
+    """Class.method of each public method (not _private, not __dunder__) of
+    each public class of a module."""
+    return {f"{cls.name}.{node.name}" for cls in _public(module).values() if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")}
+
+
+def _attribute_names(trees) -> set:
+    """Every attribute name the parsed files read, outside a function of the
+    same name (a method calling itself is not a use)."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Attribute) and node.attr != inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in trees:
+        visit(tree, None)
+    return found
 
 
 def _bindings(tree, own: str | None):
@@ -116,12 +146,21 @@ def _per_layer() -> set:
 
 
 REFERENCES = _references()
+ATTRIBUTES = _attribute_names(ast.parse(path.read_text()) for path in PROGRAM)
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_is_used_benchmarked_or_allowed(module):
     unused = {name for name in _public(module)
               if (module, name) not in REFERENCES | _per_layer() and f"{module}.{name}" not in ALLOWED}
+    assert not unused, f"report or delete: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_is_used_benchmarked_or_allowed(module):
+    unused = {method for method in _public_methods(module)
+              if method.split(".")[1] not in ATTRIBUTES and (module, method.split(".")[1]) not in _per_layer()
+              and f"{module}.{method}" not in ALLOWED}
     assert not unused, f"report or delete: {sorted(unused)}"
 
 
@@ -135,9 +174,14 @@ def test_all_lists_exactly_the_public_names(module):
 
 def test_allow_list_holds_only_public_names_nothing_else_reaches():
     for entry in ALLOWED:
-        module, name = entry.split(".")
-        assert name in _public(module), entry
-        assert (module, name) not in REFERENCES | _per_layer(), f"{entry} is used: drop it from the allow-list"
+        module, name = entry.split(".", 1)
+        if "." in name:  # a method
+            assert name in _public_methods(module), entry
+            used = name.split(".")[1] in ATTRIBUTES or (module, name.split(".")[1]) in _per_layer()
+        else:
+            assert name in _public(module), entry
+            used = (module, name) in REFERENCES | _per_layer()
+        assert not used, f"{entry} is used: drop it from the allow-list"
 
 
 def test_references_follow_imports_and_rebound_module_names():
@@ -146,3 +190,14 @@ def test_references_follow_imports_and_rebound_module_names():
     module name (perfbench's ``E, eye = self.E, np.eye(n)``)."""
     assert ("exterior", "degree_basis") in REFERENCES
     assert ("exterior", "full_operator_matrix") in REFERENCES
+
+
+def test_method_scan_sees_attribute_reads_but_not_a_method_naming_itself():
+    """``summary_line`` is read in the command-line module, a class's
+    ``jet`` through ``_NaturalCubic.jet``; a name read only inside a function
+    of that name is not counted."""
+    assert {"summary_line", "jet"} <= ATTRIBUTES
+    assert "Report.summary_line" in _public_methods("reporting")
+    recursive = "class A:\n    def walk(self):\n        return self.walk()\n"
+    assert _attribute_names([ast.parse(recursive)]) == set()
+    assert _attribute_names([ast.parse(recursive + "    def run(self):\n        return self.walk()\n")]) == {"walk"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,36 @@ def test_table_critical_radii_hold_the_minimum():
         assert steepest >= sampled and steepest - sampled < 1e-6
     with pytest.raises(ValueError, match="warping must stay positive"):
         BD.WarpedBand(4, 0.0, 3.0, BD.WarpProfile("table", xs=UNDERSHOOT_X, values=UNDERSHOOT_VALUES))
+
+
+def test_spline_sweep_matches_a_dense_solve():
+    """The forward and back sweep gives the natural spline's second
+    derivatives of the dense (m, m) system, to 1e-13 relative."""
+    rng = np.random.default_rng(5)
+    for m in range(3, 65):
+        xs = np.cumsum(rng.uniform(0.01, 1.0, m))
+        ys = rng.uniform(0.5, 2.0, m)
+        h = np.diff(xs)
+        A = np.diag(np.r_[1.0, 2.0 * (h[:-1] + h[1:]), 1.0])
+        A += np.diag(np.r_[h[:-1], 0.0], -1) + np.diag(np.r_[0.0, h[1:]], 1)
+        rhs = np.r_[0.0, 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1]), 0.0]
+        dense = np.linalg.solve(A, rhs)
+        M = BD._NaturalCubic(xs, ys).M
+        assert M[0] == M[-1] == 0.0
+        assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense)), m
+
+
+def test_spline_of_many_knots_builds_no_dense_matrix():
+    """A 5,000-knot table: a dense (m, m) solve would hold three 200 MB
+    matrices at its peak, the sweep holds O(m)."""
+    xs = np.linspace(0.0, 3.0, 5000)
+    tracemalloc.start()
+    try:
+        BD._NaturalCubic(xs, np.ones_like(xs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def _corruptions():

@@ -18,7 +18,7 @@ def _focal(orientation):
 
 
 def _chi():
-    chi = P.ChiCutoff(0.9)
+    chi = P.ChiCutoff()
     return chi.jet, 0.0, 1.5, chi.breakpoints
 
 
@@ -149,9 +149,8 @@ def test_focal_pieces_reproduce_the_select_jet(params, orientation):
     assert got.tobytes() == np.array(_select_focal(pot, rho)).tobytes()
 
 
-@pytest.mark.parametrize("plateau_end", [0.76, 0.9, 1.0])
-def test_chi_pieces_reproduce_the_select_jet(plateau_end):
-    chi = P.ChiCutoff(plateau_end)
+def test_chi_pieces_reproduce_the_select_jet():
+    chi = P.ChiCutoff()
     x = _probes(0.0, 2.0, chi.breakpoints)
     with np.errstate(all="raise"):
         got = np.array(chi.jet(x))

@@ -8,9 +8,12 @@ is.  A mutant that changes nothing a suite can see (an equivalent mutant)
 is not a valid row.
 """
 
+import math
+
 import pytest
 
 from picband import cli
+from picband import comparison as CMP
 from picband import potentials as P
 
 
@@ -30,9 +33,41 @@ def _chi_shifted(attr: str, by: float):
     return mutate
 
 
+def _pole_denominator_scaled(monkeypatch):
+    """The positive-boundary barrier with its value branch's denominator
+    s - 1.01 Lambda tanh(s rho): it reports a pole before the true one,
+    whose location formula is untouched."""
+
+    def barrier(p):
+        m, L = p.n - 1, p.Lambda
+        s = math.sqrt(p.K)
+        t = math.tanh(s * p.rho)
+        den = s - 1.01 * L * t
+        if den <= 0:
+            return CMP.PoleBeyond(math.atanh(s / L) / s)
+        return m * s * (s * t - L) / den
+
+    monkeypatch.setattr(CMP, "laplace_upper_positive_boundary", barrier)
+
+
+def _focal_tanh_doubled(monkeypatch):
+    """The Hessian lower focal barrier with tanh(r_f sqrt K) for
+    tanh(r_f sqrt K / 2) on its K > 0 branch."""
+
+    def hessian(p):
+        if p.K < CMP.K_FLAT_EPS:
+            return -2.0 / p.r_f
+        s = math.sqrt(p.K)
+        return -s / math.tanh(p.r_f * s)
+
+    monkeypatch.setattr(CMP, "hessian_lower_focal", hessian)
+
+
 MUTANTS = {
     "chi-plateau-raised": (_chi_shifted("c_plateau", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
+    "pole-denominator-scaled": (_pole_denominator_scaled, ["verify", "comparison"], 1, "comparison.pole_location"),
+    "focal-tanh-doubled": (_focal_tanh_doubled, ["verify", "comparison"], 1, "comparison.flat_limits"),
 }
 
 

@@ -38,6 +38,24 @@ def test_params_validation():
         P.FocalParams(4, 1.0, 5.0, 8.0)  # violates 1/lambda_bar <= rho_lambda
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 32), st.floats(-6.0, 6.0), st.floats(-9.0, 6.0), st.floats(-9.0, 6.0))
+def test_accepted_params_meet_the_two_derived_conditions(half_n, log_sigma, log_lam_over, log_lam_bar_over):
+    """FocalParams does not check 1/lambda_bar < pi/(4 beta) or 0 < rho_lambda
+    < rho_sigma: its docstring derives both from what it does check.  Every
+    draw here is accepted and meets them: even n in 4..64, sigma log-uniform
+    in [1e-6, 1e6], lambda = n sqrt(sigma) (1 + 10^s) and lambda_bar =
+    (1 + 10^t) / rho_lambda, which is above n sqrt(sigma) too, for s, t
+    uniform in [-9, 6]."""
+    n, sigma = 2 * half_n, 10.0**log_sigma
+    lam = n * math.sqrt(sigma) * (1.0 + 10.0**log_lam_over)
+    beta = math.sqrt((n - 2) * sigma / 8.0)
+    rho_lambda = math.atan(beta / (beta + 2.0 * lam)) / beta
+    p = P.FocalParams(n, sigma, lam, (1.0 + 10.0**log_lam_bar_over) / rho_lambda)
+    assert 1.0 / p.lam_bar < 0.25 * math.pi / p.beta
+    assert 0.0 < p.rho_lambda < p.rho_sigma
+
+
 def test_potential_breakpoints_and_support(params):
     pot = P.PiecewisePotential(params)
     x1, x2 = pot.breakpoints
@@ -65,8 +83,8 @@ def test_potential_continuity(params):
     value_jump, slope_jump = pot.continuity_defects()
     assert value_jump <= 1e-10
     assert slope_jump <= 1e-10
-    lim = pot.one_sided_limits()
-    assert abs(lim["break1_left"][1] + params.slope_a) < 1e-12
+    lim = pot.pieces.limits()  # the N orientation's (left, right) (f, f', f'') at each breakpoint
+    assert abs(lim[0, 0, 1] + params.slope_a) < 1e-12
 
 
 def test_potential_orientations(params):
@@ -159,7 +177,7 @@ def test_focal_inequality_precondition(params):
 
 
 def test_chi_cutoff_properties():
-    chi = P.ChiCutoff(0.9)
+    chi = P.ChiCutoff()
     xs = np.linspace(0.0, 2.0, 10_001)
     c, cp, cpp = chi.jet(xs)
     low = xs <= 0.5
@@ -173,17 +191,16 @@ def test_chi_cutoff_properties():
 
 
 def test_chi_cutoff_is_c2():
-    chi = P.ChiCutoff(0.9)
+    chi = P.ChiCutoff()
     for b in chi.breakpoints:
         for left, right in zip(chi.jet(b - 1e-9), chi.jet(b + 1e-9)):
             assert abs(float(left) - float(right)) < 1e-7
 
 
-@pytest.mark.parametrize("plateau_end", [0.76, 0.9, 1.0])
-def test_chi_cutoff_check_reads_the_pieces(plateau_end):
-    """The closed-form check passes across the feasibility window, with
-    breakpoint jumps far below its 1e-12 and the headroom exactly 4 - h."""
-    chi = P.ChiCutoff(plateau_end)
+def test_chi_cutoff_check_reads_the_pieces():
+    """The closed-form check passes, with breakpoint jumps far below its
+    1e-12 and the headroom exactly 4 - h."""
+    chi = P.ChiCutoff()
     rep = P.check_chi_cutoff(chi)
     assert rep.passed
     assert np.ptp(chi.pieces.limits(), axis=1).max() < 1e-15
@@ -191,13 +208,14 @@ def test_chi_cutoff_check_reads_the_pieces(plateau_end):
 
 
 def test_chi_feasibility_window():
-    with pytest.raises(ValueError):
-        P.ChiCutoff(0.75)
-    with pytest.raises(ValueError):
-        P.ChiCutoff(1.05)
-    tight = P.ChiCutoff(0.76)
-    xs = np.linspace(0.0, 1.5, 40_001)
-    assert tight.jet(xs)[2].max() <= 4.0
+    """chi' rises from -1 to 0 over [1/2, plateau_end] with chi'' <= 4, so the
+    plateau lies past 3/4, as the fixed 0.9 does; chi'' integrates to
+    h e / 2 on each ramp plus h (x1 - x0) on the quadratic between, so to
+    h (plateau_end - 1/2 - e) = 1 in all."""
+    chi = P.ChiCutoff()
+    assert 0.75 < chi.plateau_end <= 1.0
+    assert chi.height * (chi.plateau_end - 0.5 - chi.ramp) == pytest.approx(1.0, abs=1e-15)
+    assert chi.height <= 4.0
 
 
 def test_bandwidth_margin_example():

@@ -12,18 +12,29 @@ Sign conventions, fixed once for the whole package:
   normalised so that (1/8) sigma g o^ g has isotropic curvature exactly
   sigma on every orthonormal four-frame.
 
-The frame search evaluates the isotropic curvature of frames (x_0..x_3)
-through the six pair slices H_ab = R(x_a, x_b, ., .), one n x n matrix per
-slot pair, all from one (6B x n^2) by (n^2 x n^2) matrix product.  The value
-is x_0'H_02 x_2 + x_0'H_03 x_3 + x_1'H_12 x_2 + x_1'H_13 x_3 - 2 x_2'H_01 x_3,
-and each frame row's gradient is a sum of slices applied to frame vectors,
-e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.  Only the pair
-antisymmetries and the pair interchange are used, which the storage holds
-exactly; the first Bianchi identity is not.  The search carries the slices
-of its current frames, so a descent iteration costs one slice product: that
-of its trial frames, which gives their values and, for an accepted step,
-the slices of the next gradient.  Frames are retracted by Gram-Schmidt,
-which is the QR retraction with a positive diagonal.
+The frame search evaluates the isotropic curvature of frames (x_0..x_3) on
+the two bivectors of z ^ w, z = x_0 + i x_1 and w = x_2 + i x_3: the real
+part alpha = x_0 ^ x_2 - x_1 ^ x_3 and the imaginary part
+beta = x_0 ^ x_3 + x_1 ^ x_2.  The isotropic curvature
+K = <R(z ^ w), conj(z ^ w)> of the totally isotropic plane span(z, w)
+(Micallef and Moore, Ann. Math. 127, 1988) is
+K = R_0202 + R_0303 + R_1212 + R_1313 - 2 R_0123 = <R~ alpha, alpha> + <R~ beta, beta>
+with R~ = R - b/2, b = ``_bianchi_sum(R)``, on every tensor with the pair
+symmetries, whether or not it satisfies the first Bianchi identity.  Proof:
+expanding, <R alpha, alpha> + <R beta, beta> = K + 2 (R_0123 + R_0231 + R_0312)
+= K + 2 b(x_0, x_1, x_2, x_3).  Under the pair symmetries b is totally
+antisymmetric, so its squares vanish and <b alpha, alpha> + <b beta, beta> =
+-2 b_0213 + 2 b_0312 = 4 b(x_0, x_1, x_2, x_3); half of it cancels the 2 b.
+With alpha and beta held as n x n matrices, one (2B x n^2) by (n^2 x n^2)
+matrix product gives the images A = R~ alpha and B = R~ beta of a batch of
+frames, the value is <A, alpha> + <B, beta>, and the gradient is a table of
+images applied to frame vectors: d/dx_0 = 2 (A x_2 + B x_3),
+d/dx_1 = 2 (B x_2 - A x_3), d/dx_2 = -2 (A x_0 + B x_1) and
+d/dx_3 = 2 (A x_1 - B x_0).  The search carries the images of its current
+frames, so a descent iteration costs one image product: that of its trial
+frames, which gives their values and, for an accepted step, the images of
+the next gradient.  Frames are retracted by Gram-Schmidt, which is the QR
+retraction with a positive diagonal.
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
@@ -41,6 +52,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -250,48 +262,51 @@ def iso_curvature(R: CurvTensor, frame) -> float:
     return float(_iso_batch(R.R, X[None])[0])
 
 
-# The six slot pairs (a, b) of a frame, in the order 01, 02, 03, 12, 13, 23.
-_PAIR_A = np.array([0, 0, 0, 1, 1, 2])
-_PAIR_B = np.array([1, 2, 3, 2, 3, 3])
+def _iso_tensor(R: np.ndarray) -> np.ndarray:
+    """R~ = R - b/2, b = ``_bianchi_sum(R)``: the tensor whose terms
+    <R~ alpha, alpha> + <R~ beta, beta> are the isotropic curvature of R,
+    also where R has a first Bianchi defect (see the module docstring)."""
+    return R - 0.5 * _bianchi_sum(R)
 
 
-def _pair_slices(R: np.ndarray, X: np.ndarray):
-    """Outer products P[B,p] = x_a (x) x_b and pair slices
-    H[B,p] = R(x_a, x_b, ., .) of every slot pair, in one matrix product."""
+# alpha and beta as [x_0 x_1] (n x 2) times a signed pair of the other rows (2 x n):
+# alpha = x_0 (x) x_2 - x_1 (x) x_3 from (x_2, -x_3), beta = x_0 (x) x_3 + x_1 (x) x_2 from (x_3, x_2)
+_BIVECTOR_ROWS = np.array([[2, 3], [3, 2]])
+_BIVECTOR_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])[:, :, None]
+
+
+def _bivector_images(Rt: np.ndarray, X: np.ndarray):
+    """The bivectors P[B] = (alpha, beta) of each frame as n x n matrices and
+    their images H[B] = (A, B) = (Rt alpha, Rt beta), in one matrix product."""
     B, _, n = X.shape
-    P = X[:, _PAIR_A, :, None] * X[:, _PAIR_B, None, :]
-    H = (P.reshape(6 * B, n * n) @ R.reshape(n * n, n * n)).reshape(B, 6, n, n)
+    P = np.swapaxes(X[:, None, :2], 2, 3) @ (X[:, _BIVECTOR_ROWS] * _BIVECTOR_SIGNS)
+    H = (P.reshape(2 * B, n * n) @ Rt.reshape(n * n, n * n)).reshape(B, 2, n, n)
     return P, H
 
 
-def _iso_value(P: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Isotropic curvature of each frame from its outer products and pair slices."""
+def _bivector_value(P: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Isotropic curvature <A, alpha> + <B, beta> of each frame."""
     B = P.shape[0]
-    # <H_ab, x_c (x) x_d> = R(x_a, x_b, x_c, x_d): slices 02, 03, 12, 13
-    # against their own outer products, slice 01 against 23
-    T = np.einsum("Bpm,Bpm->Bp", H.reshape(B, 6, -1)[:, :5], P.reshape(B, 6, -1)[:, [5, 1, 2, 3, 4]])
-    return T[:, 1] + T[:, 2] + T[:, 3] + T[:, 4] - 2.0 * T[:, 0]
+    return np.einsum("Bm,Bm->B", H.reshape(B, -1), P.reshape(B, -1))
 
 
 def _iso_batch(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return _iso_value(*_pair_slices(R, X))
+    return _bivector_value(*_bivector_images(_iso_tensor(R), X))
 
 
-# The gradient as a table over (slot pair p, frame row c) and frame row a:
-# d/dx_a = sum_{p,c} _GRAD_COEF[p, c, a] H_p x_c, e.g. d/dx_0 = 2 H_02 x_2 + 2 H_03 x_3 - 2 H_23 x_1.
-_GRAD_COEF = np.zeros((6, 4, 4))
-_GRAD_COEF[[1, 2, 5, 3, 4, 5, 1, 3, 0, 0, 2, 4],
-           [2, 3, 1, 2, 3, 0, 0, 1, 3, 2, 0, 1],
-           [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]] = [2, 2, -2, 2, 2, 2, -2, -2, -2, 2, -2, -2]
-_GRAD_COEF = _GRAD_COEF.reshape(24, 4)
+# The gradient as a signed pair of frame rows per frame row, against the images stacked
+# as one 2n x n matrix: d/dx_0 = 2 (A x_2 + B x_3) = -2 (x_2' A + x_3' B), since A and B
+# are antisymmetric, d/dx_1 = 2 (B x_2 - A x_3) = 2 x_3' A - 2 x_2' B,
+# d/dx_2 = -2 (A x_0 + B x_1) = 2 (x_0' A + x_1' B) and d/dx_3 = 2 (A x_1 - B x_0) = -2 x_1' A + 2 x_0' B
+_GRAD_ROWS = np.array([[2, 3], [3, 2], [0, 1], [1, 0]])
+_GRAD_SIGNS = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])[:, :, None]
 
 
-def _slice_grad(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _bivector_grad(H: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the isotropic curvature with respect to the
-    frame rows, from the frames' pair slices H; no product with R."""
+    frame rows, from the frames' images H; no product with R."""
     B, _, n, _ = H.shape
-    HX = H @ np.swapaxes(X, 1, 2)[:, None]  # HX[B,p,:,c] = H_p x_c
-    return (HX.transpose(0, 2, 1, 3).reshape(B * n, 24) @ _GRAD_COEF).reshape(B, n, 4).swapaxes(1, 2)
+    return (X[:, _GRAD_ROWS] * _GRAD_SIGNS).reshape(B, 4, 2 * n) @ H.reshape(B, 2 * n, n)
 
 
 def _retract(Y: np.ndarray) -> np.ndarray:
@@ -334,13 +349,22 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     the reported value is the minimum over every frame evaluated during
     the search, reduced in (value, restart index) order.
 
-    Each iteration works on the live restarts only and forms one set of
-    pair slices with R: those of its trial frames.  They give the trial
-    values, and a restart that accepts its trial keeps them as the slices of
-    its new frame, from which the next gradient is read (``_slice_grad``,
-    no product with R).  The trial frames come from the Gram-Schmidt
-    retraction (``_retract``), the same map as a QR retraction with a
-    positive diagonal.  A restart retires in one of three ways:
+    The isotropic curvature <R(z ^ w), conj(z ^ w)> of a frame, z = x_0 + i x_1
+    and w = x_2 + i x_3 (Micallef and Moore, Ann. Math. 127, 1988), is
+    <R~ alpha, alpha> + <R~ beta, beta> on the real and imaginary parts
+    alpha, beta of z ^ w, with R~ = R - b/2 and b the first Bianchi sum: the
+    Bianchi defect adds 2 b(x_0, x_1, x_2, x_3) to the terms of R, which the
+    -b/2 of R~ takes away (proof in the module docstring).
+
+    Each iteration works on the live restarts only, gathered into arrays of
+    their own once some restart has retired, and forms one pair of images
+    (R~ alpha, R~ beta): those of its trial frames.  They give the trial
+    values, and a restart that accepts its trial keeps them as the images
+    of its new frame, from which the next gradient is read
+    (``_bivector_grad``, no product with R~).  The trial frames come from
+    the Gram-Schmidt retraction (``_retract``), the same map as a QR
+    retraction with a positive diagonal.  A restart retires in one of three
+    ways:
 
     * its tangent gradient drops below SEARCH_GRAD_TOL;
     * its step falls below 1e-14; it still takes one trial at its halved
@@ -360,17 +384,19 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     if n < 4:
         raise ValueError("isotropic curvature needs ambient dimension >= 4")
     Rs, exponent = _unit_scaled(R.R)
+    Rt = _iso_tensor(Rs)
     rng = np.random.default_rng(cfg.seed)
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
-    P, H = _pair_slices(Rs, X)  # carried: H holds the slices of the current frames
-    vals = _iso_value(P, H)
+    P, H = _bivector_images(Rt, X)  # carried: H holds the images of the current frames
+    vals = _bivector_value(P, H)
     best_vals = vals.copy()
     best_X = X.copy()
     step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
     last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
     window_vals = vals.copy()  # accepted values at the last stall check
+    everyone = np.arange(B)
 
     for it in range(SEARCH_MAX_ITER):
         if it and it % STALL_WINDOW == 0:
@@ -379,8 +405,11 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
-        Xl, stepl, act = X[live], step[live], active[live]
-        G = _slice_grad(H[live], Xl)
+        if len(live) == B:  # no restart has retired: the arrays themselves, no gather
+            live, Xl, Hl, stepl, act = everyone, X, H, step, active.copy()
+        else:
+            Xl, Hl, stepl, act = X[live], H[live], step[live], active[live]
+        G = _bivector_grad(Hl, Xl)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
         M = G @ np.swapaxes(Xl, 1, 2)
         Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ Xl
@@ -389,8 +418,8 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         if not act.any():
             break
         Y = _retract(Xl - stepl[:, None, None] * Gt)
-        PY, HY = _pair_slices(Rs, Y)
-        vY = _iso_value(PY, HY)
+        PY, HY = _bivector_images(Rt, Y)
+        vY = _bivector_value(PY, HY)
         accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
         acc = live[accept]
         X[acc] = Y[accept]
@@ -524,15 +553,41 @@ def _certified_bound(R: CurvTensor) -> float | None:
         return None
 
 
+def _best_coordinate_frame(R: CurvTensor):
+    """The least isotropic curvature over coordinate frames,
+    R_acac + R_adad + R_bcbc + R_bdbd - 2 |R_abcd|, with a frame attaining it:
+    (e_a, e_b, e_c, e_d), its last vector negated where R_abcd < 0 (which
+    flips the sign of the cross term).  The symmetries of the isotropic
+    curvature and that sign leave 3 C(n, 4) frames apart: each four-subset
+    a < b < c < d split into the planes of z and w as {a, b | c, d},
+    {a, c | b, d} and {a, d | b, c}.  Read off ``_unit_scaled(R)``, so no
+    sum overflows."""
+    Rs, exponent = _unit_scaled(R.R)
+    quads = np.array(list(combinations(range(R.n), 4)))
+    a, b, c, d = quads[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]]].reshape(-1, 4).T
+    cross = Rs[a, b, c, d]
+    values = Rs[a, c, a, c] + Rs[a, d, a, d] + Rs[b, c, b, c] + Rs[b, d, b, d] - 2.0 * np.abs(cross)
+    k = int(np.argmin(values))
+    frame = np.zeros((4, R.n))
+    frame[np.arange(4), [a[k], b[k], c[k], d[k]]] = [1.0, 1.0, 1.0, -1.0 if cross[k] < 0 else 1.0]
+    return math.ldexp(float(values[k]), exponent), Frame4(frame)
+
+
 def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
     """The (value, frame, restarts, kind) minimum a sigma-PIC verdict rests
-    on: exact in dimension 4 (no search, 0 restarts), the frame search above
-    it; NaN, no frame and 0 restarts on a tensor that is not finite."""
+    on: exact in dimension 4 (no search, 0 restarts); above it the frame
+    search's minimum, or the best coordinate frame's value where that is
+    lower, with the frame attaining it; NaN, no frame and 0 restarts on a
+    tensor that is not finite."""
     if not np.all(np.isfinite(R.R)):
         return math.nan, None, 0, "exact" if R.n == 4 else "stochastic"
     if R.n == 4:
         return (*exact_min_isotropic(R), 0, "exact")
-    return (*min_isotropic(R, cfg), cfg.restarts, "stochastic")
+    value, frame = min_isotropic(R, cfg)
+    coordinate_value, coordinate_frame = _best_coordinate_frame(R)
+    if coordinate_value < value:
+        value, frame = coordinate_value, coordinate_frame
+    return value, frame, cfg.restarts, "stochastic"
 
 
 @dataclass
@@ -544,8 +599,9 @@ class PicVerdict:
       Ky Fan bound, which is at most the true minimum and proves the PASS;
       no search runs (``restarts`` 0, no witness);
     * ``"stochastic"`` (dimension 5 and up, where the bound does not prove
-      sigma): ``min_found`` is the frame search's minimum, an upper bound
-      of the true one; a PASS is evidence, not a proof.
+      sigma): ``min_found`` is the frame search's minimum, or the best
+      coordinate frame's value where that is lower, an upper bound of the
+      true one; a PASS is evidence, not a proof.
 
     A FAIL of ``is_sigma_pic`` carries a witness frame whose isotropic
     curvature is ``min_found``.  A tensor with a NaN or infinite component is

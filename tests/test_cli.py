@@ -488,6 +488,20 @@ def test_dimension_past_dense_tensor_limit_is_input_error(tmp_path, capsys, argv
     assert not report.exists()
 
 
+def test_complex_past_the_boundary_budget_is_input_error(tmp_path, capsys):
+    """A 1-D cycle of 1,025 vertices needs 1025^2 dense boundary entries, past
+    hodge.MAX_BOUNDARY_ENTRIES: verify hodge --complex exits 2 and writes no
+    report."""
+    m = 1025
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"dim": 1, "simplices": {"0": [[v] for v in range(m)],
+                                                        "1": [sorted([v, (v + 1) % m]) for v in range(m)]}}))
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "hodge", "--complex", str(path), "--out", str(report)]) == 2
+    assert "1050625 dense boundary matrix entries, more than MAX_BOUNDARY_ENTRIES" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("argv", [["--L", "1e308"], ["--sigma", "1e308"]], ids=["L", "sigma"])
 def test_counterexample_infinite_margin_is_input_error(tmp_path, capsys, argv):
     """2L - 2 / sqrt(sigma) and 2 sigma overflow to inf in Python floats:

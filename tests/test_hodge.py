@@ -67,6 +67,39 @@ def test_complex_validation():
         H.SimplicialComplex({1: [(0, 0)]})
 
 
+def _boundary_entries(K) -> int:
+    counts = [K.n_simplices(d) for d in range(K.dim + 1)]
+    return sum(a * b for a, b in zip(counts, counts[1:]))
+
+
+def test_complex_past_the_boundary_budget_is_refused_before_any_matrix(monkeypatch):
+    """A cycle of m vertices has an m x m boundary matrix: m = 1024 sits at
+    MAX_BOUNDARY_ENTRIES, m = 1025 is refused, before a boundary matrix is
+    built, with the count and the constant named."""
+    assert H.MAX_BOUNDARY_ENTRIES == 1024**2
+    assert _boundary_entries(cycle_complex(list(range(1024)))) == H.MAX_BOUNDARY_ENTRIES
+
+    def refuse(self, k):
+        raise AssertionError("a boundary matrix was built")
+
+    monkeypatch.setattr(H.SimplicialComplex, "_build_boundary", refuse)
+    with pytest.raises(ValueError, match=r"\[1025, 1025\] need 1050625 dense .* MAX_BOUNDARY_ENTRIES = 1048576"):
+        cycle_complex(list(range(1025)))
+
+
+def test_shipped_and_benchmark_complexes_sit_far_below_the_boundary_budget():
+    """The bundled complexes, the golden --complex inputs and the benchmark's
+    6 x 4 annulus and 5 x 4 torus grids hold at most 1% of the budget."""
+    golden = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    complexes = [H.load_bundled(name) for name in H.BUNDLED]
+    for name in ("annulus", "torus"):
+        with open(os.path.join(golden, f"{name}.json")) as fh:
+            complexes.append(H.load_complex(json.load(fh)))
+    rng = np.random.default_rng(0)
+    complexes += [grid_complex(6, 4, False, rng.permutation(24)), grid_complex(5, 4, True, rng.permutation(20))]
+    assert max(map(_boundary_entries, complexes)) <= H.MAX_BOUNDARY_ENTRIES // 100
+
+
 def test_boundary_of_boundary_zero():
     K = H.load_bundled("s2xs1")
     B3 = K.boundary_matrix(3)

@@ -51,14 +51,28 @@ ENTRIES = {
        for suite in ("curvature", "weitzenboeck")},
     **{f"hodge-{name}": ["verify", "hodge", "--complex", f"inputs/{name}.json"] for name in ("annulus", "torus")},
     "identities-grid": ["verify", "identities", "--grid", "inputs/grid.json"],
+    "curvature-n8": ["verify", "curvature", "--n", "8"],
+    "weitzenboeck-n16-sigma0": ["verify", "weitzenboeck", "--n", "16", "--sigma", "0"],
+    "counterexample-n5": ["verify", "counterexample", "--n", "5"],
+    "comparison-draws200-seed1": ["verify", "comparison", "--draws", "200", "--seed", "1"],
+    "focal-rf1e306": ["verify", "focal", "--rf", "1e306"],
+    **{f"hodge{name}-twists1000-seed1": ["verify", "hodge", *flags, "--twists", "1000", "--seed", "1"]
+       for name, flags in (("", []), ("-torus", ["--complex", "inputs/torus.json"]))},
+    # the n = 5 tensor with R_1212 = v and R_3434 = 2, whose coordinate frame
+    # (e1, e2, e3, e4) has isotropic curvature 0: sigma = 1 fails at any v
+    **{f"curvature-tensor5-{v}": ["verify", "curvature", "--tensor", f"inputs/tensor5-{v}.json", "--sigma", "1"]
+       for v in ("1e20", "1e200")},
+    # the round S^6 (every sectional 1), on which the Ky Fan bound 4 is sharp
+    **{f"curvature-sphere6-sigma{sigma}": ["verify", "curvature", "--tensor", "inputs/sphere6.json",
+                                           "--sigma", sigma] for sigma in ("4", "4.1")},
 }
 
 
 def run_entry(argv: list[str]) -> dict:
     """Run one command line in process, with an empty working directory
     that it must leave holding at most its --out file; returns its exit
-    code, standard output and output: the canonical report body (verify)
-    or CSV text (emit)."""
+    code (argparse's for a usage error), standard output and output: the
+    canonical report body (verify) or CSV text (emit)."""
     from picband import cli
 
     name = "out.csv" if argv[0] == "emit" else "out.json"
@@ -71,6 +85,8 @@ def run_entry(argv: list[str]) -> dict:
         try:
             with contextlib.redirect_stdout(sink):
                 code = cli.main([*paths, "--out", out_path])
+        except SystemExit as exc:
+            code = exc.code
         finally:
             os.chdir(cwd)
         stray = sorted(set(os.listdir(workdir)) - {name})

@@ -13,18 +13,37 @@ from hypothesis import given, settings, strategies as st
 from picband import cli
 from picband.reporting import canonical_body
 from tests.conftest import complex_to_json, constant_curvature, curvature_to_json
+from tests.golden.regenerate import run_entry
 
 
-def run_cli(args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "picband.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+def run_cli(args):
+    return subprocess.run([sys.executable, "-m", "picband.cli", *args], capture_output=True, text=True)
+
+
+# Command lines whose exit code is all a test can pin; the golden corpus
+# (tests/golden/regenerate.py) holds those whose output it can pin.  verify
+# clifford's max_defect is sampling rounding, about 3e-15.
+EXIT_CODES = [
+    (["verify", "clifford"], 0),
+    (["verify", "nonsense"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["-".join(argv) for argv, _ in EXIT_CODES])
+def test_exit_code(argv, code):
+    entry = run_entry(argv)
+    assert entry["exit_code"] == code
+    assert code != 2 or "body" not in entry  # an error writes no report
+
+
+def test_table_band_of_20000_knots(tmp_path):
+    """The natural spline of a 20,000-knot table is one O(m) sweep, where a
+    dense solve would hold three 3.2 GB matrices."""
+    m = 20000
+    path = tmp_path / "band.json"
+    phi = {"kind": "table", "x": [3 * i / (m - 1) for i in range(m)], "values": [1.0] * m}
+    path.write_text(json.dumps({"n": 4, "r0": 0.5, "r1": 2.5, "phi": phi}))
+    assert run_entry(["verify", "band", "--band", str(path)])["exit_code"] == 0
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
@@ -43,12 +62,6 @@ def test_verify_curvature_negative_sigma_is_a_verdict():
     """--sigma -1 was refused (exit 2) while verify band judged it."""
     for n in ("4", "6"):
         assert cli.main(["verify", "curvature", "--n", n, "--sigma", "-1"]) in (0, 1)
-
-
-def test_verify_clifford_passes():
-    out = run_cli(["verify", "clifford", "--n", "4..5", "--samples", "10"])
-    assert out.returncode == 0
-    assert "PASS clifford.relations.n4" in out.stdout
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "11", "1000000000000000", "4..1000000000000000", "4..1000000000",
@@ -95,23 +108,18 @@ def test_clifford_basis_defect_is_exact_and_a_corrupted_stack_fails(monkeypatch,
 
 
 def test_verify_failure_exit_code():
-    # sigma above the product minimum: stochastic search finds a counter-frame
+    # sigma above the product minimum: stochastic search finds a counter-frame;
+    # a process, so that python -m picband.cli passes main's exit code on
     out = run_cli(["verify", "curvature", "--sigma", "2.5"])
     assert out.returncode == 1
     assert "FAIL" in out.stdout
 
 
-def test_usage_error_exit_code():
-    out = run_cli(["verify", "nonsense"])
-    assert out.returncode == 2
-
-
-def test_input_error_exit_code(tmp_path):
+def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    out = run_cli(["verify", "weitzenboeck", "--tensor", str(bad)])
-    assert out.returncode == 2
-    assert "input error" in out.stderr
+    assert run_entry(["verify", "weitzenboeck", "--tensor", str(bad)])["exit_code"] == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_reports_byte_identical(tmp_path):
@@ -125,24 +133,21 @@ def test_reports_byte_identical(tmp_path):
     assert "timestamp" in b1["metadata"]
 
 
-def test_env_seed_override(tmp_path):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    run_cli(["verify", "curvature", "--seed", "3", "--out", str(p1)])
-    run_cli(["verify", "curvature", "--seed", "5", "--out", str(p2)], env={"PIC_TOOLKIT_SEED": "3"})
-    assert canonical_body(json.loads(p1.read_text())) == canonical_body(json.loads(p2.read_text()))
+def test_env_seed_override(monkeypatch):
+    monkeypatch.delenv("PIC_TOOLKIT_SEED", raising=False)
+    body = run_entry(["verify", "curvature", "--seed", "3"])["body"]
+    monkeypatch.setenv("PIC_TOOLKIT_SEED", "3")
+    assert run_entry(["verify", "curvature", "--seed", "5"])["body"] == body
 
 
-def test_verify_focal_cli(tmp_path):
-    out_json = tmp_path / "focal.json"
-    out = run_cli([
-        "verify", "focal", "--n", "4", "--sigma", "1", "--lambda", "5",
-        "--lambda-bar", "100", "--rf", "18.01", "--out", str(out_json),
-    ])
-    assert out.returncode == 0
-    bundle = json.loads(out_json.read_text())
-    checks = {r["check"] for r in bundle["report"]["reports"]}
+def test_verify_focal_cli():
+    # run_entry fails a run that writes any file besides its report: the
+    # curve is `emit csv --curve focal`
+    entry = run_entry(["verify", "focal", "--n", "4", "--sigma", "1", "--lambda", "5",
+                       "--lambda-bar", "100", "--rf", "18.01"])
+    assert entry["exit_code"] == 0
+    checks = {r["check"] for r in entry["body"]["reports"]}
     assert {"focal.regularity", "focal.boundary", "focal.inequality.N", "focal.inequality.D"} <= checks
-    assert os.listdir(tmp_path) == ["focal.json"]  # only the report: the curve is `emit csv --curve focal`
 
 
 def test_focal_curve_needs_the_focal_radius_verify_focal_needs(tmp_path):
@@ -160,9 +165,9 @@ def test_verify_weitzenboeck_with_tensor_file(tmp_path):
     R = constant_curvature(4, 1.0)
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(curvature_to_json(R)))
-    out = run_cli(["verify", "weitzenboeck", "--tensor", str(path), "--sigma", "4"])
-    assert out.returncode == 0
-    assert "weitzenboeck.lower_bound" in out.stdout
+    entry = run_entry(["verify", "weitzenboeck", "--tensor", str(path), "--sigma", "4"])
+    assert entry["exit_code"] == 0
+    assert "weitzenboeck.lower_bound" in entry["stdout"]
 
 
 def test_verify_hodge_custom_complex(tmp_path):
@@ -171,48 +176,14 @@ def test_verify_hodge_custom_complex(tmp_path):
     doc = complex_to_json(H.load_bundled("annulus"))
     path = tmp_path / "annulus.json"
     path.write_text(json.dumps(doc))
-    out = run_cli(["verify", "hodge", "--complex", str(path), "--twists", "3"])
-    assert out.returncode == 0
+    assert run_entry(["verify", "hodge", "--complex", str(path), "--twists", "3"])["exit_code"] == 0
 
 
 def test_verify_band_with_spec(tmp_path):
     spec = {"n": 4, "phi": {"kind": "const"}, "r0": 0.0, "r1": 2.0}
     path = tmp_path / "band.json"
     path.write_text(json.dumps(spec))
-    out = run_cli(["verify", "band", "--band", str(path), "--sigma", "1.0"])
-    assert out.returncode == 0
-
-
-def test_verify_identities_grid_config(tmp_path):
-    doc = {
-        "n": 4, "L": 2.0, "N_r": 32, "N_t": 6,
-        "fields": [
-            [{"index": [1, 2], "coef": [1.0, 0.0],
-              "factors": [{"axis": 0, "kind": "sin", "freq": 1.3, "phase": 0.4},
-                          {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]}],
-            [{"index": [2], "coef": [0.7, 0.2],
-              "factors": [{"axis": 0, "kind": "cos", "freq": 0.9, "phase": 0.1},
-                          {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]},
-             {"index": [1, 2, 3], "coef": [0.4, -0.1],
-              "factors": [{"axis": 0, "kind": "sin", "freq": 1.7, "phase": 0.9},
-                          {"axis": 1, "kind": "cos", "freq": 1, "phase": 0.3}]}],
-        ],
-    }
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(doc))
-    out = run_cli(["verify", "identities", "--grid", str(path)])
-    assert out.returncode == 0
-    assert "identities.green_dirac.config" in out.stdout
-
-
-def test_emit_barrier_csv(tmp_path):
-    path = tmp_path / "barrier.csv"
-    out = run_cli(["emit", "csv", "--curve", "barrier", "--n", "3", "--K", "1.0",
-                   "--Lambda", "1.0", "--points", "16", "--out", str(path)])
-    assert out.returncode == 0
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rho,barrier,oracle,margin"
-    assert len(lines) == 17
+    assert run_entry(["verify", "band", "--band", str(path), "--sigma", "1.0"])["exit_code"] == 0
 
 
 def test_curvature_report_restarts_are_the_search_effort(tmp_path):
@@ -792,25 +763,21 @@ def test_parse_range():
         cli._parse_range("8..4")
 
 
-def test_non_finite_float_flag_is_usage_error(tmp_path):
-    path = tmp_path / "r.json"
-    out = run_cli(["verify", "bandwidth", "--sigma", "nan", "--out", str(path)])
-    assert out.returncode == 2
-    assert not path.exists()
+def test_non_finite_float_flag_is_usage_error():
+    entry = run_entry(["verify", "bandwidth", "--sigma", "nan"])
+    assert entry["exit_code"] == 2 and "body" not in entry
 
 
 def test_radial_sizes_must_increase():
-    out = run_cli(["verify", "identities", "--N-r", "16,16"])
-    assert out.returncode == 2
+    assert run_entry(["verify", "identities", "--N-r", "16,16"])["exit_code"] == 2
 
 
-def test_band_spec_null_field_is_input_error(tmp_path):
+def test_band_spec_null_field_is_input_error(tmp_path, capsys):
     spec = {"n": 4, "phi": {"kind": "const"}, "r0": None, "r1": 2.0}
     path = tmp_path / "band.json"
     path.write_text(json.dumps(spec))
-    out = run_cli(["verify", "band", "--band", str(path)])
-    assert out.returncode == 2
-    assert "input error" in out.stderr
+    assert run_entry(["verify", "band", "--band", str(path)])["exit_code"] == 2
+    assert "input error" in capsys.readouterr().err
 
 
 # Triangles of a 6 x 4 annulus with shuffled vertex labels on which one
@@ -833,12 +800,12 @@ def test_hodge_near_cut_eigenvalue_takes_exact_rank(tmp_path):
                                    "2": NEAR_CUT_ANNULUS}}
     path = tmp_path / "annulus.json"
     path.write_text(json.dumps(doc))
-    out = run_cli(["verify", "hodge", "--complex", str(path), "--twists", "60", "--seed", "704801911"])
-    assert out.returncode == 0, out.stdout
-    assert "PASS hodge.custom.absolute.k1" in out.stdout
+    entry = run_entry(["verify", "hodge", "--complex", str(path), "--twists", "60", "--seed", "704801911"])
+    assert entry["exit_code"] == 0, entry["stdout"]
+    assert "PASS hodge.custom.absolute.k1" in entry["stdout"]
 
 
-def test_non_finite_json_constant_is_input_error(tmp_path):
+def test_non_finite_json_constant_is_input_error(tmp_path, capsys):
     doc = {
         "n": 4, "L": 2.0, "N_r": 24, "N_t": 6,
         "fields": [
@@ -850,11 +817,9 @@ def test_non_finite_json_constant_is_input_error(tmp_path):
     }
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(doc))  # Python's json writes the NaN literal
-    report = tmp_path / "r.json"
-    out = run_cli(["verify", "identities", "--grid", str(path), "--out", str(report)])
-    assert out.returncode == 2
-    assert "input error" in out.stderr
-    assert not report.exists()
+    entry = run_entry(["verify", "identities", "--grid", str(path)])
+    assert entry["exit_code"] == 2 and "body" not in entry
+    assert "input error" in capsys.readouterr().err
 
 
 def test_nan_defect_is_input_error_and_writes_no_report(tmp_path, monkeypatch, capsys):

@@ -9,12 +9,16 @@ is not a valid row.
 """
 
 import math
+import os
 
 import pytest
 
 from picband import cli
 from picband import comparison as CMP
+from picband import curvature as C
 from picband import potentials as P
+
+SPHERE6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs", "sphere6.json")
 
 
 def _chi_shifted(attr: str, by: float):
@@ -63,11 +67,21 @@ def _focal_tanh_doubled(monkeypatch):
     monkeypatch.setattr(CMP, "hessian_lower_focal", hessian)
 
 
+def _ky_fan_bound_raised(monkeypatch):
+    """The Ky Fan certificate raised by 5%: on the round S^6, where the
+    bound 4 is sharp, it certifies sigma = 4.1, and the Weitzenboeck bound
+    is then asserted on a tensor whose isotropic curvature is 4."""
+    bound = C._certified_bound
+    monkeypatch.setattr(C, "_certified_bound", lambda R: 1.05 * bound(R))
+
+
 MUTANTS = {
     "chi-plateau-raised": (_chi_shifted("c_plateau", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "pole-denominator-scaled": (_pole_denominator_scaled, ["verify", "comparison"], 1, "comparison.pole_location"),
     "focal-tanh-doubled": (_focal_tanh_doubled, ["verify", "comparison"], 1, "comparison.flat_limits"),
+    "ky-fan-bound-raised": (_ky_fan_bound_raised, ["verify", "weitzenboeck", "--tensor", SPHERE6, "--sigma", "4.1"],
+                            1, "weitzenboeck.lower_bound"),
 }
 
 

@@ -244,23 +244,46 @@ def suite_comparison(args):
     def positive_barrier(K, Lam, rho):
         return comparison.laplace_upper_positive_boundary(comparison.ComparisonParams(4, K, Lam, rho))
 
+    def oracle_defect(model, pole, barriers):
+        """The model integrated to twice the pole: |crossing - pole|, and for
+        each (c, b) the gap |c trace - b| / max(1, |b|) at half the pole."""
+        half, beyond = comparison.riccati_curve(model, [0.5 * pole, 2.0 * pole])
+        return _worst(abs(beyond.crossing - pole) if beyond.crossed else 1.0,
+                      *(1.0 if half.crossed else abs(c * half.trace - b) / max(1.0, abs(b)) for c, b in barriers))
+
     # the positive-boundary barrier's reported pole must separate its two
-    # branches: a value just below it, a PoleBeyond just past it
+    # branches, a value just below it and a PoleBeyond just past it, and it
+    # and the value at half of it must be the oracle's in the model A0 = Lambda
     pole_err = 0.0
     for _ in range(5):
         K = float(rng.uniform(0.3, 2.0))
         Lam = math.sqrt(K) * float(rng.uniform(1.2, 3.0))
         pole = positive_barrier(K, Lam, 50.0)
-        bracketed = (isinstance(pole, comparison.PoleBeyond)
-                     and isinstance(positive_barrier(K, Lam, pole.rho_pole * (1.0 - 1e-9)), float)
-                     and isinstance(positive_barrier(K, Lam, pole.rho_pole * (1.0 + 1e-9)), comparison.PoleBeyond))
-        pole_err = _worst(pole_err, 0.0 if bracketed else 1.0)
-    # both lower focal barriers must meet across the switch to their K -> 0 limits
+        if not isinstance(pole, comparison.PoleBeyond):
+            pole_err = _worst(pole_err, 1.0)
+            continue
+        rho = pole.rho_pole
+        bracketed = (isinstance(positive_barrier(K, Lam, rho * (1.0 - 1e-9)), float)
+                     and isinstance(positive_barrier(K, Lam, rho * (1.0 + 1e-9)), comparison.PoleBeyond))
+        pole_err = _worst(pole_err, 0.0 if bracketed else 1.0,
+                          oracle_defect(comparison.RotSymModel(n=4, K=K, A0=Lam), rho,
+                                        [(1.0, positive_barrier(K, Lam, 0.5 * rho))]))
+    # both lower focal barriers must meet across the switch to their K -> 0
+    # limits, and be the oracle's W and trace W at r_f/2 in the model
+    # A0 = sqrt(K) coth(sqrt(K) r_f), whose radial curvature -K focuses at r_f
     at_eps, flat = (comparison.ComparisonParams(4, K, 0.0, 0.0, r_f=3.0) for K in (comparison.K_FLAT_EPS, 0.0))
     limit_err = _worst(
         abs(comparison.hessian_lower_focal(at_eps) - comparison.hessian_lower_focal(flat)),
         abs(comparison.laplace_lower_focal(at_eps) - comparison.laplace_lower_focal(flat)),
     )
+    for _ in range(5):
+        n = int(rng.integers(3, 8))
+        K = float(rng.uniform(0.05, 4.0))
+        r_f = float(rng.uniform(0.5, 3.0))
+        p, s = comparison.ComparisonParams(n, K, r_f=r_f), math.sqrt(K)
+        limit_err = _worst(limit_err, oracle_defect(
+            comparison.RotSymModel(n=n, K=K, A0=s / math.tanh(s * r_f)), r_f,
+            [(1.0 / (n - 1), comparison.hessian_lower_focal(p)), (1.0, comparison.laplace_lower_focal(p))]))
     return [
         Report(
             check="comparison.umbilic_equality",
@@ -273,9 +296,9 @@ def suite_comparison(args):
         Report(
             check="comparison.pole_location",
             params={},
-            passed=pole_err < 1e-9,
-            tolerance=1e-9,
-            regions=[Region("pole_agreement", 1e-9 - pole_err)],
+            passed=pole_err < 1e-11,
+            tolerance=1e-11,
+            regions=[Region("pole_agreement", 1e-11 - pole_err)],
         ),
         Report(
             check="comparison.flat_limits",

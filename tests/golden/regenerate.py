@@ -2,7 +2,13 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py               # every entry
+    PYTHONPATH=src python tests/golden/regenerate.py NAME [NAME ...]
+
+It rewrites only the named entries, or all when none is named, and prints
+for each one it rewrites whether its exit code, its standard output or any
+report's ``pass`` moved, and the largest relative change of a float in its
+report body or CSV cells.
 
 Each entry is one ``pic-verify`` command line run in process through
 ``cli.main``.  Input files live under ``tests/golden/inputs/``, and an
@@ -101,13 +107,59 @@ def run_entry(argv: list[str]) -> dict:
     return entry
 
 
-def main() -> None:
-    for name, argv in ENTRIES.items():
-        with open(os.path.join(HERE, f"{name}.json"), "w") as fh:
-            json.dump(run_entry(argv), fh, indent=1, sort_keys=True)
+def _floats(entry: dict) -> list[float]:
+    """The floats of an entry's report body, or its CSV cells, in order."""
+    if "csv" in entry:
+        return [float(cell) for line in entry["csv"].splitlines()[1:] for cell in line.split(",")]
+    found = []
+
+    def walk(obj):
+        if isinstance(obj, float):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            for key in sorted(obj):
+                walk(obj[key])
+        elif isinstance(obj, list):
+            for item in obj:
+                walk(item)
+
+    walk(entry.get("body"))
+    return found
+
+
+def _passes(entry: dict) -> list:
+    return [report["pass"] for report in entry.get("body", {}).get("reports", [])]
+
+
+def movement(old: dict, new: dict) -> str:
+    """What moved from the recorded entry old to new: the exit code,
+    standard output and passes, and the largest relative float change."""
+    moved = [what for what, same in (("exit code", old["exit_code"] == new["exit_code"]),
+                                     ("stdout", old["stdout"] == new["stdout"]),
+                                     ("pass", _passes(old) == _passes(new))) if not same]
+    a, b = _floats(old), _floats(new)
+    if len(a) != len(b):
+        return f"moved: {', '.join(moved + ['float count'])}"
+    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+    return f"moved: {', '.join(moved) or 'none'}; largest relative float change {rel:.3g}"
+
+
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(ENTRIES))
+    if unknown:
+        sys.exit(f"no such entry: {', '.join(unknown)}")
+    for name in names or ENTRIES:
+        path = os.path.join(HERE, f"{name}.json")
+        old = None
+        if os.path.exists(path):
+            with open(path) as fh:
+                old = json.load(fh)
+        new = run_entry(ENTRIES[name])
+        with open(path, "w") as fh:
+            json.dump(new, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        print(name, file=sys.stderr)
+        print(f"{name}: {'new entry' if old is None else movement(old, new)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -148,38 +148,32 @@ def _reference_rk4(f, y, x, h):
 
 
 def _reference_integrate(w0, kfn, rho, step):
-    """The oracle's scalar integration written with a generic RK4 step and
-    one right-hand side per variable: the fused steps must give its bits."""
-    f = lambda x, w: -w * w - kfn(x)
-    fu = lambda x, u: 1.0 + kfn(x) * u * u
+    """The oracle's per-step integration written with a generic RK4 step on
+    the Jacobi pair y = (u, v), y' = (v, -K_rad u), from (1, w0): its steps
+    and its bisection must give the bits of the per-step route.  Each step
+    rescales y by a power of two, which moves no bit of v/u or of sign(u)."""
+    f = lambda x, y: np.array([y[1], -kfn(x) * y[0]])
     steps = max(1, int(math.ceil(rho / step)))
     h = rho / steps
     x = 0.0
-    in_u = abs(w0) >= 10.0
-    y = 1.0 / w0 if in_u else w0
+    y = np.array([1.0, w0])
     for _ in range(steps):
-        if in_u:
-            y_new = _reference_rk4(fu, y, x, h)
-            if y < 0.0 <= y_new:
-                a, b, ua = x, x + h, y
-                while b - a > 1e-12:
-                    mid = 0.5 * (a + b)
-                    um = _reference_rk4(fu, ua, a, mid - a)
-                    if um >= 0.0:
-                        b = mid
-                    else:
-                        a, ua = mid, um
-                return None, 0.5 * (a + b)
-            if abs(y_new) > 0.1:
-                y_new, in_u = 1.0 / y_new, False
-        else:
-            y_new = _reference_rk4(f, y, x, h)
-            if abs(y_new) >= 10.0:
-                y_new, in_u = 1.0 / y_new, True
-        y, x = y_new, x + h
-    w = 1.0 / y if in_u else y
+        y_new = _reference_rk4(f, y, x, h)
+        if y_new[0] <= 0.0 and np.isfinite(y_new).all():
+            a, b = x, x + h
+            while b - a > 1e-12 and a < 0.5 * (a + b) < b:
+                mid = 0.5 * (a + b)
+                ym = _reference_rk4(f, y, a, mid - a)
+                if ym[0] <= 0.0:
+                    b = mid
+                else:
+                    a, y = mid, ym
+            return None, 0.5 * (a + b)
+        y, x = np.ldexp(y_new, -math.frexp(float(np.max(np.abs(y_new))))[1]), x + h
+    u, v = float(y[0]), float(y[1])
+    w = v / u
     if abs(w) > B.BLOWUP_THRESHOLD:
-        return None, rho - (y if in_u else 1.0 / y)
+        return None, rho - u / v
     return w, None
 
 
@@ -190,9 +184,9 @@ def _reference_integrate(w0, kfn, rho, step):
     bump=st.floats(0.0, 2.0),
     rho=st.floats(0.01, 3.0),
 )
-@example(w0=-2.0, K=0.0, bump=0.0, rho=1.0)  # focal crossing at rho = 1/2, entered from w
-@example(w0=-40.0, K=1.0, bump=0.0, rho=0.5)  # crossing from the inverse variable
-@example(w0=40.0, K=-2.0, bump=1.0, rho=2.5)  # |w0| >= 10 falling back into w
+@example(w0=-2.0, K=0.0, bump=0.0, rho=1.0)  # focal crossing at rho = 1/2
+@example(w0=-40.0, K=1.0, bump=0.0, rho=0.5)  # a crossing in the first steps
+@example(w0=40.0, K=-2.0, bump=1.0, rho=2.5)  # a steep start that levels off
 def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
     kfn = lambda r: -K + bump * math.sin(r) ** 2
     step = B.RICCATI_STEP * max(1.0, rho)
@@ -205,21 +199,43 @@ def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
     K=st.floats(-4.0, 4.0),
     rhos=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4).map(sorted),
 )
-@example(w0=-2.0, K=0.0, rhos=[1.0])  # focal crossing at rho = 1/2, entered from w
-@example(w0=-40.0, K=1.0, rhos=[0.5])  # crossing from the inverse variable
-@example(w0=40.0, K=-2.0, rhos=[2.5])  # |w0| >= 10 falling back into w
+@example(w0=-2.0, K=0.0, rhos=[1.0])  # focal crossing at rho = 1/2
+@example(w0=-40.0, K=1.0, rhos=[0.5])  # a crossing in the first steps
+@example(w0=40.0, K=-2.0, rhos=[2.5])  # K_rad > 0: the per-step route
 @example(w0=-0.3, K=0.7, rhos=[0.4, 0.4, 1.2])  # a repeated distance
 def test_constant_curvature_steps_match_callable_and_reference(w0, K, rhos):
-    """K_rad passed as a number (no per-step calls) gives the bits of the
-    same constant passed as a callable, and of the reference transcription
-    at the first distance; a repeated distance takes no steps."""
+    """K_rad passed as a number agrees with the same constant passed as a
+    callable, whose per-step route gives the reference transcription's bits
+    at the first distance; a repeated distance takes no steps.  A constant
+    K_rad <= 0 takes the powered route, another arithmetic.  Over 4,000
+    seeded draws of these ranges, a third of them starting near the
+    decaying solution w0 = -sqrt(K), where the per-step route's rounding
+    excites the growing one, and a third with a pole just past rho, the two
+    differed by at most 6.1e-11 (1 + w^2) in w and 1.4e-11 in a crossing;
+    against the closed form the powered route was the closer.  The
+    closed-form tests below hold the powered route to 1e-12."""
     step = B.RICCATI_STEP * max(1.0, rhos[-1])
     const = B._integrate_scalar(w0, -K, rhos, step)
-    assert const == B._integrate_scalar(w0, lambda r: -K, rhos, step)
-    assert const[0] == _reference_integrate(w0, lambda r: -K, rhos[0], step)
+    stepped = B._integrate_scalar(w0, lambda r: -K, rhos, step)
+    assert stepped[0] == _reference_integrate(w0, lambda r: -K, rhos[0], step)
+    _assert_close_flows(const, stepped)
     for i in range(1, len(rhos)):
         if rhos[i] == rhos[i - 1]:
             assert const[i] == const[i - 1]
+
+
+def _assert_close_flows(got, want):
+    """Equal crossed flags, w within 1e-9 (1 + w^2) and crossings within
+    1e-9: the measured agreement of the two routes, with headroom.  An
+    error in the Jacobi pair (u, v) moves w = v/u by about (1 + w^2) times
+    as much, so near a pole w itself carries no fixed relative bound."""
+    assert len(got) == len(want)
+    for (w, crossing), (w_want, crossing_want) in zip(got, want):
+        assert (w is None) == (w_want is None)
+        if w is None:
+            assert abs(crossing - crossing_want) <= 1e-9
+        else:
+            assert abs(w - w_want) <= 1e-9 * (1.0 + w_want * w_want)
 
 
 def test_oracle_integrates_each_distinct_value_once_in_order(monkeypatch):
@@ -260,9 +276,9 @@ def test_oracle_step_limit_scales_with_rho():
     ids=["inf", "-inf", "nan", "nan-principal-value", "-inf-principal-value", "inf-matrix"],
 )
 def test_oracle_rejects_non_finite_boundary_form(A0):
-    """W(0) = -inf is a focal point at 0 that the inverse variable missed
-    (u = 1/-inf = -0.0 never rises through zero), and a NaN gave a NaN
-    trace: both returned a result."""
+    """W(0) = -inf is a focal point at 0, which the integration in u = 1/w
+    that the Jacobi field replaced missed (u = 1/-inf = -0.0 never rose
+    through zero), and a NaN gave a NaN trace: both returned a result."""
     model = B.RotSymModel(n=3, K=1.0, A0=A0)
     with pytest.raises(ValueError, match="A0 must be finite"):
         model.initial_hessian_eigs()
@@ -306,8 +322,9 @@ def test_curve_rejects_warped_curvature_that_makes_nan(k_rad, at):
          "u-below-zero-to-inf"],
 )
 def test_curve_rejects_warped_curvature_infinite_at_the_last_step(A0, k, rho):
-    """A K_rad that is infinite only at the last step overflows the state,
-    and the switch of variable turned that into a signed zero: w -> u gave
+    """A K_rad that is infinite only at the last step overflows the state.
+    The integration in w and u = 1/w that the Jacobi field replaced, whose
+    switches of variable the ids name, turned that into a signed zero: w -> u gave
     u = -0.0 and a ZeroDivisionError at the readout, u -> w a finite trace
     0.0.  A u below zero that jumps to +inf passed the pole test and was
     reported as a crossing at 0.0199999.  It is the NaN error at the
@@ -320,7 +337,7 @@ def test_curve_rejects_warped_curvature_infinite_at_the_last_step(A0, k, rho):
 @pytest.mark.parametrize("k_rad", [1e300, -1e300, 1e12], ids=["1e300", "-1e300", "1e12"])
 def test_curve_rejects_warped_curvature_past_step_limit(k_rad):
     """K_rad = +-1e300 gave trace 0.0 and no crossing (the first step
-    overflowed, and the switch to u = 1/w gave a signed zero), and 1e12
+    overflowed, and a switch to u = 1/w gave a signed zero), and 1e12
     a crossing at 1e-4 for a pole near 1.6e-6."""
     model = B.RotSymModel(n=3, A0=0.2, radial_curvature=lambda r: k_rad)
     with pytest.raises(ValueError, match=re.escape(f"K_rad = {k_rad:g} at rho = 0 is past the oracle's RK4 step limit")):
@@ -376,11 +393,15 @@ def test_curve_matches_oracle_per_distance(case):
 @settings(max_examples=25, deadline=None)
 @given(curve_models())
 def test_constant_model_matches_its_warped_twin(case):
-    """A constant-curvature model (K_rad passed as a number) and the same
-    curvature as a warped profile give equal curves."""
+    """A constant-curvature model (the powered route) and the same curvature
+    as a warped profile (the per-step route) give each principal value the
+    same flow, to the routes' measured agreement; a curve sums these flows."""
     model, rhos = case
     twin = B.RotSymModel(n=model.n, A0=model.A0, radial_curvature=lambda r, K=model.K: -K)
-    assert B.riccati_curve(model, rhos) == B.riccati_curve(twin, rhos)
+    step = B.RICCATI_STEP * max(1.0, rhos[-1])
+    for w0 in model.initial_hessian_eigs().tolist():
+        _assert_close_flows(B._integrate_scalar(w0, model.curvature_fn(), rhos, step),
+                            B._integrate_scalar(w0, twin.curvature_fn(), rhos, step))
 
 
 def test_curve_row_at_zero_is_the_start_trace():
@@ -448,3 +469,82 @@ def test_params_validation():
         B.ComparisonParams(3, -1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         B.ComparisonParams(3, 0.0, 0.0, 0.0, r_f=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", math.nan), ("r_f", math.nan)]
+    + [(field, value) for field in ("K", "Lambda", "rho") for value in (math.nan, math.inf, -math.inf)],
+)
+def test_params_refuse_nan_and_infinite_bounds(field, value):
+    """NaN passed the `K < 0` form of each test, and the barriers then
+    returned NaN, or -2.0 when only Lambda or rho was NaN."""
+    with pytest.raises(ValueError):
+        B.ComparisonParams(**{"n": 4, "K": 1.0, "Lambda": 1.0, "rho": 0.5, "r_f": 2.0, field: value})
+
+
+def test_params_accept_an_infinite_focal_radius():
+    p = B.ComparisonParams(4, 1.0, r_f=math.inf)
+    assert B.hessian_lower_focal(p) == -1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    K=st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
+    lam=st.floats(0.0, 3.0),
+    rho=st.floats(0.05, 2.0),
+)
+def test_umbilic_trace_matches_closed_form(n, K, lam, rho):
+    """In the umbilic model with A0 = -Lambda/(n-1) the oracle's trace is
+    the negative-boundary barrier, over the draw ranges of `verify
+    comparison` and at K = 0."""
+    res = B.riccati_oracle(B.RotSymModel(n=n, K=K, A0=-lam / (n - 1)), rho)
+    assert abs(res.trace - B.laplace_upper_negative_boundary(B.ComparisonParams(n, K, lam, rho))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.floats(0.3, 2.0), ratio=st.floats(1.2, 3.0))
+def test_positive_boundary_crossing_matches_closed_form(K, ratio):
+    """A0 = Lambda > sqrt(K) focuses at artanh(sqrt(K)/Lambda)/sqrt(K), the
+    positive-boundary barrier's pole, over the draw ranges of `verify
+    comparison`."""
+    s = math.sqrt(K)
+    pole = math.atanh(1.0 / ratio) / s
+    res = B.riccati_oracle(B.RotSymModel(n=4, K=K, A0=s * ratio), 2.0 * pole)
+    assert abs(res.crossing - pole) <= 1e-11
+
+
+def test_constant_nonpositive_curvature_never_steps(monkeypatch):
+    """A constant model with K >= 0 takes the powered route through whole
+    curves, crossings and their bisections included."""
+    def refuse(*args):
+        raise AssertionError("per-step route entered")
+
+    monkeypatch.setattr(B, "_stepped", refuse)
+    monkeypatch.setattr(B, "_rk4_step", refuse)
+    rng = np.random.default_rng(3)
+    crossed = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        model = B.RotSymModel(n=n, K=float(rng.choice([0.0, rng.uniform(0.0, 4.0)])), A0=rng.uniform(-3, 3, n - 1))
+        curve = B.riccati_curve(model, sorted(rng.uniform(0.0, 3.0, 5)))
+        crossed += any(res.crossed for res in curve)
+    assert crossed >= 10
+
+
+def test_stiff_constant_curvature_through_both_routes():
+    """K = 1e8 at rho = 1 sits on the step limit: the powered route (a
+    constant) and the per-step route (a callable) both rescale the pair,
+    whose u grows like e^(1e4), and read W's trace 2e4 tanh(1e4)."""
+    for model in (B.RotSymModel(n=3, K=1e8, A0=0.0), B.RotSymModel(n=3, A0=0.0, radial_curvature=lambda r: -1e8)):
+        assert abs(B.riccati_oracle(model, 1.0).trace - 2e4 * math.tanh(1e4)) <= 1e-12 * 2e4
+
+
+@pytest.mark.parametrize("radial_curvature", [None, lambda r: 0.0], ids=["powered", "per-step"])
+def test_crossing_where_floats_are_coarser_than_the_bisection_tolerance(radial_curvature):
+    """Past 8192 adjacent floats are more than 1e-12 apart, and the
+    bisection, which halved its bracket until it was 1e-12 wide, never
+    ended: a sphere of radius 9000.5 in flat space focuses at its centre."""
+    res = B.riccati_oracle(B.RotSymModel(n=2, A0=1.0 / 9000.5, radial_curvature=radial_curvature), 2e4)
+    assert abs(res.crossing - 9000.5) <= 1e-7

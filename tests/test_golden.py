@@ -70,3 +70,20 @@ def test_golden_entry(name):
         _assert_same(got["body"], want["body"], "body")
     if "csv" in want:
         _assert_same_csv(got["csv"], want["csv"])
+
+
+def test_regenerate_reports_what_moved():
+    """regenerate.py's summary of a rewritten entry: which of exit code,
+    stdout and passes moved, and the largest relative float change."""
+    from tests.golden.regenerate import movement
+
+    def entry(code, out, passed, margin):
+        return {"argv": [], "exit_code": code, "stdout": out,
+                "body": {"reports": [{"pass": passed, "regions": [{"min_margin": margin}]}], "seed": 0}}
+
+    old = entry(0, "PASS x\n", True, 1e-9)
+    assert movement(old, old) == "moved: none; largest relative float change 0"
+    assert movement(old, entry(0, "PASS x \n", True, 0.5e-9)) == "moved: stdout; largest relative float change 0.5"
+    assert movement(old, entry(1, "FAIL x\n", False, 1e-9)).startswith("moved: exit code, stdout, pass;")
+    csv_old = {"exit_code": 0, "stdout": "", "csv": "a,b\n1,2\n3,4\n"}
+    assert movement(csv_old, dict(csv_old, csv="a,b\n1,2\n3,5\n")) == "moved: none; largest relative float change 0.2"

@@ -8,6 +8,7 @@ is.  A mutant that changes nothing a suite can see (an equivalent mutant)
 is not a valid row.
 """
 
+import dataclasses
 import math
 import os
 
@@ -67,6 +68,21 @@ def _focal_tanh_doubled(monkeypatch):
     monkeypatch.setattr(CMP, "hessian_lower_focal", hessian)
 
 
+def _positive_boundary_lambda_scaled(monkeypatch):
+    """The positive-boundary barrier read at 1.05 Lambda throughout, its
+    value and its pole alike, so its branches still meet at its own pole."""
+    barrier = CMP.laplace_upper_positive_boundary
+    monkeypatch.setattr(CMP, "laplace_upper_positive_boundary",
+                        lambda p: barrier(dataclasses.replace(p, Lambda=1.05 * p.Lambda)))
+
+
+def _focal_hessian_scaled(monkeypatch):
+    """The Hessian lower focal barrier times 1.05 on both branches, and so
+    the Laplace one, which calls it: its K -> 0 limits still meet."""
+    hessian = CMP.hessian_lower_focal
+    monkeypatch.setattr(CMP, "hessian_lower_focal", lambda p: 1.05 * hessian(p))
+
+
 def _ky_fan_bound_raised(monkeypatch):
     """The Ky Fan certificate raised by 5%: on the round S^6, where the
     bound 4 is sharp, it certifies sigma = 4.1, and the Weitzenboeck bound
@@ -80,6 +96,9 @@ MUTANTS = {
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "pole-denominator-scaled": (_pole_denominator_scaled, ["verify", "comparison"], 1, "comparison.pole_location"),
     "focal-tanh-doubled": (_focal_tanh_doubled, ["verify", "comparison"], 1, "comparison.flat_limits"),
+    "positive-boundary-lambda-scaled": (_positive_boundary_lambda_scaled, ["verify", "comparison"], 1,
+                                        "comparison.pole_location"),
+    "focal-hessian-scaled": (_focal_hessian_scaled, ["verify", "comparison"], 1, "comparison.flat_limits"),
     "ky-fan-bound-raised": (_ky_fan_bound_raised, ["verify", "weitzenboeck", "--tensor", SPHERE6, "--sigma", "4.1"],
                             1, "weitzenboeck.lower_bound"),
 }

@@ -6,7 +6,7 @@ centred stencil makes discrete summation by parts *exact*.  On the flat
 metric every operator acts componentwise on the coefficient functions, so
 d, d* and the twisted Dirac operator D_f = d + d* + ct(grad f) are short
 compositions of axis derivatives with the pointwise exterior/Clifford index
-operations (the untwisted D is D_f at f = 0).
+operations (the untwisted D is d + d*).
 d, d*, the Clifford multiplications and the Weitzenboeck contractions all
 run through one key action, ``_key_action``.
 
@@ -23,8 +23,19 @@ draws on one leading draw axis and evaluates every draw in one residual
 call.  The integrals, the leaf slices and the Weitzenboeck sup-norm reduce
 per draw, and each draw is integrated on its own over the full grid, in
 the summation order of a single field.  The periodic derivative is
-the difference of two precomputed index gathers; on a size-1 axis it is
-(data - data) / (2 ht), an exact 0 (NaN for a non-finite value).
+the difference of two precomputed index gathers.
+
+The derivative of finite data along a periodic axis where it is stored at
+size 1 is an exact 0, and the operators never form it: they mark it with
+``_ZERO`` and leave out every term it multiplies into an exact zero (the
+derivative itself, ct of a zero gradient component on finite data, a zero
+Hessian entry on bounded contractions).  A marked term still registers its
+output key where it would have been added, so every later sum runs in the
+same order, and adding an exact zero changes no value of a sum.  Non-finite
+data still takes the stencil, whose (data - data) / (2 ht) is NaN, so NaN
+still reaches the residuals.  (A component that no longer broadcasts to a
+zero's larger shape is stored smaller; a full-size product of 256 KiB or
+more may then round differently, see numpy's temporary elision.)
 
 The Laplacian is deliberately the square of the first-derivative stencil,
 not the compact 3-point one: this keeps the discrete Green identities exact
@@ -148,6 +159,12 @@ class FlatBandGrid:
         return (Ellipsis, index) + (slice(None),) * (self.n - 1)
 
     @cached_property
+    def _radial_stencil(self):
+        """Subscripts of the radial stencil: interior, its upper and lower
+        neighbours, then the nodes 0, 1, 2 and -1, -2, -3 of the ends."""
+        return tuple(self._radial(i) for i in (slice(1, -1), slice(2, None), slice(None, -2), 0, 1, 2, -1, -2, -3))
+
+    @cached_property
     def _periodic_neighbours(self):
         nodes = np.arange(self.N_t)
         return (nodes + 1) % self.N_t, (nodes - 1) % self.N_t
@@ -156,16 +173,21 @@ class FlatBandGrid:
         """Second-order first derivative along grid axis ``axis`` of the
         trailing n axes; axis 0 is radial (one-sided at the ends), the rest
         are periodic.  A size-1 periodic axis stays size 1 (its difference
-        is 0, or NaN for a non-finite value); a size-1 radial axis is
+        is 0, or NaN for a non-finite value; the operators do not form it
+        on finite data, see ``_deriv``); a size-1 radial axis is
         materialised first."""
         at = axis - self.n
         if axis == 0:
-            h, r = self.h, self._radial
-            data = np.broadcast_to(data, data.shape[:at] + (self.N_r,) + data.shape[at + 1:])
-            out = np.empty(data.shape, dtype=data.dtype)
-            out[r(slice(1, -1))] = (data[r(slice(2, None))] - data[r(slice(None, -2))]) / (2 * h)
-            out[r(0)] = (-3 * data[r(0)] + 4 * data[r(1)] - data[r(2)]) / (2 * h)
-            out[r(-1)] = (3 * data[r(-1)] - 4 * data[r(-2)] + data[r(-3)]) / (2 * h)
+            mid, hi, lo, a0, a1, a2, b0, b1, b2 = self._radial_stencil
+            h2 = 2 * self.h
+            if data.shape[at] != self.N_r:
+                data = np.broadcast_to(data, data.shape[:at] + (self.N_r,) + data.shape[at + 1:])
+            out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
+            interior = out[mid]
+            np.subtract(data[hi], data[lo], out=interior)
+            interior /= h2
+            out[a0] = (-3 * data[a0] + 4 * data[a1] - data[a2]) / h2
+            out[b0] = (3 * data[b0] - 4 * data[b1] + data[b2]) / h2
             return out
         if data.shape[at] == 1:
             return (data - data) / (2 * self.ht)
@@ -215,10 +237,8 @@ class FormField:
                     self._acc(hit[0], hit[1] * arr)
 
     def _acc(self, key, arr):
-        if key in self.data:
-            self.data[key] = self.data[key] + arr
-        else:
-            self.data[key] = arr
+        cur = self.data.get(key, _ZERO)
+        self.data[key] = arr if cur is _ZERO else cur + arr
 
     def _shared(self) -> "FormField":
         """A field on the same component arrays: no operation writes a
@@ -254,16 +274,54 @@ class FormField:
         return max(float(np.max(np.abs(v))) for v in self.data.values())
 
 
-def _zeros(g: FlatBandGrid) -> np.ndarray:
-    """A complex zero that broadcasts against every component."""
-    return np.zeros((1,) * g.n, dtype=complex)
+def _zeros(g: FlatBandGrid, dtype=complex) -> np.ndarray:
+    """A zero that broadcasts against every component."""
+    return np.zeros((1,) * g.n, dtype=dtype)
+
+
+# An exact zero that is not formed (see the module docstring); private to
+# the operators below, which never leave it in a field they return.
+_ZERO = object()
+
+
+def _finite(*arrays) -> bool:
+    """Whether every value is finite, read off one sum: a non-finite value
+    makes it non-finite, and an overflow that reads False for finite data
+    only forms zeros that could have been left out."""
+    return math.isfinite(abs(sum(a.sum() for a in arrays)))
+
+
+def _deriv(g: FlatBandGrid, data, axis: int, finite: bool | None = None):
+    """g.deriv(data, axis), or _ZERO where that is an exact 0: data is
+    _ZERO, or stored at size 1 on periodic axis ``axis`` and finite (as
+    ``finite`` says, when the caller has taken it)."""
+    if data is _ZERO:
+        return _ZERO
+    if axis and data.shape[axis - g.n] == 1 and (_finite(data) if finite is None else finite):
+        return _ZERO
+    return g.deriv(data, axis)
+
+
+def _derivative(F: FormField):
+    """coef(j, component) = _deriv along axis j - 1, with the finiteness
+    of the whole of F, taken once."""
+    g, finite = F.grid, _finite(*F.data.values())
+    return lambda j, arr: _deriv(g, arr, j - 1, finite)
+
+
+def _first_derivatives(F: FormField, keys) -> dict:
+    """{key: [the derivatives of F's component along each axis]} over
+    keys, _ZERO where not formed (see ``_derivative``)."""
+    coef = _derivative(F)
+    return {key: [coef(j, F.data[key]) for j in range(1, F.grid.n + 1)] for key in keys}
 
 
 def _key_action(F: FormField, key_ops, coef) -> FormField:
     """sum over (key_op, sign) in key_ops and j = 1..n of sign * key_op(j, .)
     applied to coef(j, component), walking the components of F in order and
     j inside each.  coef runs only on a hit; it returns None for an absent
-    term."""
+    term and _ZERO for an exact zero, which registers its key in walk order
+    and adds nothing (a key that gets nothing else holds a size-1 zero)."""
     out = FormField(F.grid)
     for key, arr in F.data.items():
         for j in range(1, F.grid.n + 1):
@@ -271,41 +329,58 @@ def _key_action(F: FormField, key_ops, coef) -> FormField:
                 hit = key_op(j, key)
                 if hit is not None:
                     term = coef(j, arr)
-                    if term is not None:
+                    if term is _ZERO:
+                        out.data.setdefault(hit[0], _ZERO)
+                    elif term is not None:
                         out._acc(hit[0], sign * hit[1] * term)
+    for key, arr in out.data.items():
+        if arr is _ZERO:
+            out.data[key] = _zeros(F.grid)
     return out
 
 
 def d_grid(F: FormField) -> FormField:
     """Exterior derivative: sum_j theta^j ^ d_j F."""
-    return _key_action(F, ((exterior.wedge_key, 1),), lambda j, arr: F.grid.deriv(arr, j - 1))
+    return _key_action(F, ((exterior.wedge_key, 1),), _derivative(F))
 
 
 def dstar_grid(F: FormField) -> FormField:
     """Codifferential on the flat band: -sum_j i_{e_j} d_j F."""
-    return _key_action(F, ((exterior.interior_key, -1),), lambda j, arr: F.grid.deriv(arr, j - 1))
+    return _key_action(F, ((exterior.interior_key, -1),), _derivative(F))
+
+
+def _laplacian(F: FormField):
+    """(laplacian_grid(F), the first derivatives it took, as
+    ``_first_derivatives`` gives them)."""
+    g = F.grid
+    firsts = _first_derivatives(F, F.data)
+    out = FormField(g)
+    for key, row in firsts.items():
+        total = _zeros(g)
+        for axis, first in enumerate(row):
+            if first is not _ZERO:
+                total = total + g.deriv(first, axis)
+        out._acc(key, total)
+    return out, firsts
 
 
 def laplacian_grid(F: FormField) -> FormField:
     """Componentwise flat Laplacian, built as the derivative stencil applied
     twice per axis (exact summation by parts transversally)."""
-    g = F.grid
-    out = FormField(g)
-    for key, arr in F.data.items():
-        total = _zeros(g)
-        for axis in range(g.n):
-            total = total + g.deriv(g.deriv(arr, axis), axis)
-        out._acc(key, total)
-    return out
+    return _laplacian(F)[0]
 
 
 def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
     """Pointwise c (sign=-1) or ct (sign=+1) of F by a vector field given as
-    a list of n scalars or arrays, None for a zero component."""
+    a list of n scalars or arrays, None for an absent component and _ZERO
+    for an exact zero one."""
+    if any(c is _ZERO for c in vec_components) and not _finite(*F.data.values()):
+        # 0 * inf is NaN: a zero component's products are formed
+        vec_components = [_zeros(F.grid) if c is _ZERO else c for c in vec_components]
 
     def coef(j, arr):
         comp = vec_components[j - 1]
-        return None if comp is None else comp * arr
+        return comp if comp is None or comp is _ZERO else comp * arr
 
     return _key_action(F, ((exterior.wedge_key, 1), (exterior.interior_key, sign)), coef)
 
@@ -315,8 +390,13 @@ def gradient_components(g: FlatBandGrid, f: np.ndarray):
 
 
 def D_f_grid(F: FormField, f: np.ndarray) -> FormField:
-    """Twisted Dirac operator D + ct(grad f) with f sampled on the grid."""
-    grads = gradient_components(F.grid, np.asarray(f, dtype=complex))
+    """Twisted Dirac operator D + ct(grad f) with f sampled on the grid.
+    A component of grad f along a periodic axis where finite f is stored
+    at size 1 is an exact 0: it is not formed, nor are its ct terms on
+    finite components of F."""
+    g = F.grid
+    f = np.asarray(f, dtype=complex)
+    grads = [_deriv(g, f, axis) for axis in range(g.n)]
     return d_grid(F) + dstar_grid(F) + _clifford_field(grads, F, +1)
 
 
@@ -332,32 +412,47 @@ def _boundary_term_dirac(alpha: FormField, beta: FormField) -> complex:
 
 
 def green_residual_dirac(alpha: FormField, beta: FormField, f: np.ndarray | None = None) -> float | np.ndarray:
-    """| int <D_f a, b> - int <a, D_f b> - oint <c(nu) a, b> |."""
+    """| int <D_f a, b> - int <a, D_f b> - oint <c(nu) a, b> |.  With f
+    None, D = d + d*: ct(grad 0) adds only exact zeros to finite fields
+    (on a non-finite one it is still formed, as D_f at f = 0)."""
     g = alpha.grid
-    if f is None:
-        f = _zeros(g)
-    lhs = g.integrate(D_f_grid(alpha, f).pointwise_inner(beta))
-    mid = g.integrate(alpha.pointwise_inner(D_f_grid(beta, f)))
+    if f is None and _finite(*alpha.data.values(), *beta.data.values()):
+        def dirac(F):
+            return d_grid(F) + dstar_grid(F)
+    else:
+        f = _zeros(g) if f is None else f
+
+        def dirac(F):
+            return D_f_grid(F, f)
+    lhs = g.integrate(dirac(alpha).pointwise_inner(beta))
+    mid = g.integrate(alpha.pointwise_inner(dirac(beta)))
     bdry = _boundary_term_dirac(alpha, beta)
     return _residual(lhs - mid - bdry)
 
 
+def _dense(g: FlatBandGrid, x, dtype=complex):
+    """x, with a size-1 zero for _ZERO."""
+    return _zeros(g, dtype) if x is _ZERO else x
+
+
 def green_residual_laplace(alpha: FormField, beta: FormField) -> float | np.ndarray:
-    """| -int <Lap a, b> - int <grad a, grad b> + oint <d_nu a, b> |."""
+    """| -int <Lap a, b> - int <grad a, grad b> + oint <d_nu a, b> |; the
+    first derivatives of a are those its Laplacian took."""
     g = alpha.grid
-    lhs = -g.integrate(laplacian_grid(alpha).pointwise_inner(beta))
+    lap, da = _laplacian(alpha)
+    lhs = -g.integrate(lap.pointwise_inner(beta))
+    shared = [key for key in alpha.data if key in beta.data]
+    db = _first_derivatives(beta, shared)
     grad_pair = _zeros(g)
     for axis in range(g.n):
-        for key, arr in alpha.data.items():
-            w = beta.data.get(key)
-            if w is not None:
-                grad_pair = grad_pair + g.deriv(arr, axis) * np.conj(g.deriv(w, axis))
+        for key in shared:
+            a, b = da[key][axis], db[key][axis]
+            if a is not _ZERO or b is not _ZERO:
+                grad_pair = grad_pair + _dense(g, a) * np.conj(_dense(g, b))
     mid = g.integrate(grad_pair)
     normal_inner = _zeros(g)
-    for key, arr in alpha.data.items():
-        w = beta.data.get(key)
-        if w is not None:
-            normal_inner = normal_inner + g.deriv(arr, 0) * np.conj(w)
+    for key in shared:
+        normal_inner = normal_inner + da[key][0] * np.conj(beta.data[key])
     bdry = g.integrate_boundary(-normal_inner[g._radial(0)], normal_inner[g._radial(-1)])
     return _residual(lhs - mid + bdry)
 
@@ -369,25 +464,28 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float | np
         <D_f^2 w, w> = -<Lap w, w> + (|grad f|^2 - Lap f) |w|^2
                        + 2 sum_ij (Hess f)_ij <i_i w, i_j w>
 
-    (the curvature term vanishes on the flat band)."""
+    (the curvature term vanishes on the flat band).  A Hessian entry that
+    is an exact 0 is not formed, nor is its term while <i_i w, i_j w>
+    cannot overflow: its components are +-w_K, so it is bounded by
+    2 (number of keys) sup|w|^2."""
     g = omega.grid
     f = np.asarray(f, dtype=float)
     lhs = D_f_grid(D_f_grid(omega, f), f).pointwise_inner(omega)
     rhs = -laplacian_grid(omega).pointwise_inner(omega)
-    grads = gradient_components(g, f)
-    hess = [[g.deriv(gr, j) for j in range(g.n)] for gr in grads]
-    grad2 = sum(np.abs(gr) ** 2 for gr in grads)
-    lapf = sum(hess[i][i] for i in range(g.n))
+    grads = [_deriv(g, f, axis) for axis in range(g.n)]
+    hess = [[_deriv(g, gr, j) for j in range(g.n)] for gr in grads]
+    grad2 = sum(np.abs(gr) ** 2 for gr in grads if gr is not _ZERO)
+    lapf = sum(hess[i][i] for i in range(g.n) if hess[i][i] is not _ZERO)
     norm2 = omega.pointwise_inner(omega).real
     rhs = rhs + (grad2 - lapf) * norm2
-    # contr[i - 1] = i_{e_i} omega: the key action keeps only j = i
-    contr = [
-        _key_action(omega, ((exterior.interior_key, 1),), lambda j, arr: arr if j == i else None)
-        for i in range(1, g.n + 1)
-    ]
-    for i in range(g.n):
-        for j in range(g.n):
-            rhs = rhs + 2.0 * hess[i][j] * contr[i].pointwise_inner(contr[j])
+    sup = omega.sup_norm()
+    bounded = 4.0 * len(omega.data) * sup * sup < sys.float_info.max
+    terms = [(i, j) for i in range(g.n) for j in range(g.n) if not (hess[i][j] is _ZERO and bounded)]
+    # contr[i] = i_{e_{i+1}} omega: the key action keeps only that j
+    contr = {i: _key_action(omega, ((exterior.interior_key, 1),), lambda j, arr: arr if j == i + 1 else None)
+             for i in sorted({i for term in terms for i in term})}
+    for i, j in terms:
+        rhs = rhs + 2.0 * _dense(g, hess[i][j], float) * contr[i].pointwise_inner(contr[j])
     defect = np.abs(lhs - rhs)[g._radial(slice(WEITZ_EDGE_NODES, -WEITZ_EDGE_NODES))]
     return _residual(np.max(defect, axis=tuple(range(-g.n, 0))))
 
@@ -445,42 +543,61 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     return out
 
 
-def _paired_field(g: FlatBandGrid, rngs, *degrees: int) -> FormField:
-    """One term per component of each degree: a random radial sine times
-    the transverse factor all study fields share; one draw per generator
-    of the list rngs, on a leading draw axis."""
-    x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
-    shared = np.cos(2.0 * math.pi * (np.arange(g.N_t) * g.ht) + 0.3).reshape((1, -1) + (1,) * (g.n - 2))
-    out = FormField(g)
-    for degree in degrees:
-        for key in combinations(range(1, g.n + 1), degree):
-            # per generator: coef re, im, then the radial sine's freq, phase
-            draws = np.array([(rng.standard_normal(), rng.standard_normal(),
-                               rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for rng in rngs])
-            re, im, freq, phase = draws.T.reshape((4, len(rngs)) + (1,) * g.n)
-            out.data[key] = (re + 1j * im) * np.sin(math.pi * freq * x / g.L + phase) * shared
-    return out
-
-
 def _radial_twist(g: FlatBandGrid) -> np.ndarray:
     x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
     return 0.4 * np.sin(math.pi * x / g.L) + 0.2 * (x / g.L) ** 2
 
 
 def _study(kind: str):
-    """(fields, residual) of a study kind.  The table is built per call, so
-    the residual is whatever the module binds under its name at that time."""
+    """(field degrees, residual) of a study kind: per study field, the
+    degrees of its components, or None for the radial twist.  The table is
+    built per call, so the residual is whatever the module binds under its
+    name at that time."""
     studies = {
-        "dirac": (lambda g, rngs: (_paired_field(g, rngs, 2), _paired_field(g, rngs, 1, 3)),
-                  green_residual_dirac),
-        "laplace": (lambda g, rngs: (_paired_field(g, rngs, 2), _paired_field(g, rngs, 2)),
-                    green_residual_laplace),
-        "weitzenboeck": (lambda g, rngs: (_paired_field(g, rngs, 2), _radial_twist(g)),
-                         twisted_weitzenboeck_residual),
+        "dirac": (((2,), (1, 3)), green_residual_dirac),
+        "laplace": (((2,), (2,)), green_residual_laplace),
+        "weitzenboeck": (((2,), None), twisted_weitzenboeck_residual),
     }
     if kind not in studies:
         raise ValueError(f"unknown study kind {kind!r}")
     return studies[kind]
+
+
+def _study_draws(rngs, n: int, kind: str):
+    """The coefficients of a study's fields, None for the twist.  A field
+    has one term per component of each of its degrees, drawn per component
+    in key order: for each generator of the list rngs, coef re, im, then
+    the radial sine's freq and phase.  A field's table is [(key, coef,
+    pi freq, phase)], each value on a leading draw axis; a grid does not
+    enter, so a study draws once for all its grids."""
+    fields = []
+    for degrees in _study(kind)[0]:
+        table = None if degrees is None else []
+        for degree in degrees or ():
+            for key in combinations(range(1, n + 1), degree):
+                draws = np.array([(rng.standard_normal(), rng.standard_normal(),
+                                   rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for rng in rngs])
+                re, im, freq, phase = draws.T.reshape((4, len(rngs)) + (1,) * n)
+                table.append((key, re + 1j * im, math.pi * freq, phase))
+        fields.append(table)
+    return fields
+
+
+def _study_fields(g: FlatBandGrid, draws):
+    """The study fields of draws on grid g: each term a radial sine times
+    the transverse factor all study fields share."""
+    x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
+    shared = np.cos(2.0 * math.pi * (np.arange(g.N_t) * g.ht) + 0.3).reshape((1, -1) + (1,) * (g.n - 2))
+    fields = []
+    for table in draws:
+        if table is None:
+            fields.append(_radial_twist(g))
+            continue
+        field = FormField(g)
+        for key, coef, pi_freq, phase in table:
+            field.data[key] = coef * np.sin(pi_freq * x / g.L + phase) * shared
+        fields.append(field)
+    return tuple(fields)
 
 
 def paired_test_fields(grid: FlatBandGrid, rngs, kind: str):
@@ -493,7 +610,7 @@ def paired_test_fields(grid: FlatBandGrid, rngs, kind: str):
     a transversally varying twist would leave an O(h_t^2) floor under pure
     radial refinement.
     """
-    return _study(kind)[0](grid, rngs)
+    return _study_fields(grid, _study_draws(rngs, grid.n, kind))
 
 
 def convergence_order(residuals, hs) -> list[float]:
@@ -508,14 +625,16 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
     """Residuals of one identity across radial refinements, aggregated over
     STUDY_DRAWS field draws (a single draw's h^2 coefficient can be small
     enough to bias the measured order), all evaluated in one residual call
-    on a leading draw axis.  Returns (residuals, hs, orders)."""
+    on a leading draw axis; each generator draws once per study, the
+    fields of every refinement from the same coefficients.  Returns
+    (residuals, hs, orders)."""
     residual = _study(kind)[1]
+    grids = [FlatBandGrid(n, STUDY_L, int(N), N_t) for N in N_rs]
+    draws = _study_draws([np.random.default_rng(seed + 101 * s) for s in range(STUDY_DRAWS)], n, kind)
     residuals, hs = [], []
-    for N in N_rs:
-        grid = FlatBandGrid(n, STUDY_L, int(N), N_t)
-        rngs = [np.random.default_rng(seed + 101 * s) for s in range(STUDY_DRAWS)]
+    for grid in grids:
         total = 0.0
-        for r in residual(*paired_test_fields(grid, rngs, kind)).tolist():
+        for r in residual(*_study_fields(grid, draws)).tolist():
             total += r
         residuals.append(total / STUDY_DRAWS)
         hs.append(grid.h)

@@ -331,10 +331,11 @@ def _twisted_rank(T: TwistedComplex, j: int):
     values are at least ``_twisted_floor``: where that exceeds twice the
     SVD's backward error, exactly those compute above half of it and the
     count is proved; for every other twist of the block the exact rank of
-    D_j decides."""
+    D_j decides.  A wide block (n_{j+1} < n_j) is decomposed as its
+    transpose, which has the same singular values and is faster."""
     if j not in T._ranks:
         A = twisted_coboundary(T, j)
-        s = np.linalg.svd(A, compute_uv=False)
+        s = np.linalg.svd(A.swapaxes(-1, -2) if A.shape[-2] < A.shape[-1] else A, compute_uv=False)
         floor = _twisted_floor(T, j)
         rank = np.sum(s > 0.5 * np.asarray(floor)[..., None], axis=-1)
         certified = floor > 2.0 * _svd_error(s, A.shape)

@@ -4,11 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py               # every entry
     PYTHONPATH=src python tests/golden/regenerate.py NAME [NAME ...]
+    PYTHONPATH=src python tests/golden/regenerate.py --check [NAME ...]
 
 It rewrites only the named entries, or all when none is named, and prints
 for each one it rewrites whether its exit code, its standard output or any
 report's ``pass`` moved, and the largest relative change of a float in its
-report body or CSV cells.
+report body or CSV cells.  With ``--check`` it prints the same line for
+each entry and writes nothing.
 
 Each entry is one ``pic-verify`` command line run in process through
 ``cli.main``.  Input files live under ``tests/golden/inputs/``, and an
@@ -25,6 +27,7 @@ not a refresh: explain every changed entry where the change is recorded.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -144,7 +147,7 @@ def movement(old: dict, new: dict) -> str:
     return f"moved: {', '.join(moved) or 'none'}; largest relative float change {rel:.3g}"
 
 
-def main(names: list[str]) -> None:
+def main(names: list[str], check: bool = False) -> None:
     unknown = sorted(set(names) - set(ENTRIES))
     if unknown:
         sys.exit(f"no such entry: {', '.join(unknown)}")
@@ -155,11 +158,16 @@ def main(names: list[str]) -> None:
             with open(path) as fh:
                 old = json.load(fh)
         new = run_entry(ENTRIES[name])
-        with open(path, "w") as fh:
-            json.dump(new, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        if not check:
+            with open(path, "w") as fh:
+                json.dump(new, fh, indent=1, sort_keys=True)
+                fh.write("\n")
         print(f"{name}: {'new entry' if old is None else movement(old, new)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    ap = argparse.ArgumentParser(description="Rewrite the golden report corpus, or check what would move.")
+    ap.add_argument("--check", action="store_true", help="print what would move and write nothing")
+    ap.add_argument("names", nargs="*", metavar="NAME", help="entries to run (default: every entry)")
+    args = ap.parse_args()
+    main(args.names, check=args.check)

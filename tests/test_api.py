@@ -31,6 +31,8 @@ ALLOWED = {
     "exterior.basis_form": "a constructor of basis forms for the tests",
     "exterior.inner": "the Hermitian pairing the adjointness tests of the Clifford actions measure with",
     "exterior.wedge": "the exterior product, whose sign rule the tests check against FormElement's",
+    "gridcalc.gradient_components": "grad f as arrays, from which the tests build D_f's ct(grad f) term",
+    "gridcalc.paired_test_fields": "the per-grid study fields the tests check a study's one draw against",
     "hodge.twisted_composition_exact": "the exact d_f o d_f that acceptance criterion 10 checks",
     "reporting.canonical_body": "defines the byte identity of report bodies",
 }

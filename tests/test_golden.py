@@ -87,3 +87,22 @@ def test_regenerate_reports_what_moved():
     assert movement(old, entry(1, "FAIL x\n", False, 1e-9)).startswith("moved: exit code, stdout, pass;")
     csv_old = {"exit_code": 0, "stdout": "", "csv": "a,b\n1,2\n3,4\n"}
     assert movement(csv_old, dict(csv_old, csv="a,b\n1,2\n3,5\n")) == "moved: none; largest relative float change 0.2"
+
+
+def test_regenerate_check_writes_nothing(capsys):
+    """regenerate.py --check prints each entry's movement line and leaves
+    every corpus file as it was."""
+    from tests.golden.regenerate import main
+
+    def corpus():
+        files = {}
+        for path in glob.glob(os.path.join(GOLDEN, "*.json")) + glob.glob(os.path.join(GOLDEN, "inputs", "*")):
+            with open(path, "rb") as fh:
+                files[path] = (os.stat(path).st_mtime_ns, fh.read())
+        return files
+
+    before = corpus()
+    main(["identities-grid", "csv-focal"], check=True)
+    assert capsys.readouterr().err == ("identities-grid: moved: none; largest relative float change 0\n"
+                                       "csv-focal: moved: none; largest relative float change 0\n")
+    assert corpus() == before

@@ -297,14 +297,24 @@ def _assert_same_field(a, b):
         assert np.array_equal(a.data[key], b.data[key]), key
 
 
+def _assert_same_on_the_grid(a, b):
+    """Keys in the same order and values equal on the full grid: an
+    operator may store a component smaller than a loop that formed its
+    exact zeros."""
+    assert list(a.data) == list(b.data)
+    shape = a.grid.shape
+    for key in a.data:
+        assert np.array_equal(np.broadcast_to(a.data[key], shape), np.broadcast_to(b.data[key], shape)), key
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_key_action_matches_the_loops_it_replaced(n):
     g = grid(N_r=8, N_t=4, n=n)
     rng = np.random.default_rng(40 + n)
     for k in range(n + 1):
         F = random_field(g, k, rng) + random_field(g, min(k + 1, n), rng)
-        _assert_same_field(G.d_grid(F), _loop_derivative_sum(E.wedge_key, F, 1))
-        _assert_same_field(G.dstar_grid(F), _loop_derivative_sum(E.interior_key, F, -1))
+        _assert_same_on_the_grid(G.d_grid(F), _loop_derivative_sum(E.wedge_key, F, 1))
+        _assert_same_on_the_grid(G.dstar_grid(F), _loop_derivative_sum(E.interior_key, F, -1))
         zeros = np.where(rng.random(g.shape) < 0.5, 0.0, rng.standard_normal(g.shape))
         scalars = [float(rng.standard_normal()) for _ in range(n)]
         mixed = ([zeros, None, 0.0, -1.5] + scalars)[:n]
@@ -425,7 +435,9 @@ def test_trig_field_stores_a_term_at_its_factor_axes():
     assert F.data[(3,)].shape == (1, 5, 1, 5)
     # sums and operators broadcast to the union of the axes
     assert (F + G.trig_field(g, [{"index": [2], "factors": [{"axis": 1, "kind": "sin"}]}])).data[(2,)].shape == (1, 5, 1, 1)
-    assert G.d_grid(F).data[(1, 2)].shape == (10, 1, 5, 1)
+    # d_2 of theta^1's term is not formed: it is constant on axis 1, so
+    # (1, 2) holds only d_1 of theta^2's, on the materialised radial axis
+    assert G.d_grid(F).data[(1, 2)].shape == (10, 1, 1, 1)
     assert G.d_grid(F).data[(2, 3)].shape == (1, 5, 1, 5)
 
 
@@ -543,3 +555,96 @@ def test_one_field_residual_is_a_float_and_one_draw_of_the_batch(kind):
         one = residual(*one_draw(g, np.random.default_rng(s), kind))
         assert type(one) is float
         assert abs(one - r) <= ULPS * math.ulp(one)
+
+
+# -- exact zeros are not formed, and a study draws once ----------------------
+
+GOLDEN_LADDERS = [(4, 6, (16, 32, 64)), (3, 6, (16, 32, 64)), (5, 5, (12, 16, 20)), (4, 6, (24, 48, 96))]
+_default_rng = np.random.default_rng
+
+
+class _CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = _default_rng(seed), 0
+
+    def standard_normal(self):
+        self.draws += 1
+        return self.rng.standard_normal()
+
+    def uniform(self, lo, hi):
+        self.draws += 1
+        return self.rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
+def test_a_study_forms_no_constant_axis_derivative_and_draws_once(kind, monkeypatch):
+    """No derivative of finite data is taken along a periodic axis where it
+    has size 1, and each generator draws one set of coefficients for all
+    refinements of a study."""
+    constant, taken, deriv = [], [], G.FlatBandGrid.deriv
+
+    def counting(g, data, axis):
+        taken.append(axis)
+        if axis and data.shape[axis - g.n] == 1 and np.isfinite(data).all():
+            constant.append((data.shape, axis))
+        return deriv(g, data, axis)
+
+    rngs = []
+    monkeypatch.setattr(G.FlatBandGrid, "deriv", counting)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(_CountingRng(seed)) or rngs[-1])
+    G.convergence_study(kind, (16, 24, 32), n=4, seed=3)
+    assert taken and not constant
+    keys = {"dirac": 6 + 4 + 4, "laplace": 6 + 6, "weitzenboeck": 6}[kind]  # components of the study fields
+    assert [r.draws for r in rngs] == [4 * keys] * G.STUDY_DRAWS
+
+
+@pytest.mark.parametrize("n,N_t,ladder", GOLDEN_LADDERS)
+@pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
+def test_a_study_is_the_per_grid_route_bit_for_bit(kind, n, N_t, ladder):
+    """Drawn once per study, the residuals are those of fields drawn anew
+    for each grid through paired_test_fields."""
+    residual = G._study(kind)[1]
+    for seed in range(3):
+        expected = []
+        for N in ladder:
+            g = G.FlatBandGrid(n, G.STUDY_L, N, N_t)
+            total = 0.0
+            rngs = [np.random.default_rng(seed + 101 * s) for s in range(G.STUDY_DRAWS)]
+            for r in residual(*G.paired_test_fields(g, rngs, kind)).tolist():
+                total += r
+            expected.append(total / G.STUDY_DRAWS)
+        assert G.convergence_study(kind, ladder, n=n, N_t=N_t, seed=seed)[0] == expected
+
+
+def _same_on_the_grid(a, b):
+    shape = a.grid.shape
+    return list(a.data) == list(b.data) and all(
+        np.array_equal(np.broadcast_to(a.data[k], shape), np.broadcast_to(b.data[k], shape), equal_nan=True)
+        for k in a.data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+def test_non_finite_or_huge_data_forms_what_it_multiplies(bad):
+    """The exact zeros are left out only where they are exact: on a field
+    with a non-finite component every derivative takes the stencil (inf -
+    inf is NaN) and ct(grad f) forms 0 * inf, and a Hessian term is formed
+    where <i_i w, i_j w> may overflow.  Each operator and residual gives
+    what it gives on the materialised fields, where nothing is left out."""
+    g = grid(N_r=10, N_t=4, n=3)
+    F = random_field(g, 1, np.random.default_rng(5)) + random_field(g, 2, np.random.default_rng(6), radial=False)
+    key = next(k for k, v in F.data.items() if 1 in v.shape[1:])
+    if bad == 1e160:
+        F.data[key] = F.data[key] * bad
+    else:
+        F.data[key] = np.where(np.arange(g.N_r)[:, None, None] == 4, bad, F.data[key])
+    twist = G._radial_twist(g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        full_F, full_twist = _materialised(g, F), _materialised(g, twist)
+        for op in (G.d_grid, G.dstar_grid, G.laplacian_grid, lambda X: G.D_f_grid(X, twist)):
+            assert _same_on_the_grid(op(F), op(full_F))
+        got = [G.twisted_weitzenboeck_residual(F, twist), G.green_residual_dirac(F, F), G.green_residual_laplace(F, F)]
+        want = [G.twisted_weitzenboeck_residual(full_F, full_twist), G.green_residual_dirac(full_F, full_F),
+                G.green_residual_laplace(full_F, full_F)]
+    assert repr(got) == repr(want)

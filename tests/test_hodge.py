@@ -274,7 +274,8 @@ def test_mixed_block_takes_the_exact_route_once(monkeypatch):
 
 def test_every_degree_svds_each_twisted_coboundary_once(monkeypatch):
     """Asked for every degree 0..dim, a block of twists builds and SVDs
-    d_{f,j} once for each j < dim, and never d_{f,dim}, whose target is 0."""
+    d_{f,j} once for each j < dim, and never d_{f,dim}, whose target is 0;
+    a wide d_{f,j} is decomposed as its tall transpose."""
     K = H.product_complex(H.disk_complex(), cycle_complex([0, 1, 2, 3]))  # dim 3, nothing cached
     F = np.random.default_rng(2).uniform(-5.0, 5.0, (4, K.n_simplices(0)))
     expect = [[H.betti(K, k)] * 4 for k in range(K.dim + 1)]
@@ -287,7 +288,9 @@ def test_every_degree_svds_each_twisted_coboundary_once(monkeypatch):
     for _ in range(2):
         assert [H.harmonic_dimension(T, k).tolist() for k in range(K.dim + 1)] == expect
     assert built == [0, 1, 2]
-    assert svds == [(4, K.n_simplices(j + 1), K.n_simplices(j)) for j in range(3)]
+    shapes = [(K.n_simplices(j + 1), K.n_simplices(j)) for j in range(3)]
+    assert any(rows < cols for rows, cols in shapes)
+    assert svds == [(4, max(shape), min(shape)) for shape in shapes]
 
 
 def test_hodge_twist_blocks_stay_within_the_entry_budget(monkeypatch, tmp_path):

@@ -34,7 +34,10 @@ d/dx_3 = 2 (A x_1 - B x_0).  The search carries the images of its current
 frames, so a descent iteration costs one image product: that of its trial
 frames, which gives their values and, for an accepted step, the images of
 the next gradient.  Frames are retracted by Gram-Schmidt, which is the QR
-retraction with a positive diagonal.
+retraction with a positive diagonal.  After an accepted move the next step
+is the Barzilai-Borwein step <s, s> / <s, y> of that move s and the change y
+of the tangent gradient across it, and a restart retires once its value has
+stalled over the last STALL_WINDOW iterations, checked every iteration.
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
@@ -85,7 +88,7 @@ HERMITIAN_TOL = 1e-12  # relative Hermitian defect accepted by WeitzOperator
 SEARCH_MAX_ITER = 400  # frame-search descent iterations, at most
 SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
 SEARCH_STEP0 = 0.1  # first step of every restart
-STALL_WINDOW = 25  # iterations between two stall checks of the frame search
+STALL_WINDOW = 25  # the stall check compares each value with the one this many iterations earlier
 STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
 # Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
 MAX_TENSOR_COMPONENTS = 1 << 21
@@ -334,11 +337,16 @@ def _unit_scaled(R: np.ndarray):
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for the stochastic frame search over orthonormal 4-frames
-    (the descent runs on the SEARCH_* constants)."""
+    (the descent runs on the SEARCH_* constants).  ``restarts`` must be a
+    positive integer; a bool is refused."""
 
     restarts: int = 512
     seed: int = 0
     tolerance: float = 1e-9
+
+    def __post_init__(self):
+        if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+            raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
 
 
 def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
@@ -363,15 +371,24 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     of its new frame, from which the next gradient is read
     (``_bivector_grad``, no product with R~).  The trial frames come from
     the Gram-Schmidt retraction (``_retract``), the same map as a QR
-    retraction with a positive diagonal.  A restart retires in one of three
-    ways:
+    retraction with a positive diagonal.
+
+    A trial is accepted on the Armijo test
+    v(Y) <= v(X) - 1e-4 * step * |tangent gradient|^2.  A rejected trial
+    halves the step.  After an accepted move s = Y - X, the next step is
+    <s, s> / <s, y>, y the change of the tangent gradient across the move
+    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988; Wen and Yin, Math.
+    Program. 142, 2013, on this Stiefel manifold), or 1.5 times the last
+    step where <s, y> <= 0; either is capped at 1.  Every restart starts at
+    SEARCH_STEP0.  A restart retires in one of three ways:
 
     * its tangent gradient drops below SEARCH_GRAD_TOL;
     * its step falls below 1e-14; it still takes one trial at its halved
       step;
-    * it stalls: every STALL_WINDOW iterations, a restart whose accepted
-      value fell by at most STALL_TOL * (1 + |v|) since the previous check
-      retires.  This catches restarts whose gradient sits at the rounding
+    * it stalls: at every iteration, a restart whose accepted value fell by
+      at most STALL_TOL * (1 + |v|) over the last STALL_WINDOW iterations
+      retires, so it retires STALL_WINDOW iterations after its last
+      progress.  This catches restarts whose gradient sits at the rounding
       floor of the retraction, above SEARCH_GRAD_TOL, where they would
       otherwise stay live until SEARCH_MAX_ITER.
 
@@ -395,20 +412,25 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
     last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
-    window_vals = vals.copy()  # accepted values at the last stall check
+    moved = np.zeros(B, dtype=bool)  # accepted its last trial: its next step is Barzilai-Borwein
+    S = np.zeros((B, 4, n))  # last trial move Y - X, read only where it was accepted
+    G_from = np.zeros((B, 4, n))  # tangent gradient at the frame that move left
+    ring = np.empty((STALL_WINDOW, B))  # accepted values of the last STALL_WINDOW iterations
     everyone = np.arange(B)
 
     for it in range(SEARCH_MAX_ITER):
-        if it and it % STALL_WINDOW == 0:
-            active &= window_vals - vals > STALL_TOL * (1.0 + np.abs(vals))  # stalled ones retire
-            window_vals = vals.copy()
+        row = ring[it % STALL_WINDOW]
+        if it >= STALL_WINDOW:  # stalled over the last STALL_WINDOW iterations: retire
+            active &= row - vals > STALL_TOL * (1.0 + np.abs(vals))
+        row[:] = vals
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
         if len(live) == B:  # no restart has retired: the arrays themselves, no gather
-            live, Xl, Hl, stepl, act = everyone, X, H, step, active.copy()
+            live, Xl, Hl, stepl, act, Sl, Gl, movl = everyone, X, H, step, active.copy(), S, G_from, moved
         else:
             Xl, Hl, stepl, act = X[live], H[live], step[live], active[live]
+            Sl, Gl, movl = S[live], G_from[live], moved[live]
         G = _bivector_grad(Hl, Xl)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
         M = G @ np.swapaxes(Xl, 1, 2)
@@ -417,15 +439,23 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         act &= gnorm2 > SEARCH_GRAD_TOL**2
         if not act.any():
             break
+        # after an accepted move s with gradient change y: the step <s, s> / <s, y>,
+        # or 1.5 times the last step where <s, y> <= 0; at most 1
+        sy = np.einsum("Bij,Bij->B", Sl, Gt - Gl)
+        next_step = np.divide(np.einsum("Bij,Bij->B", Sl, Sl), sy, out=1.5 * stepl, where=sy > 0)
+        stepl = np.where(movl, np.minimum(next_step, 1.0), stepl)
+        step[live] = stepl
         Y = _retract(Xl - stepl[:, None, None] * Gt)
         PY, HY = _bivector_images(Rt, Y)
         vY = _bivector_value(PY, HY)
         accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
+        S[live] = Y - Xl
+        G_from[live] = Gt
         acc = live[accept]
         X[acc] = Y[accept]
         H[acc] = HY[accept]
         vals[acc] = vY[accept]
-        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        moved[live] = accept
         rej = live[act & ~accept]
         step[rej] *= 0.5
         active[live] = act

@@ -402,12 +402,21 @@ def D_f_grid(F: FormField, f: np.ndarray) -> FormField:
 
 def _boundary_term_dirac(alpha: FormField, beta: FormField) -> complex:
     """Integral of <c(nu) alpha, beta> over both leaves; nu = -e_1 at rho=0
-    and +e_1 at rho=L."""
+    and +e_1 at rho=L.  Formed on the two leaves only: each component is cut
+    to its radial nodes 0 and -1 first (one stored at radial size 1 is kept),
+    and the products are pointwise, so every value is the one the full
+    fields give there."""
     g = alpha.grid
+    ends = g._radial(slice(0, None, g.N_r - 1))  # nodes 0 and -1, as a view
+
+    def leaves(F: FormField) -> FormField:
+        out = FormField(g)
+        out.data = {key: arr if arr.shape[-g.n] == 1 else arr[ends] for key, arr in F.data.items()}
+        return out
+
     e1 = [None] * g.n
     e1[0] = 1.0
-    c_alpha = _clifford_field(e1, alpha, -1)
-    inner = c_alpha.pointwise_inner(beta)
+    inner = _clifford_field(e1, leaves(alpha), -1).pointwise_inner(leaves(beta))
     return g.integrate_boundary(-inner[g._radial(0)], inner[g._radial(-1)])
 
 

@@ -74,6 +74,11 @@ ENTRIES = {
     # the round S^6 (every sectional 1), on which the Ky Fan bound 4 is sharp
     **{f"curvature-sphere6-sigma{sigma}": ["verify", "curvature", "--tensor", "inputs/sphere6.json",
                                            "--sigma", sigma] for sigma in ("4", "4.1")},
+    # S^5 x R pulled back by the rotation Q of default_rng(6)'s 6 x 6 normal draw (the QR
+    # factor with a positive diagonal): minimum 2, Ky Fan bound 0, best coordinate frame
+    # 2.147, best of 512 random starts 2.0047, so only the descent finds the minimum
+    "curvature-sphere6-rotated": ["verify", "curvature", "--tensor", "inputs/sphere6-rotated.json",
+                                  "--sigma", "2.0005"],
 }
 
 

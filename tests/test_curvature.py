@@ -213,12 +213,65 @@ def count_descent_iterations(monkeypatch) -> list[int]:
 def test_stalled_restarts_retire_early(monkeypatch):
     """Restarts whose gradient sits at the retraction's rounding floor, above
     SEARCH_GRAD_TOL, retire by the stall check instead of running all
-    SEARCH_MAX_ITER iterations (this search used to run all 400)."""
+    SEARCH_MAX_ITER iterations (this search used to run all 400, then 75
+    with the stall checked every STALL_WINDOW iterations and steps grown by
+    1.5)."""
     counter = count_descent_iterations(monkeypatch)
     R = random_curvature(4, np.random.default_rng(5))
     searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=11))
-    assert 0 < counter[0] <= 100
+    assert 0 < counter[0] <= 38
     assert abs(searched - C.exact_min_isotropic(R)[0]) < 1e-6
+
+
+def _one_restart_history(monkeypatch, R, seed):
+    """The accepted values of a one-restart search at the start of each of
+    its descent iterations, read off the frames its gradients are taken at
+    and the values of its trial frames: a trial is accepted when the next
+    gradient is taken at a new frame."""
+    frames, values = [], []
+    grad, value = C._bivector_grad, C._bivector_value
+
+    def recorded_grad(H, X):
+        frames.append(X.copy())
+        return grad(H, X)
+
+    def recorded_value(P, H):
+        v = value(P, H)
+        values.append(v[0])
+        return v
+
+    monkeypatch.setattr(C, "_bivector_grad", recorded_grad)
+    monkeypatch.setattr(C, "_bivector_value", recorded_value)
+    C.min_isotropic(R, C.SearchConfig(restarts=1, seed=seed))
+    monkeypatch.undo()
+    accepted = [values[0]]  # accepted[it]: the value at the start of iteration it
+    for it in range(1, len(frames)):
+        moved = not np.array_equal(frames[it], frames[it - 1])
+        accepted.append(values[it] if moved else accepted[-1])
+    return accepted
+
+
+def test_stalled_restart_retires_a_window_after_its_last_progress(monkeypatch):
+    """A restart retires no more than STALL_WINDOW iterations after its last
+    progress: the last iteration whose accepted value lay more than
+    STALL_TOL (1 + |v|) above the value v it ends at.  A run of decreases
+    each below that tolerance still counts as progress over the window.
+    The stall check runs every iteration against the value STALL_WINDOW
+    iterations earlier; checked every STALL_WINDOW iterations, it let a
+    restart run up to 2 STALL_WINDOW - 1 iterations past its last progress."""
+    rng = np.random.default_rng(20261020)
+    late = 0
+    for t in range(24):
+        R = (random_curvature, random_pic_combination)[t % 2](4 + t % 3, rng)
+        accepted = _one_restart_history(monkeypatch, R, t)
+        iterations, end = len(accepted), accepted[-1]
+        if iterations == C.SEARCH_MAX_ITER:
+            continue
+        above = [k for k in range(iterations) if accepted[k] - end > C.STALL_TOL * (1.0 + abs(end))]
+        last = above[-1] + 1 if above else 0  # the first iteration from which it stays within the tolerance
+        assert iterations <= last + C.STALL_WINDOW, (t, last, iterations)
+        late = max(late, iterations - last)
+    assert late == C.STALL_WINDOW  # some restart did retire by the stall rule
 
 
 def _qr_retract(Y):
@@ -256,7 +309,9 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
     products per iteration (the gradient from images formed afresh at the
     current frames), on R scaled by a power of two to unit size as
     min_isotropic scales it; it shares the search's kernel, retraction and
-    tangent projection.  Returns (value, descent iterations)."""
+    tangent projection.  Its Barzilai-Borwein steps are taken one restart
+    at a time and its stall check reads a list of every iteration's values.
+    Returns (value, descent iterations)."""
     _, exponent = math.frexp(float(np.max(np.abs(R))))
     Rt = C._iso_tensor(np.ldexp(R, -exponent))
 
@@ -268,16 +323,18 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
     step = np.full(B, C.SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
     last_trial = np.zeros(B, dtype=bool)
-    window_vals = vals.copy()
+    moved = np.zeros(B, dtype=bool)
+    S = np.zeros(X.shape)
+    G_from = np.zeros(X.shape)
+    history = [vals.copy()]  # accepted values at the start of each iteration
     iterations = 0
     for it in range(C.SEARCH_MAX_ITER):
-        if it and it % C.STALL_WINDOW == 0:
-            active &= window_vals - vals > C.STALL_TOL * (1.0 + np.abs(vals))
-            window_vals = vals.copy()
+        if it >= C.STALL_WINDOW:
+            active &= history[it - C.STALL_WINDOW] - vals > C.STALL_TOL * (1.0 + np.abs(vals))
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
-        Xl, stepl, act = X[live], step[live], active[live]
+        Xl, act = X[live], active[live]
         G = C._bivector_grad(C._bivector_images(Rt, Xl)[1], Xl)
         iterations += 1
         M = G @ np.swapaxes(Xl, 1, 2)
@@ -286,13 +343,21 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
         act &= gnorm2 > C.SEARCH_GRAD_TOL**2
         if not act.any():
             break
+        for b, i in enumerate(live):  # Barzilai-Borwein after an accepted move
+            if moved[i]:
+                s, y = S[i], Gt[b] - G_from[i]
+                sy = np.einsum("ij,ij->", s, y)
+                step[i] = min(np.einsum("ij,ij->", s, s) / sy if sy > 0 else 1.5 * step[i], 1.0)
+        stepl = step[live]
         Y = C._retract(Xl - stepl[:, None, None] * Gt)
         vY = C._bivector_value(*C._bivector_images(Rt, Y))
         accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
         acc = live[accept]
+        S[acc] = Y[accept] - Xl[accept]
+        G_from[acc] = Gt[accept]
         X[acc] = Y[accept]
         vals[acc] = vY[accept]
-        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        moved[live] = accept
         rej = live[act & ~accept]
         step[rej] *= 0.5
         active[live] = act
@@ -301,6 +366,7 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
         last_trial[:] = False
         last_trial[floored] = True
         best_vals[live] = np.minimum(best_vals[live], vY)
+        history.append(vals.copy())
     return math.ldexp(float(best_vals.min()), exponent), iterations
 
 
@@ -328,6 +394,20 @@ def test_search_matches_the_two_product_search(monkeypatch, n):
             ref_value, ref_iterations = _two_product_search(R.R, cfg)
             assert iterations == ref_iterations, (generate.__name__, restarts)
             assert abs(value - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), (generate.__name__, restarts)
+
+
+@pytest.mark.parametrize("restarts", [0, -1, True, 2.0, "8"])
+def test_search_config_refuses_a_restart_count_that_is_not_a_positive_integer(restarts):
+    """Refused when built, so that neither min_isotropic nor is_sigma_pic
+    at n >= 5 meets it inside numpy (0 and -1 died there in a reshape and
+    an allocation)."""
+    with pytest.raises(ValueError, match="restarts must be a positive integer"):
+        C.SearchConfig(restarts=restarts)
+
+
+def test_search_config_takes_a_numpy_integer():
+    value, _ = C.min_isotropic(product_tensor(), C.SearchConfig(restarts=np.int64(4), seed=1))
+    assert math.isfinite(value)
 
 
 @pytest.mark.parametrize("k", [-80, -1, 1, 80])

@@ -19,7 +19,9 @@ from picband import comparison as CMP
 from picband import curvature as C
 from picband import potentials as P
 
-SPHERE6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs", "sphere6.json")
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+SPHERE6 = os.path.join(INPUTS, "sphere6.json")
+SPHERE6_ROTATED = os.path.join(INPUTS, "sphere6-rotated.json")
 
 
 def _chi_shifted(attr: str, by: float):
@@ -91,6 +93,16 @@ def _ky_fan_bound_raised(monkeypatch):
     monkeypatch.setattr(C, "_certified_bound", lambda R: 1.05 * bound(R))
 
 
+def _descent_stopped(monkeypatch):
+    """The frame search with no descent iteration: its minimum is the best
+    of its random starts.  On the rotated S^5 x R neither the Ky Fan bound
+    (0) nor a coordinate frame (2.147) is near the minimum 2, and the best
+    of 512 starts is 2.0047, so sigma = 2.0005 passes the precondition and
+    the Weitzenboeck bound (n - 2) sigma / 2 = 4.001 is asserted against
+    lambda_min = 4."""
+    monkeypatch.setattr(C, "SEARCH_MAX_ITER", 0)
+
+
 MUTANTS = {
     "chi-plateau-raised": (_chi_shifted("c_plateau", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
@@ -101,6 +113,8 @@ MUTANTS = {
     "focal-hessian-scaled": (_focal_hessian_scaled, ["verify", "comparison"], 1, "comparison.flat_limits"),
     "ky-fan-bound-raised": (_ky_fan_bound_raised, ["verify", "weitzenboeck", "--tensor", SPHERE6, "--sigma", "4.1"],
                             1, "weitzenboeck.lower_bound"),
+    "descent-stopped": (_descent_stopped, ["verify", "weitzenboeck", "--tensor", SPHERE6_ROTATED,
+                                           "--sigma", "2.0005"], 1, "weitzenboeck.lower_bound"),
 }
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import comparison, curvature
 from .curvature import SearchConfig
-from .reporting import Region, Report
+from .reporting import Region, Report, Tagged, check_input
 
 __all__ = [
     "WarpProfile",
@@ -174,15 +174,15 @@ def _sin_radii(s: float, lo: float, hi: float) -> list:
 
 
 class _Kind(NamedTuple):
-    """One warp kind: the phi keys a band spec of this kind reads besides
-    "kind"; make(scale, xs, values), the profile's parameters p; jet(p, r),
+    """One warp kind: schema, the phi keys a band spec of this kind reads
+    besides "kind"; make(scale, xs, values), the profile's parameters p; jet(p, r),
     (phi, phi', phi''); floor(p), the smallest radius the profile extends
     to with phi > 0; radii(p, lo, hi), the radii of [lo, hi] among
     which phi is least and |phi'| largest; and max_width: every band at
     least this wide holds a zero of phi, also where floats are too coarse
     to place one."""
 
-    keys: tuple
+    schema: dict
     make: Callable
     jet: Callable
     floor: Callable
@@ -197,14 +197,14 @@ def _scale(scale, xs, values):
 # Exact-zero derivatives are 0.0 literals, not scaled: a negative scale must
 # not turn them into -0.0.
 _KINDS = {
-    "const": _Kind(("scale",), _scale, lambda s, r: (s, 0.0, 0.0), lambda s: -math.inf,
+    "const": _Kind({"scale?": float}, _scale, lambda s, r: (s, 0.0, 0.0), lambda s: -math.inf,
                    lambda s, lo, hi: [lo]),
-    "sin": _Kind(("scale",), _scale, lambda s, r: (s * math.sin(r), s * math.cos(r), -s * math.sin(r)),
+    "sin": _Kind({"scale?": float}, _scale, lambda s, r: (s * math.sin(r), s * math.cos(r), -s * math.sin(r)),
                  lambda s: 0.0, _sin_radii, math.pi),  # zeros are pi apart
-    "linear": _Kind(("scale",), _scale, lambda s, r: (s * r, s, 0.0), lambda s: 0.0,
+    "linear": _Kind({"scale?": float}, _scale, lambda s, r: (s * r, s, 0.0), lambda s: 0.0,
                     lambda s, lo, hi: [lo, hi]),  # monotone
-    "table": _Kind(("x", "values"), lambda scale, xs, values: _NaturalCubic(xs, values), _NaturalCubic.jet,
-                   lambda spline: float(spline.xs[0]), _NaturalCubic.critical_radii),
+    "table": _Kind({"x": [float], "values": [float]}, lambda scale, xs, values: _NaturalCubic(xs, values),
+                   _NaturalCubic.jet, lambda spline: float(spline.xs[0]), _NaturalCubic.critical_radii),
 }
 
 
@@ -460,17 +460,14 @@ def counterexample_report(S: CounterexampleSpec) -> Report:
     )
 
 
+_BAND = {"n": int, "phi": Tagged("kind", {name: k.schema for name, k in _KINDS.items()}), "r0": float, "r1": float}
+
+
 def load_band_json(doc) -> WarpedBand:
     """Band spec: {"n", "phi", "r0", "r1"}, phi either {"kind":
     "const"|"sin"|"linear", "scale"?} or {"kind": "table", "x", "values"}:
-    the keys of its kind's declaration.  A key that is not read is an
-    error, not dropped, and every number must be a JSON number."""
-    curvature._json_keys(doc, ("n", "phi", "r0", "r1"), "a band spec")
+    the keys of its kind's declaration, checked against that schema."""
+    doc = check_input(doc, _BAND, "a band spec")
     phi = doc["phi"]
-    if phi["kind"] not in _KINDS:
-        raise ValueError(f"unknown warp kind {phi['kind']!r}")
-    curvature._json_keys(phi, ("kind", *_KINDS[phi["kind"]].keys), f"phi of kind {phi['kind']!r}")
-    number = curvature._json_number
-    xs, values = ([number(v, key) for v in phi[key]] if key in phi else None for key in ("x", "values"))
-    profile = WarpProfile(phi["kind"], number(phi.get("scale", 1.0), "scale"), xs=xs, values=values)
-    return WarpedBand(curvature._json_int(doc["n"], "n"), number(doc["r0"], "r0"), number(doc["r1"], "r1"), profile)
+    profile = WarpProfile(phi["kind"], phi.get("scale", 1.0), xs=phi.get("x"), values=phi.get("values"))
+    return WarpedBand(doc["n"], doc["r0"], doc["r1"], profile)

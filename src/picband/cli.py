@@ -68,27 +68,16 @@ class _Given(argparse.Action):
         namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite constant {name} in JSON input")
-
-
-def _finite_literal(text: str) -> float:
-    """A JSON number literal; one that overflows to infinity, like 1e309, is rejected."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} in JSON input is not finite")
-    return value
-
-
 def _load(path: str, parse, what: str):
-    """parse(JSON document at path).  Non-finite numbers are rejected: the
-    NaN and Infinity constants Python's parser accepts by default and
-    literals that overflow a float.  Every failure to read or parse the
-    file is an InputError (exit 2)."""
+    """parse(JSON document at path).  A file that cannot be read, is not
+    JSON or that parse refuses with a ValueError (its schema's shape, type
+    and key errors, a NaN, an infinity or a literal past the float range
+    among them, and its semantic checks) is an InputError, exit 2; any other
+    exception raised while loading is a program defect, exit 3."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh, parse_constant=_reject_constant, parse_float=_finite_literal))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 
@@ -598,7 +587,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: the computation is not finite at these inputs: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -61,6 +61,7 @@ import numpy as np
 
 from . import exterior
 from .exterior import degree_basis
+from .reporting import check_input
 
 __all__ = [
     "CurvTensor",
@@ -800,29 +801,7 @@ _SLOT_PERMS = (  # index permutations generating the full symmetry orbit
 )
 
 
-def _json_int(value, name: str) -> int:
-    """An integer field of a JSON input, which may be written as an
-    integral float (4.0); a fraction, a boolean or a string is rejected,
-    not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _json_number(value, name: str) -> float:
-    """A number field of a JSON input; a boolean, a string or anything else
-    that is not a JSON number is rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_keys(doc, takes: tuple, what: str) -> None:
-    """A JSON object of an input file holds only keys that are read: any
-    other one is an error that names it, not dropped."""
-    unread = sorted(set(doc) - set(takes))
-    if unread:
-        raise ValueError(f"{what} takes only the keys {takes}, not {unread}")
+_TENSOR = {"n": int, "components": [{"i": int, "j": int, "k": int, "l": int, "v": float}]}
 
 
 def load_curvature_json(doc) -> CurvTensor:
@@ -830,18 +809,17 @@ def load_curvature_json(doc) -> CurvTensor:
 
     Indices are 1-based and may list any generating set; the loader
     completes the orbit under the pair (anti)symmetries and rejects entries
-    that disagree by more than 1e-10, keys that are not read and values
-    that are not JSON numbers.
+    that disagree by more than 1e-10; the document is checked against its
+    schema first.
     """
-    _json_keys(doc, ("n", "components"), "a tensor file")
-    n = _json_int(doc["n"], "n")
+    doc = check_input(doc, _TENSOR, "a tensor file")
+    n = doc["n"]
     _check_dimension(n)
     R = np.zeros((n, n, n, n))
     seen = np.zeros((n, n, n, n), dtype=bool)
     for entry in doc["components"]:
-        _json_keys(entry, ("i", "j", "k", "l", "v"), "a tensor component")
-        i, j, k, l = (_json_int(entry[key], key) - 1 for key in ("i", "j", "k", "l"))
-        v = _json_number(entry["v"], "v")
+        i, j, k, l = (entry[key] - 1 for key in "ijkl")
+        v = entry["v"]
         if not all(0 <= t < n for t in (i, j, k, l)):
             raise ValueError(f"component index out of range: {entry}")
         for perm, sign in _SLOT_PERMS:

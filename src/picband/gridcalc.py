@@ -53,8 +53,8 @@ from itertools import combinations
 import numpy as np
 
 from . import exterior
-from .curvature import _json_int, _json_keys, _json_number
 from .exterior import _checked_key
+from .reporting import check_input
 
 __all__ = [
     "FlatBandGrid",
@@ -502,6 +502,9 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float | np
 # -- field constructors --------------------------------------------------
 
 
+_TERM = {"index": [int], "coef?": [float], "factors?": [{"axis": int, "kind?": str, "freq?": float, "phase?": float}]}
+
+
 def trig_field(grid: FlatBandGrid, spec) -> FormField:
     """Build a form field from a trig-polynomial spec.
 
@@ -512,27 +515,22 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     list in any order means theta^{i_1} ^ ... ^ theta^{i_k}, stored under
     its increasing key with the permutation's sign (zero if one repeats).
     A term is stored with size 1 on every axis it has no sin/cos factor on.
-    An index outside 1..n, an axis outside 0..n-1, a coef that is not
-    [re] or [re, im], a number that is not a JSON number and a key that is
-    not read are ValueErrors.
+    The spec is checked against its schema; an index outside 1..n, an axis
+    outside 0..n-1 and a coef that is not [re] or [re, im] are ValueErrors.
     """
     radial = np.linspace(0.0, grid.L, grid.N_r)
     transverse = np.arange(grid.N_t) * grid.ht
     out = FormField(grid)
-    for term in spec:
-        _json_keys(term, ("index", "coef", "factors"), "a field term")
-        coef = [_json_number(c, "coef") for c in term.get("coef", [1.0, 0.0])]
+    for term in check_input(spec, [_TERM], "a field"):
+        coef = term.get("coef", [1.0, 0.0])
         if len(coef) not in (1, 2):
             raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
         val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones((1,) * grid.n, dtype=complex)
         for fac in term.get("factors", []):
-            _json_keys(fac, ("axis", "kind", "freq", "phase"), "a term factor")
-            axis = _json_int(fac["axis"], "axis")
+            axis = fac["axis"]
             if not 0 <= axis < grid.n:
                 raise ValueError(f"factor axis {axis} out of range 0..{grid.n - 1}")
-            kind = fac.get("kind", "sin")
-            freq = _json_number(fac.get("freq", 1), "freq")
-            phase = _json_number(fac.get("phase", 0.0), "phase")
+            kind, freq, phase = fac.get("kind", "sin"), fac.get("freq", 1.0), fac.get("phase", 0.0)
             if kind == "const":
                 continue
             if kind not in ("sin", "cos"):
@@ -545,7 +543,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
             val = val * (np.sin(arg) if kind == "sin" else np.cos(arg)).reshape(
                 [-1 if a == axis else 1 for a in range(grid.n)]
             )
-        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(_json_int(i, "index") for i in term["index"])))
+        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(term["index"])))
         if hit is not None:
             key, sign = hit
             out._acc(key, sign * val)
@@ -650,13 +648,12 @@ def convergence_study(kind: str, N_rs, n: int = 4, N_t: int = 6, seed: int = 0):
     return residuals, hs, convergence_order(residuals, hs)
 
 
+_GRID = {"n": int, "L": float, "N_r": int, "N_t": int, "fields?": [[_TERM]]}
+
+
 def load_grid_config(doc) -> tuple[FlatBandGrid, list[FormField]]:
-    """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]};
-    a key that is not read is an error, not dropped."""
-    _json_keys(doc, ("n", "L", "N_r", "N_t", "fields"), "a grid config")
-    grid = FlatBandGrid(_json_int(doc["n"], "n"), _json_number(doc["L"], "L"), _json_int(doc["N_r"], "N_r"),
-                        _json_int(doc["N_t"], "N_t"))
-    specs = doc.get("fields", [])
-    if not isinstance(specs, list) or not all(isinstance(term, dict) for spec in specs for term in spec):
-        raise ValueError("fields must be a list of fields, each a list of term objects")
-    return grid, [trig_field(grid, spec) for spec in specs]
+    """Grid config JSON: {"n", "L", "N_r", "N_t", "fields": [spec, ...]},
+    checked against its schema."""
+    doc = check_input(doc, _GRID, "a grid config")
+    grid = FlatBandGrid(doc["n"], doc["L"], doc["N_r"], doc["N_t"])
+    return grid, [trig_field(grid, spec) for spec in doc.get("fields", [])]

@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .curvature import _json_int, _json_keys
+from .reporting import check_input
 
 __all__ = [
     "SimplicialComplex",
@@ -88,8 +88,8 @@ class SimplicialComplex:
                 raise ValueError(f"negative dimension {d}")
             seen = []
             for s in items:
-                if any(isinstance(v, bool) or int(v) != v for v in s):
-                    raise ValueError(f"vertex labels of {s} must be integers")
+                if any(isinstance(v, bool) or int(v) != v or not -2**63 <= v < 2**63 for v in s):  # int64 labels
+                    raise ValueError(f"vertex labels of {s} must be integers in [-2^63, 2^63)")
                 t = tuple(sorted(int(v) for v in s))
                 if len(set(t)) != len(t):
                     raise ValueError(f"degenerate simplex {s}")
@@ -422,14 +422,16 @@ BUNDLED = {  # name -> constructor of the complexes shipped by name
 # -- loading ------------------------------------------------------------
 
 
+_COMPLEX = {"dim?": int, "simplices": {int: [tuple]}}  # a simplex is a tuple of integer labels
+
+
 def load_complex(doc) -> SimplicialComplex:
-    """Complex file format: {"dim": d, "simplices": {"0": [...], ...}}; the
-    constructor validates labels, dimensions, vertices and closure.  A key
-    that is not read is an error, not dropped."""
-    _json_keys(doc, ("dim", "simplices"), "a complex file")
-    simplices = {int(d): [tuple(s) for s in items] for d, items in doc["simplices"].items()}
-    K = SimplicialComplex(simplices)
-    if K.dim != _json_int(doc.get("dim", K.dim), "dim"):
+    """Complex file format: {"dim": d, "simplices": {"0": [...], ...}},
+    checked against its schema; the constructor validates dimensions,
+    vertices and closure."""
+    doc = check_input(doc, _COMPLEX, "a complex file")
+    K = SimplicialComplex(doc["simplices"])
+    if K.dim != doc.get("dim", K.dim):
         raise ValueError("declared dimension does not match the simplex lists")
     return K
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from picband import cli
 from picband.reporting import canonical_body
 from tests.conftest import complex_to_json, constant_curvature, curvature_to_json
-from tests.golden.regenerate import run_entry
+from tests.golden.regenerate import ENTRIES, HERE, run_entry
 
 
 def run_cli(args):
@@ -554,9 +555,20 @@ TERM = GRID_DOC["fields"][0][0]
      {**GRID_DOC, "fields": [[{**TERM, "factors": [{"axis": 0, "kind": "sin", "phase": "0"}]}], [TERM]]},
      "phase must be a number"),
     (["verify", "hodge", "--complex"], {**CIRCLE_DOC, "orientation": "ccw"}, "['orientation']"),
+    (["verify", "curvature", "--tensor"], {**TENSOR_DOC, "components": 0}, "components must be a list, got 0"),
+    (["verify", "curvature", "--tensor"], {**TENSOR_DOC, "components": {"a": 1}}, "components must be a list"),
+    (["verify", "band", "--band"], {k: v for k, v in BAND_DOC.items() if k != "phi"},
+     "a band spec needs the key 'phi'"),
+    (["verify", "band", "--band"], {**BAND_DOC, "phi": []}, "phi must be an object, got []"),
+    (["verify", "band", "--band"], {**BAND_DOC, "phi": {"kind": "table", "x": {}, "values": [1, 1, 1]}},
+     "phi.x must be a list, got {}"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "fields": 7}, "fields must be a list, got 7"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "fields": [[{**TERM, "index": 5}], [TERM]]},
+     "fields[0][0].index must be a list, got 5"),
 ], ids=["band-sigma", "band-r0-string", "band-scale-bool", "band-x-string", "tensor-key", "component-key",
         "component-v-string", "grid-Nr", "grid-L-bool", "term-key", "coef-bool", "factor-freqs", "phase-string",
-        "complex-orientation"])
+        "complex-orientation", "components-number", "components-object", "band-no-phi", "phi-list",
+        "table-x-object", "fields-number", "index-number"])
 def test_unread_key_or_non_number_in_an_input_file_is_input_error(tmp_path, capsys, argv, doc, name):
     """Every input file holds only keys that are read, and its numbers are
     JSON numbers: each of these files ran to a verdict (exit 0, or 1 for the
@@ -952,14 +964,90 @@ def test_band_warp_overflowing_sectionals_is_input_error(tmp_path, capsys, kind)
         ({"0": [["0"], [1], [2]], "1": [["0", 1], [1, 2], ["0", 2]]}, "must be integers"),
         ({"-1": [[]], "0": [[0], [1]], "1": [[0, 1]]}, "negative dimension"),
         ({}, "no vertices"),  # passed k0 without a single cochain
+        ([], "simplices must be an object, got []"),  # exit 3: AttributeError on .items()
+        (5, "simplices must be an object, got 5"),
+        ({"0": [[2**63]]}, "must be integers in [-2^63, 2^63)"),  # the int64 label array overflowed
     ],
-    ids=["fraction", "boolean", "string", "negative-dimension", "empty"],
+    ids=["fraction", "boolean", "string", "negative-dimension", "empty", "list", "number", "past-int64"],
 )
 def test_hodge_malformed_complex_is_input_error(tmp_path, capsys, simplices, message):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({"dim": 1 if simplices else 0, "simplices": simplices}))
     assert cli.main(["verify", "hodge", "--complex", str(path), "--twists", "3"]) == 2
     assert message in capsys.readouterr().err
+
+
+# One leaf or key of a golden input file changed at a time: each node takes
+# each of these values, each key is deleted and each object gains an unread key.
+FUZZ_VALUES = [0, -1, 1e308, -1e308, 5e-324, 1e-300, 0.5, 3, 10**400, 2**63, True, None, "x", [], {}, [1.5]]
+FUZZ_RUNS_PER_ENTRY = 16
+
+
+def _fuzz_changes(node, path=()):
+    """(path, change) of every single change to node: ("set", value),
+    ("delete", None) at a key's path, or ("add", None) at an object's."""
+    if isinstance(node, dict):
+        yield path, ("add", None)
+        for key, item in node.items():
+            yield (*path, key), ("delete", None)
+            yield from _fuzz_changes(item, (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _fuzz_changes(item, (*path, i))
+    if path:
+        yield from ((path, ("set", value)) for value in FUZZ_VALUES)
+
+
+def _fuzz_kind(value) -> str:
+    return {bool: "bool", type(None): "null", str: "string", list: "list", dict: "object"}.get(type(value), "number")
+
+
+def _key_path(path) -> str:
+    """The path up to its last key, as an input error names it: ('fields', 0, 0, 'coef', 1) -> fields[0][0].coef."""
+    while path and isinstance(path[-1], int):
+        path = path[:-1]
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def test_changed_golden_input_exits_0_1_or_2_naming_the_key(tmp_path, capsys):
+    """A seeded sample of single changes to the golden input files, the same
+    number run under each golden command line that reads one.  A run passes (0),
+    fails a check with a FAIL line (1) or is an input error without a
+    traceback (2), whose message names the key path when the change was to a
+    type or a key.  A complex file whose "simplices" was not an object
+    exited 3 with an AttributeError."""
+    rng, runs = random.Random(0), []
+    for argv in ENTRIES.values():
+        for rel in (arg for arg in argv if arg.startswith("inputs/")):
+            with open(os.path.join(HERE, rel)) as fh:
+                doc = json.load(fh)
+            runs += [(argv, rel, doc, *change) for change in rng.sample(list(_fuzz_changes(doc)), FUZZ_RUNS_PER_ENTRY)]
+    for argv, rel, doc, path, (op, value) in runs:
+        changed = json.loads(json.dumps(doc))
+        node = changed
+        for p in path[:-1] if op != "add" else path:
+            node = node[p]
+        if op == "add":
+            node["unread"] = 0
+        elif op == "delete":
+            del node[path[-1]]
+        else:
+            original, node[path[-1]] = node[path[-1]], value
+        file = tmp_path / os.path.basename(rel)
+        file.write_text(json.dumps(changed))
+        entry = run_entry([str(file) if arg == rel else arg for arg in argv])
+        err = capsys.readouterr().err
+        where = f"{argv} with {op} {value!r} at {path}: {err}"
+        assert entry["exit_code"] in (0, 1, 2), where
+        assert entry["exit_code"] != 1 or "FAIL" in entry["stdout"], where
+        if entry["exit_code"] == 2:
+            assert "Traceback" not in err, where
+            if op == "add":
+                assert _key_path(path) in err and "['unread']" in err, where
+            elif op == "delete":
+                assert _key_path(path[:-1]) in err and str(path[-1]) in err, where
+            elif _fuzz_kind(value) != _fuzz_kind(original):
+                assert _key_path(path) in err, where
 
 
 def test_identities_order_is_judged_on_the_finest_pair(tmp_path):

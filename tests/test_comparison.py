@@ -151,7 +151,8 @@ def _reference_integrate(w0, kfn, rho, step):
     """The oracle's per-step integration written with a generic RK4 step on
     the Jacobi pair y = (u, v), y' = (v, -K_rad u), from (1, w0): its steps
     and its bisection must give the bits of the per-step route.  Each step
-    rescales y by a power of two, which moves no bit of v/u or of sign(u)."""
+    rescales y by a power of two, which moves no bit of v/u or of sign(u),
+    except where it would round a subnormal component: that step keeps y."""
     f = lambda x, y: np.array([y[1], -kfn(x) * y[0]])
     steps = max(1, int(math.ceil(rho / step)))
     h = rho / steps
@@ -169,7 +170,9 @@ def _reference_integrate(w0, kfn, rho, step):
                 else:
                     a, y = mid, ym
             return None, 0.5 * (a + b)
-        y, x = np.ldexp(y_new, -math.frexp(float(np.max(np.abs(y_new))))[1]), x + h
+        e = math.frexp(float(np.max(np.abs(y_new))))[1]
+        scaled = np.ldexp(y_new, -e)
+        y, x = (scaled if (np.ldexp(scaled, e) == y_new).all() else y_new), x + h
     u, v = float(y[0]), float(y[1])
     w = v / u
     if abs(w) > B.BLOWUP_THRESHOLD:
@@ -187,6 +190,7 @@ def _reference_integrate(w0, kfn, rho, step):
 @example(w0=-2.0, K=0.0, bump=0.0, rho=1.0)  # focal crossing at rho = 1/2
 @example(w0=-40.0, K=1.0, bump=0.0, rho=0.5)  # a crossing in the first steps
 @example(w0=40.0, K=-2.0, bump=1.0, rho=2.5)  # a steep start that levels off
+@example(w0=1e-310, K=0.0, bump=0.0, rho=1.0)  # a subnormal v
 def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
     kfn = lambda r: -K + bump * math.sin(r) ** 2
     step = B.RICCATI_STEP * max(1.0, rho)
@@ -203,6 +207,7 @@ def test_fused_steps_match_reference_transcription(w0, K, bump, rho):
 @example(w0=-40.0, K=1.0, rhos=[0.5])  # a crossing in the first steps
 @example(w0=40.0, K=-2.0, rhos=[2.5])  # K_rad > 0: the per-step route
 @example(w0=-0.3, K=0.7, rhos=[0.4, 0.4, 1.2])  # a repeated distance
+@example(w0=5e-324, K=0.0, rhos=[1.0])  # a subnormal v
 def test_constant_curvature_steps_match_callable_and_reference(w0, K, rhos):
     """K_rad passed as a number agrees with the same constant passed as a
     callable, whose per-step route gives the reference transcription's bits

@@ -36,8 +36,11 @@ frames, which gives their values and, for an accepted step, the images of
 the next gradient.  Frames are retracted by Gram-Schmidt, which is the QR
 retraction with a positive diagonal.  After an accepted move the next step
 is the Barzilai-Borwein step <s, s> / <s, y> of that move s and the change y
-of the tangent gradient across it, and a restart retires once its value has
-stalled over the last STALL_WINDOW iterations, checked every iteration.
+of the tangent gradient across it.  A trial is accepted by the nonmonotone
+test of Zhang and Hager against a weighted mean of the restart's accepted
+values, as Wen and Yin pair it with these steps, so a step may raise the
+value; a restart retires once its best value has stalled over the last
+STALL_WINDOW iterations, checked every iteration.
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
@@ -89,8 +92,9 @@ HERMITIAN_TOL = 1e-12  # relative Hermitian defect accepted by WeitzOperator
 SEARCH_MAX_ITER = 400  # frame-search descent iterations, at most
 SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
 SEARCH_STEP0 = 0.1  # first step of every restart
-STALL_WINDOW = 25  # the stall check compares each value with the one this many iterations earlier
-STALL_TOL = 1e-12  # a restart stalls when its value fell by at most this * (1 + |v|) in a window
+STALL_WINDOW = 25  # the stall check compares each best value with the one this many iterations earlier
+STALL_TOL = 1e-12  # a restart stalls when its best value fell by at most this * (1 + |v|) in a window
+SEARCH_ETA = 0.85  # weight of the past in each restart's Zhang-Hager reference value
 # Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
 MAX_TENSOR_COMPONENTS = 1 << 21
 # Two-form block entries d2^2 n^2, d2 = n(n-1)/2, accepted by both Weitzenboeck routes (n <= 16):
@@ -318,14 +322,17 @@ def _retract(Y: np.ndarray) -> np.ndarray:
     rows of each frame.  This is the Q factor of the QR factorisation of
     Y^T with a positive diagonal, which is unique, so it is the sign-fixed
     QR retraction (Absil, Mahony and Sepulchre, Optimization Algorithms on
-    Matrix Manifolds, 2008) without a LAPACK call."""
-    Q = Y.copy()
+    Matrix Manifolds, 2008) without a LAPACK call.  The frames are worked on
+    with the frame-row axis first, so that each pass reads and writes row a
+    of every frame as one contiguous (B, n) block; the (B, 4, n) result is a
+    view of that storage."""
+    Q = np.swapaxes(Y, 0, 1).copy()
     for a in range(4):  # normalise row a, then take it out of the rows below
-        q = Q[:, a]
+        q = Q[a]
         q /= np.sqrt(np.einsum("Bi,Bi->B", q, q))[:, None]
-        rest = Q[:, a + 1:]
-        rest -= np.einsum("Bbi,Bi->Bb", rest, q)[:, :, None] * q[:, None, :]
-    return Q
+        rest = Q[a + 1:]
+        rest -= np.einsum("bBi,Bi->bB", rest, q)[:, :, None] * q
+    return np.swapaxes(Q, 0, 1)
 
 
 def _unit_scaled(R: np.ndarray):
@@ -374,24 +381,31 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     the Gram-Schmidt retraction (``_retract``), the same map as a QR
     retraction with a positive diagonal.
 
-    A trial is accepted on the Armijo test
-    v(Y) <= v(X) - 1e-4 * step * |tangent gradient|^2.  A rejected trial
-    halves the step.  After an accepted move s = Y - X, the next step is
-    <s, s> / <s, y>, y the change of the tangent gradient across the move
-    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988; Wen and Yin, Math.
-    Program. 142, 2013, on this Stiefel manifold), or 1.5 times the last
-    step where <s, y> <= 0; either is capped at 1.  Every restart starts at
-    SEARCH_STEP0.  A restart retires in one of three ways:
+    A trial is accepted on the nonmonotone test
+    v(Y) <= C - 1e-4 * step * |tangent gradient|^2 of Zhang and Hager (SIAM
+    J. Optim. 14, 2004), with C the restart's reference value: C = v and
+    Q = 1 at its start, and after each accepted move Q' = eta Q + 1 and
+    C' = (eta Q C + v(Y)) / Q', eta = SEARCH_ETA.  C is a weighted mean of
+    the accepted values, so an accepted trial may lie above the value it
+    leaves; a monotone test (C = v(X)) rejects Barzilai-Borwein steps once
+    the values differ at rounding level.  A rejected trial halves the step.
+    After an accepted move s = Y - X, the next step is <s, s> / <s, y>, y
+    the change of the tangent gradient across the move (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 1988; Wen and Yin, Math. Program. 142,
+    2013, on this Stiefel manifold, with this acceptance test), or 1.5
+    times the last step where <s, y> <= 0; either is capped at 1.  Every
+    restart starts at SEARCH_STEP0.  A restart retires in one of three ways:
 
     * its tangent gradient drops below SEARCH_GRAD_TOL;
     * its step falls below 1e-14; it still takes one trial at its halved
       step;
-    * it stalls: at every iteration, a restart whose accepted value fell by
-      at most STALL_TOL * (1 + |v|) over the last STALL_WINDOW iterations
-      retires, so it retires STALL_WINDOW iterations after its last
-      progress.  This catches restarts whose gradient sits at the rounding
-      floor of the retraction, above SEARCH_GRAD_TOL, where they would
-      otherwise stay live until SEARCH_MAX_ITER.
+    * it stalls: at every iteration, a restart whose best evaluated value
+      fell by at most STALL_TOL * (1 + |v|) over the last STALL_WINDOW
+      iterations retires, so it retires STALL_WINDOW iterations after its
+      last progress.  This catches restarts whose gradient sits at the
+      rounding floor of the retraction, above SEARCH_GRAD_TOL, where they
+      would otherwise stay live until SEARCH_MAX_ITER.  It reads the best
+      value, not the accepted one, which the nonmonotone test lets rise.
 
     A retired restart keeps its frame and step, which no longer change, so
     it would only repeat its last trial.  The search runs on R scaled by a
@@ -407,23 +421,24 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
     P, H = _bivector_images(Rt, X)  # carried: H holds the images of the current frames
-    vals = _bivector_value(P, H)
-    best_vals = vals.copy()
+    best_vals = _bivector_value(P, H)
     best_X = X.copy()
+    ref = best_vals.copy()  # Zhang-Hager reference value C of each restart
+    ref_weight = np.ones(B)  # and its weight Q
     step = np.full(B, SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
     last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
     moved = np.zeros(B, dtype=bool)  # accepted its last trial: its next step is Barzilai-Borwein
     S = np.zeros((B, 4, n))  # last trial move Y - X, read only where it was accepted
     G_from = np.zeros((B, 4, n))  # tangent gradient at the frame that move left
-    ring = np.empty((STALL_WINDOW, B))  # accepted values of the last STALL_WINDOW iterations
+    ring = np.empty((STALL_WINDOW, B))  # best values of the last STALL_WINDOW iterations
     everyone = np.arange(B)
 
     for it in range(SEARCH_MAX_ITER):
         row = ring[it % STALL_WINDOW]
         if it >= STALL_WINDOW:  # stalled over the last STALL_WINDOW iterations: retire
-            active &= row - vals > STALL_TOL * (1.0 + np.abs(vals))
-        row[:] = vals
+            active &= row - best_vals > STALL_TOL * (1.0 + np.abs(best_vals))
+        row[:] = best_vals
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
@@ -449,13 +464,15 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         Y = _retract(Xl - stepl[:, None, None] * Gt)
         PY, HY = _bivector_images(Rt, Y)
         vY = _bivector_value(PY, HY)
-        accept = act & (vY <= vals[live] - 1e-4 * stepl * gnorm2)
+        accept = act & (vY <= ref[live] - 1e-4 * stepl * gnorm2)
         S[live] = Y - Xl
         G_from[live] = Gt
         acc = live[accept]
         X[acc] = Y[accept]
         H[acc] = HY[accept]
-        vals[acc] = vY[accept]
+        weight = ref_weight[acc]
+        ref_weight[acc] = SEARCH_ETA * weight + 1.0
+        ref[acc] = (SEARCH_ETA * weight * ref[acc] + vY[accept]) / ref_weight[acc]
         moved[live] = accept
         rej = live[act & ~accept]
         step[rej] *= 0.5
@@ -649,9 +666,6 @@ class PicVerdict:
     tolerance: float
     kind: str
 
-    def __bool__(self):
-        return self.passed
-
 
 def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()) -> PicVerdict:
     """Test whether the isotropic curvature stays >= sigma over all frames.
@@ -817,11 +831,12 @@ def load_curvature_json(doc) -> CurvTensor:
     _check_dimension(n)
     R = np.zeros((n, n, n, n))
     seen = np.zeros((n, n, n, n), dtype=bool)
-    for entry in doc["components"]:
+    for m, entry in enumerate(doc["components"]):
+        for key in "ijkl":
+            if not 1 <= entry[key] <= n:
+                raise ValueError(f"components[{m}].{key} must lie in 1..{n}, got {entry[key]}")
         i, j, k, l = (entry[key] - 1 for key in "ijkl")
         v = entry["v"]
-        if not all(0 <= t < n for t in (i, j, k, l)):
-            raise ValueError(f"component index out of range: {entry}")
         for perm, sign in _SLOT_PERMS:
             idx = tuple((i, j, k, l)[p] for p in perm)
             val = sign * v

@@ -505,7 +505,7 @@ def twisted_weitzenboeck_residual(omega: FormField, f: np.ndarray) -> float | np
 _TERM = {"index": [int], "coef?": [float], "factors?": [{"axis": int, "kind?": str, "freq?": float, "phase?": float}]}
 
 
-def trig_field(grid: FlatBandGrid, spec) -> FormField:
+def trig_field(grid: FlatBandGrid, spec, where: str = "") -> FormField:
     """Build a form field from a trig-polynomial spec.
 
     spec: list of terms {"index": [..], "coef": [re, im], "factors":
@@ -516,25 +516,31 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
     its increasing key with the permutation's sign (zero if one repeats).
     A term is stored with size 1 on every axis it has no sin/cos factor on.
     The spec is checked against its schema; an index outside 1..n, an axis
-    outside 0..n-1 and a coef that is not [re] or [re, im] are ValueErrors.
-    """
+    outside 0..n-1, an unknown factor kind and a coef that is not [re] or
+    [re, im] are ValueErrors that name their key path: ``where``, the
+    spec's own path in its document, then the path in the spec, as in
+    "fields[1][0].factors[1].axis must lie in 0..3, got 7"."""
     radial = np.linspace(0.0, grid.L, grid.N_r)
     transverse = np.arange(grid.N_t) * grid.ht
     out = FormField(grid)
-    for term in check_input(spec, [_TERM], "a field"):
+    for j, term in enumerate(check_input(spec, [_TERM], "a field")):
+        at = f"{where}[{j}]"
         coef = term.get("coef", [1.0, 0.0])
         if len(coef) not in (1, 2):
-            raise ValueError(f"coef must be [re] or [re, im], got {coef!r}")
+            raise ValueError(f"{at}.coef must be [re] or [re, im], got {coef!r}")
+        index = term["index"]
+        if index and (min(index) < 1 or max(index) > grid.n):
+            raise ValueError(f"{at}.index must lie in 1..{grid.n}, got {index}")
         val = complex(coef[0], coef[1] if len(coef) > 1 else 0.0) * np.ones((1,) * grid.n, dtype=complex)
-        for fac in term.get("factors", []):
+        for k, fac in enumerate(term.get("factors", [])):
             axis = fac["axis"]
             if not 0 <= axis < grid.n:
-                raise ValueError(f"factor axis {axis} out of range 0..{grid.n - 1}")
+                raise ValueError(f"{at}.factors[{k}].axis must lie in 0..{grid.n - 1}, got {axis}")
             kind, freq, phase = fac.get("kind", "sin"), fac.get("freq", 1.0), fac.get("phase", 0.0)
             if kind == "const":
                 continue
             if kind not in ("sin", "cos"):
-                raise ValueError(f"unknown factor kind {kind!r}")
+                raise ValueError(f"{at}.factors[{k}].kind must be one of ('sin', 'cos', 'const'), got {kind!r}")
             if axis == 0:
                 arg = math.pi * freq * radial / grid.L + phase
             else:
@@ -543,7 +549,7 @@ def trig_field(grid: FlatBandGrid, spec) -> FormField:
             val = val * (np.sin(arg) if kind == "sin" else np.cos(arg)).reshape(
                 [-1 if a == axis else 1 for a in range(grid.n)]
             )
-        hit = exterior.wedge_keys(_checked_key(grid.n, tuple(term["index"])))
+        hit = exterior.wedge_keys(index)
         if hit is not None:
             key, sign = hit
             out._acc(key, sign * val)
@@ -656,4 +662,4 @@ def load_grid_config(doc) -> tuple[FlatBandGrid, list[FormField]]:
     checked against its schema."""
     doc = check_input(doc, _GRID, "a grid config")
     grid = FlatBandGrid(doc["n"], doc["L"], doc["N_r"], doc["N_t"])
-    return grid, [trig_field(grid, spec) for spec in doc.get("fields", [])]
+    return grid, [trig_field(grid, spec, f"fields[{i}]") for i, spec in enumerate(doc.get("fields", []))]

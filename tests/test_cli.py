@@ -565,16 +565,27 @@ TERM = GRID_DOC["fields"][0][0]
     (["verify", "identities", "--grid"], {**GRID_DOC, "fields": 7}, "fields must be a list, got 7"),
     (["verify", "identities", "--grid"], {**GRID_DOC, "fields": [[{**TERM, "index": 5}], [TERM]]},
      "fields[0][0].index must be a list, got 5"),
+    (["verify", "curvature", "--tensor"],
+     {**TENSOR_DOC, "components": [TENSOR_DOC["components"][0], {**TENSOR_DOC["components"][1], "k": 5}]},
+     "components[1].k must lie in 1..4, got 5"),
+    (["verify", "identities", "--grid"],
+     {**GRID_DOC, "fields": [[TERM], [TERM, {**TERM, "factors": [TERM["factors"][0], {"axis": 7}]}]]},
+     "fields[1][1].factors[1].axis must lie in 0..2, got 7"),
+    (["verify", "identities", "--grid"], {**GRID_DOC, "fields": [[TERM], [{**TERM, "index": [5]}]]},
+     "fields[1][0].index must lie in 1..3, got [5]"),
 ], ids=["band-sigma", "band-r0-string", "band-scale-bool", "band-x-string", "tensor-key", "component-key",
         "component-v-string", "grid-Nr", "grid-L-bool", "term-key", "coef-bool", "factor-freqs", "phase-string",
         "complex-orientation", "components-number", "components-object", "band-no-phi", "phi-list",
-        "table-x-object", "fields-number", "index-number"])
+        "table-x-object", "fields-number", "index-number", "component-index-range", "factor-axis-range",
+        "term-index-range"])
 def test_unread_key_or_non_number_in_an_input_file_is_input_error(tmp_path, capsys, argv, doc, name):
     """Every input file holds only keys that are read, and its numbers are
     JSON numbers: each of these files ran to a verdict (exit 0, or 1 for the
     tensors), with the key dropped (a band spec's "sigma" ran at the default
     sigma, a factor's "freqs" at freq 1) or the string or boolean converted
-    by float()."""
+    by float().  An index or axis out of its range names its key path too;
+    it was an input error whose message gave only the value ("factor axis 7
+    out of range 0..2")."""
     path, out = tmp_path / "in.json", tmp_path / "r.json"
     path.write_text(json.dumps(doc))
     assert cli.main([*argv, str(path), "--out", str(out)]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -390,7 +391,8 @@ def test_trig_field_factors_match_the_meshgrid():
     expected = expected * np.cos(2.0 * math.pi * 1.0 * X[1] + 1.1)
     # the term is stored at the shape of its factor axes; its values are exact
     assert np.array_equal(np.broadcast_to(G.trig_field(g, spec).data[(1, 3)], g.shape), expected)
-    with pytest.raises(ValueError, match="unknown factor kind"):
+    message = "[0].factors[0].kind must be one of ('sin', 'cos', 'const'), got 'tan'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         G.trig_field(g, [{"index": [1], "factors": [{"axis": 1, "kind": "tan"}]}])
 
 

@@ -72,8 +72,11 @@ def _load(path: str, parse, what: str):
     """parse(JSON document at path).  A file that cannot be read, is not
     JSON or that parse refuses with a ValueError (its schema's shape, type
     and key errors, a NaN, an infinity or a literal past the float range
-    among them, and its semantic checks) is an InputError, exit 2; any other
-    exception raised while loading is a program defect, exit 3."""
+    among them, and its semantic checks) is an InputError, exit 2.  A
+    FloatingPointError or OverflowError that parse's arithmetic raises (a
+    band table whose spline overflows) passes through to ``main``, which
+    reports it as a computation past the float range, also exit 2; any
+    other exception raised while loading is a program defect, exit 3."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))

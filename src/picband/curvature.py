@@ -39,8 +39,9 @@ is the Barzilai-Borwein step <s, s> / <s, y> of that move s and the change y
 of the tangent gradient across it.  A trial is accepted by the nonmonotone
 test of Zhang and Hager against a weighted mean of the restart's accepted
 values, as Wen and Yin pair it with these steps, so a step may raise the
-value; a restart retires once its best value has stalled over the last
-STALL_WINDOW iterations, checked every iteration.
+value; a restart retires once the step it is about to try can no longer
+lower its value by a resolvable amount, step * |tangent gradient|^2 <=
+SEARCH_DECREASE_TOL * (1 + |best value|).
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
@@ -90,10 +91,8 @@ BIANCHI_TOL = 1e-10
 FRAME_TOL = 1e-10  # Gram defect accepted by Frame4
 HERMITIAN_TOL = 1e-12  # relative Hermitian defect accepted by WeitzOperator
 SEARCH_MAX_ITER = 400  # frame-search descent iterations, at most
-SEARCH_GRAD_TOL = 1e-10  # a restart stops below this tangent-gradient norm
 SEARCH_STEP0 = 0.1  # first step of every restart
-STALL_WINDOW = 25  # the stall check compares each best value with the one this many iterations earlier
-STALL_TOL = 1e-12  # a restart stalls when its best value fell by at most this * (1 + |v|) in a window
+SEARCH_DECREASE_TOL = 1e-14  # a restart retires once step * |tangent gradient|^2 <= this * (1 + |best value|)
 SEARCH_ETA = 0.85  # weight of the past in each restart's Zhang-Hager reference value
 # Dense n^4 components accepted (n <= 38): 16 MiB of float64, the budget of gridcalc.MAX_GRID_NODES
 MAX_TENSOR_COMPONENTS = 1 << 21
@@ -327,11 +326,12 @@ def _retract(Y: np.ndarray) -> np.ndarray:
     of every frame as one contiguous (B, n) block; the (B, 4, n) result is a
     view of that storage."""
     Q = np.swapaxes(Y, 0, 1).copy()
-    for a in range(4):  # normalise row a, then take it out of the rows below
+    for a in range(4):  # normalise row a, then take it out of the rows below, if any
         q = Q[a]
         q /= np.sqrt(np.einsum("Bi,Bi->B", q, q))[:, None]
-        rest = Q[a + 1:]
-        rest -= np.einsum("bBi,Bi->bB", rest, q)[:, :, None] * q
+        if a < 3:
+            rest = Q[a + 1:]
+            rest -= np.einsum("bBi,Bi->bB", rest, q)[:, :, None] * q
     return np.swapaxes(Q, 0, 1)
 
 
@@ -346,7 +346,8 @@ def _unit_scaled(R: np.ndarray):
 class SearchConfig:
     """Settings for the stochastic frame search over orthonormal 4-frames
     (the descent runs on the SEARCH_* constants).  ``restarts`` must be a
-    positive integer; a bool is refused."""
+    positive integer and ``tolerance`` a finite number; a bool is refused
+    as either."""
 
     restarts: int = 512
     seed: int = 0
@@ -355,6 +356,9 @@ class SearchConfig:
     def __post_init__(self):
         if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
             raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not math.isfinite(tol):
+            raise ValueError(f"tolerance must be a finite number, got {tol!r}")
 
 
 def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
@@ -396,16 +400,21 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     times the last step where <s, y> <= 0; either is capped at 1.  Every
     restart starts at SEARCH_STEP0.  A restart retires in one of three ways:
 
-    * its tangent gradient drops below SEARCH_GRAD_TOL;
+    * the step it is about to try, Barzilai-Borwein or halved, can no
+      longer lower its value by a resolvable amount:
+      step * |tangent gradient|^2 <= SEARCH_DECREASE_TOL * (1 + |v|), v its
+      best evaluated value.  Its trial at that step is still evaluated.
+      Every step is at most 1, so this also retires a restart whose
+      gradient has vanished, and one whose gradient sits at the rounding
+      floor of the retraction, which would otherwise stay live until
+      SEARCH_MAX_ITER;
     * its step falls below 1e-14; it still takes one trial at its halved
-      step;
-    * it stalls: at every iteration, a restart whose best evaluated value
-      fell by at most STALL_TOL * (1 + |v|) over the last STALL_WINDOW
-      iterations retires, so it retires STALL_WINDOW iterations after its
-      last progress.  This catches restarts whose gradient sits at the
-      rounding floor of the retraction, above SEARCH_GRAD_TOL, where they
-      would otherwise stay live until SEARCH_MAX_ITER.  It reads the best
-      value, not the accepted one, which the nonmonotone test lets rise.
+      step, in the next iteration;
+    * the search reaches SEARCH_MAX_ITER iterations.
+
+    A retiring restart's trial and a floored restart's last one are
+    evaluated only in an iteration where some restart stays active; once
+    none does, the search ends.
 
     A retired restart keeps its frame and step, which no longer change, so
     it would only repeat its last trial.  The search runs on R scaled by a
@@ -431,14 +440,9 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     moved = np.zeros(B, dtype=bool)  # accepted its last trial: its next step is Barzilai-Borwein
     S = np.zeros((B, 4, n))  # last trial move Y - X, read only where it was accepted
     G_from = np.zeros((B, 4, n))  # tangent gradient at the frame that move left
-    ring = np.empty((STALL_WINDOW, B))  # best values of the last STALL_WINDOW iterations
     everyone = np.arange(B)
 
-    for it in range(SEARCH_MAX_ITER):
-        row = ring[it % STALL_WINDOW]
-        if it >= STALL_WINDOW:  # stalled over the last STALL_WINDOW iterations: retire
-            active &= row - best_vals > STALL_TOL * (1.0 + np.abs(best_vals))
-        row[:] = best_vals
+    for _ in range(SEARCH_MAX_ITER):
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
@@ -452,15 +456,16 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         M = G @ np.swapaxes(Xl, 1, 2)
         Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ Xl
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
-        act &= gnorm2 > SEARCH_GRAD_TOL**2
-        if not act.any():
-            break
         # after an accepted move s with gradient change y: the step <s, s> / <s, y>,
         # or 1.5 times the last step where <s, y> <= 0; at most 1
         sy = np.einsum("Bij,Bij->B", Sl, Gt - Gl)
         next_step = np.divide(np.einsum("Bij,Bij->B", Sl, Sl), sy, out=1.5 * stepl, where=sy > 0)
         stepl = np.where(movl, np.minimum(next_step, 1.0), stepl)
         step[live] = stepl
+        # retire where this step's predicted decrease is below resolution; its trial still runs
+        act &= stepl * gnorm2 > SEARCH_DECREASE_TOL * (1.0 + np.abs(best_vals[live]))
+        if not act.any():
+            break
         Y = _retract(Xl - stepl[:, None, None] * Gt)
         PY, HY = _bivector_images(Rt, Y)
         vY = _bivector_value(PY, HY)

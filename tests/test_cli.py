@@ -391,6 +391,20 @@ def test_band_and_tensor_file_numbers_on_extreme_values(tmp_path, kind):
         _sweep_file_number(tmp_path, argv, doc, where, values, BIG_INTEGERS)
 
 
+def test_band_file_that_overflows_while_loading_is_an_input_error(tmp_path, capsys):
+    """A band table at the ends of the float range loads its cubic spline
+    past the float range.  The loader's overflow is reported as a
+    computation that is not finite at these inputs: exit 2, no report."""
+    doc = {"n": 4, "r0": -1e308, "r1": 1e308,
+           "phi": {"kind": "table", "x": [-1e308, 0, 1e308], "values": [1, 2, 1]}}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "band", "--band", str(path), "--out", str(out)]) == 2
+    assert "the computation is not finite at these inputs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("v", [1e20, 1e200, -1e200, 1e300])
 def test_frame_search_on_a_huge_tensor_is_a_verdict(tmp_path, v):
     """At n = 5 the verdict runs the frame search.  The coordinate frame

@@ -376,8 +376,10 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     Bianchi defect adds 2 b(x_0, x_1, x_2, x_3) to the terms of R, which the
     -b/2 of R~ takes away (proof in the module docstring).
 
-    Each iteration works on the live restarts only, gathered into arrays of
-    their own once some restart has retired, and forms one pair of images
+    The search holds the state of its live restarts only, one row each,
+    with the index of each row's restart; in an iteration where some
+    restart stops, every state array is cut once to the rows that go on.
+    Each iteration works on the whole state and forms one pair of images
     (R~ alpha, R~ beta): those of its trial frames.  They give the trial
     values, and a restart that accepts its trial keeps them as the images
     of its new frame, from which the next gradient is read
@@ -408,17 +410,18 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
       gradient has vanished, and one whose gradient sits at the rounding
       floor of the retraction, which would otherwise stay live until
       SEARCH_MAX_ITER;
-    * its step falls below 1e-14; it still takes one trial at its halved
-      step, in the next iteration;
+    * its step falls below 1e-14; its row stays one more iteration,
+      inactive, for one trial at its halved step;
     * the search reaches SEARCH_MAX_ITER iterations.
 
     A retiring restart's trial and a floored restart's last one are
     evaluated only in an iteration where some restart stays active; once
     none does, the search ends.
 
-    A retired restart keeps its frame and step, which no longer change, so
-    it would only repeat its last trial.  The search runs on R scaled by a
-    power of two to unit size, which is exact: min_isotropic(2^k R) is
+    A retired restart's row leaves the state: its frame and step no longer
+    change, so it would only repeat its last trial.  Its best value and
+    frame are kept by restart.  The search runs on R scaled by a power of
+    two to unit size, which is exact: min_isotropic(2^k R) is
     2^k min_isotropic(R).
     """
     n = R.n
@@ -430,65 +433,59 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     B = cfg.restarts
     X = _retract(rng.standard_normal((B, 4, n)))
     P, H = _bivector_images(Rt, X)  # carried: H holds the images of the current frames
-    best_vals = _bivector_value(P, H)
+    best_vals = _bivector_value(P, H)  # of every restart, written back as its row leaves
     best_X = X.copy()
+    # the live restarts' state, row r for restart idx[r]
+    idx = np.arange(B)
+    vals = best_vals.copy()  # best evaluated value of each live restart
     ref = best_vals.copy()  # Zhang-Hager reference value C of each restart
     ref_weight = np.ones(B)  # and its weight Q
     step = np.full(B, SEARCH_STEP0)
-    active = np.ones(B, dtype=bool)
-    last_trial = np.zeros(B, dtype=bool)  # retired by the step floor, one trial left
+    active = np.ones(B, dtype=bool)  # False on a restart floored by the step rule: one trial left
     moved = np.zeros(B, dtype=bool)  # accepted its last trial: its next step is Barzilai-Borwein
     S = np.zeros((B, 4, n))  # last trial move Y - X, read only where it was accepted
     G_from = np.zeros((B, 4, n))  # tangent gradient at the frame that move left
-    everyone = np.arange(B)
 
     for _ in range(SEARCH_MAX_ITER):
         if not active.any():
             break
-        live = np.flatnonzero(active | last_trial)
-        if len(live) == B:  # no restart has retired: the arrays themselves, no gather
-            live, Xl, Hl, stepl, act, Sl, Gl, movl = everyone, X, H, step, active.copy(), S, G_from, moved
-        else:
-            Xl, Hl, stepl, act = X[live], H[live], step[live], active[live]
-            Sl, Gl, movl = S[live], G_from[live], moved[live]
-        G = _bivector_grad(Hl, Xl)
+        G = _bivector_grad(H, X)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
-        M = G @ np.swapaxes(Xl, 1, 2)
-        Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ Xl
+        M = G @ np.swapaxes(X, 1, 2)
+        Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ X
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
         # after an accepted move s with gradient change y: the step <s, s> / <s, y>,
         # or 1.5 times the last step where <s, y> <= 0; at most 1
-        sy = np.einsum("Bij,Bij->B", Sl, Gt - Gl)
-        next_step = np.divide(np.einsum("Bij,Bij->B", Sl, Sl), sy, out=1.5 * stepl, where=sy > 0)
-        stepl = np.where(movl, np.minimum(next_step, 1.0), stepl)
-        step[live] = stepl
+        sy = np.einsum("Bij,Bij->B", S, Gt - G_from)
+        next_step = np.divide(np.einsum("Bij,Bij->B", S, S), sy, out=1.5 * step, where=sy > 0)
+        step = np.where(moved, np.minimum(next_step, 1.0), step)
         # retire where this step's predicted decrease is below resolution; its trial still runs
-        act &= stepl * gnorm2 > SEARCH_DECREASE_TOL * (1.0 + np.abs(best_vals[live]))
+        act = active & (step * gnorm2 > SEARCH_DECREASE_TOL * (1.0 + np.abs(vals)))
         if not act.any():
             break
-        Y = _retract(Xl - stepl[:, None, None] * Gt)
+        Y = _retract(X - step[:, None, None] * Gt)
         PY, HY = _bivector_images(Rt, Y)
         vY = _bivector_value(PY, HY)
-        accept = act & (vY <= ref[live] - 1e-4 * stepl * gnorm2)
-        S[live] = Y - Xl
-        G_from[live] = Gt
-        acc = live[accept]
-        X[acc] = Y[accept]
-        H[acc] = HY[accept]
-        weight = ref_weight[acc]
-        ref_weight[acc] = SEARCH_ETA * weight + 1.0
-        ref[acc] = (SEARCH_ETA * weight * ref[acc] + vY[accept]) / ref_weight[acc]
-        moved[live] = accept
-        rej = live[act & ~accept]
+        accept = act & (vY <= ref - 1e-4 * step * gnorm2)
+        np.subtract(Y, X, out=S)  # written into S, which stays row-major for the einsums
+        G_from = Gt
+        X[accept] = Y[accept]
+        H[accept] = HY[accept]
+        weight = ref_weight[accept]
+        ref_weight[accept] = SEARCH_ETA * weight + 1.0
+        ref[accept] = (SEARCH_ETA * weight * ref[accept] + vY[accept]) / ref_weight[accept]
+        moved = accept
+        rej = act & ~accept
         step[rej] *= 0.5
-        active[live] = act
-        floored = rej[step[rej] <= 1e-14]
-        active[floored] = False
-        last_trial[:] = False
-        last_trial[floored] = True
-        upd = vY < best_vals[live]  # track every evaluated frame, accepted or not
-        best_vals[live[upd]] = vY[upd]
-        best_X[live[upd]] = Y[upd]
+        active = act & ~(rej & (step <= 1e-14))
+        upd = vY < vals  # track every evaluated frame, accepted or not
+        vals[upd] = vY[upd]
+        best_X[idx[upd]] = Y[upd]
+        if not act.all():  # the rows outside act leave; a floored restart is in act, for its last trial
+            best_vals[idx[~act]] = vals[~act]
+            idx, X, H, vals, ref, ref_weight, step, active, moved, S, G_from = (
+                a[act] for a in (idx, X, H, vals, ref, ref_weight, step, active, moved, S, G_from))
+    best_vals[idx] = vals
 
     order = np.lexsort((np.arange(B), best_vals))
     k = order[0]

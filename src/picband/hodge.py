@@ -112,8 +112,8 @@ class SimplicialComplex:
         }
         self._validate_closure()
         self._boundary = {k: self._build_boundary(k) for k in range(self.dim + 2)}
-        for k in range(2, self.dim + 1):
-            if np.any(self._boundary[k - 1] @ self._boundary[k]):
+        for k in range(2, self.dim + 1):  # in float64 through BLAS, exact: integer sums of at most 2^20 terms +-1
+            if np.any(self._boundary[k - 1].astype(float) @ self._boundary[k].astype(float)):
                 raise ValueError(f"boundary of boundary is nonzero in dimension {k}")
         labels = np.array([s[0] for s in self.simplices.get(0, [])], dtype=np.int64)
         self._vertices = {  # positions in labels, which closure makes complete and sorting ordered

@@ -198,17 +198,19 @@ def test_exact_min_matches_search():
 
 
 def count_descent_iterations(monkeypatch) -> list[int]:
-    """Count the descent iterations of min_isotropic: each one takes one
-    gradient from the carried bivector images.  Returns the one-element counter."""
-    counter = [0]
+    """Record the descent iterations of min_isotropic: each one takes one
+    gradient from the carried bivector images of the frames it evaluates.
+    Returns the list that each iteration appends its batch size to, the
+    H.shape[0] of its gradient call, so that its length counts them."""
+    batches = []
     grad = C._bivector_grad
 
     def counted(H, X):
-        counter[0] += 1
+        batches.append(H.shape[0])
         return grad(H, X)
 
     monkeypatch.setattr(C, "_bivector_grad", counted)
-    return counter
+    return batches
 
 
 def test_stalled_restarts_retire_early(monkeypatch):
@@ -220,10 +222,10 @@ def test_stalled_restarts_retire_early(monkeypatch):
     Armijo test, then 18 under the nonmonotone Zhang-Hager test with the
     window checked every iteration, then 16 with the predicted-decrease
     test in place of the window)."""
-    counter = count_descent_iterations(monkeypatch)
+    batches = count_descent_iterations(monkeypatch)
     R = random_curvature(4, np.random.default_rng(5))
     searched, _ = C.min_isotropic(R, C.SearchConfig(restarts=512, seed=11))
-    assert 0 < counter[0] <= 16
+    assert 0 < len(batches) <= 16
     assert abs(searched - C.exact_min_isotropic(R)[0]) < 1e-6
 
 
@@ -362,7 +364,7 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
     reference values are updated one restart at a time, and a restart
     retires where its step's predicted decrease step * |tangent gradient|^2
     is at most SEARCH_DECREASE_TOL (1 + |best value|).  Returns (value,
-    descent iterations)."""
+    the number of live restarts of each descent iteration)."""
     _, exponent = math.frexp(float(np.max(np.abs(R))))
     Rt = C._iso_tensor(np.ldexp(R, -exponent))
 
@@ -377,14 +379,14 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
     moved = np.zeros(B, dtype=bool)
     S = np.zeros(X.shape)
     G_from = np.zeros(X.shape)
-    iterations = 0
+    live_counts = []
     for _ in range(C.SEARCH_MAX_ITER):
         if not active.any():
             break
         live = np.flatnonzero(active | last_trial)
         Xl, act = X[live], active[live]
         G = C._bivector_grad(C._bivector_images(Rt, Xl)[1], Xl)
-        iterations += 1
+        live_counts.append(len(live))
         M = G @ np.swapaxes(Xl, 1, 2)
         Gt = G - 0.5 * (M + np.swapaxes(M, 1, 2)) @ Xl
         gnorm2 = np.einsum("Bij,Bij->B", Gt, Gt)
@@ -420,7 +422,7 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
         last_trial[:] = False
         last_trial[floored] = True
         best_vals[live] = np.minimum(best_vals[live], vY)
-    return math.ldexp(float(best_vals.min()), exponent), iterations
+    return math.ldexp(float(best_vals.min()), exponent), live_counts
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -433,20 +435,56 @@ def test_search_matches_the_two_product_search(monkeypatch, n):
     rounding may move a retirement and the iteration count with it.
     The kernel is checked against a full contraction by
     test_iso_kernel_matches_full_contraction, and Gram-Schmidt against QR
-    per frame by test_gram_schmidt_retraction_is_the_sign_fixed_qr.  512
-    restarts at n = 4 only, where a pair of such searches takes about 0.3 s."""
-    counter = count_descent_iterations(monkeypatch)
+    per frame by test_gram_schmidt_retraction_is_the_sign_fixed_qr.  Each
+    iteration evaluates exactly the live restarts: the active ones, the
+    ones it retires, and a restart floored the iteration before, for its
+    one last trial.  512 restarts at n = 4 only, where a pair of such
+    searches takes about 0.3 s."""
+    batches = count_descent_iterations(monkeypatch)
     rng = np.random.default_rng(20261019 + n)
     for generate in (random_curvature, random_pic_combination):
         for restarts in (16, 64, 512) if n == 4 else (16, 64):
             R = generate(n, rng)
             cfg = C.SearchConfig(restarts=restarts, seed=int(rng.integers(2**31)))
-            counter[0] = 0
+            batches.clear()
             value, _ = C.min_isotropic(R, cfg)
-            iterations = counter[0]  # read first: the reference takes its gradients from the same helper
-            ref_value, ref_iterations = _two_product_search(R.R, cfg)
-            assert iterations == ref_iterations, (generate.__name__, restarts)
+            searched = batches[:]  # read first: the reference takes its gradients from the same helper
+            ref_value, live_counts = _two_product_search(R.R, cfg)
+            assert len(searched) == len(live_counts), (generate.__name__, restarts)
             assert abs(value - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), (generate.__name__, restarts)
+            assert searched == live_counts, (generate.__name__, restarts)
+
+
+def test_a_floored_restart_takes_one_last_trial(monkeypatch):
+    """The step floor, reached where trials are refused at every step: a
+    trial frame whose first vector has a positive first coordinate is given
+    the value +inf.  A restart that starts there never moves, and its step
+    halves each iteration until it retires, by the predicted-decrease test
+    or, where its gradient is large, at the floor 1e-14; a floored restart
+    stays one more iteration, inactive, for one last trial.  The search
+    evaluates the reference's live restarts in every iteration.  In these
+    searches 5 and 22 restarts floor at iteration 44, and others later."""
+    batches = count_descent_iterations(monkeypatch)
+    value = C._bivector_value
+    calls = [0]
+
+    def refused(P, H):  # the first call of a search gives its start values, unchanged
+        calls[0] += 1
+        v = value(P, H)
+        return v if calls[0] == 1 else np.where(P[:, 0, 0, 0] > 0, np.inf, v)
+
+    monkeypatch.setattr(C, "_bivector_value", refused)
+    R = random_curvature(5, np.random.default_rng(5))
+    for restarts in (16, 64):
+        cfg = C.SearchConfig(restarts=restarts, seed=3)
+        batches.clear()
+        calls[0] = 0
+        value_found, _ = C.min_isotropic(R, cfg)
+        searched = batches[:]
+        calls[0] = 0
+        ref_value, live_counts = _two_product_search(R.R, cfg)
+        assert searched == live_counts, restarts
+        assert abs(value_found - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), restarts
 
 
 @pytest.mark.parametrize("restarts", [0, -1, True, 2.0, "8"])

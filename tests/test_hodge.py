@@ -28,10 +28,29 @@ def test_annulus_betti():
 
 
 def test_torus_betti():
-    K = H.load_bundled("torus")
-    assert [H.betti(K, k) for k in range(3)] == [1, 2, 1]
-    # closed: no boundary subcomplex
-    assert K.boundary_subcomplex() == {}
+    """The bundled torus, and a 16 x 16 grid torus of 256/768/512 simplices,
+    whose del o del check and exact ranks take about 0.1 s."""
+    for K in (H.load_bundled("torus"), grid_complex(16, 16, True, range(256))):
+        assert [H.betti(K, k) for k in range(3)] == [1, 2, 1]
+        # closed: no boundary subcomplex
+        assert K.boundary_subcomplex() == {}
+
+
+def test_nonzero_boundary_of_boundary_is_refused(monkeypatch):
+    """A boundary matrix del_2 with one sign flipped: del_1 del_2 is no
+    longer zero, and construction says so."""
+    build = H.SimplicialComplex._build_boundary
+
+    def flipped(self, k):
+        B = build(self, k)
+        if k == 2:
+            B = B.copy()
+            B[np.flatnonzero(B[:, 0])[0], 0] *= -1
+        return B
+
+    monkeypatch.setattr(H.SimplicialComplex, "_build_boundary", flipped)
+    with pytest.raises(ValueError, match="boundary of boundary is nonzero in dimension 2"):
+        H.disk_complex()
 
 
 def test_solid_torus_betti():

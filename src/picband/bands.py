@@ -43,7 +43,6 @@ __all__ = [
     "sigma_pic_profile",
     "boundary_shape",
     "k_convexity_defect",
-    "width",
     "focal_radius_model",
     "counterexample_report",
     "betti_sphere_product",
@@ -357,10 +356,6 @@ def k_convexity_defect(A, k: int) -> float:
     return max(0.0, -float(np.sum(eigs[:k])))
 
 
-def width(B: WarpedBand) -> float:
-    return B.r1 - B.r0
-
-
 def focal_radius_model(B: WarpedBand, end: str):
     """Distance along the inward normal to the first focal point, computed
     by the Riccati oracle seeded with the boundary shape operator.
@@ -372,9 +367,9 @@ def focal_radius_model(B: WarpedBand, end: str):
     """
     r_end = B.r1 if end == "upper" else B.r0
     direction = -1.0 if end == "upper" else 1.0  # inward radial motion
-    horizon = r_end - B.phi.natural_floor if end == "upper" else width(B)
+    horizon = r_end - B.phi.natural_floor if end == "upper" else B.r1 - B.r0
     if math.isinf(horizon):
-        horizon = width(B)
+        horizon = B.r1 - B.r0
 
     def radial_curvature(rho):
         p, _, ddp = B.phi.jet(r_end + direction * rho)

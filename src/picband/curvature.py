@@ -400,23 +400,22 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     Borwein, IMA J. Numer. Anal. 8, 1988; Wen and Yin, Math. Program. 142,
     2013, on this Stiefel manifold, with this acceptance test), or 1.5
     times the last step where <s, y> <= 0; either is capped at 1.  Every
-    restart starts at SEARCH_STEP0.  A restart retires in one of three ways:
+    restart starts at SEARCH_STEP0.  A restart retires in one of two ways:
 
     * the step it is about to try, Barzilai-Borwein or halved, can no
       longer lower its value by a resolvable amount:
       step * |tangent gradient|^2 <= SEARCH_DECREASE_TOL * (1 + |v|), v its
-      best evaluated value.  Its trial at that step is still evaluated.
-      Every step is at most 1, so this also retires a restart whose
-      gradient has vanished, and one whose gradient sits at the rounding
-      floor of the retraction, which would otherwise stay live until
-      SEARCH_MAX_ITER;
-    * its step falls below 1e-14; its row stays one more iteration,
-      inactive, for one trial at its halved step;
+      best evaluated value.  Every step is at most 1, so this also retires
+      a restart whose gradient has vanished, and one whose gradient sits
+      at the rounding floor of the retraction, which would otherwise stay
+      live until SEARCH_MAX_ITER.  A refused trial halves the step and
+      keeps the frame, and with it the gradient; so a restart whose trials
+      are refused meets this test within finitely many halvings;
     * the search reaches SEARCH_MAX_ITER iterations.
 
-    A retiring restart's trial and a floored restart's last one are
-    evaluated only in an iteration where some restart stays active; once
-    none does, the search ends.
+    A retiring restart's trial at its last step is still evaluated, but
+    only in an iteration where some restart stays live; once none does,
+    the search ends.
 
     A retired restart's row leaves the state: its frame and step no longer
     change, so it would only repeat its last trial.  Its best value and
@@ -441,14 +440,11 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
     ref = best_vals.copy()  # Zhang-Hager reference value C of each restart
     ref_weight = np.ones(B)  # and its weight Q
     step = np.full(B, SEARCH_STEP0)
-    active = np.ones(B, dtype=bool)  # False on a restart floored by the step rule: one trial left
     moved = np.zeros(B, dtype=bool)  # accepted its last trial: its next step is Barzilai-Borwein
     S = np.zeros((B, 4, n))  # last trial move Y - X, read only where it was accepted
     G_from = np.zeros((B, 4, n))  # tangent gradient at the frame that move left
 
     for _ in range(SEARCH_MAX_ITER):
-        if not active.any():
-            break
         G = _bivector_grad(H, X)
         # tangent projection for row-orthonormal X: G - sym(G X^T) X
         M = G @ np.swapaxes(X, 1, 2)
@@ -460,7 +456,7 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         next_step = np.divide(np.einsum("Bij,Bij->B", S, S), sy, out=1.5 * step, where=sy > 0)
         step = np.where(moved, np.minimum(next_step, 1.0), step)
         # retire where this step's predicted decrease is below resolution; its trial still runs
-        act = active & (step * gnorm2 > SEARCH_DECREASE_TOL * (1.0 + np.abs(vals)))
+        act = step * gnorm2 > SEARCH_DECREASE_TOL * (1.0 + np.abs(vals))
         if not act.any():
             break
         Y = _retract(X - step[:, None, None] * Gt)
@@ -475,16 +471,14 @@ def min_isotropic(R: CurvTensor, cfg: SearchConfig = SearchConfig()):
         ref_weight[accept] = SEARCH_ETA * weight + 1.0
         ref[accept] = (SEARCH_ETA * weight * ref[accept] + vY[accept]) / ref_weight[accept]
         moved = accept
-        rej = act & ~accept
-        step[rej] *= 0.5
-        active = act & ~(rej & (step <= 1e-14))
+        step[act & ~accept] *= 0.5
         upd = vY < vals  # track every evaluated frame, accepted or not
         vals[upd] = vY[upd]
         best_X[idx[upd]] = Y[upd]
-        if not act.all():  # the rows outside act leave; a floored restart is in act, for its last trial
+        if not act.all():  # the rows outside act leave
             best_vals[idx[~act]] = vals[~act]
-            idx, X, H, vals, ref, ref_weight, step, active, moved, S, G_from = (
-                a[act] for a in (idx, X, H, vals, ref, ref_weight, step, active, moved, S, G_from))
+            idx, X, H, vals, ref, ref_weight, step, moved, S, G_from = (
+                a[act] for a in (idx, X, H, vals, ref, ref_weight, step, moved, S, G_from))
     best_vals[idx] = vals
 
     order = np.lexsort((np.arange(B), best_vals))

@@ -62,13 +62,11 @@ __all__ = [
     "d_grid",
     "dstar_grid",
     "laplacian_grid",
-    "gradient_components",
     "D_f_grid",
     "green_residual_dirac",
     "green_residual_laplace",
     "twisted_weitzenboeck_residual",
     "trig_field",
-    "paired_test_fields",
     "convergence_order",
     "convergence_study",
     "load_grid_config",
@@ -385,10 +383,6 @@ def _clifford_field(vec_components, F: FormField, sign: int) -> FormField:
     return _key_action(F, ((exterior.wedge_key, 1), (exterior.interior_key, sign)), coef)
 
 
-def gradient_components(g: FlatBandGrid, f: np.ndarray):
-    return [g.deriv(f, axis) for axis in range(g.n)]
-
-
 def D_f_grid(F: FormField, f: np.ndarray) -> FormField:
     """Twisted Dirac operator D + ct(grad f) with f sampled on the grid.
     A component of grad f along a periodic axis where finite f is stored
@@ -420,21 +414,11 @@ def _boundary_term_dirac(alpha: FormField, beta: FormField) -> complex:
     return g.integrate_boundary(-inner[g._radial(0)], inner[g._radial(-1)])
 
 
-def green_residual_dirac(alpha: FormField, beta: FormField, f: np.ndarray | None = None) -> float | np.ndarray:
-    """| int <D_f a, b> - int <a, D_f b> - oint <c(nu) a, b> |.  With f
-    None, D = d + d*: ct(grad 0) adds only exact zeros to finite fields
-    (on a non-finite one it is still formed, as D_f at f = 0)."""
+def green_residual_dirac(alpha: FormField, beta: FormField) -> float | np.ndarray:
+    """| int <D a, b> - int <a, D b> - oint <c(nu) a, b> |, D = d + d*."""
     g = alpha.grid
-    if f is None and _finite(*alpha.data.values(), *beta.data.values()):
-        def dirac(F):
-            return d_grid(F) + dstar_grid(F)
-    else:
-        f = _zeros(g) if f is None else f
-
-        def dirac(F):
-            return D_f_grid(F, f)
-    lhs = g.integrate(dirac(alpha).pointwise_inner(beta))
-    mid = g.integrate(alpha.pointwise_inner(dirac(beta)))
+    lhs = g.integrate((d_grid(alpha) + dstar_grid(alpha)).pointwise_inner(beta))
+    mid = g.integrate(alpha.pointwise_inner(d_grid(beta) + dstar_grid(beta)))
     bdry = _boundary_term_dirac(alpha, beta)
     return _residual(lhs - mid - bdry)
 
@@ -577,12 +561,14 @@ def _study(kind: str):
 
 
 def _study_draws(rngs, n: int, kind: str):
-    """The coefficients of a study's fields, None for the twist.  A field
-    has one term per component of each of its degrees, drawn per component
-    in key order: for each generator of the list rngs, coef re, im, then
-    the radial sine's freq and phase.  A field's table is [(key, coef,
-    pi freq, phase)], each value on a leading draw axis; a grid does not
-    enter, so a study draws once for all its grids."""
+    """The coefficients of a study's fields, None for the twist.  The
+    paired degrees are adjacent for the Dirac identity and equal for the
+    Laplace one.  A field has one term per component of each of its
+    degrees, drawn per component in key order: for each generator of the
+    list rngs, coef re, im, then the radial sine's freq and phase.  A
+    field's table is [(key, coef, pi freq, phase)], each value on a leading
+    draw axis; a grid does not enter, so a study draws once for all its
+    grids."""
     fields = []
     for degrees in _study(kind)[0]:
         table = None if degrees is None else []
@@ -598,7 +584,10 @@ def _study_draws(rngs, n: int, kind: str):
 
 def _study_fields(g: FlatBandGrid, draws):
     """The study fields of draws on grid g: each term a radial sine times
-    the transverse factor all study fields share."""
+    the transverse factor all study fields share, so that the pairings do
+    not integrate to zero over the torus directions.  The twist is radial:
+    a transversally varying twist would leave an O(h_t^2) floor under pure
+    radial refinement."""
     x = np.linspace(0.0, g.L, g.N_r).reshape((-1,) + (1,) * (g.n - 1))
     shared = np.cos(2.0 * math.pi * (np.arange(g.N_t) * g.ht) + 0.3).reshape((1, -1) + (1,) * (g.n - 2))
     fields = []
@@ -611,19 +600,6 @@ def _study_fields(g: FlatBandGrid, draws):
             field.data[key] = coef * np.sin(pi_freq * x / g.L + phase) * shared
         fields.append(field)
     return tuple(fields)
-
-
-def paired_test_fields(grid: FlatBandGrid, rngs, kind: str):
-    """Field pairs for the convergence studies, one draw per generator of
-    the list rngs, on a leading draw axis.
-
-    Components share one transverse factor so the pairings do not integrate
-    to zero over the torus directions, and the paired degrees are adjacent
-    for the Dirac identity (equal for the Laplace one).  Twists are radial:
-    a transversally varying twist would leave an O(h_t^2) floor under pure
-    radial refinement.
-    """
-    return _study_fields(grid, _study_draws(rngs, grid.n, kind))
 
 
 def convergence_order(residuals, hs) -> list[float]:

@@ -11,23 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picband import cli
+from picband import cli, curvature
 from picband.reporting import canonical_body
 from tests.conftest import complex_to_json, constant_curvature, curvature_to_json
-from tests.golden.regenerate import ENTRIES, HERE, run_entry
+from tests.golden.regenerate import ENTRIES, EXIT_CODES, HERE, run_entry
 
 
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "picband.cli", *args], capture_output=True, text=True)
-
-
-# Command lines whose exit code is all a test can pin; the golden corpus
-# (tests/golden/regenerate.py) holds those whose output it can pin.  verify
-# clifford's max_defect is sampling rounding, about 3e-15.
-EXIT_CODES = [
-    (["verify", "clifford"], 0),
-    (["verify", "nonsense"], 2),
-]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["-".join(argv) for argv, _ in EXIT_CODES])
@@ -659,6 +650,30 @@ def test_band_dipping_between_profile_radii_fails(tmp_path):
     path = tmp_path / "band.json"
     path.write_text(json.dumps({"n": 4, "r0": 0, "r1": 3, "phi": {"kind": "table", "x": xs, "values": values}}))
     assert cli.main(["verify", "band", "--band", str(path), "--sigma", "1"]) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the n = 4 closed form's rounding does not enter its verdict")
+def test_exact_curvature_verdict_above_the_true_minimum_fails(tmp_path):
+    """The n = 4 tensor _kn_components(a, I) has integer components, a
+    Bianchi sum of exactly 0 and isotropic curvature 2 tr a = -14 on every
+    frame; the closed form returns -13.999999999999996, which passes sigma
+    = -13.999999999999996 at --tol 0."""
+    a = np.array([[-2, -1, 2, 0], [-1, -1, -2, -2], [2, -2, -2, -1], [0, -2, -1, -2]], dtype=float)
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(curvature_to_json(curvature.CurvTensor(curvature._kn_components(a, np.eye(4))))))
+    argv = ["verify", "curvature", "--tensor", str(path), "--sigma", "-13.999999999999996", "--tol", "0"]
+    assert run_entry(argv)["exit_code"] == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the band closed form's rounding does not enter its verdict")
+def test_band_verdict_above_the_exact_bound_fails(tmp_path):
+    """A const band with phi = 5 2^-20 has sigma-PIC bound exactly 2 / phi^2,
+    which lies 1.83e-6 below sigma = 87960930222.08."""
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"n": 4, "r0": 0, "r1": 1, "phi": {"kind": "const", "scale": 5 * 2.0**-20}}))
+    assert run_entry(["verify", "band", "--band", str(path), "--sigma", "87960930222.08"])["exit_code"] == 1
 
 
 @pytest.mark.parametrize("value", [4.5, True, "4"], ids=["fraction", "boolean", "string"])

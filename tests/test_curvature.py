@@ -264,10 +264,10 @@ def _one_restart_history(monkeypatch, R, seed):
 
 def _predicted_decreases(evaluated, descent):
     """step * |tangent gradient|^2 and SEARCH_DECREASE_TOL * (1 + |best|) of
-    each descent iteration of a one-restart history, with its step: the
-    step rule retold from the recorded frames and gradients, with the
-    search's own array operations, so that each figure is the search's to
-    the bit.  Returns a list of (decrease, threshold, step)."""
+    each descent iteration of a one-restart history: the step rule retold
+    from the recorded frames and gradients, with the search's own array
+    operations, so that each figure is the search's to the bit.  Returns a
+    list of (decrease, threshold)."""
     rows, step = [], C.SEARCH_STEP0
     for it, (X, G) in enumerate(descent):
         M = G @ np.swapaxes(X, 1, 2)
@@ -282,30 +282,28 @@ def _predicted_decreases(evaluated, descent):
                 step *= 0.5
         Gt_from = Gt
         best = min(evaluated[:it + 1])
-        rows.append((step * gnorm2[0], C.SEARCH_DECREASE_TOL * (1.0 + abs(best)), step))
+        rows.append((step * gnorm2[0], C.SEARCH_DECREASE_TOL * (1.0 + abs(best))))
     return rows
 
 
 def test_restart_retires_once_its_step_cannot_lower_its_value(monkeypatch):
     """A restart retires at the first iteration whose step, Barzilai-Borwein
     or halved, predicts a decrease step * |tangent gradient|^2 of at most
-    SEARCH_DECREASE_TOL (1 + |v|), v its best evaluated value; or else at the
-    step floor, 1e-14, or at SEARCH_MAX_ITER.  No earlier iteration meets
-    the test, and some restart does retire by it.  This replaced a stall
-    window, which kept a restart live for 25 iterations after its last
-    progress, and a tangent-gradient tolerance of 1e-10, which the test
-    covers: every step is at most 1."""
+    SEARCH_DECREASE_TOL (1 + |v|), v its best evaluated value, or else at
+    SEARCH_MAX_ITER.  No earlier iteration meets the test, and some restart
+    does retire by it.  This replaced a stall window, which kept a restart
+    live for 25 iterations after its last progress, and a tangent-gradient
+    tolerance of 1e-10, which the test covers: every step is at most 1."""
     rng = np.random.default_rng(20261020)
     retired_by_test = 0
     for t in range(24):
         R = (random_curvature, random_pic_combination)[t % 2](4 + t % 3, rng)
         _, evaluated, _, descent = _one_restart_history(monkeypatch, R, t)
         rows = _predicted_decreases(evaluated, descent)
-        met = [it for it, (decrease, threshold, _) in enumerate(rows) if decrease <= threshold]
+        met = [it for it, (decrease, threshold) in enumerate(rows) if decrease <= threshold]
         last = len(rows) - 1
         assert met in ([], [last]), (t, met, last)
-        floored = last > 0 and rows[last][2] <= 1e-14
-        assert met or floored or len(rows) == C.SEARCH_MAX_ITER, (t, last)
+        assert met or len(rows) == C.SEARCH_MAX_ITER, (t, last)
         retired_by_test += bool(met)
     assert retired_by_test > 0
 
@@ -375,16 +373,13 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
     ref, ref_weight = best_vals.copy(), np.ones(B)  # Zhang-Hager C and Q of each restart
     step = np.full(B, C.SEARCH_STEP0)
     active = np.ones(B, dtype=bool)
-    last_trial = np.zeros(B, dtype=bool)
     moved = np.zeros(B, dtype=bool)
     S = np.zeros(X.shape)
     G_from = np.zeros(X.shape)
     live_counts = []
     for _ in range(C.SEARCH_MAX_ITER):
-        if not active.any():
-            break
-        live = np.flatnonzero(active | last_trial)
-        Xl, act = X[live], active[live]
+        live = np.flatnonzero(active)
+        Xl, act = X[live], np.ones(len(live), dtype=bool)
         G = C._bivector_grad(C._bivector_images(Rt, Xl)[1], Xl)
         live_counts.append(len(live))
         M = G @ np.swapaxes(Xl, 1, 2)
@@ -417,10 +412,6 @@ def _two_product_search(R: np.ndarray, cfg: C.SearchConfig):
         rej = live[act & ~accept]
         step[rej] *= 0.5
         active[live] = act
-        floored = rej[step[rej] <= 1e-14]
-        active[floored] = False
-        last_trial[:] = False
-        last_trial[floored] = True
         best_vals[live] = np.minimum(best_vals[live], vY)
     return math.ldexp(float(best_vals.min()), exponent), live_counts
 
@@ -436,9 +427,8 @@ def test_search_matches_the_two_product_search(monkeypatch, n):
     The kernel is checked against a full contraction by
     test_iso_kernel_matches_full_contraction, and Gram-Schmidt against QR
     per frame by test_gram_schmidt_retraction_is_the_sign_fixed_qr.  Each
-    iteration evaluates exactly the live restarts: the active ones, the
-    ones it retires, and a restart floored the iteration before, for its
-    one last trial.  512 restarts at n = 4 only, where a pair of such
+    iteration evaluates exactly the live restarts: the active ones and the
+    ones it retires.  512 restarts at n = 4 only, where a pair of such
     searches takes about 0.3 s."""
     batches = count_descent_iterations(monkeypatch)
     rng = np.random.default_rng(20261019 + n)
@@ -455,15 +445,16 @@ def test_search_matches_the_two_product_search(monkeypatch, n):
             assert searched == live_counts, (generate.__name__, restarts)
 
 
-def test_a_floored_restart_takes_one_last_trial(monkeypatch):
-    """The step floor, reached where trials are refused at every step: a
-    trial frame whose first vector has a positive first coordinate is given
-    the value +inf.  A restart that starts there never moves, and its step
-    halves each iteration until it retires, by the predicted-decrease test
-    or, where its gradient is large, at the floor 1e-14; a floored restart
-    stays one more iteration, inactive, for one last trial.  The search
-    evaluates the reference's live restarts in every iteration.  In these
-    searches 5 and 22 restarts floor at iteration 44, and others later."""
+def test_refused_trials_retire_by_the_decrease_test(monkeypatch):
+    """A refused trial halves the step and keeps the frame, and with it the
+    gradient, so a restart whose trials are all refused retires by the
+    predicted-decrease test within finitely many halvings.  Where every
+    trial frame is given the value +inf, every restart retires so, after
+    43 to 46 halvings, and the search returns the least start value.
+    Where only the trial frames whose first vector has a positive first
+    coordinate are refused, some restarts move and others never do.  In
+    both, the search evaluates the reference's live restarts in every
+    iteration."""
     batches = count_descent_iterations(monkeypatch)
     value = C._bivector_value
     calls = [0]
@@ -471,20 +462,23 @@ def test_a_floored_restart_takes_one_last_trial(monkeypatch):
     def refused(P, H):  # the first call of a search gives its start values, unchanged
         calls[0] += 1
         v = value(P, H)
-        return v if calls[0] == 1 else np.where(P[:, 0, 0, 0] > 0, np.inf, v)
+        return v if calls[0] == 1 else np.where(everywhere | (P[:, 0, 0, 0] > 0), np.inf, v)
 
     monkeypatch.setattr(C, "_bivector_value", refused)
     R = random_curvature(5, np.random.default_rng(5))
-    for restarts in (16, 64):
-        cfg = C.SearchConfig(restarts=restarts, seed=3)
-        batches.clear()
-        calls[0] = 0
-        value_found, _ = C.min_isotropic(R, cfg)
-        searched = batches[:]
-        calls[0] = 0
-        ref_value, live_counts = _two_product_search(R.R, cfg)
-        assert searched == live_counts, restarts
-        assert abs(value_found - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), restarts
+    for everywhere in (True, False):
+        for restarts in (16, 64):
+            cfg = C.SearchConfig(restarts=restarts, seed=3)
+            batches.clear()
+            calls[0] = 0
+            value_found, _ = C.min_isotropic(R, cfg)
+            searched = batches[:]
+            calls[0] = 0
+            ref_value, live_counts = _two_product_search(R.R, cfg)
+            assert searched == live_counts, (everywhere, restarts)
+            assert abs(value_found - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), (everywhere, restarts)
+            if everywhere:
+                assert len(searched) < C.SEARCH_MAX_ITER and value_found == ref_value, restarts
 
 
 @pytest.mark.parametrize("restarts", [0, -1, True, 2.0, "8"])

@@ -22,7 +22,7 @@ def axes(g):
 def one_draw(g, rng, kind):
     """The study fields of one generator, without their draw axis of size 1."""
     return tuple(G.FormField(g, {k: v[0] for k, v in x.data.items()}) if isinstance(x, G.FormField) else x
-                 for x in G.paired_test_fields(g, [rng], kind))
+                 for x in G._study_fields(g, G._study_draws([rng], g.n, kind)))
 
 
 def random_field(grid, degree, rng, radial=True):
@@ -174,7 +174,9 @@ def test_green_dirac_radial_twist_invariance():
     X = axes(g)
     f = 0.8 * np.sin(math.pi * X[0] / g.L) + 0.3 * X[0]
     r0 = G.green_residual_dirac(a, b)
-    r1 = G.green_residual_dirac(a, b, f)
+    lhs = g.integrate(G.D_f_grid(a, f).pointwise_inner(b))
+    mid = g.integrate(a.pointwise_inner(G.D_f_grid(b, f)))
+    r1 = abs(lhs - mid - G._boundary_term_dirac(a, b))
     assert abs(r0 - r1) < 5e-3 * max(1.0, r0)
 
 
@@ -336,7 +338,7 @@ def test_summed_key_actions_are_the_field_sums(n):
     g = grid(N_r=8, N_t=4, n=n)
     rng = np.random.default_rng(60 + n)
     f = rng.standard_normal(g.shape)
-    grads = G.gradient_components(g, f + 0j)
+    grads = [g.deriv(f + 0j, axis) for axis in range(n)]
     for k in range(n):
         F = random_field(g, k, rng) + random_field(g, k + 1, rng)
         _assert_same_field(G.D_f_grid(F, f), G.d_grid(F) + G.dstar_grid(F) + G._clifford_field(grads, F, +1))
@@ -374,7 +376,7 @@ def test_convergence_study_calls_the_module_residual(monkeypatch):
     with pytest.raises(ValueError, match="unknown study kind"):
         G.convergence_study("heat", (12, 16))
     with pytest.raises(ValueError, match="unknown study kind"):
-        G.paired_test_fields(grid(), [np.random.default_rng(0)], "heat")
+        G._study_draws([np.random.default_rng(0)], 4, "heat")
 
 
 def test_trig_field_factors_match_the_meshgrid():
@@ -551,7 +553,7 @@ def test_one_field_residual_is_a_float_and_one_draw_of_the_batch(kind):
     g = grid(N_r=12)
     residual = G._study(kind)[1]
     seeds = (4, 9, 11)
-    batch = residual(*G.paired_test_fields(g, [np.random.default_rng(s) for s in seeds], kind))
+    batch = residual(*G._study_fields(g, G._study_draws([np.random.default_rng(s) for s in seeds], g.n, kind)))
     assert batch.shape == (len(seeds),)
     for s, r in zip(seeds, batch):
         one = residual(*one_draw(g, np.random.default_rng(s), kind))
@@ -606,7 +608,7 @@ def test_a_study_forms_no_constant_axis_derivative_and_draws_once(kind, monkeypa
 @pytest.mark.parametrize("kind", ["dirac", "laplace", "weitzenboeck"])
 def test_a_study_is_the_per_grid_route_bit_for_bit(kind, n, N_t, ladder):
     """Drawn once per study, the residuals are those of fields drawn anew
-    for each grid through paired_test_fields."""
+    for each grid."""
     residual = G._study(kind)[1]
     for seed in range(3):
         expected = []
@@ -614,7 +616,7 @@ def test_a_study_is_the_per_grid_route_bit_for_bit(kind, n, N_t, ladder):
             g = G.FlatBandGrid(n, G.STUDY_L, N, N_t)
             total = 0.0
             rngs = [np.random.default_rng(seed + 101 * s) for s in range(G.STUDY_DRAWS)]
-            for r in residual(*G.paired_test_fields(g, rngs, kind)).tolist():
+            for r in residual(*G._study_fields(g, G._study_draws(rngs, n, kind))).tolist():
                 total += r
             expected.append(total / G.STUDY_DRAWS)
         assert G.convergence_study(kind, ladder, n=n, N_t=N_t, seed=seed)[0] == expected

@@ -310,11 +310,14 @@ def band_curvatures(B: WarpedBand, rs) -> np.ndarray:
 
 
 def sigma_pic_profile(B: WarpedBand, sigma: float, samples: int = 9, cfg: SearchConfig = SearchConfig()) -> Report:
-    """Minimum isotropic curvature at ``samples`` evenly spaced radii, exact
-    at each of them and at every n (:func:`_isotropic_min`); PASS iff it
-    stays >= sigma - cfg.tolerance.  The worst radius is the first one
-    attaining the minimum.  ``cfg`` supplies only the tolerance: nothing is
-    searched."""
+    """Minimum isotropic curvature at ``samples`` evenly spaced radii; PASS
+    iff it stays >= sigma - cfg.tolerance.  At each radius the value is the
+    closed form of :func:`_isotropic_min` in that radius's sectionals, at
+    every n, evaluated in floats with no rounding bound, so a value within
+    rounding of the threshold is not decided exactly (ROADMAP item 21).
+    Between the radii nothing is judged, so a dip of the profile there
+    passes (item 1).  The worst radius is the first one attaining the
+    minimum.  ``cfg`` supplies only the tolerance: nothing is searched."""
     if B.n < 4:
         raise ValueError("isotropic curvature needs n >= 4")
     rs = np.linspace(B.r0, B.r1, samples)

@@ -45,12 +45,16 @@ SEARCH_DECREASE_TOL * (1 + |best value|).
 
 The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
 Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
-closed form (``exact_min_isotropic``).  In dimension 5 and up they first try
-the Ky Fan certificate (``_certified_bound``), one eigvalsh of the curvature
-operator on two-forms, and run the stochastic search ``min_isotropic`` only
-when it does not prove sigma.  The band checks are exact at every n: a
-warped band's minimum is a closed form in its two sectionals
-(``bands._isotropic_min``), and no tensor of theirs is searched.
+closed form (``exact_min_isotropic``): its float value decides where it is
+farther than its rounding from sigma - tol, and the rational test
+``_exact_at_least`` decides where it is not.  In dimension 5 and up they
+first try the Ky Fan certificate (``_certified_bound``), one eigvalsh of
+the curvature operator on two-forms, and run the stochastic search
+``min_isotropic`` only when it does not prove sigma.  The band checks are
+not exact: a warped band's minimum at a radius is a closed form in its two
+sectionals (``bands._isotropic_min``), evaluated in floats with no rounding
+bound (ROADMAP item 21) at sampled radii only, not over the whole band
+(item 1); no tensor of theirs is searched.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -104,6 +109,12 @@ MAX_TWO_FORM_ENTRIES = 1 << 22
 # the certified bound: each of the two smallest eigenvalues moves by at most
 # the backward error, and the bound counts each twice
 EIGEN_ERROR = 16
+# The float closed form in dimension 4 is within CLOSED_FORM_ROUNDING * eps * max|R| of
+# the exact minimum: the two 6-term products of E^T op E (up to 72 eps max|R| per entry),
+# E's own rounding as an orthonormal basis and eigh's backward error, summed over the
+# two eigenvalues and doubled, come to about 2500; 600 random tensors reached 16.  The
+# verdict's gate scales max|R| + |sigma| + tol, which also covers the rounding of sigma - tol
+CLOSED_FORM_ROUNDING = 4096
 
 
 def _trailing(R: np.ndarray, axes) -> np.ndarray:
@@ -495,14 +506,23 @@ def _two_form_pairs(n: int):
 
 
 @lru_cache(maxsize=None)
+def _hodge_star():
+    """The Hodge star on the two-forms e_i ^ e_j, i < j, of R^4, a 6 x 6
+    matrix of 0 and +-1, read off alpha ^ beta = <*alpha, beta>
+    e_1 ^ e_2 ^ e_3 ^ e_4.  For alpha = e_i ^ e_j, alpha ^ beta =
+    e_i ^ (e_j ^ beta)."""
+    wedge = np.einsum("iab,jbc->ijc", exterior.wedge_stack(4, 3), exterior.wedge_stack(4, 2))
+    star = wedge[_two_form_pairs(4)]
+    star.setflags(write=False)
+    return star
+
+
+@lru_cache(maxsize=None)
 def _hodge_eigenbases():
     """Orthonormal bases (as columns over e_i ^ e_j, i < j) of the self-dual
     and the anti-self-dual two-forms on R^4: the +1 and -1 eigenspaces of the
-    Hodge star, read off alpha ^ beta = <*alpha, beta> e_1 ^ e_2 ^ e_3 ^ e_4.
-    For alpha = e_i ^ e_j, alpha ^ beta = e_i ^ (e_j ^ beta)."""
-    wedge = np.einsum("iab,jbc->ijc", exterior.wedge_stack(4, 3), exterior.wedge_stack(4, 2))
-    star = wedge[_two_form_pairs(4)]
-    _, vecs = np.linalg.eigh(star)  # eigenvalues -1, -1, -1, 1, 1, 1
+    Hodge star."""
+    _, vecs = np.linalg.eigh(_hodge_star())  # eigenvalues -1, -1, -1, 1, 1, 1
     return vecs[:, 3:], vecs[:, :3]
 
 
@@ -562,6 +582,36 @@ def exact_min_isotropic(R: CurvTensor):
     x2 = rest[:, np.argmax(np.einsum("ij,ij->j", rest, rest))]
     x2 = x2 / np.linalg.norm(x2)
     return float(values[0]), Frame4(np.array([x0, x1, x2, J.T @ x2]))
+
+
+def _exact_at_least(R: CurvTensor, t: Fraction) -> bool:
+    """Whether the isotropic curvature of the 4-dimensional R is >= t on
+    every frame, decided exactly in rationals from its float components.
+
+    On each side, the closed form of :func:`exact_min_isotropic` is
+    2 (tr M - lambda_max(M) -+ beta), with M the curvature operator on
+    two-forms compressed to the self-dual (-) or anti-self-dual (+) ones.
+    Their bases (I +- star) e_k / sqrt(2), k the two-forms e_1 ^ e_j, make
+    M = S^T op S / 2 for the integer columns S = (I +- star) e_k, so M is
+    rational in the components.  The side's value is >= t exactly when
+    lambda_max(M) <= c = tr M -+ beta - t/2, that is when c I - M is
+    positive semidefinite, which holds exactly when its seven principal
+    minors are >= 0 (Horn and Johnson, Matrix Analysis, chapter 7)."""
+    op = [[Fraction(x) for x in row] for row in _on_two_forms(R.R).tolist()]
+    beta = Fraction(R.R[0, 1, 2, 3]) + Fraction(R.R[0, 2, 3, 1]) + Fraction(R.R[0, 3, 1, 2])
+    star = _hodge_star()
+    for sign, shift in ((1, -beta), (-1, beta)):
+        S = [[(p, int(v)) for p, v in enumerate(column) if v] for column in (np.eye(6) + sign * star)[:, :3].T]
+        M = [[sum(u * v * op[p][q] for p, u in a for q, v in b) / 2 for b in S] for a in S]
+        c = M[0][0] + M[1][1] + M[2][2] + shift - t / 2
+        A = [[(c if i == j else 0) - M[i][j] for j in range(3)] for i in range(3)]
+        minors = [A[i][i] for i in range(3)]
+        minors += [A[i][i] * A[j][j] - A[i][j] * A[j][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        minors.append(A[0][0] * minors[5] - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+                      + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+        if min(minors) < 0:
+            return False
+    return True
 
 
 def _certified_bound(R: CurvTensor) -> float | None:
@@ -638,7 +688,11 @@ def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
 class PicVerdict:
     """Outcome of a sigma-PIC membership test, of one of three kinds:
 
-    * ``"exact"`` (dimension 4): ``min_found`` is the closed-form minimum;
+    * ``"exact"`` (dimension 4): ``min_found`` is the closed-form minimum
+      in floats, and the verdict is exact: where ``min_found`` lies within
+      CLOSED_FORM_ROUNDING * eps * (max|R| + |sigma| + tol) of
+      sigma - tol, the rational test ``_exact_at_least`` decides it, so a
+      PASS may carry a margin just below -tol and a FAIL one just above;
     * ``"certified"`` (a PASS in dimension 5 and up): ``min_found`` is the
       Ky Fan bound, which is at most the true minimum and proves the PASS;
       no search runs (``restarts`` 0, no witness);
@@ -667,7 +721,9 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
     """Test whether the isotropic curvature stays >= sigma over all frames.
 
     FAIL comes with a concrete counter-frame.  In dimension 4 the verdict
-    is exact (closed-form minimum).  Above, a Ky Fan bound >= sigma - tol is
+    is exact: the closed-form minimum decides, or, within its rounding of
+    sigma - tol, the exact rational test of that minimum against
+    sigma - tol.  Above, a Ky Fan bound >= sigma - tol is
     a certified PASS with no search; otherwise the frame search decides, and
     its PASS is stochastic evidence (its effort is recorded in the verdict).
     Any finite sigma is accepted, a negative one too, as in the band
@@ -680,9 +736,13 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
         if bound is not None and bound >= sigma - cfg.tolerance:
             return PicVerdict(True, sigma, bound, None, 0, cfg.tolerance, "certified")
     value, frame, restarts, kind = _verdict_minimum(R, cfg)
-    if not value >= sigma - cfg.tolerance:
-        return PicVerdict(False, sigma, value, frame, restarts, cfg.tolerance, kind)
-    return PicVerdict(True, sigma, value, None, restarts, cfg.tolerance, kind)
+    t = sigma - cfg.tolerance
+    passed = value >= t
+    # summed as Python floats, which reach inf with no overflow warning
+    if R.n == 4 and abs(value - t) <= (CLOSED_FORM_ROUNDING * np.finfo(float).eps
+                                       * (float(np.max(np.abs(R.R))) + abs(sigma) + cfg.tolerance)):
+        passed = _exact_at_least(R, Fraction(sigma) - Fraction(cfg.tolerance))
+    return PicVerdict(passed, sigma, value, None if passed else frame, restarts, cfg.tolerance, kind)
 
 
 # -- traces -----------------------------------------------------------

@@ -20,23 +20,36 @@ records does not depend on where the repository is checked out.  Its file
 the exit code, the standard output and what the command wrote: the
 canonical report body of a ``verify`` run, or the text of an ``emit csv``
 file.  Each entry runs in an empty working directory, and writing any
-file there besides its ``--out`` file fails it.  ``tests/test_golden.py``
-reruns every entry and compares.  A regenerated entry whose verdict or
-exit code moved is a behaviour change, not a refresh: explain every
-changed entry where the change is recorded.  ``EXIT_CODES`` lists the
-command lines whose exit code alone is pinned; this script does not run
-them.
+file there besides its ``--out`` file fails it.  A regenerated entry
+whose verdict or exit code moved is a behaviour change, not a refresh:
+explain every changed entry where the change is recorded.  ``EXIT_CODES``
+lists the command lines whose exit code alone is pinned; this script does
+not run them.
+
+The tests run each ``ENTRIES`` and ``EXIT_CODES`` command line once per
+session, in one fresh interpreter (``fresh_pass``): ``run_traced`` runs
+them there under ``sys.setprofile`` and records each one's ``run_entry``
+result beside the functions of ``src/picband/`` they enter.
+``tests/test_golden.py`` and ``tests/test_cli.py`` compare those results
+with the corpus and the pinned exit codes, and ``tests/test_api.py`` reads
+the trace.  Fresh, because the cached helpers (``functools.cache``,
+``lru_cache``) are entered once per process: a trace after other tests
+would miss them, and an entry's result comes from cold caches.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
+import traceback
+from pathlib import Path
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -82,6 +95,14 @@ ENTRIES = {
     # 2.147, best of 512 random starts 2.0047, so only the descent finds the minimum
     "curvature-sphere6-rotated": ["verify", "curvature", "--tensor", "inputs/sphere6-rotated.json",
                                   "--sigma", "2.0005"],
+    # the n = 4 tensor KN(a, I) of an integer a with tr a = -7, whose isotropic curvature is
+    # 2 tr a = -14 on every frame, while the float closed form reads -13.999999999999996:
+    # sigma at that value fails at --tol 0; the tensor times 2^30 fails at the default
+    # tolerance 1e-9 and a sigma two floats (3.8e-6) above -14 2^30
+    "curvature-kn4-tol0": ["verify", "curvature", "--tensor", "inputs/kn4.json", "--sigma", "-13.999999999999996",
+                           "--tol", "0"],
+    "curvature-kn4-2p30": ["verify", "curvature", "--tensor", "inputs/kn4-2p30.json",
+                           "--sigma", "-15032385535.999996"],
 }
 
 # Command lines whose exit code is all a test can pin (tests/test_cli.py);
@@ -90,6 +111,7 @@ ENTRIES = {
 EXIT_CODES = [
     (["verify", "clifford"], 0),
     (["verify", "nonsense"], 2),
+    (["verify", "band", "--band", "inputs/band-r0-string.json"], 2),  # "r0": "0", not a number
 ]
 
 
@@ -124,6 +146,68 @@ def run_entry(argv: list[str]) -> dict:
                 else:
                     entry["csv"] = fh.read()
     return entry
+
+
+def run_traced(argvs) -> dict:
+    """Run each command line through :func:`run_entry` in this interpreter,
+    under ``sys.setprofile``.  Returns "runs", each [argv, result] in
+    order, where an exception inside a run (the stray-file assertion too)
+    is the result {"argv", "error": its traceback} and the next command
+    line still runs; "entered", (module, first line, name) of each
+    function of ``src/picband/`` whose code the runs enter; and "made",
+    module.Class of each class of ``src/picband/`` whose own ``__init__``
+    or ``__new__`` code they enter, generated ones too (a dataclass's, a
+    NamedTuple's), so a class with no def of its own counts once it is
+    built."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    runs = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            try:
+                runs.append([argv, run_entry(argv)])
+            except Exception:  # recorded against this command line, which fails its test
+                runs.append([argv, {"argv": argv, "error": traceback.format_exc()}])
+    finally:
+        sys.setprofile(previous)
+    from picband import cli
+
+    package = Path(cli.__file__).parent
+    modules = [mod for name, mod in sys.modules.items() if name == "picband" or name.startswith("picband.")]
+    made = {f"{Path(mod.__file__).stem}.{cls.__qualname__}" for mod in modules for cls in vars(mod).values()
+            if isinstance(cls, type) and cls.__module__ == mod.__name__
+            and any(getattr(getattr(cls, attr), "__code__", None) in entered
+                    for attr in ("__init__", "__new__") if attr in vars(cls))}
+    return {"runs": runs,
+            "entered": sorted({(Path(code.co_filename).stem, code.co_firstlineno, code.co_name) for code in entered
+                               if Path(code.co_filename).parent == package}),
+            "made": sorted(made)}
+
+
+@functools.cache
+def fresh_pass() -> dict:
+    """:func:`run_traced` over every ``ENTRIES`` and ``EXIT_CODES`` command
+    line, in a fresh interpreter, once per process: "runs" maps each argv,
+    as a tuple, to its result; "entered" is a set of (module, first line,
+    name) and "made" a frozenset of module.Class."""
+    root = os.path.dirname(os.path.dirname(HERE))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"), root,
+                                                                     os.environ.get("PYTHONPATH")])))
+    script = ("import json\n"
+              "from tests.golden.regenerate import ENTRIES, EXIT_CODES, run_traced\n"
+              "print(json.dumps(run_traced([*ENTRIES.values(), *(argv for argv, _ in EXIT_CODES)])))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    traced = json.loads(run.stdout)
+    return {"runs": {tuple(argv): result for argv, result in traced["runs"]},
+            "entered": {tuple(key) for key in traced["entered"]},
+            "made": frozenset(traced["made"])}
 
 
 def _floats(entry: dict) -> list[float]:

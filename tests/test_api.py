@@ -2,38 +2,33 @@
 named route of the tests, and each module's ``__all__`` lists exactly its
 public functions and classes.
 
-"Entered" is traced, not inferred from names: a fresh interpreter runs
-every golden command line (``ENTRIES``) and every ``EXIT_CODES`` row of
-``tests/golden/regenerate.py`` under ``sys.setprofile`` and records each
-function of ``src/picband/`` whose code it enters.  Fresh, because the
-cached helpers (``functools.cache``, ``lru_cache``) are entered once per
-process: a trace after other tests would miss them.  A function that no
-command line enters is listed in ``ROUTES`` with the reason it is kept,
-or it is deleted.  A class counts as used once a command line builds it.
-Per module, the public functions, classes and methods are checked on
-their own, so a failure names the module.  Run as a script, this file
-prints the trace.
+"Entered" is traced, not inferred from names: ``fresh_pass`` of
+``tests/golden/regenerate.py`` runs every golden command line
+(``ENTRIES``) and every ``EXIT_CODES`` row once per test session, in a
+fresh interpreter under ``sys.setprofile``, and records each function of
+``src/picband/`` whose code they enter, beside the results that the golden
+and exit-code tests compare.  A function that no command line enters is
+listed in ``ROUTES`` with the reason it is kept, or it is deleted.  A
+class counts as used once a command line builds it.  Per module, the
+public functions, classes and methods are checked on their own, so a
+failure names the module.
 """
 
 import ast
 import functools
 import importlib
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "picband"
+from tests.golden.regenerate import fresh_pass
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "picband"
 MODULES = ("__init__", "bands", "comparison", "curvature", "exterior", "gridcalc", "hodge", "potentials",
            "reporting")
 
 _FORMS = "the dict form algebra and the form bounds the algebra benchmark runs; ROADMAP item 4 moves them to tests/"
 _MODEL = "the focal radius of a model band, which only the band tests reach; ROADMAP item 8 gives it a suite"
-_FUZZ = "input errors that only test_changed_golden_input_exits_0_1_or_2_naming_the_key reaches"
 ROUTES = {  # module.qualified name -> why it stays though no command line enters it
     "bands.band_curvatures": "the dense tensors the tests check the band closed form against",
     "curvature.iso_curvature": "the one evaluator the tests use to check witness frames",
@@ -44,8 +39,6 @@ ROUTES = {  # module.qualified name -> why it stays though no command line enter
                              "ROADMAP item 20's duality check reads it",
     "hodge.twisted_composition_exact": "the exact d_f o d_f acceptance 10 checks; ROADMAP item 20 removes it",
     "reporting.canonical_body": "defines the byte identity of report bodies",
-    "reporting._where": _FUZZ,
-    "reporting._type_error": _FUZZ,
     **dict.fromkeys([
         "exterior._checked_key", "exterior.FormElement.__init__", "exterior.FormElement.copy",
         "exterior.FormElement.__add__", "exterior.FormElement.__sub__", "exterior.FormElement.__mul__",
@@ -60,36 +53,6 @@ ROUTES = {  # module.qualified name -> why it stays though no command line enter
         "bands.focal_radius_model.radial_curvature", "comparison._symmetric", "comparison._check_step_limit",
         "comparison._rk4_step", "comparison._stepped"], _MODEL),
 }
-
-
-def _trace() -> dict:
-    """What the command lines reach, in this interpreter: "entered" holds
-    (module, first line, name) of each function of src/picband/ whose code
-    they enter; "made" holds module.Class of each class of src/picband/
-    whose own __init__ or __new__ code they enter, generated ones too (a
-    dataclass's, a NamedTuple's), so a class with no def of its own counts
-    once it is built."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        from tests.golden.regenerate import ENTRIES, EXIT_CODES, run_entry
-        for argv in [*ENTRIES.values(), *(argv for argv, _ in EXIT_CODES)]:
-            run_entry(argv)
-    finally:
-        sys.setprofile(None)
-    modules = [mod for name, mod in sys.modules.items() if name == "picband" or name.startswith("picband.")]
-    made = {f"{Path(mod.__file__).stem}.{cls.__qualname__}" for mod in modules for cls in vars(mod).values()
-            if isinstance(cls, type) and cls.__module__ == mod.__name__
-            and any(getattr(getattr(cls, attr), "__code__", None) in entered
-                    for attr in ("__init__", "__new__") if attr in vars(cls))}
-    return {"entered": sorted({(Path(code.co_filename).stem, code.co_firstlineno, code.co_name) for code in entered
-                               if Path(code.co_filename).parent == SRC}),
-            "made": sorted(made)}
 
 
 @functools.cache
@@ -115,15 +78,12 @@ def _defined() -> dict:
 @functools.cache
 def _reached() -> tuple:
     """(unreached, made): the module.qualified names of the functions that
-    no command line enters, and of the classes that one builds, traced once
-    per test session in a fresh interpreter that runs this file."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT),
-                                                                     os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    trace = json.loads(run.stdout)
-    entered = {tuple(key) for key in trace["entered"]}
-    return frozenset(name for key, name in _defined().items() if key not in entered), frozenset(trace["made"])
+    no command line enters, and of the classes that one builds."""
+    traced = fresh_pass()
+    raised = [" ".join(argv) for argv, result in traced["runs"].items() if "error" in result]
+    assert not raised, f"these command lines raised, so the trace may miss what they enter: {raised}"
+    return (frozenset(name for key, name in _defined().items() if key not in traced["entered"]),
+            traced["made"])
 
 
 def _kept(name: str) -> bool:
@@ -181,7 +141,3 @@ def test_all_lists_exactly_the_public_names(module):
     listed = list(getattr(mod, "__all__", []))
     assert len(listed) == len(set(listed))
     assert set(listed) == set(_public(module))
-
-
-if __name__ == "__main__":
-    print(json.dumps(_trace()))

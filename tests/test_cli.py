@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from picband import cli, curvature
 from picband.reporting import canonical_body
 from tests.conftest import complex_to_json, constant_curvature, curvature_to_json
-from tests.golden.regenerate import ENTRIES, EXIT_CODES, HERE, run_entry
+from tests.golden.regenerate import ENTRIES, EXIT_CODES, HERE, fresh_pass, run_entry
 
 
 def run_cli(args):
@@ -23,7 +23,8 @@ def run_cli(args):
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["-".join(argv) for argv, _ in EXIT_CODES])
 def test_exit_code(argv, code):
-    entry = run_entry(argv)
+    entry = fresh_pass()["runs"][tuple(argv)]
+    assert "error" not in entry, entry["error"]
     assert entry["exit_code"] == code
     assert code != 2 or "body" not in entry  # an error writes no report
 
@@ -652,18 +653,35 @@ def test_band_dipping_between_profile_radii_fails(tmp_path):
     assert cli.main(["verify", "band", "--band", str(path), "--sigma", "1"]) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the n = 4 closed form's rounding does not enter its verdict")
+KN4_A = np.array([[-2, -1, 2, 0], [-1, -1, -2, -2], [2, -2, -2, -1], [0, -2, -1, -2]], dtype=float)
+
+
 def test_exact_curvature_verdict_above_the_true_minimum_fails(tmp_path):
     """The n = 4 tensor _kn_components(a, I) has integer components, a
     Bianchi sum of exactly 0 and isotropic curvature 2 tr a = -14 on every
-    frame; the closed form returns -13.999999999999996, which passes sigma
-    = -13.999999999999996 at --tol 0."""
-    a = np.array([[-2, -1, 2, 0], [-1, -1, -2, -2], [2, -2, -2, -1], [0, -2, -1, -2]], dtype=float)
+    frame; the closed form returns -13.999999999999996, which the exact
+    verdict fails at --tol 0."""
     path = tmp_path / "tensor.json"
-    path.write_text(json.dumps(curvature_to_json(curvature.CurvTensor(curvature._kn_components(a, np.eye(4))))))
+    path.write_text(json.dumps(curvature_to_json(curvature.CurvTensor(curvature._kn_components(KN4_A, np.eye(4))))))
     argv = ["verify", "curvature", "--tensor", str(path), "--sigma", "-13.999999999999996", "--tol", "0"]
     assert run_entry(argv)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["trace-7", "trace+7"])
+def test_exact_curvature_verdict_is_exact_at_every_power_of_two_scale(tmp_path, sign):
+    """R = 2^k KN(a, I), a integer, has isotropic curvature 2^k 2 tr a on
+    every frame, a float; for k in 0..60, sigma at that value passes at
+    --tol 0 and the next float above it fails, whichever side of it the
+    float closed form lands on."""
+    a = sign * KN4_A
+    path, out = tmp_path / "tensor.json", str(tmp_path / "out.json")
+    for k in range(61):
+        path.write_text(json.dumps(curvature_to_json(curvature.CurvTensor(curvature._kn_components(
+            a * 2.0**k, np.eye(4))))))
+        exact = 2.0**k * 2.0 * float(np.trace(a))
+        for sigma, code in ((exact, 0), (math.nextafter(exact, math.inf), 1)):
+            argv = ["verify", "curvature", "--tensor", str(path), f"--sigma={sigma!r}", "--tol", "0", "--out", out]
+            assert cli.main(argv) == code, (k, sigma)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

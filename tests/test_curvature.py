@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -618,6 +619,24 @@ def test_n4_fail_verdict_carries_witness_below_sigma(rng):
     assert C.iso_curvature(R, verdict.witness) < sigma - verdict.tolerance
 
 
+def test_exact_decision_agrees_with_the_closed_form_away_from_its_threshold():
+    """The rational test of the n = 4 minimum against t agrees with the
+    float closed form v at t = v -+ 1e-9 (1 + |v|), on a seeded panel of
+    random, PIC and Bianchi-defect tensors."""
+    rng = np.random.default_rng(20261022)
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    for t in range(120):
+        R = (random_curvature, random_pic_combination)[t % 2](4, rng)
+        if t % 3 == 0:
+            R = R + C.CurvTensor(rng.standard_normal() * eps, validate=False)
+        value, _ = C.exact_min_isotropic(R)
+        gap = 1e-9 * (1.0 + abs(value))
+        assert C._exact_at_least(R, Fraction(value - gap))
+        assert not C._exact_at_least(R, Fraction(value + gap))
+
+
 @pytest.mark.parametrize("n, spent", [(4, 0), (5, 8), (6, 0)])
 def test_verdict_restarts_are_the_search_effort(n, spent):
     """Dimension 4 takes the closed form and runs no search: 0 restarts.  At
@@ -717,6 +736,18 @@ def test_huge_components_give_verdicts_without_warnings():
     assert not fail.passed and fail.kind == "stochastic"
     assert round_sphere.passed and round_sphere.kind == "certified"
     assert 4e200 * (1 - 1e-12) < round_sphere.min_found <= 4e200
+
+
+def test_n4_verdict_on_components_near_the_float_range_warns_nothing():
+    """R_1212 = R_3434 = 1.5e308 and every other sectional 0: the minimum is
+    0, and at sigma = 1e308 the rounding gate's scale max|R| + |sigma| passes
+    the float range.  The verdict is still a FAIL, with no warning."""
+    R = C.load_curvature_json({"n": 4, "components": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": 1.5e308},
+                                                      {"i": 3, "j": 4, "k": 3, "l": 4, "v": 1.5e308}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = C.is_sigma_pic(R, 1e308, C.SearchConfig())
+    assert not verdict.passed and verdict.kind == "exact" and abs(verdict.min_found) < 1e295
 
 
 @settings(max_examples=30, deadline=None)

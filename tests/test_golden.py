@@ -1,5 +1,6 @@
-"""The golden report corpus: every entry of ``tests/golden/`` rerun in
-process through ``cli.main`` and compared with what was recorded.
+"""The golden report corpus: every entry of ``tests/golden/`` compared
+with its run in the tests' one fresh pass over the command lines
+(``fresh_pass`` of ``tests/golden/regenerate.py``).
 
 Exit codes, standard output, report keys, strings, booleans and integers
 must be equal.  Floats must agree to 1e-12 relative, because another
@@ -17,7 +18,9 @@ import os
 
 import pytest
 
-from tests.golden.regenerate import ENTRIES, run_entry
+from picband import cli
+from tests.golden import regenerate
+from tests.golden.regenerate import ENTRIES, fresh_pass
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REL = 1e-12
@@ -62,7 +65,8 @@ def test_golden_entry(name):
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
         want = json.load(fh)
     assert want["argv"] == ENTRIES[name]
-    got = run_entry(want["argv"])
+    got = fresh_pass()["runs"][tuple(want["argv"])]
+    assert "error" not in got, got["error"]
     assert got["exit_code"] == want["exit_code"]
     assert got["stdout"] == want["stdout"]
     assert sorted(got) == sorted(want)
@@ -89,10 +93,10 @@ def test_regenerate_reports_what_moved():
     assert movement(csv_old, dict(csv_old, csv="a,b\n1,2\n3,5\n")) == "moved: none; largest relative float change 0.2"
 
 
-def test_regenerate_check_writes_nothing(capsys):
+def test_regenerate_check_writes_nothing(monkeypatch, capsys):
     """regenerate.py --check prints each entry's movement line and leaves
-    every corpus file as it was."""
-    from tests.golden.regenerate import main
+    every corpus file as it was (on the fresh pass's runs)."""
+    monkeypatch.setattr(regenerate, "run_entry", lambda argv: fresh_pass()["runs"][tuple(argv)])
 
     def corpus():
         files = {}
@@ -102,7 +106,33 @@ def test_regenerate_check_writes_nothing(capsys):
         return files
 
     before = corpus()
-    main(["identities-grid", "csv-focal"], check=True)
+    regenerate.main(["identities-grid", "csv-focal"], check=True)
     assert capsys.readouterr().err == ("identities-grid: moved: none; largest relative float change 0\n"
                                        "csv-focal: moved: none; largest relative float change 0\n")
     assert corpus() == before
+
+
+@pytest.mark.parametrize("fault", ["raises", "stray-file"])
+def test_a_run_that_raises_is_recorded_and_the_rest_still_run(monkeypatch, fault):
+    """run_traced records an exception inside one run, or run_entry's
+    stray-file assertion, against that command line, and still runs and
+    records the ones after it."""
+    argvs = [["verify", "bandwidth", "--sigma", "2"], ["verify", "focal", "--n", "5"], ["verify", "unknown"]]
+    main = cli.main
+
+    def faulty(argv):
+        if argv[:len(argvs[1])] != argvs[1]:
+            return main(argv)
+        if fault == "raises":
+            raise RuntimeError("injected")
+        open("stray.txt", "w").close()
+        return 0
+
+    monkeypatch.setattr(cli, "main", faulty)
+    runs = regenerate.run_traced(argvs)["runs"]
+    assert [argv for argv, _ in runs] == argvs
+    (_, first), (_, middle), (_, last) = runs
+    assert (first["exit_code"], last["exit_code"]) == (0, 2)
+    assert sorted(middle) == ["argv", "error"]
+    expected = "RuntimeError: injected" if fault == "raises" else "['stray.txt'] besides its --out file"
+    assert expected in middle["error"]

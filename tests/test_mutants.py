@@ -103,6 +103,15 @@ def _descent_stopped(monkeypatch):
     monkeypatch.setattr(C, "SEARCH_MAX_ITER", 0)
 
 
+def _exact_threshold_doubled(monkeypatch):
+    """The n = 4 rational verdict with t in place of t/2 in c = tr M -+
+    beta - t/2.  On S^3 x R, whose float closed form reads
+    1.9999999999999996, sigma = 2 at --tol 0 is decided in rationals: each
+    side's M is I/2, and c = 1/2 becomes -1/2 < lambda_max."""
+    decide = C._exact_at_least
+    monkeypatch.setattr(C, "_exact_at_least", lambda R, t: decide(R, 2 * t))
+
+
 MUTANTS = {
     "chi-plateau-raised": (_chi_shifted("c_plateau", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
@@ -115,6 +124,8 @@ MUTANTS = {
                             1, "weitzenboeck.lower_bound"),
     "descent-stopped": (_descent_stopped, ["verify", "weitzenboeck", "--tensor", SPHERE6_ROTATED,
                                            "--sigma", "2.0005"], 1, "weitzenboeck.lower_bound"),
+    "exact-threshold-doubled": (_exact_threshold_doubled, ["verify", "curvature", "--sigma", "2", "--tol", "0"], 1,
+                                "curvature.sigma_pic"),
 }
 
 

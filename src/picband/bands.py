@@ -258,8 +258,12 @@ class WarpedBand:
 
     def sectionals_at(self, r: float):
         """(sphere-sphere, radial-sphere) sectional curvatures."""
-        p, dp, ddp = self.phi.jet(r)
-        return (1.0 - dp * dp) / (p * p), -ddp / p
+        return _sectionals(*self.phi.jet(r))
+
+
+def _sectionals(p, dp, ddp):
+    """(1 - phi'^2) / phi^2 and -phi'' / phi of a jet (phi, phi', phi''), scalars or arrays."""
+    return (1.0 - dp * dp) / (p * p), -ddp / p
 
 
 def _isotropic_min(n: int, ks, kr):
@@ -311,26 +315,38 @@ def band_curvatures(B: WarpedBand, rs) -> np.ndarray:
 
 def sigma_pic_profile(B: WarpedBand, sigma: float, samples: int = 9, cfg: SearchConfig = SearchConfig()) -> Report:
     """Minimum isotropic curvature at ``samples`` evenly spaced radii; PASS
-    iff it stays >= sigma - cfg.tolerance.  At each radius the value is the
-    closed form of :func:`_isotropic_min` in that radius's sectionals, at
-    every n, evaluated in floats with no rounding bound, so a value within
-    rounding of the threshold is not decided exactly (ROADMAP item 21).
-    Between the radii nothing is judged, so a dip of the profile there
-    passes (item 1).  The worst radius is the first one attaining the
-    minimum.  ``cfg`` supplies only the tolerance: nothing is searched."""
+    iff its margin less the rounding bound stays >= -cfg.tolerance.  At each
+    radius the value is the closed form of :func:`_isotropic_min` in that
+    radius's sectionals, at every n, evaluated in floats from the jet, taken
+    as exact.  ks takes four roundings of terms at most a = (1 + phi'^2) /
+    phi^2 and kr one, so the value is within 8 eps a + 2 eps |kr| of exact;
+    the bound 4 eps (6 a + 2 |kr|) reads a and |kr| off the least phi and
+    the largest |phi'| and |phi''| (inf past the float range).  A margin
+    within it of -tol is a FAIL whose details say ``"undecided": true``.
+    Between the radii nothing is judged, so a dip there passes (ROADMAP
+    item 1).  The worst radius is the first one attaining the minimum.
+    ``cfg`` supplies only the tolerance: nothing is searched."""
     if B.n < 4:
         raise ValueError("isotropic curvature needs n >= 4")
     rs = np.linspace(B.r0, B.r1, samples)
-    values = _isotropic_min(B.n, *np.array([B.sectionals_at(float(r)) for r in rs]).T)
+    p, dp, ddp = zip(*(B.phi.jet(r) for r in rs.tolist()))
+    values = _isotropic_min(B.n, *_sectionals(*np.array([p, dp, ddp], dtype=float)))
     k = int(np.argmin(values))
     margin = float(values[k]) - sigma
+    # in Python floats, which reach inf with no overflow warning
+    least, slope, curve = float(min(p)), float(max(map(abs, dp))), float(max(map(abs, ddp)))
+    bound = 4.0 * sys.float_info.epsilon * (6.0 * (1.0 + slope * slope) / (least * least) + 2.0 * curve / least)
+    passed = margin - bound >= -cfg.tolerance
+    details = {"worst_radius": float(rs[k]), "min_isotropic": float(values[k])}
+    if not passed and margin + bound >= -cfg.tolerance:
+        details["undecided"] = True
     return Report(
         check="band.sigma_pic_profile",
         params={"n": B.n, "sigma": sigma, "r0": B.r0, "r1": B.r1, "phi": B.phi.kind, "samples": samples},
-        passed=bool(margin >= -cfg.tolerance),
+        passed=passed,
         tolerance=cfg.tolerance,
         regions=[Region("min_isotropic_margin", margin)],
-        details={"worst_radius": float(rs[k]), "min_isotropic": float(values[k])},
+        details=details,
     )
 
 

@@ -43,18 +43,18 @@ value; a restart retires once the step it is about to try can no longer
 lower its value by a resolvable amount, step * |tangent gradient|^2 <=
 SEARCH_DECREASE_TOL * (1 + |best value|).
 
-The sigma-PIC verdicts on a general tensor (``is_sigma_pic`` and the
-Weitzenboeck bound check) are exact in dimension 4, where the minimum has a
-closed form (``exact_min_isotropic``): its float value decides where it is
-farther than its rounding from sigma - tol, and the rational test
-``_exact_at_least`` decides where it is not.  In dimension 5 and up they
-first try the Ky Fan certificate (``_certified_bound``), one eigvalsh of
-the curvature operator on two-forms, and run the stochastic search
-``min_isotropic`` only when it does not prove sigma.  The band checks are
-not exact: a warped band's minimum at a radius is a closed form in its two
-sectionals (``bands._isotropic_min``), evaluated in floats with no rounding
-bound (ROADMAP item 21) at sampled radii only, not over the whole band
-(item 1); no tensor of theirs is searched.
+A ``CurvTensor`` is finite by construction.  The sigma-PIC verdicts on a
+general tensor (``is_sigma_pic``, which the Weitzenboeck bound check calls)
+are exact in dimension 4: the rational test ``_exact_at_least`` decides
+each, and the float closed form ``exact_min_isotropic`` gives only the
+reported minimum and witness.  In dimension 5 and up they first try the
+Ky Fan certificate (``_certified_bound``), one eigvalsh of the curvature
+operator on two-forms, and run the stochastic search ``min_isotropic``
+only when it does not prove sigma.  The band checks are not exact: a warped
+band's minimum at a radius is a closed form in its two sectionals
+(``bands._isotropic_min``), evaluated in floats, with a rounding bound, at
+sampled radii only, not over the whole band (ROADMAP item 1); no tensor of
+theirs is searched.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ MAX_TWO_FORM_ENTRIES = 1 << 22
 # the certified bound: each of the two smallest eigenvalues moves by at most
 # the backward error, and the bound counts each twice
 EIGEN_ERROR = 16
-# The float closed form in dimension 4 is within CLOSED_FORM_ROUNDING * eps * max|R| of
-# the exact minimum: the two 6-term products of E^T op E (up to 72 eps max|R| per entry),
-# E's own rounding as an orthonormal basis and eigh's backward error, summed over the
-# two eigenvalues and doubled, come to about 2500; 600 random tensors reached 16.  The
-# verdict's gate scales max|R| + |sigma| + tol, which also covers the rounding of sigma - tol
-CLOSED_FORM_ROUNDING = 4096
 
 
 def _trailing(R: np.ndarray, axes) -> np.ndarray:
@@ -188,9 +182,10 @@ def _check_two_form_size(n: int) -> None:
 class CurvTensor:
     """Dense algebraic curvature tensor on R^n.
 
-    Storage is the full n^4 component array.  The pair (anti)symmetries are
-    required exactly; the first Bianchi identity is validated to 1e-10 but
-    not enforced by the storage.
+    Storage is the full n^4 component array.  Every component is finite,
+    also with ``validate=False``, so a sum or multiple that overflows is a
+    ValueError.  The pair (anti)symmetries are required exactly; the first
+    Bianchi identity is validated to 1e-10 but not enforced by the storage.
     """
 
     __slots__ = ("n", "R")
@@ -199,6 +194,7 @@ class CurvTensor:
         R = np.asarray(components, dtype=float)
         if R.ndim != 4 or len(set(R.shape)) != 1:
             raise ValueError(f"curvature components must be n^4, got shape {R.shape}")
+        _check_finite(R)
         self.n = R.shape[0]
         self.R = R
         if validate:
@@ -210,10 +206,12 @@ class CurvTensor:
     def __add__(self, other: "CurvTensor") -> "CurvTensor":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return CurvTensor(self.R + other.R, validate=False)
+        with np.errstate(over="ignore"):  # an overflow is refused as a non-finite component
+            return CurvTensor(self.R + other.R, validate=False)
 
     def __mul__(self, s) -> "CurvTensor":
-        return CurvTensor(self.R * float(s), validate=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in __add__; 0 * inf is NaN
+            return CurvTensor(self.R * float(s), validate=False)
 
     __rmul__ = __mul__
 
@@ -251,7 +249,8 @@ def sphere_line_product(n: int, kappa: float) -> CurvTensor:
 
 
 def _gram_defect(X) -> float:
-    return float(np.max(np.abs(X @ X.T - np.eye(4))))
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf for a frame that is not finite
+        return float(np.max(np.abs(X @ X.T - np.eye(4))))
 
 
 class Frame4:
@@ -267,7 +266,7 @@ class Frame4:
         if self.n < 4:
             raise ValueError("ambient dimension must be at least 4")
         defect = _gram_defect(X)
-        if defect > FRAME_TOL:
+        if not defect <= FRAME_TOL:  # a NaN defect fails this test too
             raise ValueError(f"frame is not orthonormal, Gram defect {defect:.3e}")
         self.vectors = X
 
@@ -275,7 +274,7 @@ class Frame4:
 def iso_curvature(R: CurvTensor, frame) -> float:
     """R_1313 + R_1414 + R_2323 + R_2424 - 2 R_1234 on an orthonormal frame."""
     X = frame.vectors if isinstance(frame, Frame4) else np.asarray(frame, dtype=float)
-    if _gram_defect(X) > 1e-8:
+    if not _gram_defect(X) <= 1e-8:
         raise ValueError("frame is not orthonormal within 1e-8")
     return float(_iso_batch(R.R, X[None])[0])
 
@@ -616,9 +615,8 @@ def _exact_at_least(R: CurvTensor, t: Fraction) -> bool:
 
 def _certified_bound(R: CurvTensor) -> float | None:
     """A proven lower bound of the isotropic curvature over all orthonormal
-    four-frames, or None where none is given: a component that is not
-    finite, a pair symmetry that does not hold exactly, or a bound past the
-    float range.
+    four-frames, or None where none is given: a pair symmetry that does not
+    hold exactly, or a bound past the float range.
 
     For a frame (x_1, x_2, x_3, x_4), with x_ab = x_a ^ x_b,
     K = <R alpha, alpha> + <R beta, beta> - 2 b(x_1, x_2, x_3, x_4), where
@@ -633,7 +631,7 @@ def _certified_bound(R: CurvTensor) -> float | None:
     of its norm, relative n^4 eps.  It is computed on ``_unit_scaled(R)``,
     which is exact.
     """
-    if not np.all(np.isfinite(R.R)) or _failed_symmetry(R.R):
+    if _failed_symmetry(R.R):
         return None
     Rs, exponent = _unit_scaled(R.R)
     n = R.n
@@ -671,10 +669,7 @@ def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
     """The (value, frame, restarts, kind) minimum a sigma-PIC verdict rests
     on: exact in dimension 4 (no search, 0 restarts); above it the frame
     search's minimum, or the best coordinate frame's value where that is
-    lower, with the frame attaining it; NaN, no frame and 0 restarts on a
-    tensor that is not finite."""
-    if not np.all(np.isfinite(R.R)):
-        return math.nan, None, 0, "exact" if R.n == 4 else "stochastic"
+    lower, with the frame attaining it."""
     if R.n == 4:
         return (*exact_min_isotropic(R), 0, "exact")
     value, frame = min_isotropic(R, cfg)
@@ -688,11 +683,10 @@ def _verdict_minimum(R: CurvTensor, cfg: SearchConfig):
 class PicVerdict:
     """Outcome of a sigma-PIC membership test, of one of three kinds:
 
-    * ``"exact"`` (dimension 4): ``min_found`` is the closed-form minimum
-      in floats, and the verdict is exact: where ``min_found`` lies within
-      CLOSED_FORM_ROUNDING * eps * (max|R| + |sigma| + tol) of
-      sigma - tol, the rational test ``_exact_at_least`` decides it, so a
-      PASS may carry a margin just below -tol and a FAIL one just above;
+    * ``"exact"`` (dimension 4): the rational test ``_exact_at_least``
+      decides every verdict, and ``min_found`` is the closed-form minimum
+      in floats, which only reports it: by its rounding a FAIL may carry
+      a margin at or just above -tol and a PASS one just below it;
     * ``"certified"`` (a PASS in dimension 5 and up): ``min_found`` is the
       Ky Fan bound, which is at most the true minimum and proves the PASS;
       no search runs (``restarts`` 0, no witness);
@@ -702,9 +696,7 @@ class PicVerdict:
       true one; a PASS is evidence, not a proof.
 
     A FAIL of ``is_sigma_pic`` carries a witness frame whose isotropic
-    curvature is ``min_found``.  A tensor with a NaN or infinite component is
-    a FAIL of its dimension's kind with ``min_found`` NaN and no witness, and
-    no route runs on it.  ``restarts`` is the search effort spent: the
+    curvature is ``min_found``.  ``restarts`` is the search effort spent: the
     restarts of the frame search, 0 where none runs.  ``tolerance`` is the
     verdict's tolerance."""
 
@@ -720,14 +712,12 @@ class PicVerdict:
 def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()) -> PicVerdict:
     """Test whether the isotropic curvature stays >= sigma over all frames.
 
-    FAIL comes with a concrete counter-frame.  In dimension 4 the verdict
-    is exact: the closed-form minimum decides, or, within its rounding of
-    sigma - tol, the exact rational test of that minimum against
-    sigma - tol.  Above, a Ky Fan bound >= sigma - tol is
-    a certified PASS with no search; otherwise the frame search decides, and
-    its PASS is stochastic evidence (its effort is recorded in the verdict).
-    Any finite sigma is accepted, a negative one too, as in the band
-    verdicts; a tensor that is not finite is a FAIL with a NaN minimum.
+    FAIL comes with a concrete counter-frame.  In dimension 4 the rational
+    test against sigma - tol decides every verdict exactly.  Above, a Ky Fan
+    bound >= sigma - tol is a certified PASS with no search; otherwise the
+    frame search decides, and its PASS is stochastic evidence (its effort is
+    recorded in the verdict).  Any finite sigma is accepted, a negative one
+    too, as in the band verdicts.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
@@ -736,12 +726,8 @@ def is_sigma_pic(R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
         if bound is not None and bound >= sigma - cfg.tolerance:
             return PicVerdict(True, sigma, bound, None, 0, cfg.tolerance, "certified")
     value, frame, restarts, kind = _verdict_minimum(R, cfg)
-    t = sigma - cfg.tolerance
-    passed = value >= t
-    # summed as Python floats, which reach inf with no overflow warning
-    if R.n == 4 and abs(value - t) <= (CLOSED_FORM_ROUNDING * np.finfo(float).eps
-                                       * (float(np.max(np.abs(R.R))) + abs(sigma) + cfg.tolerance)):
-        passed = _exact_at_least(R, Fraction(sigma) - Fraction(cfg.tolerance))
+    t = Fraction(sigma) - Fraction(cfg.tolerance)
+    passed = _exact_at_least(R, t) if R.n == 4 else value >= sigma - cfg.tolerance
     return PicVerdict(passed, sigma, value, None if passed else frame, restarts, cfg.tolerance, kind)
 
 
@@ -790,12 +776,10 @@ def weitzenboeck_on_two_forms(R: CurvTensor) -> WeitzOperator:
     -theta^k ^ theta^l) its row a < b holds, summed in this order,
     Ric_ai d_bj - Ric_aj d_bi - 2 R_iajb + Ric_bj d_ai - Ric_bi d_aj + 2 R_ibja,
     d the Kronecker delta.  Its curvature terms are the curvature operator on
-    two-forms only under the first Bianchi identity.  A non-finite tensor
-    is a ValueError.
+    two-forms only under the first Bianchi identity.
     """
     n = R.n
     _check_two_form_size(n)
-    _check_finite(R.R)
     i, j = _two_form_pairs(n)
     a, b = i[:, None], j[:, None]  # the row's pair; the column's is (i, j)
     ric, d = ricci(R), np.eye(n)
@@ -812,11 +796,10 @@ def weitzenboeck_clifford_trace(R: CurvTensor) -> np.ndarray:
     and the Lambda^2 block of c(e_i) c(e_j) is
     -(theta^i ^ i_{e_j} + i_{e_i} theta^j ^); both are the cached
     :func:`exterior.two_form_blocks`.  Used to cross-check
-    :func:`weitzenboeck_on_two_forms`.  A non-finite tensor is a ValueError.
+    :func:`weitzenboeck_on_two_forms`.
     """
     n = R.n
     _check_two_form_size(n)
-    _check_finite(R.R)
     wedge_interior, interior_wedge = exterior.two_form_blocks(n)
     action = np.einsum("ijpq,pqac->ijac", R.R, wedge_interior)
     return -0.5 * np.einsum("ijab,ijbc->ac", wedge_interior + interior_wedge, action)
@@ -833,27 +816,23 @@ class WeitzBoundReport:
     margin: float
     pic_verdict: PicVerdict
     passed: bool
-    asserted: bool  # False when the sigma-PIC precondition already failed
+    asserted: bool  # False when sigma < 0 or the sigma-PIC precondition fails
 
 
 def weitzenboeck_lower_bound_check(
     R: CurvTensor, sigma: float, cfg: SearchConfig = SearchConfig()
 ) -> WeitzBoundReport:
     """Check lambda_min of the two-form curvature operator against
-    (n-2) sigma / 2, conditional on the sigma-PIC precondition."""
+    (n-2) sigma / 2, asserted where sigma >= 0 and R is sigma-PIC.  The
+    operator is built first, so a size is refused before the search runs."""
     if R.n % 2 != 0 or R.n < 4:
         raise ValueError("the eigenvalue bound is asserted for even n >= 4 only")
-    _check_two_form_size(R.n)  # first: a size is refused before the search runs
-    lam = weitzenboeck_on_two_forms(R).lambda_min() if np.all(np.isfinite(R.R)) else math.nan
-    if sigma >= 0:
-        verdict = is_sigma_pic(R, sigma, cfg)
-    else:
-        value, _, restarts, kind = _verdict_minimum(R, cfg)
-        verdict = PicVerdict(False, sigma, value, None, restarts, cfg.tolerance, kind)
+    lam = weitzenboeck_on_two_forms(R).lambda_min()
+    verdict = is_sigma_pic(R, sigma, cfg)
     bound = 0.5 * (R.n - 2) * sigma
     margin = lam - bound
-    return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, verdict.passed and margin >= -1e-9,
-                            asserted=verdict.passed)
+    asserted = sigma >= 0 and verdict.passed
+    return WeitzBoundReport(R.n, sigma, lam, bound, margin, verdict, asserted and margin >= -1e-9, asserted)
 
 
 # -- loading ----------------------------------------------------------

@@ -110,6 +110,22 @@ def test_sigma_pic_profile_round_sphere_zero_margin():
     assert abs(rep.regions[0].min_margin) < 1e-6
 
 
+def test_band_pass_needs_its_margin_less_its_rounding_bound():
+    """On the const band phi = 1 the value is exactly 2 at every radius and
+    the rounding bound 24 eps.  sigma = 2 passes at the default tolerance;
+    at tolerance 0 its margin 0 lies within the bound, a FAIL marked
+    undecided; a margin farther below than the bound is a FAIL unmarked."""
+    B = BD.WarpedBand(4, 0.0, 1.0, BD.WarpProfile("const"))
+    exact = C.SearchConfig(tolerance=0.0)
+    rep = BD.sigma_pic_profile(B, 2.0)
+    assert rep.passed and "undecided" not in rep.details
+    rep = BD.sigma_pic_profile(B, 2.0, cfg=exact)
+    assert not rep.passed and rep.details["undecided"] is True and rep.regions[0].min_margin == 0.0
+    for sigma in (2.0 + 1e-13, 3.0):
+        rep = BD.sigma_pic_profile(B, sigma, cfg=exact)
+        assert not rep.passed and "undecided" not in rep.details
+
+
 def test_boundary_shape_product_flat():
     B = BD.WarpedBand(4, 0.0, 3.0, BD.WarpProfile("const"))
     assert np.all(BD.boundary_shape(B, "lower") == 0.0)

@@ -684,11 +684,10 @@ def test_exact_curvature_verdict_is_exact_at_every_power_of_two_scale(tmp_path, 
             assert cli.main(argv) == code, (k, sigma)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the band closed form's rounding does not enter its verdict")
 def test_band_verdict_above_the_exact_bound_fails(tmp_path):
     """A const band with phi = 5 2^-20 has sigma-PIC bound exactly 2 / phi^2,
-    which lies 1.83e-6 below sigma = 87960930222.08."""
+    which lies 1.83e-6 below sigma = 87960930222.08; the float closed form
+    reads sigma, within its rounding bound."""
     path = tmp_path / "band.json"
     path.write_text(json.dumps({"n": 4, "r0": 0, "r1": 1, "phi": {"kind": "const", "scale": 5 * 2.0**-20}}))
     assert run_entry(["verify", "band", "--band", str(path), "--sigma", "87960930222.08"])["exit_code"] == 1

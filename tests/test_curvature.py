@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from picband import cli
 from picband import curvature as C
 from picband.exterior import degree_basis
 from tests.conftest import constant_curvature, curvature_to_json, random_curvature
@@ -67,6 +68,19 @@ def test_iso_rejects_skew_frame():
     X[0, 1] = 0.5
     with pytest.raises(ValueError):
         C.iso_curvature(R, X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frame_is_refused(bad):
+    """A frame with one NaN or infinite entry has a NaN or infinite Gram
+    defect, which the test defect > tol let through: Frame4 built it and
+    iso_curvature returned NaN on it."""
+    X = np.eye(4)
+    X[1, 2] = bad
+    with pytest.raises(ValueError, match="not orthonormal"):
+        C.Frame4(X)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        C.iso_curvature(constant_curvature(4), X)
 
 
 def test_iso_symmetry_group(rng):
@@ -637,6 +651,30 @@ def test_exact_decision_agrees_with_the_closed_form_away_from_its_threshold():
         assert not C._exact_at_least(R, Fraction(value + gap))
 
 
+def test_every_n4_verdict_is_one_rational_decision(monkeypatch, capsys):
+    """Each n = 4 verdict calls the rational test once, with t = sigma - tol
+    in exact rationals, also far from its threshold: the default verify
+    curvature (S^3 x R, minimum 2, sigma 1) and a FAIL at sigma 3; the
+    Weitzenboeck check takes is_sigma_pic's verdict at sigma >= 0 and
+    below, and reaches no minimum apart from it."""
+    decide, verdict_minimum = C._exact_at_least, C._verdict_minimum
+    thresholds, minima = [], []
+    monkeypatch.setattr(C, "_exact_at_least", lambda R, t: thresholds.append(t) or decide(R, t))
+    monkeypatch.setattr(C, "_verdict_minimum", lambda R, cfg: minima.append(R) or verdict_minimum(R, cfg))
+    assert cli.main(["verify", "curvature"]) == 0
+    assert "PASS curvature.sigma_pic" in capsys.readouterr().out
+    assert thresholds == [Fraction(1) - Fraction(1e-9)] and len(minima) == 1
+    R = product_tensor()
+    assert not C.is_sigma_pic(R, 3.0, C.SearchConfig(tolerance=0.0)).passed
+    assert thresholds[1:] == [3] and len(minima) == 2
+    is_sigma_pic, verdicts = C.is_sigma_pic, []
+    monkeypatch.setattr(C, "is_sigma_pic", lambda *args: verdicts.append(is_sigma_pic(*args)) or verdicts[-1])
+    for sigma in (1.0, -1.0):
+        assert C.weitzenboeck_lower_bound_check(R, sigma).pic_verdict is verdicts[-1]
+    assert len(verdicts) == 2 and len(minima) == 4
+    assert thresholds[2:] == [Fraction(sigma) - Fraction(1e-9) for sigma in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("n, spent", [(4, 0), (5, 8), (6, 0)])
 def test_verdict_restarts_are_the_search_effort(n, spent):
     """Dimension 4 takes the closed form and runs no search: 0 restarts.  At
@@ -651,9 +689,10 @@ def test_verdict_restarts_are_the_search_effort(n, spent):
     if n % 2 == 0:
         verdict = C.weitzenboeck_lower_bound_check(R, 1.0, cfg).pic_verdict
         assert (verdict.restarts, verdict.kind) == (spent, kind)
-        # the sigma < 0 branch builds its verdict apart, from the minimum alone
-        verdict = C.weitzenboeck_lower_bound_check(R, -1.0, cfg).pic_verdict
-        assert (verdict.restarts, verdict.kind) == ((0, "exact") if n == 4 else (8, "stochastic"))
+        # sigma < 0 reads is_sigma_pic's verdict too, and asserts no bound
+        rep = C.weitzenboeck_lower_bound_check(R, -1.0, cfg)
+        assert (rep.pic_verdict.restarts, rep.pic_verdict.kind) == ((0, "exact") if n == 4 else (0, "certified"))
+        assert rep.pic_verdict.passed and not rep.asserted and not rep.passed
 
 
 def _four_form(n: int, rng) -> np.ndarray:
@@ -789,36 +828,25 @@ def test_negative_sigma_verdict_is_the_minimum_against_sigma(rng, n):
             C.is_sigma_pic(product_tensor(n), sigma, cfg)
 
 
-def test_non_finite_minimum_is_a_fail():
-    """A tensor with NaN or +-inf components (validate=False; the infinite
-    ones keep the pair symmetries) is a FAIL with a NaN minimum, no witness
-    and no search, at n = 4 (before the closed form) and n = 5, 6 (before
-    the certificate and the search); the bound check builds no operator on
-    it, for sigma >= 0 and below, and both Weitzenboeck routes and the
-    operator itself refuse it (the index route warned and its lambda_min
-    raised LinAlgError; the trace route returned NaN; a NaN operator passed
-    the Hermitian test).  No warning is raised (the suite turns warnings
-    into errors)."""
-    cfg = C.SearchConfig(restarts=4)
+def test_non_finite_tensor_is_refused_at_construction():
+    """A CurvTensor refuses NaN and +-inf components also with
+    validate=False (the infinite ones keep the pair symmetries), and a sum
+    or multiple past the float range raises, with no warning (the suite
+    turns warnings into errors): no verdict or Weitzenboeck route meets a
+    tensor that is not finite.  The operator refuses NaN and inf entries
+    itself (a NaN operator passed the Hermitian test), since the Ricci sums
+    of finite components can still overflow."""
     for n in (4, 5, 6):
-        sphere = constant_curvature(n).R
+        sphere = constant_curvature(n)
         tensors = [np.full((n,) * 4, np.nan)]
         for inf in (np.inf, -np.inf):
             tensors.append(np.zeros((n,) * 4))
-            tensors[-1][sphere > 0], tensors[-1][sphere < 0] = inf, -inf
-        for T in tensors:
-            R = C.CurvTensor(T, validate=False)
-            verdict = C.is_sigma_pic(R, 0.0, cfg)
-            assert not verdict.passed and math.isnan(verdict.min_found)
-            assert verdict.witness is None and verdict.restarts == 0
-            if n % 2 == 0:
-                for sigma in (0.0, -1.0):
-                    rep = C.weitzenboeck_lower_bound_check(R, sigma, cfg)
-                    assert math.isnan(rep.lambda_min) and math.isnan(rep.pic_verdict.min_found)
-                    assert not rep.passed and not rep.asserted and rep.pic_verdict.restarts == 0
-                for route in (C.weitzenboeck_on_two_forms, C.weitzenboeck_clifford_trace):
-                    with pytest.raises(ValueError, match="must be finite"):
-                        route(R)
+            tensors[-1][sphere.R > 0], tensors[-1][sphere.R < 0] = inf, -inf
+        huge = sphere * 1e308
+        for make in [*(lambda T=T: C.CurvTensor(T, validate=False) for T in tensors),
+                     lambda: huge + huge, lambda: huge * 10.0, lambda: 10.0 * huge, lambda: sphere * math.inf]:
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
         if n % 2 == 0:
             d2 = n * (n - 1) // 2
             for bad in (np.nan, np.inf):

@@ -4,8 +4,9 @@ A row is (mutant, argv, expected exit, check): the mutant breaks one
 program object through monkeypatch, and the command line, run in process
 on the mutated program, must end with the expected exit code and print
 FAIL for the check.  The same command line passes on the program as it
-is.  A mutant that changes nothing a suite can see (an equivalent mutant)
-is not a valid row.
+is: a golden command line (``ENTRIES``) as recorded in the tests' fresh
+pass, any other one run here.  A mutant that changes nothing a suite can
+see (an equivalent mutant) is not a valid row.
 """
 
 import dataclasses
@@ -14,10 +15,12 @@ import os
 
 import pytest
 
+from picband import bands as BD
 from picband import cli
 from picband import comparison as CMP
 from picband import curvature as C
 from picband import potentials as P
+from tests.golden.regenerate import ENTRIES, fresh_pass
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 SPHERE6 = os.path.join(INPUTS, "sphere6.json")
@@ -112,6 +115,18 @@ def _exact_threshold_doubled(monkeypatch):
     monkeypatch.setattr(C, "_exact_at_least", lambda R, t: decide(R, 2 * t))
 
 
+def _sphere_sectional_negated(monkeypatch):
+    """The band sectionals with ks negated: on the default const band
+    (ks = 1, kr = 0) the value 2 (ks + kr) reads -2, below sigma = 1."""
+    sectionals = BD._sectionals
+
+    def negated(*jet):
+        ks, kr = sectionals(*jet)
+        return -ks, kr
+
+    monkeypatch.setattr(BD, "_sectionals", negated)
+
+
 MUTANTS = {
     "chi-plateau-raised": (_chi_shifted("c_plateau", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
     "chi-slope-raised-from-x0": (_chi_shifted("_dp_x0", 0.05), ["verify", "bandwidth"], 1, "bandwidth.chi_cutoff"),
@@ -126,14 +141,20 @@ MUTANTS = {
                                            "--sigma", "2.0005"], 1, "weitzenboeck.lower_bound"),
     "exact-threshold-doubled": (_exact_threshold_doubled, ["verify", "curvature", "--sigma", "2", "--tol", "0"], 1,
                                 "curvature.sigma_pic"),
+    "sphere-sectional-negated": (_sphere_sectional_negated, ["verify", "band"], 1, "band.sigma_pic_profile"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed(name, monkeypatch, capsys):
     mutate, argv, code, check = MUTANTS[name]
-    assert cli.main(argv) == 0
-    assert f"PASS {check}" in capsys.readouterr().out
+    if argv in ENTRIES.values():
+        run = fresh_pass()["runs"][tuple(argv)]
+        assert run.get("exit_code") == 0, run.get("error")
+        assert f"PASS {check}" in run["stdout"]
+    else:
+        assert cli.main(argv) == 0
+        assert f"PASS {check}" in capsys.readouterr().out
     mutate(monkeypatch)
     assert cli.main(argv) == code
     assert f"FAIL {check}" in capsys.readouterr().out
